@@ -88,10 +88,14 @@ def _state_mask(states, n: int) -> np.uint64:
     return mask
 
 
+def _decode(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates (p, q, r) of flat triple indices (p*n + q)*n + r."""
+    return idx // (n * n), (idx // n) % n, idx % n
+
+
 def _decode_all(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coordinates (p, q, r) of every flat triple index 0..n^3-1."""
-    idx = np.arange(n**3, dtype=np.int64)
-    return idx // (n * n), (idx // n) % n, idx % n
+    return _decode(np.arange(n**3, dtype=np.int64), n)
 
 
 def _pivots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,31 +279,39 @@ if NUMBA_AVAILABLE:
         return out
 
 
+def witness_square_cells(n: int, x1, x2) -> np.ndarray:
+    """Entries T[x1, x2] of :func:`witness_square_table` (n >= 6) for
+    broadcastable arrays of flat triple indices, without materializing the
+    whole table.
+
+    This is the numpy lane's array algebra: it tracks, letter by letter,
+    the only states each letter can produce while reading (a_X1 b_X2)^2.
+    """
+    p1, q1, r1 = _decode(np.asarray(x1, dtype=np.int64), n)
+    p2, q2, r2 = _decode(np.asarray(x2, dtype=np.int64), n)
+    l1 = _pivots(p1)[0]
+    m2 = _pivots(p2)[1]
+    # membership flags for the only states each letter can produce:
+    # after a_X1 the set is within {q1, r1}, after b_X2 within {p2, m2}
+    has_q1 = l1 <= 2
+    has_r1 = p1 <= 2
+    has_p2 = (has_q1 & (q2 == q1)) | (has_r1 & (q2 == r1))
+    has_m2 = (has_q1 & (r2 == q1)) | (has_r1 & (r2 == r1))
+    has_q1 = (has_p2 & (l1 == p2)) | (has_m2 & (l1 == m2))
+    has_r1 = (has_p2 & (p1 == p2)) | (has_m2 & (p1 == m2))
+    has_p2 = (has_q1 & (q2 == q1)) | (has_r1 & (q2 == r1))
+    has_m2 = (has_q1 & (r2 == q1)) | (has_r1 & (r2 == r1))
+    return (has_p2 & (p2 >= 3) & (p2 <= 5)) | (has_m2 & (m2 >= 3) & (m2 <= 5))
+
+
 def _witness_square_numpy(n: int) -> np.ndarray:
     m = n**3
-    p, q, r = _decode_all(n)
-    left, mid = _pivots(p)
-    p2, q2, r2, m2 = p[None, :], q[None, :], r[None, :], mid[None, :]
+    idx = np.arange(m, dtype=np.int64)
     out = np.empty((m, m), dtype=np.bool_)
     block = _row_block(m)
     for i0 in range(0, m, block):
-        i1 = min(i0 + block, m)
-        rows = slice(i0, i1)
-        p1, q1, r1 = p[rows, None], q[rows, None], r[rows, None]
-        l1 = left[rows, None]
-        # membership flags for the only states each letter can produce:
-        # after a_X1 the set is within {q1, r1}, after b_X2 within {p2, m2}
-        has_q1 = l1 <= 2
-        has_r1 = p1 <= 2
-        has_p2 = (has_q1 & (q2 == q1)) | (has_r1 & (q2 == r1))
-        has_m2 = (has_q1 & (r2 == q1)) | (has_r1 & (r2 == r1))
-        has_q1 = (has_p2 & (l1 == p2)) | (has_m2 & (l1 == m2))
-        has_r1 = (has_p2 & (p1 == p2)) | (has_m2 & (p1 == m2))
-        has_p2 = (has_q1 & (q2 == q1)) | (has_r1 & (q2 == r1))
-        has_m2 = (has_q1 & (r2 == q1)) | (has_r1 & (r2 == r1))
-        out[rows] = (has_p2 & (p2 >= 3) & (p2 <= 5)) | (
-            has_m2 & (m2 >= 3) & (m2 <= 5)
-        )
+        rows = slice(i0, min(i0 + block, m))
+        out[rows] = witness_square_cells(n, idx[rows, None], idx[None, :])
     return out
 
 

@@ -124,6 +124,7 @@ class Dfa:
     def run(self, word: Word) -> int:
         state = self.initial
         for a in word:
+            _check_letter(a, self)
             state = self.transitions[state][a]
         return state
 
@@ -131,8 +132,8 @@ class Dfa:
         return self.run(word) in self.final
 
 
-def _check_letter(a: int, nfa: Nfa) -> None:
-    if not 0 <= a < len(nfa.alphabet):
+def _check_letter(a: int, auto: Nfa | Dfa) -> None:
+    if not 0 <= a < len(auto.alphabet):
         raise ValueError(f"letter index {a} out of range")
 
 

@@ -1,15 +1,22 @@
+import random
+
+import numpy as np
 import pytest
 
 from sqrtnfa import (
     BudgetExceededError,
     FoolingSet,
+    VerificationError,
     Violation,
     certify_lower_bound,
     member,
     pairwise_contradiction,
+    witness,
     witness_fooling_set,
+    witness_square_table,
     verify_fooling,
 )
+from sqrtnfa import fooling, kernels
 
 
 def oracle_for(language):
@@ -135,6 +142,81 @@ class TestCertify:
         # no contradicting pair
         assert certify_lower_bound(6).certified
         assert pairwise_contradiction(6) is None
+
+
+def table_cells(table):
+    """Stand-in for ``witness_square_cells`` that reads a given table."""
+    return lambda n, x1, x2: table[np.asarray(x1), np.asarray(x2)]
+
+
+def table_oracle(table):
+    """Square-membership oracle over canonical pair words, read from a table."""
+    m = table.shape[0]
+    return lambda word: bool(table[word[0], word[1] - m])
+
+
+class TestCertifyMatchesReference:
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_equals_verify_fooling(self, n):
+        auto = witness(n)
+        reference = verify_fooling(
+            witness_fooling_set(n), lambda w: member(auto, w + w)
+        )
+        assert certify_lower_bound(n) == reference
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("strip_rows", [None, 7])
+    def test_damaged_off_diagonal(self, monkeypatch, seed, strip_rows):
+        table = witness_square_table(6).copy()
+        m = table.shape[0]
+        rng = random.Random(seed)
+        for _ in range(3):
+            i, j = rng.sample(range(m), 2)
+            table[i, j] = table[j, i] = True
+        monkeypatch.setattr(fooling, "witness_square_cells", table_cells(table))
+        if strip_rows is not None:
+            monkeypatch.setattr(fooling, "_row_block", lambda per_row: strip_rows)
+        report = certify_lower_bound(6)
+        reference = verify_fooling(witness_fooling_set(6), table_oracle(table))
+        assert not report.certified
+        assert report.violation == reference.violation
+        assert report.cond2_checked == reference.cond2_checked
+        assert report == reference
+
+    def test_cond1_failure_when_table_and_automaton_agree(self, monkeypatch):
+        table = witness_square_table(6).copy()
+        table[40, 40] = table[90, 90] = False
+        oracle = table_oracle(table)
+        monkeypatch.setattr(fooling, "witness_square_cells", table_cells(table))
+        monkeypatch.setattr(fooling, "member", lambda auto, word: oracle(word))
+        report = certify_lower_bound(6)
+        assert report.violation == Violation("cond1", 41)
+        assert report == verify_fooling(witness_fooling_set(6), oracle)
+
+    def test_damaged_diagonal_raises(self, monkeypatch):
+        table = witness_square_table(6).copy()
+        table[40, 40] = False
+        monkeypatch.setattr(fooling, "witness_square_cells", table_cells(table))
+        with pytest.raises(VerificationError, match="pair 41"):
+            certify_lower_bound(6)
+
+    def test_budget_threshold_is_pair_count(self):
+        assert certify_lower_bound(8, budget=512).certified
+        with pytest.raises(BudgetExceededError):
+            certify_lower_bound(8, budget=511)
+
+    def test_strips_stay_within_block_bound(self, monkeypatch):
+        sizes = []
+
+        def recording(n, x1, x2):
+            sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
+            return kernels.witness_square_cells(n, x1, x2)
+
+        monkeypatch.setattr(fooling, "witness_square_cells", recording)
+        report = certify_lower_bound(13)  # 13^6 cells would be 4.8M
+        m = 13**3
+        assert report.certified and report.cond2_checked == m * (m - 1) // 2
+        assert len(sizes) > 3 and max(sizes) <= 1 << 22
 
 
 class TestDoctoredSet:

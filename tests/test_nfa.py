@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sqrtnfa import (
     BudgetExceededError,
     Nfa,
+    RandomSpec,
     bounded_equal,
     determinize,
     dfa_to_nfa,
@@ -13,6 +14,7 @@ from sqrtnfa import (
     enumerate_words,
     equivalent,
     member,
+    random_nfa,
     reach,
     step_set,
     trim,
@@ -136,6 +138,14 @@ class TestDeterminize:
     def test_cap_enforced(self):
         with pytest.raises(BudgetExceededError):
             determinize(NFA_AA, cap=2)
+
+    @pytest.mark.parametrize("word", [(-1,), (2,), (0, -1), (1, 2)])
+    def test_bad_letter_index_rejected(self, word):
+        # a negative index used to wrap around to the last letter
+        dfa = determinize(random_nfa(RandomSpec(seed=3, max_states=3, alphabet_size=2)))
+        for call in (dfa.run, dfa.member):
+            with pytest.raises(ValueError, match="letter index .* out of range"):
+                call(word)
 
     def test_member_agrees_with_dfa_for_200_random(self, small_random):
         for auto in small_random:
