@@ -26,13 +26,10 @@ from .fooling import (
     verify_fooling,
 )
 from .kernels import (
-    NUMBA_AVAILABLE,
     accept_table,
     case_table,
     dfa_accept_table,
-    resolve_backend,
     square_accept_table,
-    transition_masks,
     witness_square_table,
 )
 from .nfa import (
@@ -81,7 +78,6 @@ __all__ = [
     "FormatError",
     "INITIAL_BLOCK",
     "MIN_STATES",
-    "NUMBA_AVAILABLE",
     "Nfa",
     "RandomSpec",
     "Report",
@@ -119,14 +115,12 @@ __all__ = [
     "random_nfa",
     "reach",
     "reachable_triples",
-    "resolve_backend",
     "run_report",
     "sqrt_dfa",
     "sqrt_member_direct",
     "sqrt_nfa",
     "square_accept_table",
     "step_set",
-    "transition_masks",
     "trim",
     "triple_labels",
     "verify_cases",

@@ -98,7 +98,6 @@ def verify_cases(
     drop_case: int | None = None,
     identity_l: bool = False,
     budget: int | None = None,
-    backend: str | None = None,
 ) -> tuple[Triple, Triple] | None:
     """Compare the case predicates with the simulated truth on all n^6 pairs.
 
@@ -111,10 +110,8 @@ def verify_cases(
     budget = effective_budget(budget)
     if n**6 > budget:
         raise BudgetExceededError("case verification pairs", n**6, budget)
-    truth = witness_square_table(n, backend=backend)
-    claimed = case_table(
-        n, drop_case=drop_case or 0, identity_l=identity_l, backend=backend
-    )
+    truth = witness_square_table(n)
+    claimed = case_table(n, drop_case=drop_case or 0, identity_l=identity_l)
     mismatch = truth != (claimed != 0)
     if not mismatch.any():
         return None
@@ -127,7 +124,6 @@ def pairwise_contradiction(
     n: int,
     identity_l: bool = False,
     budget: int | None = None,
-    backend: str | None = None,
 ) -> tuple[Triple, Triple] | None:
     """Search for distinct payloads X3 != X4 where a_X3 b_X4 and a_X4 b_X3
     both satisfy some case.
@@ -142,7 +138,7 @@ def pairwise_contradiction(
     budget = effective_budget(budget)
     if n**6 > budget:
         raise BudgetExceededError("pairwise contradiction pairs", n**6, budget)
-    table = case_table(n, identity_l=identity_l, backend=backend)
+    table = case_table(n, identity_l=identity_l)
     hit = (table != 0) & (table.T != 0)
     np.fill_diagonal(hit, False)
     if not hit.any():

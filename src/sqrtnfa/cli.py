@@ -62,7 +62,7 @@ class Report:
             raise ValueError(f"case_check must be pass or fail, got {self.case_check!r}")
 
 
-def run_report(n: int, budget: int | None = None, backend: str | None = None) -> Report:
+def run_report(n: int, budget: int | None = None) -> Report:
     """Build the witness, construct its cube, certify the lower bound, and
     validate the case table; raises :class:`VerificationError` on the first
     failed check, so a Report in hand means every check ran and passed.
@@ -87,7 +87,7 @@ def run_report(n: int, budget: int | None = None, backend: str | None = None) ->
         )
 
     t = time.perf_counter()
-    counterexample = verify_cases(n, budget=budget, backend=backend)
+    counterexample = verify_cases(n, budget=budget)
     timings["verify_cases"] = time.perf_counter() - t
     if counterexample is not None:
         raise VerificationError(
@@ -228,7 +228,6 @@ def _cmd_verify_cases(args: argparse.Namespace, parser: argparse.ArgumentParser)
         drop_case=drop_case,
         identity_l=identity_l,
         budget=args.budget,
-        backend=args.backend,
     )
     if counterexample is None:
         print(f"verified: all {args.n**6} pairs agree")
@@ -259,7 +258,7 @@ def _cmd_random_equiv(args: argparse.Namespace) -> int:
         auto = random_nfa(spec)
         cube = sqrt_nfa(auto, args.budget)
         det = determinize(auto, args.budget)
-        fn_dfa = sqrt_dfa(det, max_states=det.n_states, budget=args.budget)
+        fn_dfa = sqrt_dfa(det, budget=args.budget)
         fn_nfa = dfa_to_nfa(fn_dfa)
         if not equivalent(cube, fn_nfa, args.budget):
             word = difference_witness(cube, fn_nfa, args.budget)
@@ -278,7 +277,7 @@ def _cmd_random_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = run_report(args.n, budget=args.budget, backend=args.backend)
+    report = run_report(args.n, budget=args.budget)
     t = report.timings
     print(f"square-root state complexity report (n={report.n})")
     print(f"  upper bound, cube construction   : {report.upper_bound_states}")
@@ -307,15 +306,6 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="override the state/pair budget (default from SQRTNFA_BUDGET or "
         f"{effective_budget()})",
-    )
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=("numba", "numpy"),
-        default=None,
-        help="compute lane for the exhaustive tables (default from SQRTNFA_NUMBA)",
     )
 
 
@@ -364,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="damage the table for negative testing: drop-case=K or identity-l",
     )
     _add_budget(p)
-    _add_backend(p)
     p.set_defaults(func=_cmd_verify_cases, needs_parser=True)
 
     p = sub.add_parser(
@@ -380,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full reproduction report for one n")
     p.add_argument("--n", type=int, required=True)
     _add_budget(p)
-    _add_backend(p)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -1,4 +1,4 @@
-"""Size budgets and environment knobs.
+"""Size budgets.
 
 A single integer budget caps every state/pair count in the package
 (determinization subsets, product states of the cube construction, pair
@@ -12,10 +12,6 @@ import os
 DEFAULT_BUDGET = 1_000_000
 
 BUDGET_ENV = "SQRTNFA_BUDGET"
-
-# "0"/"false"/"no" forces the pure-NumPy kernel lane; anything else (or
-# unset) uses the numba lane when numba imports cleanly.
-NUMBA_ENV = "SQRTNFA_NUMBA"
 
 
 def effective_budget(override: int | None = None) -> int:

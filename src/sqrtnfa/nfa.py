@@ -156,6 +156,7 @@ def reach(nfa: Nfa, states: set[int] | frozenset[int], word: Word) -> set[int]:
             raise ValueError(f"state index {s} out of range")
     for a in word:
         _check_letter(a, nfa)
+    for a in word:
         nxt: set[int] = set()
         for s in current:
             nxt.update(nfa.targets(s, a))

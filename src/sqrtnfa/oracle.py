@@ -26,7 +26,7 @@ def sqrt_member_direct(nfa: Nfa, word: Word) -> bool:
     return member(nfa, tuple(word) + tuple(word))
 
 
-def sqrt_dfa(dfa: Dfa, max_states: int = 6, budget: int | None = None) -> Dfa:
+def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
     """Deterministic automaton for the square root of a DFA's language.
 
     States are the self-maps of the input DFA reachable from the identity;
@@ -34,15 +34,9 @@ def sqrt_dfa(dfa: Dfa, max_states: int = 6, budget: int | None = None) -> Dfa:
     f accepts iff f(f(start)) is final: f(start) is where the first copy of
     the word ends, and applying f again runs the second copy from there.
 
-    The state count can explode combinatorially, so inputs larger than
-    ``max_states`` are refused up front (raise the limit consciously);
-    ``budget`` caps the reachable maps actually materialized.
+    The state count can explode combinatorially, so ``budget`` caps the
+    reachable maps actually materialized.
     """
-    if dfa.n_states > max_states:
-        raise ValueError(
-            f"input has {dfa.n_states} states, above the max_states={max_states} "
-            "guard; pass a higher max_states to proceed"
-        )
     budget = effective_budget(budget)
     sigma = len(dfa.alphabet)
 

@@ -156,7 +156,7 @@ def test_cube_matches_function_dfa_on_500_random(pool500, announce):
     for idx, auto in enumerate(pool500):
         cube = sqrt_nfa(auto)
         det = determinize(auto)
-        func = sqrt_dfa(det, max_states=det.n_states)
+        func = sqrt_dfa(det)
         if not equivalent(cube, dfa_to_nfa(func)):
             failures.append(idx)
     elapsed = time.perf_counter() - start
@@ -180,7 +180,7 @@ def test_three_membership_routes_agree(pool500, announce):
     for idx, auto in enumerate(pool500):
         cube = sqrt_nfa(auto)
         det = determinize(auto)
-        func = sqrt_dfa(det, max_states=det.n_states)
+        func = sqrt_dfa(det)
         via_cube = accept_table(cube, max_len)
         via_square = square_accept_table(auto, max_len)
         via_dfa = dfa_accept_table(func, max_len)

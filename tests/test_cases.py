@@ -119,14 +119,6 @@ class TestVerifyCases:
         with pytest.raises(BudgetExceededError):
             verify_cases(6, budget=46_655)
 
-    def test_backends_agree_on_mutations(self):
-        from sqrtnfa import NUMBA_AVAILABLE
-
-        backends = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
-        for mutate in ({"drop_case": 2}, {"identity_l": True}, {}):
-            got = [verify_cases(6, backend=b, **mutate) for b in backends]
-            assert all(g == got[0] for g in got)
-
 
 class TestPairwiseContradiction:
     def test_none_at_n6(self):

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-import sqrtnfa.kernels as kernels
 from sqrtnfa import (
-    NUMBA_AVAILABLE,
     Nfa,
     accept_table,
     any_case,
@@ -13,113 +11,41 @@ from sqrtnfa import (
     dfa_accept_table,
     iter_words,
     member,
-    resolve_backend,
     sqrt_member_direct,
     sqrt_nfa,
     square_accept_table,
-    transition_masks,
     witness_square_table,
 )
 
-BACKENDS = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
-
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
-
-
-class TestResolveBackend:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("SQRTNFA_NUMBA", "1")
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_env_off_tokens(self, monkeypatch):
-        for token in ("0", "false", "no", "off", "numpy", "FALSE"):
-            monkeypatch.setenv("SQRTNFA_NUMBA", token)
-            assert resolve_backend() == "numpy"
-
-    @needs_numba
-    def test_env_on_tokens(self, monkeypatch):
-        for token in ("1", "true", "yes", "on", "numba"):
-            monkeypatch.setenv("SQRTNFA_NUMBA", token)
-            assert resolve_backend() == "numba"
-
-    def test_unset_uses_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv("SQRTNFA_NUMBA", raising=False)
-        assert resolve_backend() == ("numba" if NUMBA_AVAILABLE else "numpy")
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("SQRTNFA_NUMBA", "fastest")
-        with pytest.raises(ValueError):
-            resolve_backend()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
-
-    def test_numba_request_fails_loudly_when_missing(self, monkeypatch):
-        monkeypatch.setattr(kernels, "NUMBA_AVAILABLE", False)
-        with pytest.raises(RuntimeError):
-            kernels.resolve_backend("numba")
-        monkeypatch.setenv("SQRTNFA_NUMBA", "1")
-        with pytest.raises(RuntimeError):
-            kernels.resolve_backend()
-        # the quiet default degrades instead of failing
-        monkeypatch.delenv("SQRTNFA_NUMBA")
-        assert kernels.resolve_backend() == "numpy"
-
-
-class TestTransitionMasks:
-    def test_bit_contents(self):
-        a = Nfa(3, ("x", "y"), frozenset({0}), frozenset({2}),
-                ((0, 0, 1), (0, 0, 2), (1, 1, 0)))
-        masks = transition_masks(a)
-        assert masks.dtype == np.uint64
-        assert masks.shape == (2, 3)
-        assert masks[0, 0] == (1 << 1) | (1 << 2)
-        assert masks[0, 1] == 0
-        assert masks[1, 1] == 1
-
-    def test_refuses_beyond_64_states(self):
-        big = Nfa(65, ("x",), frozenset({0}), frozenset(), ())
-        with pytest.raises(ValueError, match="64"):
-            transition_masks(big)
-
+class TestAcceptTableOnCube:
     def test_cube_of_4_states_exactly_fits(self, small_random):
         four = next(a for a in small_random if a.n_states == 4)
-        masks = transition_masks(sqrt_nfa(four))
-        assert masks.shape[1] == 64
+        cube = sqrt_nfa(four)
+        assert cube.n_states == 64
+        table = accept_table(cube, 3)
+        for rank, word in enumerate(iter_words(len(cube.alphabet), 3)):
+            assert table[rank] == member(cube, word), word
 
 
 class TestWitnessSquareTable:
-    def test_against_plain_member_exhaustively(self, witness6, backend):
-        table = witness_square_table(6, backend=backend)
+    def test_against_plain_member_exhaustively(self, witness6):
+        table = witness_square_table(6)
         assert table.shape == (216, 216) and table.dtype == np.bool_
         for x1 in range(216):
             for x2 in range(216):
                 word = (x1, 216 + x2, x1, 216 + x2)
                 assert table[x1, x2] == member(witness6, word), (x1, x2)
 
-    def test_lanes_agree_at_7(self):
-        if not NUMBA_AVAILABLE:
-            pytest.skip("needs both lanes")
-        a = witness_square_table(7, backend="numba")
-        b = witness_square_table(7, backend="numpy")
-        assert (a == b).all()
-
-    def test_size_guards(self, backend):
+    def test_size_guards(self):
         with pytest.raises(ValueError):
-            witness_square_table(5, backend=backend)
+            witness_square_table(5)
         with pytest.raises(ValueError):
-            witness_square_table(33, backend=backend)
+            witness_square_table(33)
 
 
 class TestCaseTable:
-    def test_against_scalar_predicates_sampled(self, backend):
-        table = case_table(6, backend=backend)
+    def test_against_scalar_predicates_sampled(self):
+        table = case_table(6)
         assert table.dtype == np.uint8
         rng = np.random.Generator(np.random.PCG64(5))
         codec_pairs = [(int(rng.integers(216)), int(rng.integers(216))) for _ in range(2000)]
@@ -130,44 +56,33 @@ class TestCaseTable:
             expected = any_case(t1, t2, 6) or 0
             assert table[x1, x2] == expected, (t1, t2)
 
-    def test_mutations_agree_across_lanes(self):
-        if not NUMBA_AVAILABLE:
-            pytest.skip("needs both lanes")
-        for drop in range(8):
-            a = case_table(6, drop_case=drop, backend="numba")
-            b = case_table(6, drop_case=drop, backend="numpy")
-            assert (a == b).all(), f"drop={drop}"
-        a = case_table(6, identity_l=True, backend="numba")
-        b = case_table(6, identity_l=True, backend="numpy")
-        assert (a == b).all()
-
-    def test_drop_case_validated(self, backend):
+    def test_drop_case_validated(self):
         with pytest.raises(ValueError):
-            case_table(6, drop_case=8, backend=backend)
+            case_table(6, drop_case=8)
         with pytest.raises(ValueError):
-            case_table(6, drop_case=-1, backend=backend)
+            case_table(6, drop_case=-1)
 
-    def test_drop_case_only_removes_that_case(self, backend):
-        full = case_table(6, backend=backend)
+    def test_drop_case_only_removes_that_case(self):
+        full = case_table(6)
         for drop in range(1, 8):
-            dropped = case_table(6, drop_case=drop, backend=backend)
+            dropped = case_table(6, drop_case=drop)
             changed = full != dropped
             assert (full[changed] == drop).all()
             assert (dropped[full == drop] != drop).all()
 
 
 class TestAcceptTables:
-    def test_accept_table_matches_member(self, small_random, backend):
+    def test_accept_table_matches_member(self, small_random):
         for auto in small_random[:25]:
-            table = accept_table(auto, 4, backend=backend)
+            table = accept_table(auto, 4)
             sigma = len(auto.alphabet)
             assert table.shape == (count_words(sigma, 4),)
             for rank, word in enumerate(iter_words(sigma, 4)):
                 assert table[rank] == member(auto, word), (auto, word)
 
-    def test_square_accept_matches_direct(self, small_random, backend):
+    def test_square_accept_matches_direct(self, small_random):
         for auto in small_random[:25]:
-            table = square_accept_table(auto, 4, backend=backend)
+            table = square_accept_table(auto, 4)
             sigma = len(auto.alphabet)
             for rank, word in enumerate(iter_words(sigma, 4)):
                 assert table[rank] == sqrt_member_direct(auto, word), (auto, word)
@@ -179,35 +94,24 @@ class TestAcceptTables:
             for rank, word in enumerate(iter_words(len(dfa.alphabet), 4)):
                 assert table[rank] == dfa.member(word)
 
-    def test_zero_length_tables(self, backend):
+    def test_zero_length_tables(self):
         one = Nfa(1, ("x",), frozenset({0}), frozenset({0}), ((0, 0, 0),))
-        assert accept_table(one, 0, backend=backend).tolist() == [True]
-        assert square_accept_table(one, 0, backend=backend).tolist() == [True]
+        assert accept_table(one, 0).tolist() == [True]
+        assert square_accept_table(one, 0).tolist() == [True]
         assert dfa_accept_table(determinize(one), 0).tolist() == [True]
 
-    def test_negative_length_rejected(self, backend):
+    def test_negative_length_rejected(self):
         one = Nfa(1, ("x",), frozenset({0}), frozenset({0}), ())
         with pytest.raises(ValueError):
-            accept_table(one, -1, backend=backend)
+            accept_table(one, -1)
         with pytest.raises(ValueError):
-            square_accept_table(one, -1, backend=backend)
+            square_accept_table(one, -1)
         with pytest.raises(ValueError):
             dfa_accept_table(determinize(one), -1)
 
-    def test_size_guard_beyond_64(self, backend):
+    def test_size_guard_beyond_64(self):
         big = Nfa(65, ("x",), frozenset({0}), frozenset(), ())
         with pytest.raises(ValueError, match="64"):
-            accept_table(big, 2, backend=backend)
+            accept_table(big, 2)
         with pytest.raises(ValueError, match="64"):
-            square_accept_table(big, 2, backend=backend)
-
-    def test_lanes_agree_on_larger_words(self, small_random):
-        if not NUMBA_AVAILABLE:
-            pytest.skip("needs both lanes")
-        for auto in small_random[:40]:
-            a6 = accept_table(auto, 6, backend="numba")
-            b6 = accept_table(auto, 6, backend="numpy")
-            assert (a6 == b6).all()
-            sa = square_accept_table(auto, 6, backend="numba")
-            sb = square_accept_table(auto, 6, backend="numpy")
-            assert (sa == sb).all()
+            square_accept_table(big, 2)

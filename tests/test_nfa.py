@@ -106,6 +106,9 @@ class TestReachability:
             reach(NFA_AA, {5}, ())
         with pytest.raises(ValueError):
             reach(NFA_AA, {0}, (3,))
+        # the state set is empty after three letters; the fourth is still checked
+        with pytest.raises(ValueError, match="letter index 3 out of range"):
+            member(NFA_AA, (0, 0, 0, 3))
 
     @settings(max_examples=200)
     @given(

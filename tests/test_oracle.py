@@ -67,10 +67,8 @@ class TestSqrtDfa:
         # identity accepts iff identity(identity(0)) = 0 is final
         assert sqrt_dfa(dfa).member(())
 
-    def test_refuses_large_inputs_by_default(self):
-        with pytest.raises(ValueError, match="max_states"):
-            sqrt_dfa(unary_dfa(7, {0}))
-        assert sqrt_dfa(unary_dfa(7, {0}), max_states=7).n_states == 7
+    def test_seven_state_input_accepted(self):
+        assert sqrt_dfa(unary_dfa(7, {0})).n_states == 7
 
     def test_budget_on_function_states(self):
         with pytest.raises(BudgetExceededError):
@@ -79,7 +77,7 @@ class TestSqrtDfa:
     def test_state_count_bounded_by_monoid_size(self, small_random):
         for auto in small_random[:30]:
             det = determinize(auto)
-            fn = sqrt_dfa(det, max_states=det.n_states)
+            fn = sqrt_dfa(det)
             assert fn.n_states <= det.n_states**det.n_states
 
     def test_function_composition_law(self, small_random):
@@ -110,7 +108,7 @@ class TestSqrtDfa:
     def test_language_is_square_root(self, small_random):
         for auto in small_random[:40]:
             det = determinize(auto)
-            fn = sqrt_dfa(det, max_states=det.n_states)
+            fn = sqrt_dfa(det)
             sigma = len(det.alphabet)
             level = [()]
             for _ in range(4):
