@@ -14,7 +14,8 @@ import numpy as np
 from .config import effective_budget
 from .errors import BudgetExceededError
 from .kernels import case_table, witness_square_table
-from .witness import FINAL_BLOCK, INITIAL_BLOCK, MIN_STATES, pivot_l, pivot_m
+from .sqrt import TripleCodec
+from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m
 
 Triple = tuple[int, int, int]
 
@@ -24,11 +25,6 @@ CASE_COUNT = 7
 def _check_triple(x: Triple, n: int, name: str) -> None:
     if len(x) != 3 or not all(0 <= v < n for v in x):
         raise ValueError(f"{name}={x!r} is not a state triple for n={n}")
-
-
-def _check_n(n: int) -> None:
-    if n < MIN_STATES:
-        raise ValueError(f"witness family needs at least {MIN_STATES} states, got {n}")
 
 
 def case_holds(
@@ -47,7 +43,7 @@ def case_holds(
     left pivot for the identity map, a deliberate damage knob for tests,
     never used by the real check.
     """
-    _check_n(n)
+    check_witness_n(n)
     _check_triple(x1, n, "x1")
     _check_triple(x2, n, "x2")
     p1, q1, r1 = x1
@@ -87,12 +83,6 @@ def any_case(
     return None
 
 
-def _flat_to_triple(index: int, n: int) -> Triple:
-    index, r = divmod(index, n)
-    p, q = divmod(index, n)
-    return (p, q, r)
-
-
 def verify_cases(
     n: int,
     drop_case: int | None = None,
@@ -106,7 +96,7 @@ def verify_cases(
     the damage knobs (``drop_case``, ``identity_l``) a counterexample is
     the expected outcome; without them, None is.
     """
-    _check_n(n)
+    check_witness_n(n)
     budget = effective_budget(budget)
     if n**6 > budget:
         raise BudgetExceededError("case verification pairs", n**6, budget)
@@ -116,8 +106,8 @@ def verify_cases(
     if not mismatch.any():
         return None
     flat = int(np.argmax(mismatch))  # row-major argmax = lex-first pair
-    x1, x2 = divmod(flat, n**3)
-    return (_flat_to_triple(x1, n), _flat_to_triple(x2, n))
+    codec = TripleCodec(n)
+    return tuple(codec.decode(x) for x in divmod(flat, n**3))
 
 
 def pairwise_contradiction(
@@ -134,7 +124,7 @@ def pairwise_contradiction(
     automaton simulation involved.  ``identity_l`` damages the pivot so
     tests can see the search actually bites.
     """
-    _check_n(n)
+    check_witness_n(n)
     budget = effective_budget(budget)
     if n**6 > budget:
         raise BudgetExceededError("pairwise contradiction pairs", n**6, budget)
@@ -144,5 +134,5 @@ def pairwise_contradiction(
     if not hit.any():
         return None
     flat = int(np.argmax(hit))
-    x3, x4 = divmod(flat, n**3)
-    return (_flat_to_triple(x3, n), _flat_to_triple(x4, n))
+    codec = TripleCodec(n)
+    return tuple(codec.decode(x) for x in divmod(flat, n**3))

@@ -26,7 +26,7 @@ from .config import effective_budget
 from .errors import BudgetExceededError, VerificationError
 from .kernels import _row_block, witness_square_cells
 from .nfa import Word, member
-from .witness import witness
+from .witness import check_witness_n, witness
 
 Oracle = Callable[[Word], bool]
 
@@ -136,8 +136,7 @@ def verify_fooling(candidate: FoolingSet, oracle: Oracle) -> FoolingReport:
 def witness_fooling_set(n: int) -> FoolingSet:
     """The n^3-pair set {(a_X, b_X)} over all payload triples X, in flat
     triple order, as single-letter words of witness alphabet indices."""
-    if n < 6:
-        raise ValueError(f"witness family needs at least 6 states, got {n}")
+    check_witness_n(n)
     cube = n**3
     return FoolingSet(
         tuple(((flat,), (cube + flat,)) for flat in range(cube))

@@ -8,7 +8,11 @@ independent scalar route: ``member``, the case predicates, and the
 function-automaton DFA.
 
 Accept tables refuse automata with more than 64 states (the cube of a
-4-state automaton fits exactly) with a ``ValueError``.
+4-state automaton fits exactly) with a ``ValueError``.  The cap is
+load-bearing: the level step ``cur @ rel[a]`` counts paths in uint8, and
+those counts wrap at 256, so ``np.ones((1, 256), np.uint8) @
+np.ones((256, 2), np.uint8)`` gives ``[[0, 0]]``, a silent False.  With
+at most 64 states no count can exceed 64.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nfa import Dfa, Nfa
+from .witness import MAX_STATES, check_witness_n, pivot_l, pivot_m
 from .words import count_words
 
 # there is no numba lane; benchmark run records still read this flag
@@ -42,17 +47,9 @@ def _decode_all(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _decode(np.arange(n**3, dtype=np.int64), n)
 
 
-def _pivots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    left = np.where(p == 0, 1, np.where(p == 1, 2, 0))
-    mid = np.where(p == 3, 4, np.where(p == 4, 5, 3))
-    return left, mid
-
-
-def _check_witness_n(n: int) -> None:
-    if n < 6:
-        raise ValueError(f"witness family needs at least 6 states, got {n}")
-    if n > 32:
-        raise ValueError(f"witness tables support at most 32 states, got {n}")
+# pivot maps as lookup arrays, indexed by arrays of states
+_PIVOT_L = np.array([pivot_l(p) for p in range(MAX_STATES)], dtype=np.int64)
+_PIVOT_M = np.array([pivot_m(p) for p in range(MAX_STATES)], dtype=np.int64)
 
 
 def _row_block(per_row: int) -> int:
@@ -61,17 +58,18 @@ def _row_block(per_row: int) -> int:
 
 
 def witness_square_cells(n: int, x1, x2) -> np.ndarray:
-    """Entries T[x1, x2] of :func:`witness_square_table` (n >= 6) for
+    """Entries T[x1, x2] of :func:`witness_square_table` (6 <= n <= 32) for
     broadcastable arrays of flat triple indices, without materializing the
     whole table.
 
     It tracks, letter by letter, the only states each letter can produce
     while reading (a_X1 b_X2)^2.
     """
+    check_witness_n(n)
     p1, q1, r1 = _decode(np.asarray(x1, dtype=np.int64), n)
     p2, q2, r2 = _decode(np.asarray(x2, dtype=np.int64), n)
-    l1 = _pivots(p1)[0]
-    m2 = _pivots(p2)[1]
+    l1 = _PIVOT_L[p1]
+    m2 = _PIVOT_M[p2]
     # membership flags for the only states each letter can produce:
     # after a_X1 the set is within {q1, r1}, after b_X2 within {p2, m2}
     has_q1 = l1 <= 2
@@ -102,7 +100,7 @@ def witness_square_table(n: int) -> np.ndarray:
     language, computed by simulating the witness automaton on all four
     letters of (a_X1 b_X2)^2.  Triples are flat-indexed as (p*n + q)*n + r.
     """
-    _check_witness_n(n)
+    check_witness_n(n)
     m = n**3
     idx = np.arange(m, dtype=np.int64)
     out = np.empty((m, m), dtype=np.bool_)
@@ -120,12 +118,12 @@ def case_table(n: int, drop_case: int = 0, identity_l: bool = False) -> np.ndarr
     replaces the left pivot with the identity map; both exist to let tests
     confirm that damaged predicates are caught against the simulated truth.
     """
-    _check_witness_n(n)
+    check_witness_n(n)
     if not 0 <= drop_case <= 7:
         raise ValueError(f"drop_case must be 0..7, got {drop_case}")
     m = n**3
     p, q, r = _decode_all(n)
-    left, mid = _pivots(p)
+    left, mid = _PIVOT_L[p], _PIVOT_M[p]
     if identity_l:
         left = p
     p2, q2, r2, m2 = p[None, :], q[None, :], r[None, :], mid[None, :]

@@ -5,13 +5,16 @@ an ordered alphabet of distinct names.  NFA transition relations may be
 partial and nondeterministic; a missing (state, letter) entry means the
 empty successor set, with no implicit sink.  Every operation here is a
 pure function of its inputs and automata are immutable after construction,
-so shared instances are safe to use concurrently.
+so shared instances are safe to use concurrently: the successor index is
+built on first use, and a concurrent first use can at worst build that
+pure index twice.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .config import effective_budget
 from .errors import BudgetExceededError
@@ -26,9 +29,11 @@ class Nfa:
     """Nondeterministic finite automaton over named letters.
 
     ``transitions`` is an explicit relation of (source, letter, target)
-    triples, canonically sorted; a per-(state, letter) adjacency index is
-    built once at construction because witness-style alphabets are large
-    (thousands of letters) but touch only a couple of states each.
+    triples, canonically sorted.  Every walk reads the successor index
+    ``_succ``, built on first use: per letter, a dict from source state to
+    its successor set as an int bitmask.  It is sparse because witness-style
+    alphabets are large (thousands of letters) but touch only a couple of
+    states each.
     """
 
     n_states: int
@@ -36,9 +41,6 @@ class Nfa:
     initial: frozenset[int]
     final: frozenset[int]
     transitions: tuple[Transition, ...]
-    _adj: dict[tuple[int, int], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.n_states < 1:
@@ -68,11 +70,15 @@ class Nfa:
             if i > 0 and triples[i - 1] == (src, letter, dst):
                 raise ValueError(f"duplicate transition {(src, letter, dst)}")
         object.__setattr__(self, "transitions", tuple(triples))
-        adj: dict[tuple[int, int], tuple[int, ...]] = {}
-        for src, letter, dst in triples:
-            key = (src, letter)
-            adj[key] = adj.get(key, ()) + (dst,)
-        object.__setattr__(self, "_adj", adj)
+
+    @cached_property
+    def _succ(self) -> list[dict[int, int]]:
+        # written to the instance __dict__, not a field: not in ==, hash, repr
+        succ: list[dict[int, int]] = [{} for _ in self.alphabet]
+        for src, letter, dst in self.transitions:
+            row = succ[letter]
+            row[src] = row.get(src, 0) | 1 << dst
+        return succ
 
     def letter_index(self, name: str) -> int:
         try:
@@ -81,8 +87,10 @@ class Nfa:
             raise ValueError(f"unknown letter {name!r}") from None
 
     def targets(self, state: int, letter: int) -> tuple[int, ...]:
-        """Successors of a single state on a single letter (may be empty)."""
-        return self._adj.get((state, letter), ())
+        """Ascending successors of one state on one letter (may be empty)."""
+        mask = self._succ[letter].get(state, 0) if 0 <= letter < len(self.alphabet) else 0
+        bits = bin(mask)[:1:-1]  # binary digits, least significant first
+        return tuple(i for i, bit in enumerate(bits) if bit == "1")
 
 
 @dataclass(frozen=True)
@@ -171,20 +179,13 @@ def member(nfa: Nfa, word: Word) -> bool:
     return bool(reach(nfa, nfa.initial, word) & nfa.final)
 
 
-def _letter_target_masks(nfa: Nfa) -> list[list[int]]:
-    """Per (letter, source) successor sets packed as Python int bitmasks."""
-    masks = [[0] * nfa.n_states for _ in nfa.alphabet]
-    for src, letter, dst in nfa.transitions:
-        masks[letter][src] |= 1 << dst
-    return masks
-
-
-def _mask_step(mask: int, letter_masks: list[int]) -> int:
+def _mask_step(mask: int, succ: dict[int, int]) -> int:
+    """Successor set of the state set ``mask`` on one letter's index row."""
     out = 0
     m = mask
     while m:
         low = m & -m
-        out |= letter_masks[low.bit_length() - 1]
+        out |= succ.get(low.bit_length() - 1, 0)
         m ^= low
     return out
 
@@ -198,7 +199,7 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
     states would exceed the cap (default from :mod:`sqrtnfa.config`).
     """
     cap = effective_budget(cap)
-    letter_masks = _letter_target_masks(nfa)
+    succ = nfa._succ
     start = 0
     for s in nfa.initial:
         start |= 1 << s
@@ -214,7 +215,7 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
         subset = queue.popleft()
         row = []
         for a in range(len(nfa.alphabet)):
-            nxt = _mask_step(subset, letter_masks[a])
+            nxt = _mask_step(subset, succ[a])
             if nxt not in index:
                 if len(index) >= cap:
                     raise BudgetExceededError(
@@ -299,8 +300,8 @@ def bounded_equal(a: Nfa, b: Nfa, max_len: int) -> Word | None:
     :func:`equivalent`.
     """
     _require_same_alphabet(a, b)
-    masks_a = _letter_target_masks(a)
-    masks_b = _letter_target_masks(b)
+    succ_a = a._succ
+    succ_b = b._succ
     fin_a = sum(1 << s for s in a.final)
     fin_b = sum(1 << s for s in b.final)
     start_a = sum(1 << s for s in a.initial)
@@ -313,8 +314,8 @@ def bounded_equal(a: Nfa, b: Nfa, max_len: int) -> Word | None:
         nxt = []
         for word, ma, mb in level:
             for letter in range(len(a.alphabet)):
-                na = _mask_step(ma, masks_a[letter])
-                nb = _mask_step(mb, masks_b[letter])
+                na = _mask_step(ma, succ_a[letter])
+                nb = _mask_step(mb, succ_b[letter])
                 if bool(na & fin_a) != bool(nb & fin_b):
                     return word + (letter,)
                 nxt.append((word + (letter,), na, nb))
@@ -378,7 +379,7 @@ def enumerate_words(nfa: Nfa, max_len: int, budget: int | None = None) -> list[W
     """
     budget = effective_budget(budget)
     sigma = len(nfa.alphabet)
-    letter_masks = _letter_target_masks(nfa)
+    succ = nfa._succ
     fin = sum(1 << s for s in nfa.final)
     start = sum(1 << s for s in nfa.initial)
 
@@ -398,7 +399,7 @@ def enumerate_words(nfa: Nfa, max_len: int, budget: int | None = None) -> list[W
                 visited += 1
                 if visited > budget:
                     raise BudgetExceededError("word enumeration", visited, budget)
-                nm = _mask_step(mask, letter_masks[a])
+                nm = _mask_step(mask, succ[a])
                 wa = word + (a,)
                 if nm & fin:
                     accepted.append(wa)

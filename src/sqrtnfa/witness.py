@@ -21,7 +21,7 @@ INITIAL_BLOCK = frozenset({0, 1, 2})
 FINAL_BLOCK = frozenset({3, 4, 5})
 
 MIN_STATES = 6
-DEFAULT_MAX_STATES = 32  # 2*n^3 letters; 32 keeps the alphabet under 66k names
+MAX_STATES = 32  # 2*n^3 letters; 32 keeps the alphabet under 66k names
 
 
 class WitnessLetter(NamedTuple):
@@ -33,6 +33,22 @@ class WitnessLetter(NamedTuple):
     @property
     def triple(self) -> tuple[int, int, int]:
         return (self.p, self.q, self.r)
+
+
+def check_witness_n(n: int) -> None:
+    """Raise ValueError unless the witness family is defined and supported
+    at n: it needs disjoint 3-state initial and final blocks, and its
+    alphabet (and every n^3 table over it) is capped at MAX_STATES."""
+    if n < MIN_STATES:
+        raise ValueError(
+            f"witness family needs n >= {MIN_STATES} "
+            f"(disjoint initial block {{0,1,2}} and final block {{3,4,5}}), got {n}"
+        )
+    if n > MAX_STATES:
+        raise ValueError(
+            f"witness family supports at most {MAX_STATES} states "
+            f"(witness({n}) would have {2 * n**3} letters), got {n}"
+        )
 
 
 def pivot_l(p: int) -> int:
@@ -107,7 +123,7 @@ def witness_alphabet(n: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def witness(n: int, max_n: int = DEFAULT_MAX_STATES) -> Nfa:
+def witness(n: int) -> Nfa:
     """The n-state automaton whose square root needs n^3 NFA states.
 
     Per payload X = (p,q,r): letter a[X] carries exactly the transitions
@@ -115,20 +131,9 @@ def witness(n: int, max_n: int = DEFAULT_MAX_STATES) -> Nfa:
     r -> pivot_m(p).  All other entries of the transition relation are
     empty on purpose: runs must die outside the two listed sources.
 
-    Raises ValueError for n < 6 (the construction needs disjoint 3-state
-    initial and final blocks) and BudgetExceededError-style refusal via
-    ``max_n`` for alphabets that would not fit in memory.
+    Raises ValueError outside 6 <= n <= 32 (see :func:`check_witness_n`).
     """
-    if n < MIN_STATES:
-        raise ValueError(
-            f"witness family needs n >= {MIN_STATES} "
-            f"(disjoint initial block {{0,1,2}} and final block {{3,4,5}}), got {n}"
-        )
-    if n > max_n:
-        raise ValueError(
-            f"witness({n}) would have {2 * n**3} letters; "
-            f"pass max_n >= {n} to generate it anyway"
-        )
+    check_witness_n(n)
     cube = n * n * n
     triples = []
     for p in range(n):

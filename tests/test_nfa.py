@@ -1,3 +1,8 @@
+import dataclasses
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,7 @@ from sqrtnfa import (
     member,
     random_nfa,
     reach,
+    sqrt_nfa,
     step_set,
     trim,
 )
@@ -123,6 +129,72 @@ class TestReachability:
         v = tuple(x % sigma for x in v_raw)
         s = {x % a.n_states for x in s_raw}
         assert reach(a, s, u + v) == reach(a, reach(a, s, u), v)
+
+
+class TestSuccessorIndex:
+    """The one successor index every walk reads, against the raw relation."""
+
+    def test_built_on_first_use_only(self, witness6):
+        fresh = make_nfa(3, 1, [(0, 0, 1), (0, 0, 2), (1, 0, 2)], {0}, {2})
+        assert [f.name for f in dataclasses.fields(Nfa)] == [
+            "n_states", "alphabet", "initial", "final", "transitions"
+        ]
+        assert "_succ" not in sqrt_nfa(witness6).__dict__
+        assert "_succ" not in fresh.__dict__
+        assert fresh.targets(0, 0) == (1, 2)
+        assert "_succ" in fresh.__dict__
+
+    def test_concurrent_first_use_agrees(self):
+        words = [w for k in range(4) for w in itertools.product(range(3), repeat=k)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(10):
+                spec = RandomSpec(seed=seed, max_states=4, alphabet_size=3)
+                expected = [member(random_nfa(spec), w) for w in words]
+                shared = random_nfa(spec)
+                results = [None] * 6
+
+                def run(k):
+                    results[k] = [member(shared, w) for w in words]
+
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert results == [expected] * 6
+        finally:
+            sys.setswitchinterval(old)
+
+    @settings(max_examples=200)
+    @given(nfas(), st.data())
+    def test_index_agrees_with_transitions(self, a, data):
+        copy = Nfa(a.n_states, a.alphabet, a.initial, a.final, a.transitions)
+        sigma = len(a.alphabet)
+        for s in range(a.n_states):
+            for letter in range(sigma):
+                expected = sorted(d for src, x, d in a.transitions if (src, x) == (s, letter))
+                assert a.targets(s, letter) == tuple(expected)
+
+        states = data.draw(st.sets(st.integers(0, a.n_states - 1)))
+        word = tuple(data.draw(st.lists(st.integers(0, sigma - 1), max_size=5)))
+        current = set(states)
+        for letter in word:
+            current = {d for src, x, d in a.transitions if x == letter and src in current}
+        assert reach(a, states, word) == current
+
+        dfa = determinize(a)
+        for length in range(4):
+            for w in itertools.product(range(sigma), repeat=length):
+                assert dfa.member(w) == member(a, w)
+
+        # the index lives outside the dataclass fields
+        assert "_succ" in a.__dict__
+        assert a == copy
+        assert hash(a) == hash(copy)
+        assert repr(a) == repr(copy)
 
 
 class TestDeterminize:

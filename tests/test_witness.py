@@ -5,16 +5,23 @@ from sqrtnfa import (
     INITIAL_BLOCK,
     FormatError,
     WitnessLetter,
+    case_holds,
+    case_table,
     letter_name,
     member,
+    pairwise_contradiction,
     parse_letter,
     pivot_l,
     pivot_m,
     reach,
     step_set,
+    verify_cases,
     witness,
     witness_alphabet,
+    witness_fooling_set,
+    witness_square_table,
 )
+from sqrtnfa.kernels import witness_square_cells
 
 
 class TestPivots:
@@ -149,6 +156,20 @@ class TestWitnessAutomaton:
                 witness(n)
 
     def test_size_guard_and_override(self):
-        with pytest.raises(ValueError, match="max_n"):
+        with pytest.raises(ValueError, match="at most 32 states"):
             witness(33)
-        assert witness(9, max_n=9).n_states == 9
+
+    @pytest.mark.parametrize("n, message", [(5, "needs n >= 6"), (33, "at most 32 states")])
+    def test_witness_entry_points_share_one_size_check(self, n, message):
+        calls = [
+            lambda: witness_fooling_set(n),
+            lambda: witness_square_table(n),
+            lambda: witness_square_cells(n, 0, 0),
+            lambda: case_table(n),
+            lambda: case_holds(1, (0, 0, 0), (0, 0, 0), n),
+            lambda: verify_cases(n),  # before the n^6 budget check
+            lambda: pairwise_contradiction(n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
