@@ -1,8 +1,9 @@
 """Size budgets.
 
 A single integer budget caps every state/pair count in the package
-(determinization subsets, product states of the cube construction, pair
-scans of the case checker, function-automaton states).  The default can be
+(determinization subsets, states and transitions of the cube
+construction, pair scans of the case checker, function-automaton states).
+The accept tables do not consult it yet.  The default can be
 overridden globally with the ``SQRTNFA_BUDGET`` environment variable or
 per call via an explicit argument.
 """

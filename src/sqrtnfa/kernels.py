@@ -2,39 +2,31 @@
 
 The witness tables (the square truth table and the case table) are
 computed on flat triple indices in row strips of bounded size; the accept
-tables walk the word tree level by level with per-letter 0/1 relation
-matrices.  Each table is cross-checked in the test suite against an
+tables step the automaton's ``_succ`` masks through the one word-tree walk
+of :func:`sqrtnfa.words.walk_word_tree`, which judges each distinct node
+once.  Each table is cross-checked in the test suite against an
 independent scalar route: ``member``, the case predicates, and the
 function-automaton DFA.
 
 Accept tables refuse automata with more than 64 states (the cube of a
-4-state automaton fits exactly) with a ``ValueError``.  The cap is
-load-bearing: the level step ``cur @ rel[a]`` counts paths in uint8, and
-those counts wrap at 256, so ``np.ones((1, 256), np.uint8) @
-np.ones((256, 2), np.uint8)`` gives ``[[0, 0]]``, a silent False.  With
-at most 64 states no count can exceed 64.
+4-state automaton fits exactly) with a ``ValueError``.  Nothing in the
+walk can overflow, since state sets are Python ints; the cap stays so that
+exit codes and the ``random-equiv --max-states 5`` refusal stay stable.
+Lifting it is a change of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nfa import Dfa, Nfa
+from .nfa import Dfa, Nfa, _mask, _mask_step
 from .witness import MAX_STATES, check_witness_n, pivot_l, pivot_m
-from .words import count_words
+from .words import walk_word_tree
 
 # there is no numba lane; benchmark run records still read this flag
 NUMBA_AVAILABLE = False
 
 MAX_ACCEPT_STATES = 64
-
-
-def _letter_relations(nfa: Nfa) -> np.ndarray:
-    """Per-letter adjacency matrices as 0/1 uint8, shape (sigma, n, n)."""
-    rel = np.zeros((len(nfa.alphabet), nfa.n_states, nfa.n_states), dtype=np.uint8)
-    for src, letter, dst in nfa.transitions:
-        rel[letter, src, dst] = 1
-    return rel
 
 
 def _decode(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,16 +75,14 @@ def witness_square_cells(n: int, x1, x2) -> np.ndarray:
     return (has_p2 & (p2 >= 3) & (p2 <= 5)) | (has_m2 & (m2 >= 3) & (m2 <= 5))
 
 
-def _check_accept_args(nfa: Nfa, max_len: int) -> int:
-    """Validate an accept-table request; return the number of words."""
+def _check_accept_args(nfa: Nfa, max_len: int) -> None:
+    """Validate an accept-table request."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    total = count_words(len(nfa.alphabet), max_len)
     if nfa.n_states > MAX_ACCEPT_STATES:
         raise ValueError(
             f"accept tables support at most {MAX_ACCEPT_STATES} states, got {nfa.n_states}"
         )
-    return total
 
 
 def witness_square_table(n: int) -> np.ndarray:
@@ -158,84 +148,53 @@ def accept_table(nfa: Nfa, max_len: int) -> np.ndarray:
     """Acceptance flag for every word of length <= max_len, rank order.
 
     Index k of the result corresponds to the k-th word in length-lex
-    order (see :mod:`sqrtnfa.words`).  The whole word tree is materialized
-    level by level, so sigma**max_len must be affordable.
+    order (see :mod:`sqrtnfa.words`); a word's node is its reached state
+    set as an int mask.
     """
-    total = _check_accept_args(nfa, max_len)
-    n = nfa.n_states
-    sigma = len(nfa.alphabet)
-    rel = _letter_relations(nfa)
-    fin = np.zeros(n, dtype=np.bool_)
-    fin[list(nfa.final)] = True
-    cur = np.zeros((1, n), dtype=np.uint8)
-    cur[0, list(nfa.initial)] = 1
-
-    out = np.zeros(total, dtype=np.bool_)
-    out[0] = bool((cur[0].astype(np.bool_) & fin).any())
-    pos = 1
-    for _ in range(max_len):
-        nxt = np.empty((cur.shape[0] * sigma, n), dtype=np.uint8)
-        for a in range(sigma):
-            # child of word i on letter a sits at level index i*sigma + a
-            nxt[a::sigma] = (cur @ rel[a]) > 0
-        out[pos : pos + nxt.shape[0]] = (nxt.astype(np.bool_) & fin).any(axis=1)
-        pos += nxt.shape[0]
-        cur = nxt
-    return out
+    _check_accept_args(nfa, max_len)
+    succ = nfa._succ
+    fin = _mask(nfa.final)
+    return walk_word_tree(
+        _mask(nfa.initial),
+        lambda m: [_mask_step(m, row) for row in succ],
+        lambda m: m & fin,
+        len(succ),
+        max_len,
+    )
 
 
 def square_accept_table(nfa: Nfa, max_len: int) -> np.ndarray:
     """Acceptance flag for ww, for every w of length <= max_len, rank order.
 
     This is the direct square-membership route: it never builds the cube
-    automaton, instead tracking the full per-word reachability relation and
-    applying it twice.
+    automaton.  A word's node is its relation, one successor mask per
+    state, and ww is accepted when applying it twice to the initial set
+    meets a final state.
     """
-    total = _check_accept_args(nfa, max_len)
-    n = nfa.n_states
-    sigma = len(nfa.alphabet)
-    rel = _letter_relations(nfa)
-    fin = np.zeros(n, dtype=np.bool_)
-    fin[list(nfa.final)] = True
-    init = np.zeros(n, dtype=np.uint8)
-    init[list(nfa.initial)] = 1
+    _check_accept_args(nfa, max_len)
+    succ = nfa._succ
+    init = _mask(nfa.initial)
+    fin = _mask(nfa.final)
 
-    out = np.zeros(total, dtype=np.bool_)
-    out[0] = bool((init.astype(np.bool_) & fin).any())
-    # cur[i] is the 0/1 reachability matrix of the i-th word of the level
-    cur = np.eye(n, dtype=np.uint8)[None, :, :]
-    pos = 1
-    for _ in range(max_len):
-        nxt = np.empty((cur.shape[0] * sigma, n, n), dtype=np.uint8)
-        for a in range(sigma):
-            nxt[a::sigma] = (cur @ rel[a]) > 0
-        half = (np.matmul(init, nxt) > 0).astype(np.uint8)
-        full = np.matmul(half[:, None, :], nxt)[:, 0, :] > 0
-        out[pos : pos + nxt.shape[0]] = (full & fin).any(axis=1)
-        pos += nxt.shape[0]
-        cur = nxt
-    return out
+    def accepting(rel: tuple[int, ...]) -> int:
+        image = dict(enumerate(rel))
+        return _mask_step(_mask_step(init, image), image) & fin
+
+    return walk_word_tree(
+        tuple(1 << s for s in range(nfa.n_states)),
+        lambda rel: [tuple(_mask_step(m, row) for m in rel) for row in succ],
+        accepting,
+        len(succ),
+        max_len,
+    )
 
 
 def dfa_accept_table(dfa: Dfa, max_len: int) -> np.ndarray:
-    """Acceptance flag for every word of length <= max_len on a DFA.
-
-    Plain vectorized table walk, fancy indexing per level.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    sigma = len(dfa.alphabet)
-    total = count_words(sigma, max_len)
-    trans = np.asarray(dfa.transitions, dtype=np.int64)
-    fin = np.zeros(dfa.n_states, dtype=np.bool_)
-    fin[list(dfa.final)] = True
-
-    out = np.zeros(total, dtype=np.bool_)
-    cur = np.array([dfa.initial], dtype=np.int64)
-    out[0] = fin[cur[0]]
-    pos = 1
-    for _ in range(max_len):
-        cur = trans[cur].reshape(-1)
-        out[pos : pos + cur.size] = fin[cur]
-        pos += cur.size
-    return out
+    """Acceptance flag for every word of length <= max_len on a DFA."""
+    return walk_word_tree(
+        dfa.initial,
+        dfa.transitions.__getitem__,
+        dfa.final.__contains__,
+        len(dfa.alphabet),
+        max_len,
+    )

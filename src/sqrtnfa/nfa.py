@@ -18,8 +18,7 @@ from functools import cached_property
 
 from .config import effective_budget
 from .errors import BudgetExceededError
-
-Word = tuple[int, ...]
+from .words import Word, rank_to_word, walk_word_tree
 
 Transition = tuple[int, int, int]  # (source, letter, target)
 
@@ -179,6 +178,11 @@ def member(nfa: Nfa, word: Word) -> bool:
     return bool(reach(nfa, nfa.initial, word) & nfa.final)
 
 
+def _mask(states: set[int] | frozenset[int]) -> int:
+    """A set of states as an int bitmask."""
+    return sum(1 << s for s in states)
+
+
 def _mask_step(mask: int, succ: dict[int, int]) -> int:
     """Successor set of the state set ``mask`` on one letter's index row."""
     out = 0
@@ -300,27 +304,16 @@ def bounded_equal(a: Nfa, b: Nfa, max_len: int) -> Word | None:
     :func:`equivalent`.
     """
     _require_same_alphabet(a, b)
-    succ_a = a._succ
-    succ_b = b._succ
-    fin_a = sum(1 << s for s in a.final)
-    fin_b = sum(1 << s for s in b.final)
-    start_a = sum(1 << s for s in a.initial)
-    start_b = sum(1 << s for s in b.initial)
-
-    level: list[tuple[Word, int, int]] = [((), start_a, start_b)]
-    if bool(start_a & fin_a) != bool(start_b & fin_b):
-        return ()
-    for _ in range(max_len):
-        nxt = []
-        for word, ma, mb in level:
-            for letter in range(len(a.alphabet)):
-                na = _mask_step(ma, succ_a[letter])
-                nb = _mask_step(mb, succ_b[letter])
-                if bool(na & fin_a) != bool(nb & fin_b):
-                    return word + (letter,)
-                nxt.append((word + (letter,), na, nb))
-        level = nxt
-    return None
+    rows = list(zip(a._succ, b._succ))
+    fin_a, fin_b = _mask(a.final), _mask(b.final)
+    differs = walk_word_tree(
+        (_mask(a.initial), _mask(b.initial)),
+        lambda ab: [(_mask_step(ab[0], ra), _mask_step(ab[1], rb)) for ra, rb in rows],
+        lambda ab: bool(ab[0] & fin_a) != bool(ab[1] & fin_b),
+        len(a.alphabet),
+        max(max_len, 0),  # a negative max_len still judges the empty word
+    )
+    return rank_to_word(len(a.alphabet), int(differs.argmax())) if differs.any() else None
 
 
 def trim(nfa: Nfa) -> Nfa:
@@ -380,8 +373,8 @@ def enumerate_words(nfa: Nfa, max_len: int, budget: int | None = None) -> list[W
     budget = effective_budget(budget)
     sigma = len(nfa.alphabet)
     succ = nfa._succ
-    fin = sum(1 << s for s in nfa.final)
-    start = sum(1 << s for s in nfa.initial)
+    fin = _mask(nfa.final)
+    start = _mask(nfa.initial)
 
     accepted: list[Word] = []
     visited = 1

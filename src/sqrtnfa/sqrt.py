@@ -41,7 +41,8 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
     All n^3 states are materialized (no reachability pruning here; `trim`
     is a separate explicit call), the first coordinate is conserved by
     every transition, and transitions come out sorted, so the construction
-    is deterministic.
+    is deterministic.  Both the n^3 states and the n * sum over letters of
+    (pairs per letter)^2 transitions must fit the budget.
     """
     n = nfa.n_states
     budget = effective_budget(budget)
@@ -56,6 +57,9 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
     by_letter: dict[int, list[tuple[int, int]]] = {}
     for src, letter, dst in nfa.transitions:
         by_letter.setdefault(letter, []).append((src, dst))
+    n_transitions = n * sum(len(pairs) ** 2 for pairs in by_letter.values())
+    if n_transitions > budget:
+        raise BudgetExceededError("cube construction transitions", n_transitions, budget)
 
     triples = []
     for letter, pairs in by_letter.items():

@@ -3,10 +3,13 @@
 Words are tuples of letter indices.  Rank 0 is the empty word, followed by
 all length-1 words in letter order, then length-2, and so on.  The batched
 kernels emit acceptance tables indexed by this rank, and these helpers map
-between ranks and words.
+between ranks and words; :func:`walk_word_tree` is the one walk that
+builds such tables.
 """
 
-from collections.abc import Iterator
+from collections.abc import Callable, Hashable, Iterator, Sequence
+
+import numpy as np
 
 Word = tuple[int, ...]
 
@@ -60,3 +63,38 @@ def iter_words(sigma: int, max_len: int) -> Iterator[Word]:
                 nxt.append(wa)
                 yield wa
         level = nxt
+
+
+def walk_word_tree(
+    start: Hashable,
+    successors: Callable[[Hashable], Sequence[Hashable]],
+    accepting: Callable[[Hashable], bool],
+    sigma: int,
+    max_len: int,
+) -> np.ndarray:
+    """Flag of every word of length <= max_len, in rank order.
+
+    A word's node is reached from ``start`` by ``successors``, which maps a
+    node to its ``sigma`` children in letter order; the word's flag is
+    ``accepting`` of its node.  Each distinct node gets an id on first
+    sight and is expanded and judged once; nodes first seen at depth
+    ``max_len`` are never expanded.  The levels are then walked on ids,
+    so sigma**max_len must be affordable.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    ids = {start: 0}  # insertion order is id order
+    rows: list[list[int]] = []  # children's ids of every expanded node
+    frontier = [start]
+    for _ in range(max_len):
+        seen = len(ids)
+        # frontier nodes hold consecutive ids, so rows stay in id order
+        rows += [[ids.setdefault(c, len(ids)) for c in successors(node)] for node in frontier]
+        frontier = list(ids)[seen:]
+    flags = np.array([bool(accepting(node)) for node in ids], dtype=np.bool_)
+    step = np.array(rows, dtype=np.intp).reshape(-1, sigma)
+    # child of word i on letter a sits at level index i*sigma + a
+    levels = [np.zeros(1, dtype=np.intp)]
+    for _ in range(max_len):
+        levels.append(step[levels[-1]].reshape(-1))
+    return flags[np.concatenate(levels)]

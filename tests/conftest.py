@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sqrtnfa import Nfa, RandomSpec, random_nfa, sqrt_nfa, witness
 
@@ -26,3 +27,35 @@ def small_random():
 def random_word(rng: np.random.Generator, sigma: int, max_len: int) -> tuple[int, ...]:
     length = int(rng.integers(0, max_len + 1))
     return tuple(int(rng.integers(0, sigma)) for _ in range(length))
+
+
+def make_nfa(n, sigma, triples, initial, final):
+    return Nfa(
+        n_states=n,
+        alphabet=tuple(f"l{i}" for i in range(sigma)),
+        initial=frozenset(initial),
+        final=frozenset(final),
+        transitions=tuple(triples),
+    )
+
+
+NFA_AA = make_nfa(3, 1, [(0, 0, 1), (1, 0, 2)], {0}, {2})
+
+
+@st.composite
+def nfas(draw, sigma=None):
+    """Random automata: at most 5 states, 3 letters and 12 triples."""
+    n = draw(st.integers(1, 5))
+    if sigma is None:
+        sigma = draw(st.integers(1, 3))
+    triples = draw(
+        st.sets(
+            st.tuples(
+                st.integers(0, n - 1), st.integers(0, sigma - 1), st.integers(0, n - 1)
+            ),
+            max_size=12,
+        )
+    )
+    initial = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    final = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return make_nfa(n, sigma, sorted(triples), initial, final)

@@ -47,6 +47,14 @@ class TestSqrtCommand:
         code, _, err = run(capsys, "sqrt", "--in", w6_file, "--budget", "100")
         assert code == 3 and "budget" in err.lower()
 
+    def test_transition_budget_exit_code(self, capsys, tmp_path):
+        complete = "".join(f"trans {p} a {q}\n" for p in range(4) for q in range(4))
+        path = tmp_path / "complete4.nfa"
+        path.write_text(f"states 4\nalphabet a\ninitial 0\nfinal 3\n{complete}")
+        code, out, err = run(capsys, "sqrt", "--in", str(path), "--budget", "1000")
+        assert code == 3 and out == ""
+        assert "cube construction transitions: needs 1024" in err
+
     def test_stdin_roundtrip(self, capsys, monkeypatch):
         small = "states 1\nalphabet a\ninitial 0\nfinal 0\ntrans 0 a 0\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(small))

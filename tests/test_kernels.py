@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqrtnfa import (
     Nfa,
     accept_table,
     any_case,
+    bounded_equal,
     case_table,
     count_words,
     determinize,
@@ -16,6 +19,8 @@ from sqrtnfa import (
     square_accept_table,
     witness_square_table,
 )
+from sqrtnfa.words import walk_word_tree
+from conftest import nfas
 
 class TestAcceptTableOnCube:
     def test_cube_of_4_states_exactly_fits(self, small_random):
@@ -115,3 +120,48 @@ class TestAcceptTables:
             accept_table(big, 2)
         with pytest.raises(ValueError, match="64"):
             square_accept_table(big, 2)
+
+
+class TestWordTreeWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(nfas())
+    def test_tables_match_scalar_routes(self, auto):
+        dfa = determinize(auto)
+        sigma = len(auto.alphabet)
+        direct = accept_table(auto, 3)
+        square = square_accept_table(auto, 3)
+        via_dfa = dfa_accept_table(dfa, 3)
+        for rank, word in enumerate(iter_words(sigma, 3)):
+            assert direct[rank] == member(auto, word), word
+            assert square[rank] == member(auto, word + word), word
+            assert via_dfa[rank] == dfa.member(word), word
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bounded_equal_is_first_difference(self, data):
+        a = data.draw(nfas())
+        b = data.draw(nfas(sigma=len(a.alphabet)))
+        for max_len in range(-1, 4):
+            expected = next(
+                (
+                    w
+                    for w in iter_words(len(a.alphabet), max(max_len, 0))
+                    if member(a, w) != member(b, w)
+                ),
+                None,
+            )
+            assert bounded_equal(a, b, max_len) == expected, max_len
+
+    def test_each_node_expanded_once(self):
+        # one state with a self-loop on the one letter
+        calls = []
+
+        def successors(node):
+            calls.append(node)
+            return [node]
+
+        table = walk_word_tree(0, successors, lambda node: True, 1, 6)
+        assert table.tolist() == [True] * 7 and calls == [0]
+        calls.clear()
+        assert walk_word_tree(0, successors, lambda node: True, 1, 0).tolist() == [True]
+        assert calls == []

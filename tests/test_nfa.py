@@ -25,37 +25,7 @@ from sqrtnfa import (
     step_set,
     trim,
 )
-from conftest import random_word
-
-
-def make_nfa(n, sigma, triples, initial, final):
-    return Nfa(
-        n_states=n,
-        alphabet=tuple(f"l{i}" for i in range(sigma)),
-        initial=frozenset(initial),
-        final=frozenset(final),
-        transitions=tuple(triples),
-    )
-
-
-NFA_AA = make_nfa(3, 1, [(0, 0, 1), (1, 0, 2)], {0}, {2})
-
-
-@st.composite
-def nfas(draw):
-    n = draw(st.integers(1, 4))
-    sigma = draw(st.integers(1, 3))
-    triples = draw(
-        st.sets(
-            st.tuples(
-                st.integers(0, n - 1), st.integers(0, sigma - 1), st.integers(0, n - 1)
-            ),
-            max_size=12,
-        )
-    )
-    initial = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-    final = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    return make_nfa(n, sigma, sorted(triples), initial, final)
+from conftest import NFA_AA, make_nfa, nfas, random_word
 
 
 class TestConstruction:

@@ -3,7 +3,6 @@ import pytest
 
 from sqrtnfa import (
     BudgetExceededError,
-    Nfa,
     TripleCodec,
     enumerate_words,
     member,
@@ -13,20 +12,7 @@ from sqrtnfa import (
     sqrt_nfa,
     triple_labels,
 )
-from conftest import random_word
-
-
-def make_nfa(n, sigma, triples, initial, final):
-    return Nfa(
-        n_states=n,
-        alphabet=tuple(f"l{i}" for i in range(sigma)),
-        initial=frozenset(initial),
-        final=frozenset(final),
-        transitions=tuple(triples),
-    )
-
-
-NFA_AA = make_nfa(3, 1, [(0, 0, 1), (1, 0, 2)], {0}, {2})
+from conftest import NFA_AA, make_nfa, random_word
 
 
 class TestCodec:
@@ -90,6 +76,15 @@ class TestConstruction:
         with pytest.raises(BudgetExceededError):
             sqrt_nfa(NFA_AA, budget=26)
         assert sqrt_nfa(NFA_AA, budget=27).n_states == 27
+
+    def test_transition_budget_refusal(self):
+        # 64 cube states fit the budget, its 4 * 16**2 transitions do not
+        complete = make_nfa(4, 1, [(p, 0, q) for p in range(4) for q in range(4)], {0}, {3})
+        with pytest.raises(BudgetExceededError) as info:
+            sqrt_nfa(complete, budget=1000)
+        assert info.value.what == "cube construction transitions"
+        assert info.value.needed == 1024
+        assert len(sqrt_nfa(complete, budget=1024).transitions) == 1024
 
     def test_one_state_loop(self):
         one = make_nfa(1, 1, [(0, 0, 0)], {0}, {0})

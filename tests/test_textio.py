@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sqrtnfa import FormatError, Nfa, emit_nfa, member, parse_nfa, trim
+from sqrtnfa import FormatError, emit_nfa, member, parse_nfa, trim
+from conftest import nfas
 
 GOOD = """\
 states 3
@@ -101,29 +101,6 @@ def test_state_labels_emit_as_ignorable_comments():
     text = emit_nfa(a, state_labels={0: "(0, 0, 0)", 2: "(0, 1, 0)"})
     assert "# state 0 = (0, 0, 0)" in text
     assert parse_nfa(text) == a
-
-
-@st.composite
-def nfas(draw):
-    n = draw(st.integers(1, 5))
-    sigma = draw(st.integers(1, 3))
-    triples = draw(
-        st.sets(
-            st.tuples(
-                st.integers(0, n - 1), st.integers(0, sigma - 1), st.integers(0, n - 1)
-            ),
-            max_size=10,
-        )
-    )
-    initial = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-    final = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    return Nfa(
-        n_states=n,
-        alphabet=tuple(f"l{i}" for i in range(sigma)),
-        initial=frozenset(initial),
-        final=frozenset(final),
-        transitions=tuple(sorted(triples)),
-    )
 
 
 @settings(max_examples=150)
