@@ -4,16 +4,15 @@ A word a_X1 b_X2 belongs to the square root of the witness language
 exactly when one of seven structural conditions on the payload triples
 holds.  This module states those conditions directly (scalar predicates)
 and checks them exhaustively against the simulated truth table for all
-n^6 payload pairs.
+n^6 payload pairs.  Both checks are one :func:`~sqrtnfa.kernels.first_hit`
+scan over row strips of the two tables, so no n^6 array is built.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .config import effective_budget
 from .errors import BudgetExceededError
-from .kernels import case_table, witness_square_table
+from .kernels import case_table, first_hit, witness_square_table
 from .sqrt import TripleCodec
 from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m
 
@@ -94,20 +93,20 @@ def verify_cases(
     Returns None when every pair agrees, otherwise the lexicographically
     first (X1, X2) where the predicates and the simulation disagree.  With
     the damage knobs (``drop_case``, ``identity_l``) a counterexample is
-    the expected outcome; without them, None is.
+    the expected outcome; without them, None is.  The budget caps the
+    n^6 pairs checked; memory is bounded by the strip size.
     """
     check_witness_n(n)
     budget = effective_budget(budget)
     if n**6 > budget:
         raise BudgetExceededError("case verification pairs", n**6, budget)
-    truth = witness_square_table(n)
-    claimed = case_table(n, drop_case=drop_case or 0, identity_l=identity_l)
-    mismatch = truth != (claimed != 0)
-    if not mismatch.any():
-        return None
-    flat = int(np.argmax(mismatch))  # row-major argmax = lex-first pair
-    codec = TripleCodec(n)
-    return tuple(codec.decode(x) for x in divmod(flat, n**3))
+
+    def mismatch(rows, cols):
+        truth = witness_square_table(n, rows, cols)
+        return truth != (case_table(n, drop_case or 0, identity_l, rows, cols) != 0)
+
+    cell = first_hit(n**3, mismatch)
+    return None if cell is None else tuple(map(TripleCodec(n).decode, cell))
 
 
 def pairwise_contradiction(
@@ -122,17 +121,18 @@ def pairwise_contradiction(
     argument work: any two distinct pairs cross in at least one rejected
     word.  This re-derives condition 2 from the predicates alone, with no
     automaton simulation involved.  ``identity_l`` damages the pivot so
-    tests can see the search actually bites.
+    tests can see the search actually bites.  Crossing is symmetric, so
+    the first pair has X3 < X4 and only those are scanned.
     """
     check_witness_n(n)
     budget = effective_budget(budget)
     if n**6 > budget:
         raise BudgetExceededError("pairwise contradiction pairs", n**6, budget)
-    table = case_table(n, identity_l=identity_l)
-    hit = (table != 0) & (table.T != 0)
-    np.fill_diagonal(hit, False)
-    if not hit.any():
-        return None
-    flat = int(np.argmax(hit))
-    codec = TripleCodec(n)
-    return tuple(codec.decode(x) for x in divmod(flat, n**3))
+
+    def crossing(rows, cols):
+        return (case_table(n, 0, identity_l, rows, cols) != 0) & (
+            case_table(n, 0, identity_l, cols, rows) != 0
+        )
+
+    cell = first_hit(n**3, crossing, upper=True)
+    return None if cell is None else tuple(map(TripleCodec(n).decode, cell))

@@ -10,9 +10,10 @@ set has pairs, because distinct pairs cannot share a mid-word state.
 oracle; it is the audit reference for any candidate set.
 :func:`certify_lower_bound` checks the canonical witness set faster: it
 runs condition 1 on the scalar oracle over the witness automaton, requires
-the diagonal of the square truth table (see
+the diagonal cells of the square truth table (see
 :func:`~sqrtnfa.kernels.witness_square_table`) to agree with those scalar
-answers, and then reads condition 2 off the table in row strips.
+answers, and then reads condition 2 off row strips of the table through
+:func:`~sqrtnfa.kernels.first_hit`; the whole table is never built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .config import effective_budget
 from .errors import BudgetExceededError, VerificationError
-from .kernels import _row_block, witness_square_cells
+from .kernels import first_hit, witness_square_table
 from .nfa import Word, member
 from .witness import check_witness_n, witness
 
@@ -151,8 +152,8 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     Condition 1 asks that oracle once per pair.  The square truth table
     T[i, j] = (a_Xi b_Xj)^2 in L must agree with it on the diagonal, else
     :class:`VerificationError`; condition 2 for i < j is then
-    T[i, j] & T[j, i], scanned in strips of rows whose scratch arrays stay
-    within the kernels' block bound, so no n^6 table is ever built.
+    T[i, j] & T[j, i], scanned for the first i < j in the kernels' bounded
+    row strips, so no n^6 table is ever built.
     """
     budget = effective_budget(budget)
     if n**3 > budget:
@@ -166,9 +167,8 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
         scalar.append(member(auto, x + y + x + y))
         if not scalar[-1]:
             break
-    idx = np.arange(m, dtype=np.int64)
-    checked = idx[: len(scalar)]
-    diagonal = witness_square_cells(n, checked, checked)
+    checked = np.arange(len(scalar), dtype=np.int64)
+    diagonal = witness_square_table(n, checked, checked)
     mismatch = np.flatnonzero(diagonal != np.array(scalar, dtype=np.bool_))
     if mismatch.size:
         raise VerificationError(
@@ -182,30 +182,19 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
             cond1_checked=len(scalar),
         )
 
-    i0 = 0
-    while i0 < m:
-        i1 = min(i0 + _row_block(m - i0), m)
-        rows, cols = idx[i0:i1, None], idx[None, i0:]
-        clash = (
-            witness_square_cells(n, rows, cols)
-            & witness_square_cells(n, cols, rows)
-            & (cols > rows)
+    def clash(rows, cols):
+        return witness_square_table(n, rows, cols) & witness_square_table(n, cols, rows)
+
+    hit = first_hit(m, clash, upper=True)
+    if hit is None:
+        return FoolingReport(
+            certified=True, bound=m, cond1_checked=m, cond2_checked=m * (m - 1) // 2
         )
-        if clash.any():
-            r, c = divmod(int(np.argmax(clash)), m - i0)
-            i, j = i0 + r, i0 + c
-            return FoolingReport(
-                certified=False,
-                bound=0,
-                violation=Violation("cond2", i + 1, j + 1),
-                cond1_checked=m,
-                cond2_checked=i * m - i * (i + 1) // 2 + (j - i),
-            )
-        i0 = i1
+    i, j = hit
     return FoolingReport(
-        certified=True,
-        bound=m,
-        violation=None,
+        certified=False,
+        bound=0,
+        violation=Violation("cond2", i + 1, j + 1),
         cond1_checked=m,
-        cond2_checked=m * (m - 1) // 2,
+        cond2_checked=i * m - i * (i + 1) // 2 + (j - i),
     )

@@ -204,12 +204,8 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
     """
     cap = effective_budget(cap)
     succ = nfa._succ
-    start = 0
-    for s in nfa.initial:
-        start |= 1 << s
-    final_mask = 0
-    for s in nfa.final:
-        final_mask |= 1 << s
+    start = _mask(nfa.initial)
+    final_mask = _mask(nfa.final)
 
     index: dict[int, int] = {start: 0}
     order: list[int] = [start]

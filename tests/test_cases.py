@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from sqrtnfa import (
     pivot_l,
     pivot_m,
     verify_cases,
+    witness_square_table,
 )
+from sqrtnfa import kernels
 
 
 def all_triples(n):
@@ -144,3 +147,51 @@ def test_case_table_matches_scalar_any_case_row():
         for x2 in ((0, 0, 0), (1, 2, 2), (3, 3, 3), (5, 4, 3)):
             flat2 = (x2[0] * 6 + x2[1]) * 6 + x2[2]
             assert table[flat1, flat2] == (any_case(x1, x2, 6) or 0)
+
+
+def first_pair(hit, n):
+    """Row-major first True cell of a whole table, as a pair of triples."""
+    if not hit.any():
+        return None
+    return tuple(
+        (x // (n * n), (x // n) % n, x % n) for x in divmod(int(np.argmax(hit)), n**3)
+    )
+
+
+MUTATIONS = [{"drop_case": k} for k in range(1, CASE_COUNT + 1)] + [{"identity_l": True}]
+
+
+class TestStripScan:
+    """The strip scans find the same pair as an argmax over whole tables."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize(
+        "mutation", MUTATIONS, ids=lambda m: ",".join(f"{k}={v}" for k, v in m.items())
+    )
+    def test_verify_cases_in_7_row_strips(self, monkeypatch, n, mutation):
+        claimed = case_table(n, **mutation)
+        expected = first_pair(witness_square_table(n) != (claimed != 0), n)
+        monkeypatch.setattr(kernels, "_row_block", lambda per_row: 7)
+        assert expected is not None
+        assert verify_cases(n, **mutation) == expected
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("identity_l", [False, True])
+    def test_pairwise_contradiction_in_7_row_strips(self, monkeypatch, n, identity_l):
+        table = case_table(n, identity_l=identity_l)
+        hit = (table != 0) & (table.T != 0)
+        np.fill_diagonal(hit, False)
+        expected = first_pair(hit, n)
+        monkeypatch.setattr(kernels, "_row_block", lambda per_row: 7)
+        assert pairwise_contradiction(n, identity_l=identity_l) == expected
+
+    @pytest.mark.parametrize("check", [verify_cases, pairwise_contradiction])
+    def test_peak_memory_is_bounded_by_the_strip(self, check):
+        # 16^6 cells would be 16.8M per whole table
+        tracemalloc.start()
+        try:
+            assert check(16, budget=17_000_000) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * 2**20

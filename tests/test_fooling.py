@@ -145,7 +145,8 @@ class TestCertify:
 
 
 def table_cells(table):
-    """Stand-in for ``witness_square_cells`` that reads a given table."""
+    """Stand-in for the cell form of ``witness_square_table`` that reads a
+    given table."""
     return lambda n, x1, x2: table[np.asarray(x1), np.asarray(x2)]
 
 
@@ -173,9 +174,9 @@ class TestCertifyMatchesReference:
         for _ in range(3):
             i, j = rng.sample(range(m), 2)
             table[i, j] = table[j, i] = True
-        monkeypatch.setattr(fooling, "witness_square_cells", table_cells(table))
+        monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
         if strip_rows is not None:
-            monkeypatch.setattr(fooling, "_row_block", lambda per_row: strip_rows)
+            monkeypatch.setattr(kernels, "_row_block", lambda per_row: strip_rows)
         report = certify_lower_bound(6)
         reference = verify_fooling(witness_fooling_set(6), table_oracle(table))
         assert not report.certified
@@ -187,7 +188,7 @@ class TestCertifyMatchesReference:
         table = witness_square_table(6).copy()
         table[40, 40] = table[90, 90] = False
         oracle = table_oracle(table)
-        monkeypatch.setattr(fooling, "witness_square_cells", table_cells(table))
+        monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
         monkeypatch.setattr(fooling, "member", lambda auto, word: oracle(word))
         report = certify_lower_bound(6)
         assert report.violation == Violation("cond1", 41)
@@ -196,7 +197,7 @@ class TestCertifyMatchesReference:
     def test_damaged_diagonal_raises(self, monkeypatch):
         table = witness_square_table(6).copy()
         table[40, 40] = False
-        monkeypatch.setattr(fooling, "witness_square_cells", table_cells(table))
+        monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
         with pytest.raises(VerificationError, match="pair 41"):
             certify_lower_bound(6)
 
@@ -210,9 +211,9 @@ class TestCertifyMatchesReference:
 
         def recording(n, x1, x2):
             sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
-            return kernels.witness_square_cells(n, x1, x2)
+            return kernels.witness_square_table(n, x1, x2)
 
-        monkeypatch.setattr(fooling, "witness_square_cells", recording)
+        monkeypatch.setattr(fooling, "witness_square_table", recording)
         report = certify_lower_bound(13)  # 13^6 cells would be 4.8M
         m = 13**3
         assert report.certified and report.cond2_checked == m * (m - 1) // 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqrtnfa import (
+    BudgetExceededError,
     Nfa,
     accept_table,
     any_case,
@@ -46,6 +47,29 @@ class TestWitnessSquareTable:
             witness_square_table(5)
         with pytest.raises(ValueError):
             witness_square_table(33)
+
+
+class TestTableForms:
+    def test_whole_tables_check_the_budget(self, monkeypatch):
+        monkeypatch.setenv("SQRTNFA_BUDGET", "1000")
+        with pytest.raises(BudgetExceededError, match="witness_square_table"):
+            witness_square_table(6)
+        with pytest.raises(BudgetExceededError, match="case_table"):
+            case_table(6)
+
+    def test_cell_form_matches_whole_table(self):
+        rows = np.array([[0], [17], [215]])
+        cols = np.arange(216)[None, :]
+        truth = witness_square_table(6)[rows, cols]
+        claimed = case_table(6, identity_l=True)[rows, cols]
+        assert (witness_square_table(6, rows, cols) == truth).all()
+        assert (case_table(6, 0, True, rows, cols) == claimed).all()
+
+    def test_index_arrays_come_in_pairs(self):
+        with pytest.raises(ValueError, match="both index arrays"):
+            witness_square_table(6, np.arange(3))
+        with pytest.raises(ValueError, match="both index arrays"):
+            case_table(6, x2=np.arange(3))
 
 
 class TestCaseTable:

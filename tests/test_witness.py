@@ -21,7 +21,6 @@ from sqrtnfa import (
     witness_fooling_set,
     witness_square_table,
 )
-from sqrtnfa.kernels import witness_square_cells
 
 
 class TestPivots:
@@ -164,7 +163,6 @@ class TestWitnessAutomaton:
         calls = [
             lambda: witness_fooling_set(n),
             lambda: witness_square_table(n),
-            lambda: witness_square_cells(n, 0, 0),
             lambda: case_table(n),
             lambda: case_holds(1, (0, 0, 0), (0, 0, 0), n),
             lambda: verify_cases(n),  # before the n^6 budget check
