@@ -237,11 +237,11 @@ def _cmd_verify_cases(args: argparse.Namespace, parser: argparse.ArgumentParser)
     return 1
 
 
-def _triangle_mismatch(auto: Nfa, cube: Nfa, fn_dfa) -> Word | None:
+def _triangle_mismatch(auto: Nfa, cube: Nfa, fn_dfa, budget: int | None) -> Word | None:
     """First word of length <= 6 where the three membership routes split."""
-    direct = square_accept_table(auto, TRIANGLE_WORD_LENGTH)
-    via_cube = accept_table(cube, TRIANGLE_WORD_LENGTH)
-    via_fn = dfa_accept_table(fn_dfa, TRIANGLE_WORD_LENGTH)
+    direct = square_accept_table(auto, TRIANGLE_WORD_LENGTH, budget)
+    via_cube = accept_table(cube, TRIANGLE_WORD_LENGTH, budget)
+    via_fn = dfa_accept_table(fn_dfa, TRIANGLE_WORD_LENGTH, budget)
     agree = (direct == via_cube) & (direct == via_fn)
     if agree.all():
         return None
@@ -262,10 +262,8 @@ def _cmd_random_equiv(args: argparse.Namespace) -> int:
         fn_nfa = dfa_to_nfa(fn_dfa)
         if not equivalent(cube, fn_nfa, args.budget):
             word = difference_witness(cube, fn_nfa, args.budget)
-            print(f'trial {trial} seed={seed} failed: word "{_format_word(auto, word)}"')
-            failures += 1
-            continue
-        word = _triangle_mismatch(auto, cube, fn_dfa)
+        else:
+            word = _triangle_mismatch(auto, cube, fn_dfa, args.budget)
         if word is not None:
             print(f'trial {trial} seed={seed} failed: word "{_format_word(auto, word)}"')
             failures += 1

@@ -3,8 +3,8 @@
 A single integer budget caps every state/pair count in the package
 (determinization subsets, states and transitions of the cube
 construction, pair scans of the case checker, cells of a whole witness
-table, function-automaton states).
-The accept tables do not consult it yet.  The default can be
+table, function-automaton states, equivalence product pairs, and the
+words of an accept table or of ``bounded_equal``).  The default can be
 overridden globally with the ``SQRTNFA_BUDGET`` environment variable or
 per call via an explicit argument.
 """

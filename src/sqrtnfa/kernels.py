@@ -7,9 +7,9 @@ in row strips of at most 2^22 cells, so no n^6 array is built; called
 without index arrays, a table is built whole, within the budget.  The
 accept tables step the automaton's ``_succ`` masks through the one
 word-tree walk of :func:`sqrtnfa.words.walk_word_tree`, which judges each
-distinct node once.  Each table is cross-checked in the test suite
-against an independent scalar route: ``member``, the case predicates, and
-the function-automaton DFA.
+distinct node once and refuses more words than the budget.  Each table
+is cross-checked in the test suite against an independent scalar route:
+``member``, the case predicates, and the function-automaton DFA.
 
 Accept tables refuse automata with more than 64 states (the cube of a
 4-state automaton fits exactly) with a ``ValueError``.  Nothing in the
@@ -153,7 +153,7 @@ def case_table(
     return np.select([c for c, _ in pairs], [v for _, v in pairs], default=np.uint8(0))
 
 
-def accept_table(nfa: Nfa, max_len: int) -> np.ndarray:
+def accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np.ndarray:
     """Acceptance flag for every word of length <= max_len, rank order.
 
     Index k of the result corresponds to the k-th word in length-lex
@@ -169,10 +169,11 @@ def accept_table(nfa: Nfa, max_len: int) -> np.ndarray:
         lambda m: m & fin,
         len(succ),
         max_len,
+        budget,
     )
 
 
-def square_accept_table(nfa: Nfa, max_len: int) -> np.ndarray:
+def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np.ndarray:
     """Acceptance flag for ww, for every w of length <= max_len, rank order.
 
     This is the direct square-membership route: it never builds the cube
@@ -195,10 +196,11 @@ def square_accept_table(nfa: Nfa, max_len: int) -> np.ndarray:
         accepting,
         len(succ),
         max_len,
+        budget,
     )
 
 
-def dfa_accept_table(dfa: Dfa, max_len: int) -> np.ndarray:
+def dfa_accept_table(dfa: Dfa, max_len: int, budget: int | None = None) -> np.ndarray:
     """Acceptance flag for every word of length <= max_len on a DFA."""
     return walk_word_tree(
         dfa.initial,
@@ -206,4 +208,5 @@ def dfa_accept_table(dfa: Dfa, max_len: int) -> np.ndarray:
         dfa.final.__contains__,
         len(dfa.alphabet),
         max_len,
+        budget,
     )

@@ -12,13 +12,11 @@ pure index twice.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .config import effective_budget
-from .errors import BudgetExceededError
-from .words import Word, rank_to_word, walk_word_tree
+from .words import Word, explore, rank_to_word, walk_word_tree
 
 Transition = tuple[int, int, int]  # (source, letter, target)
 
@@ -202,31 +200,13 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
     total.  Raises :class:`BudgetExceededError` when the number of subset
     states would exceed the cap (default from :mod:`sqrtnfa.config`).
     """
-    cap = effective_budget(cap)
-    succ = nfa._succ
-    start = _mask(nfa.initial)
     final_mask = _mask(nfa.final)
-
-    index: dict[int, int] = {start: 0}
-    order: list[int] = [start]
-    rows: list[list[int]] = []
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        row = []
-        for a in range(len(nfa.alphabet)):
-            nxt = _mask_step(subset, succ[a])
-            if nxt not in index:
-                if len(index) >= cap:
-                    raise BudgetExceededError(
-                        "determinization subset states", len(index) + 1, cap
-                    )
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
-
+    order, rows = explore(
+        _mask(nfa.initial),
+        lambda subset: [_mask_step(subset, row) for row in nfa._succ],
+        effective_budget(cap),
+        "determinization subset states",
+    )
     final = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
     return Dfa(
         n_states=len(order),
@@ -252,64 +232,70 @@ def dfa_to_nfa(dfa: Dfa) -> Nfa:
     )
 
 
-def _require_same_alphabet(a: Nfa, b: Nfa) -> None:
+def _pair_graph(a: Nfa, b: Nfa):
+    """The pairs of state sets one word reaches in ``a`` and in ``b``: the
+    start pair, a pair's successors in letter order, and whether a pair
+    splits on acceptance."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch between automata")
+    rows = list(zip(a._succ, b._succ))
+    fin_a, fin_b = _mask(a.final), _mask(b.final)
+    return (
+        (_mask(a.initial), _mask(b.initial)),
+        lambda ab: [(_mask_step(ab[0], ra), _mask_step(ab[1], rb)) for ra, rb in rows],
+        lambda ab: bool(ab[0] & fin_a) != bool(ab[1] & fin_b),
+    )
 
 
 def difference_witness(a: Nfa, b: Nfa, cap: int | None = None) -> Word | None:
-    """Shortest word accepted by exactly one automaton, via the product of
-    the two determinizations; None when the languages coincide.
+    """Shortest word accepted by exactly one automaton, or None when the
+    languages coincide.
 
-    Ties resolve lexicographically because letters are explored in
-    alphabet order, so the result is deterministic.
+    The pairs of reached state sets are explored on the fly, breadth first
+    in letter order, without determinizing either side, and the walk stops
+    at the first pair that splits on acceptance, so ties resolve
+    lexicographically.  More pairs than the cap before that raises
+    ``BudgetExceededError("equivalence product pairs", ...)``, even when
+    each side's determinization would fit.
     """
-    _require_same_alphabet(a, b)
-    da = determinize(a, cap)
-    db = determinize(b, cap)
-    start = (da.initial, db.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, ())])
-    while queue:
-        (sa, sb), word = queue.popleft()
-        if (sa in da.final) != (sb in db.final):
-            return word
-        for letter in range(len(a.alphabet)):
-            nxt = (da.transitions[sa][letter], db.transitions[sb][letter])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (letter,)))
-    return None
+    start, successors, splits = _pair_graph(a, b)
+    budget = effective_budget(cap)
+    pairs, rows = explore(start, successors, budget, "equivalence product pairs", stop=splits)
+    if not splits(pairs[-1]):
+        return None
+    # a pair's word is its first parent's word plus the letter: ids are
+    # handed out in (parent, letter) order, and the split pair is the last
+    words: list[Word] = [()]
+    for parent, row in enumerate(rows):
+        for letter, child in enumerate(row):
+            if child == len(words):
+                words.append(words[parent] + (letter,))
+    return words[len(pairs) - 1]
 
 
 def equivalent(a: Nfa, b: Nfa, cap: int | None = None) -> bool:
-    """Exact language equality via determinization + product reachability.
+    """Exact language equality: no reachable pair of state sets splits on
+    acceptance (see :func:`difference_witness`).
 
-    There is deliberately no approximate fallback: if determinization blows
-    the cap, the BudgetExceededError propagates rather than a guess.
+    There is deliberately no approximate fallback: if the pairs exceed the
+    cap, the BudgetExceededError propagates rather than a guess.
     """
     return difference_witness(a, b, cap) is None
 
 
-def bounded_equal(a: Nfa, b: Nfa, max_len: int) -> Word | None:
+def bounded_equal(a: Nfa, b: Nfa, max_len: int, budget: int | None = None) -> Word | None:
     """First word of length <= max_len (length-lex order) where membership
-    differs, or None.
+    differs, or None.  The words walked must fit ``budget``.
 
-    This is a plain walk of the word tree, independent of the
-    determinization machinery, so it can serve as an oracle for
-    :func:`equivalent`.
+    This walks the word tree and reads the word off its rank, not off a
+    breadth-first numbering, so it is a check on :func:`difference_witness`.
     """
-    _require_same_alphabet(a, b)
-    rows = list(zip(a._succ, b._succ))
-    fin_a, fin_b = _mask(a.final), _mask(b.final)
-    differs = walk_word_tree(
-        (_mask(a.initial), _mask(b.initial)),
-        lambda ab: [(_mask_step(ab[0], ra), _mask_step(ab[1], rb)) for ra, rb in rows],
-        lambda ab: bool(ab[0] & fin_a) != bool(ab[1] & fin_b),
-        len(a.alphabet),
-        max(max_len, 0),  # a negative max_len still judges the empty word
+    start, successors, splits = _pair_graph(a, b)
+    # a negative max_len still judges the empty word
+    table = walk_word_tree(
+        start, successors, splits, len(a.alphabet), max(max_len, 0), budget
     )
-    return rank_to_word(len(a.alphabet), int(differs.argmax())) if differs.any() else None
+    return rank_to_word(len(a.alphabet), int(table.argmax())) if table.any() else None
 
 
 def trim(nfa: Nfa) -> Nfa:
@@ -326,15 +312,10 @@ def trim(nfa: Nfa) -> Nfa:
         backward.setdefault(dst, set()).add(src)
 
     def closure(seeds: frozenset[int], edges: dict[int, set[int]]) -> set[int]:
-        seen = set(seeds)
-        queue = deque(seeds)
-        while queue:
-            s = queue.popleft()
-            for t in edges.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return seen
+        def succ(s: int | None) -> list[int]:
+            return sorted(seeds if s is None else edges.get(s, ()))
+        # None leads to the seeds; at most n_states + 1 nodes, so no refusal
+        return set(explore(None, succ, nfa.n_states + 1, "trimmed states")[0][1:])
 
     useful = closure(nfa.initial, forward) & closure(nfa.final, backward)
     if not useful:
@@ -366,32 +347,13 @@ def enumerate_words(nfa: Nfa, max_len: int, budget: int | None = None) -> list[W
     The walk visits every word up to max_len, so the total word count must
     fit the budget.
     """
-    budget = effective_budget(budget)
-    sigma = len(nfa.alphabet)
-    succ = nfa._succ
     fin = _mask(nfa.final)
-    start = _mask(nfa.initial)
-
-    accepted: list[Word] = []
-    visited = 1
-    if start & fin:
-        accepted.append(())
-    level: list[tuple[Word, int]] = [((), start)]
-    for _ in range(max_len):
-        if not level:
-            break
-        nxt = []
-        for word, mask in level:
-            if not mask:
-                continue
-            for a in range(sigma):
-                visited += 1
-                if visited > budget:
-                    raise BudgetExceededError("word enumeration", visited, budget)
-                nm = _mask_step(mask, succ[a])
-                wa = word + (a,)
-                if nm & fin:
-                    accepted.append(wa)
-                nxt.append((wa, nm))
-        level = nxt
-    return accepted
+    accepted = walk_word_tree(
+        _mask(nfa.initial),
+        lambda m: [_mask_step(m, row) for row in nfa._succ],
+        lambda m: m & fin,
+        len(nfa.alphabet),
+        max(max_len, 0),  # a negative max_len still judges the empty word
+        budget,
+    )
+    return [rank_to_word(len(nfa.alphabet), int(r)) for r in accepted.nonzero()[0]]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import effective_budget
-from .errors import BudgetExceededError
 from .nfa import Dfa, Nfa, Word, member
+from .words import explore
 
 # a DFA self-map: entry q is the state reached from q by the word read so far
 FnState = tuple[int, ...]
@@ -37,30 +37,14 @@ def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
     The state count can explode combinatorially, so ``budget`` caps the
     reachable maps actually materialized.
     """
-    budget = effective_budget(budget)
-    sigma = len(dfa.alphabet)
-
-    identity: FnState = tuple(range(dfa.n_states))
-    index: dict[FnState, int] = {identity: 0}
-    order: list[FnState] = [identity]
-    rows: list[list[int]] = []
-    pos = 0
-    while pos < len(order):
-        f = order[pos]
-        pos += 1
-        row = []
-        for a in range(sigma):
-            g: FnState = tuple(dfa.transitions[f[q]][a] for q in range(dfa.n_states))
-            if g not in index:
-                if len(order) >= budget:
-                    raise BudgetExceededError(
-                        "square-root DFA states", len(order) + 1, budget
-                    )
-                index[g] = len(order)
-                order.append(g)
-            row.append(index[g])
-        rows.append(row)
-
+    # column a maps each state to its successor on letter a
+    columns = list(zip(*dfa.transitions))
+    order, rows = explore(
+        tuple(range(dfa.n_states)),  # the identity map
+        lambda f: [tuple(map(col.__getitem__, f)) for col in columns],
+        effective_budget(budget),
+        "square-root DFA states",
+    )
     final = frozenset(
         i for i, f in enumerate(order) if f[f[dfa.initial]] in dfa.final
     )

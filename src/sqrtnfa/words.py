@@ -4,12 +4,17 @@ Words are tuples of letter indices.  Rank 0 is the empty word, followed by
 all length-1 words in letter order, then length-2, and so on.  The batched
 kernels emit acceptance tables indexed by this rank, and these helpers map
 between ranks and words; :func:`walk_word_tree` is the one walk that
-builds such tables.
+builds such tables.  :func:`explore`, the one breadth-first numbering of
+reachable nodes, serves it, the subset, function and product automata,
+and ``trim``.
 """
 
 from collections.abc import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
+
+from .config import effective_budget
+from .errors import BudgetExceededError
 
 Word = tuple[int, ...]
 
@@ -65,33 +70,73 @@ def iter_words(sigma: int, max_len: int) -> Iterator[Word]:
         level = nxt
 
 
+def explore(
+    start: Hashable,
+    successors: Callable[[Hashable], Sequence[Hashable]],
+    budget: int,
+    what: str,
+    depth: int | None = None,
+    stop: Callable[[Hashable], object] | None = None,
+) -> tuple[list[Hashable], list[list[int]]]:
+    """Number every node reachable from ``start`` breadth first: ``(nodes, rows)``.
+
+    ``rows[i]`` holds the ids of ``successors(nodes[i])`` in letter order,
+    and ids go by first sight.  Nodes first seen at ``depth`` get ids but
+    are not expanded.  The walk ends early at the first numbered node that
+    satisfies ``stop``; it is then ``nodes[-1]``, and the last row may
+    name ids past it.  More than ``budget`` nodes raises
+    ``BudgetExceededError(what, budget + 1, budget)``.
+    """
+    ids = {start: 0}
+    nodes = [start]
+    rows: list[list[int]] = []
+    if stop is not None and stop(start):
+        return nodes, rows
+    level = 0
+    while len(rows) < len(nodes) and level != depth:  # depth None: no limit
+        for node in nodes[len(rows) :]:  # one level: sliced before it grows
+            kids = successors(node)
+            row = [ids.setdefault(kid, len(ids)) for kid in kids]
+            rows.append(row)
+            if len(ids) > len(nodes):  # first sights: append them in id order
+                for i, kid in zip(row, kids):
+                    if i == len(nodes):
+                        if i == budget:
+                            raise BudgetExceededError(what, budget + 1, budget)
+                        nodes.append(kid)
+                        if stop is not None and stop(kid):
+                            return nodes, rows
+        level += 1
+    return nodes, rows
+
+
 def walk_word_tree(
     start: Hashable,
     successors: Callable[[Hashable], Sequence[Hashable]],
     accepting: Callable[[Hashable], bool],
     sigma: int,
     max_len: int,
+    budget: int | None = None,
 ) -> np.ndarray:
     """Flag of every word of length <= max_len, in rank order.
 
     A word's node is reached from ``start`` by ``successors``, which maps a
     node to its ``sigma`` children in letter order; the word's flag is
-    ``accepting`` of its node.  Each distinct node gets an id on first
-    sight and is expanded and judged once; nodes first seen at depth
-    ``max_len`` are never expanded.  The levels are then walked on ids,
-    so sigma**max_len must be affordable.
+    ``accepting`` of its node.  :func:`explore` numbers the distinct nodes
+    to depth ``max_len``, each expanded and judged once, and the levels are
+    then walked on ids.  The ``count_words(sigma, max_len)`` words must fit
+    ``budget`` (default from :mod:`sqrtnfa.config`) before anything is
+    allocated.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    ids = {start: 0}  # insertion order is id order
-    rows: list[list[int]] = []  # children's ids of every expanded node
-    frontier = [start]
-    for _ in range(max_len):
-        seen = len(ids)
-        # frontier nodes hold consecutive ids, so rows stay in id order
-        rows += [[ids.setdefault(c, len(ids)) for c in successors(node)] for node in frontier]
-        frontier = list(ids)[seen:]
-    flags = np.array([bool(accepting(node)) for node in ids], dtype=np.bool_)
+    budget = effective_budget(budget)
+    words = count_words(sigma, max_len)
+    if words > budget:
+        raise BudgetExceededError("word tree words", words, budget)
+    # no more distinct nodes than words, so this budget never fires
+    nodes, rows = explore(start, successors, words, "word tree words", depth=max_len)
+    flags = np.array([bool(accepting(node)) for node in nodes], dtype=np.bool_)
     step = np.array(rows, dtype=np.intp).reshape(-1, sigma)
     # child of word i on letter a sits at level index i*sigma + a
     levels = [np.zeros(1, dtype=np.intp)]

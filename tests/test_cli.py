@@ -197,6 +197,16 @@ class TestRandomEquiv:
         )
         assert code == 0 and "all 10 trials agree" in out
 
+    def test_budget_reaches_the_accept_tables(self, capsys):
+        # the triangle tables walk the 127 words of length <= 6 over two letters
+        argv = ("random-equiv", "--trials", "20", "--seed", "0",
+                "--max-states", "2", "--alphabet", "2", "--budget")
+        code, _, err = run(capsys, *argv, "126")
+        assert code == 3
+        assert "word tree words: needs 127, exceeds budget 126" in err
+        code, out, _ = run(capsys, *argv, "127")
+        assert code == 0 and "all 20 trials agree" in out
+
     def test_seed_is_required(self):
         with pytest.raises(SystemExit) as info:
             main(["random-equiv", "--trials", "2"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sqrtnfa import (
     BudgetExceededError,
     Nfa,
+    RandomSpec,
     accept_table,
     any_case,
     bounded_equal,
@@ -13,8 +14,10 @@ from sqrtnfa import (
     count_words,
     determinize,
     dfa_accept_table,
+    difference_witness,
     iter_words,
     member,
+    random_nfa,
     sqrt_member_direct,
     sqrt_nfa,
     square_accept_table,
@@ -175,6 +178,24 @@ class TestWordTreeWalk:
                 None,
             )
             assert bounded_equal(a, b, max_len) == expected, max_len
+            # the product route finds the same first difference, or none this short
+            exact = difference_witness(a, b)
+            if expected is not None:
+                assert exact == expected, max_len
+            else:
+                assert exact is None or len(exact) > max_len, max_len
+
+    def test_word_tree_checks_the_budget(self, monkeypatch):
+        monkeypatch.setenv("SQRTNFA_BUDGET", "1000")
+        auto = random_nfa(RandomSpec(seed=3))
+        assert count_words(len(auto.alphabet), 9) == 29_524
+        with pytest.raises(BudgetExceededError, match="word tree words: needs 29524"):
+            accept_table(auto, 9)
+        with pytest.raises(BudgetExceededError, match="word tree words"):
+            bounded_equal(auto, auto, 9)
+        # an explicit budget overrides the environment
+        assert accept_table(auto, 9, 29_524).size == 29_524
+        assert bounded_equal(auto, auto, 9, 29_524) is None
 
     def test_each_node_expanded_once(self):
         # one state with a self-loop on the one letter

@@ -214,6 +214,26 @@ class TestEquivalence:
         assert difference_witness(NFA_AA, just_a) == (0,)
         assert difference_witness(just_a, just_a) is None
 
+    def test_product_pairs_check_the_budget(self):
+        # both accept a*: each side determinizes to 2 or 3 states, but all
+        # 6 pairs must be reached to show that none splits
+        two = make_nfa(2, 1, [(0, 0, 1), (1, 0, 0)], {0}, {0, 1})
+        three = make_nfa(3, 1, [(0, 0, 1), (1, 0, 2), (2, 0, 0)], {0}, {0, 1, 2})
+        assert determinize(two, 5).n_states == 2
+        assert determinize(three, 5).n_states == 3
+        assert difference_witness(two, three, 6) is None
+        with pytest.raises(BudgetExceededError, match="equivalence product pairs: needs 6"):
+            difference_witness(two, three, 5)
+
+    def test_product_walk_stops_at_the_first_split(self):
+        # the cycles split on aa, the 3rd pair, so a 3-pair cap suffices
+        two = make_nfa(2, 1, [(0, 0, 1), (1, 0, 0)], {0}, {0})
+        three = make_nfa(3, 1, [(0, 0, 1), (1, 0, 2), (2, 0, 0)], {0}, {0})
+        assert difference_witness(two, three, 3) == (0, 0)
+        assert not equivalent(two, three, 3)
+        with pytest.raises(BudgetExceededError, match="equivalence product pairs: needs 3"):
+            difference_witness(two, three, 2)
+
     def test_difference_requires_same_alphabet(self):
         other = Nfa(1, ("x",), frozenset({0}), frozenset(), ())
         with pytest.raises(ValueError, match="alphabet"):
