@@ -25,25 +25,22 @@ from .fooling import (
     witness_fooling_set,
     verify_fooling,
 )
-from .kernels import (
-    accept_table,
-    case_table,
-    dfa_accept_table,
-    square_accept_table,
-    witness_square_table,
-)
+from .kernels import case_table, witness_square_table
 from .nfa import (
     Dfa,
     Nfa,
     Word,
+    accept_table,
     bounded_equal,
     determinize,
+    dfa_accept_table,
     dfa_to_nfa,
     difference_witness,
     enumerate_words,
     equivalent,
     member,
     reach,
+    square_accept_table,
     step_set,
     trim,
 )

@@ -20,15 +20,17 @@ from .cases import verify_cases
 from .config import effective_budget
 from .errors import BudgetExceededError, FormatError, VerificationError
 from .fooling import FoolingSet, certify_lower_bound, verify_fooling
-from .kernels import accept_table, dfa_accept_table, square_accept_table
 from .nfa import (
     Nfa,
     Word,
+    accept_table,
     determinize,
+    dfa_accept_table,
     dfa_to_nfa,
     difference_witness,
     equivalent,
     member,
+    square_accept_table,
 )
 from .oracle import RandomSpec, random_nfa, sqrt_dfa, sqrt_member_direct
 from .sqrt import sqrt_nfa, triple_labels
@@ -249,6 +251,8 @@ def _triangle_mismatch(auto: Nfa, cube: Nfa, fn_dfa, budget: int | None) -> Word
 
 
 def _cmd_random_equiv(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     failures = 0
     for trial in range(args.trials):
         seed = args.seed + trial

@@ -1,21 +1,12 @@
-"""Vectorized membership tables as numpy boolean array algebra.
+"""The witness family's membership tables as numpy array algebra.
 
 The witness tables (the square truth table and the case table) are cell
 algebra on broadcastable arrays of flat triple indices.  The checks built
 on them scan the n^3 x n^3 grid through one driver, :func:`first_hit`,
 in row strips of at most 2^22 cells, so no n^6 array is built; called
-without index arrays, a table is built whole, within the budget.  The
-accept tables step the automaton's ``_succ`` masks through the one
-word-tree walk of :func:`sqrtnfa.words.walk_word_tree`, which judges each
-distinct node once and refuses more words than the budget.  Each table
-is cross-checked in the test suite against an independent scalar route:
-``member``, the case predicates, and the function-automaton DFA.
-
-Accept tables refuse automata with more than 64 states (the cube of a
-4-state automaton fits exactly) with a ``ValueError``.  Nothing in the
-walk can overflow, since state sets are Python ints; the cap stays so that
-exit codes and the ``random-equiv --max-states 5`` refusal stay stable.
-Lifting it is a change of its own.
+without index arrays, a table is built whole, within the budget.  Each
+table is cross-checked in the test suite against an independent scalar
+route: simulation by ``member`` and the case predicates.
 """
 
 from __future__ import annotations
@@ -26,14 +17,10 @@ import numpy as np
 
 from .config import effective_budget
 from .errors import BudgetExceededError
-from .nfa import Dfa, Nfa, _mask, _mask_step
 from .witness import MAX_STATES, check_witness_n, pivot_l, pivot_m
-from .words import walk_word_tree
 
 # there is no numba lane; benchmark run records still read this flag
 NUMBA_AVAILABLE = False
-
-MAX_ACCEPT_STATES = 64
 
 
 # pivot maps as lookup arrays, indexed by arrays of states
@@ -86,16 +73,6 @@ def _triple_cells(n: int, x1, x2, table: str):
         raise ValueError("give both index arrays x1 and x2, or neither")
     x1, x2 = np.asarray(x1, dtype=np.int64), np.asarray(x2, dtype=np.int64)
     return [(x // (n * n), (x // n) % n, x % n) for x in (x1, x2)]
-
-
-def _check_accept_args(nfa: Nfa, max_len: int) -> None:
-    """Validate an accept-table request."""
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    if nfa.n_states > MAX_ACCEPT_STATES:
-        raise ValueError(
-            f"accept tables support at most {MAX_ACCEPT_STATES} states, got {nfa.n_states}"
-        )
 
 
 def witness_square_table(n: int, x1=None, x2=None) -> np.ndarray:
@@ -151,62 +128,3 @@ def case_table(
         (cond, np.uint8(k)) for k, cond in enumerate(conds, start=1) if k != drop_case
     ]
     return np.select([c for c, _ in pairs], [v for _, v in pairs], default=np.uint8(0))
-
-
-def accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np.ndarray:
-    """Acceptance flag for every word of length <= max_len, rank order.
-
-    Index k of the result corresponds to the k-th word in length-lex
-    order (see :mod:`sqrtnfa.words`); a word's node is its reached state
-    set as an int mask.
-    """
-    _check_accept_args(nfa, max_len)
-    succ = nfa._succ
-    fin = _mask(nfa.final)
-    return walk_word_tree(
-        _mask(nfa.initial),
-        lambda m: [_mask_step(m, row) for row in succ],
-        lambda m: m & fin,
-        len(succ),
-        max_len,
-        budget,
-    )
-
-
-def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np.ndarray:
-    """Acceptance flag for ww, for every w of length <= max_len, rank order.
-
-    This is the direct square-membership route: it never builds the cube
-    automaton.  A word's node is its relation, one successor mask per
-    state, and ww is accepted when applying it twice to the initial set
-    meets a final state.
-    """
-    _check_accept_args(nfa, max_len)
-    succ = nfa._succ
-    init = _mask(nfa.initial)
-    fin = _mask(nfa.final)
-
-    def accepting(rel: tuple[int, ...]) -> int:
-        image = dict(enumerate(rel))
-        return _mask_step(_mask_step(init, image), image) & fin
-
-    return walk_word_tree(
-        tuple(1 << s for s in range(nfa.n_states)),
-        lambda rel: [tuple(_mask_step(m, row) for m in rel) for row in succ],
-        accepting,
-        len(succ),
-        max_len,
-        budget,
-    )
-
-
-def dfa_accept_table(dfa: Dfa, max_len: int, budget: int | None = None) -> np.ndarray:
-    """Acceptance flag for every word of length <= max_len on a DFA."""
-    return walk_word_tree(
-        dfa.initial,
-        dfa.transitions.__getitem__,
-        dfa.final.__contains__,
-        len(dfa.alphabet),
-        max_len,
-        budget,
-    )

@@ -8,12 +8,19 @@ pure function of its inputs and automata are immutable after construction,
 so shared instances are safe to use concurrently: the successor index is
 built on first use, and a concurrent first use can at worst build that
 pure index twice.
+
+A set of states is simulated as an int bitmask stepped through ``_succ``;
+that one step serves ``reach``, the subset and pair explorations, and the
+accept tables, which flag every word up to a length in rank order (see
+:mod:`sqrtnfa.words`).  There is no state cap: masks are Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .config import effective_budget
 from .words import Word, explore, rank_to_word, walk_word_tree
@@ -42,16 +49,7 @@ class Nfa:
     def __post_init__(self):
         if self.n_states < 1:
             raise ValueError("an automaton needs at least one state")
-        if not self.alphabet:
-            raise ValueError("alphabet must be non-empty")
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        names = set()
-        for name in self.alphabet:
-            if not name or name.split() != [name] or "#" in name:
-                raise ValueError(f"bad letter name {name!r}")
-            if name in names:
-                raise ValueError(f"duplicate letter name {name!r}")
-            names.add(name)
+        object.__setattr__(self, "alphabet", _checked_alphabet(self.alphabet))
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
         for label, states in (("initial", self.initial), ("final", self.final)):
@@ -85,9 +83,7 @@ class Nfa:
 
     def targets(self, state: int, letter: int) -> tuple[int, ...]:
         """Ascending successors of one state on one letter (may be empty)."""
-        mask = self._succ[letter].get(state, 0) if 0 <= letter < len(self.alphabet) else 0
-        bits = bin(mask)[:1:-1]  # binary digits, least significant first
-        return tuple(i for i, bit in enumerate(bits) if bit == "1")
+        return _states(self._succ[letter].get(state, 0) if 0 <= letter < len(self.alphabet) else 0)
 
 
 @dataclass(frozen=True)
@@ -108,6 +104,7 @@ class Dfa:
     def __post_init__(self):
         if self.n_states < 1:
             raise ValueError("an automaton needs at least one state")
+        object.__setattr__(self, "alphabet", _checked_alphabet(self.alphabet))
         if not 0 <= self.initial < self.n_states:
             raise ValueError(f"initial state {self.initial} out of range")
         object.__setattr__(self, "final", frozenset(self.final))
@@ -137,43 +134,25 @@ class Dfa:
         return self.run(word) in self.final
 
 
+def _checked_alphabet(alphabet) -> tuple[str, ...]:
+    """The alphabet as a tuple of distinct, non-empty names without
+    whitespace or ``#``."""
+    alphabet = tuple(alphabet)
+    if not alphabet:
+        raise ValueError("alphabet must be non-empty")
+    names: set[str] = set()
+    for name in alphabet:
+        if not name or name.split() != [name] or "#" in name:
+            raise ValueError(f"bad letter name {name!r}")
+        if name in names:
+            raise ValueError(f"duplicate letter name {name!r}")
+        names.add(name)
+    return alphabet
+
+
 def _check_letter(a: int, auto: Nfa | Dfa) -> None:
     if not 0 <= a < len(auto.alphabet):
         raise ValueError(f"letter index {a} out of range")
-
-
-def step_set(nfa: Nfa, states: set[int] | frozenset[int], a: int) -> set[int]:
-    """One step of the extended transition function on a set of states."""
-    _check_letter(a, nfa)
-    out: set[int] = set()
-    for s in states:
-        if not 0 <= s < nfa.n_states:
-            raise ValueError(f"state index {s} out of range")
-        out.update(nfa.targets(s, a))
-    return out
-
-
-def reach(nfa: Nfa, states: set[int] | frozenset[int], word: Word) -> set[int]:
-    """States reachable from ``states`` after reading ``word`` (epsilon = identity)."""
-    current = set(states)
-    for s in current:
-        if not 0 <= s < nfa.n_states:
-            raise ValueError(f"state index {s} out of range")
-    for a in word:
-        _check_letter(a, nfa)
-    for a in word:
-        nxt: set[int] = set()
-        for s in current:
-            nxt.update(nfa.targets(s, a))
-        current = nxt
-        if not current:
-            break
-    return current
-
-
-def member(nfa: Nfa, word: Word) -> bool:
-    """Whether the automaton accepts ``word`` from any initial state."""
-    return bool(reach(nfa, nfa.initial, word) & nfa.final)
 
 
 def _mask(states: set[int] | frozenset[int]) -> int:
@@ -181,15 +160,50 @@ def _mask(states: set[int] | frozenset[int]) -> int:
     return sum(1 << s for s in states)
 
 
+def _states(mask: int) -> tuple[int, ...]:
+    """The states of an int bitmask, ascending."""
+    bits = bin(mask)[:1:-1]  # binary digits, least significant first
+    return tuple(i for i, bit in enumerate(bits) if bit == "1")
+
+
 def _mask_step(mask: int, succ: dict[int, int]) -> int:
     """Successor set of the state set ``mask`` on one letter's index row."""
     out = 0
-    m = mask
-    while m:
-        low = m & -m
+    while mask:
+        low = mask & -mask
         out |= succ.get(low.bit_length() - 1, 0)
-        m ^= low
+        mask ^= low
     return out
+
+
+def _stepper(nfa: Nfa):
+    """Map a state set's mask to its successor masks, in letter order."""
+    succ = nfa._succ
+    return lambda mask: [_mask_step(mask, row) for row in succ]
+
+
+def step_set(nfa: Nfa, states: set[int] | frozenset[int], a: int) -> set[int]:
+    """One step of the extended transition function on a set of states."""
+    return reach(nfa, states, (a,))
+
+
+def reach(nfa: Nfa, states: set[int] | frozenset[int], word: Word) -> set[int]:
+    """States reachable from ``states`` after reading ``word`` (epsilon = identity)."""
+    states = set(states)
+    for s in states:
+        if not 0 <= s < nfa.n_states:
+            raise ValueError(f"state index {s} out of range")
+    for a in word:
+        _check_letter(a, nfa)
+    mask = _mask(states)
+    for a in word:
+        mask = _mask_step(mask, nfa._succ[a])
+    return set(_states(mask))
+
+
+def member(nfa: Nfa, word: Word) -> bool:
+    """Whether the automaton accepts ``word`` from any initial state."""
+    return bool(reach(nfa, nfa.initial, word) & nfa.final)
 
 
 def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
@@ -203,7 +217,7 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
     final_mask = _mask(nfa.final)
     order, rows = explore(
         _mask(nfa.initial),
-        lambda subset: [_mask_step(subset, row) for row in nfa._succ],
+        _stepper(nfa),
         effective_budget(cap),
         "determinization subset states",
     )
@@ -238,11 +252,11 @@ def _pair_graph(a: Nfa, b: Nfa):
     splits on acceptance."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch between automata")
-    rows = list(zip(a._succ, b._succ))
+    step_a, step_b = _stepper(a), _stepper(b)
     fin_a, fin_b = _mask(a.final), _mask(b.final)
     return (
         (_mask(a.initial), _mask(b.initial)),
-        lambda ab: [(_mask_step(ab[0], ra), _mask_step(ab[1], rb)) for ra, rb in rows],
+        lambda ab: list(zip(step_a(ab[0]), step_b(ab[1]))),
         lambda ab: bool(ab[0] & fin_a) != bool(ab[1] & fin_b),
     )
 
@@ -347,13 +361,56 @@ def enumerate_words(nfa: Nfa, max_len: int, budget: int | None = None) -> list[W
     The walk visits every word up to max_len, so the total word count must
     fit the budget.
     """
+    # a negative max_len still judges the empty word
+    table = accept_table(nfa, max(max_len, 0), budget)
+    return [rank_to_word(len(nfa.alphabet), int(r)) for r in table.nonzero()[0]]
+
+
+def accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np.ndarray:
+    """Acceptance flag for every word of length <= max_len, rank order.
+
+    Index k of the result corresponds to the k-th word in length-lex
+    order (see :mod:`sqrtnfa.words`); a word's node is its reached state
+    set as an int mask.
+    """
     fin = _mask(nfa.final)
-    accepted = walk_word_tree(
-        _mask(nfa.initial),
-        lambda m: [_mask_step(m, row) for row in nfa._succ],
-        lambda m: m & fin,
-        len(nfa.alphabet),
-        max(max_len, 0),  # a negative max_len still judges the empty word
+    return walk_word_tree(
+        _mask(nfa.initial), _stepper(nfa), lambda m: m & fin, len(nfa.alphabet), max_len, budget
+    )
+
+
+def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np.ndarray:
+    """Acceptance flag for ww, for every w of length <= max_len, rank order.
+
+    This is the direct square-membership route: it never builds the cube
+    automaton.  A word's node is its relation, one successor mask per
+    state, and ww is accepted when applying it twice to the initial set
+    meets a final state.
+    """
+    succ = nfa._succ
+    init, fin = _mask(nfa.initial), _mask(nfa.final)
+
+    def accepting(rel: tuple[int, ...]) -> int:
+        image = dict(enumerate(rel))
+        return _mask_step(_mask_step(init, image), image) & fin
+
+    return walk_word_tree(
+        tuple(1 << s for s in range(nfa.n_states)),
+        lambda rel: [tuple(_mask_step(m, row) for m in rel) for row in succ],
+        accepting,
+        len(succ),
+        max_len,
         budget,
     )
-    return [rank_to_word(len(nfa.alphabet), int(r)) for r in accepted.nonzero()[0]]
+
+
+def dfa_accept_table(dfa: Dfa, max_len: int, budget: int | None = None) -> np.ndarray:
+    """Acceptance flag for every word of length <= max_len on a DFA."""
+    return walk_word_tree(
+        dfa.initial,
+        dfa.transitions.__getitem__,
+        dfa.final.__contains__,
+        len(dfa.alphabet),
+        max_len,
+        budget,
+    )

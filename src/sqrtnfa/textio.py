@@ -118,11 +118,14 @@ def emit_nfa(nfa: Nfa, state_labels: dict[int, str] | None = None) -> str:
 
     ``state_labels`` adds informational comment lines (one per labeled
     state) after the header; parsers ignore them, so labeled output parses
-    back to the same automaton.
+    back to the same automaton.  A label that would break its line raises
+    ``ValueError``.
     """
     lines = [f"states {nfa.n_states}"]
     if state_labels:
         for s in sorted(state_labels):
+            if len(f"{state_labels[s]}.".splitlines()) != 1:  # the parser's line split
+                raise ValueError(f"label of state {s} contains a line break")
             lines.append(f"# state {s} = {state_labels[s]}")
     lines.append("alphabet " + " ".join(nfa.alphabet))
     lines.append(("initial " + " ".join(str(s) for s in sorted(nfa.initial))).rstrip())

@@ -1,9 +1,9 @@
 """Length-lexicographic enumeration of words over an indexed alphabet.
 
 Words are tuples of letter indices.  Rank 0 is the empty word, followed by
-all length-1 words in letter order, then length-2, and so on.  The batched
-kernels emit acceptance tables indexed by this rank, and these helpers map
-between ranks and words; :func:`walk_word_tree` is the one walk that
+all length-1 words in letter order, then length-2, and so on.  The
+acceptance tables of :mod:`sqrtnfa.nfa` are indexed by this rank.  These
+helpers map between ranks and words; :func:`walk_word_tree` is the one walk that
 builds such tables.  :func:`explore`, the one breadth-first numbering of
 reachable nodes, serves it, the subset, function and product automata,
 and ``trim``.

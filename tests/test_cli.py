@@ -207,6 +207,19 @@ class TestRandomEquiv:
         code, out, _ = run(capsys, *argv, "127")
         assert code == 0 and "all 20 trials agree" in out
 
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_no_trials_is_a_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "random-equiv", "--trials", trials, "--seed", "0")
+        assert code == 2 and "trials agree" not in out
+        assert "--trials must be at least 1" in err
+
+    def test_five_states_past_the_old_cap(self, capsys):
+        # 125-state cubes: the accept tables have no state cap
+        code, out, _ = run(
+            capsys, "random-equiv", "--trials", "20", "--max-states", "5", "--seed", "0"
+        )
+        assert code == 0 and "all 20 trials agree" in out
+
     def test_seed_is_required(self):
         with pytest.raises(SystemExit) as info:
             main(["random-equiv", "--trials", "2"])

@@ -35,6 +35,19 @@ class TestAcceptTableOnCube:
         for rank, word in enumerate(iter_words(len(cube.alphabet), 3)):
             assert table[rank] == member(cube, word), word
 
+    def test_cube_of_5_states(self):
+        five = next(
+            a
+            for seed in range(100)
+            if (a := random_nfa(RandomSpec(seed=seed, max_states=5))).n_states == 5
+        )
+        cube = sqrt_nfa(five)
+        assert cube.n_states == 125
+        table = accept_table(cube, 3)
+        assert table.any()
+        for rank, word in enumerate(iter_words(len(cube.alphabet), 3)):
+            assert table[rank] == member(cube, word), word
+
 
 class TestWitnessSquareTable:
     def test_against_plain_member_exhaustively(self, witness6):
@@ -141,12 +154,22 @@ class TestAcceptTables:
         with pytest.raises(ValueError):
             dfa_accept_table(determinize(one), -1)
 
-    def test_size_guard_beyond_64(self):
+    def test_no_state_cap(self):
         big = Nfa(65, ("x",), frozenset({0}), frozenset(), ())
-        with pytest.raises(ValueError, match="64"):
-            accept_table(big, 2)
-        with pytest.raises(ValueError, match="64"):
-            square_accept_table(big, 2)
+        # a path through states 62..66, past 64 states
+        path = Nfa(
+            67,
+            ("x", "y"),
+            frozenset({62}),
+            frozenset({64, 66}),
+            tuple((s, s % 2, s + 1) for s in range(62, 66)),
+        )
+        for auto in (big, path):
+            direct, square = accept_table(auto, 2), square_accept_table(auto, 2)
+            for rank, word in enumerate(iter_words(len(auto.alphabet), 2)):
+                assert direct[rank] == member(auto, word), word
+                assert square[rank] == member(auto, word + word), word
+        assert direct.any() and square.any()  # the path's tables accept some words
 
 
 class TestWordTreeWalk:

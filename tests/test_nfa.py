@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sqrtnfa import (
     BudgetExceededError,
+    Dfa,
     Nfa,
     RandomSpec,
     bounded_equal,
@@ -56,6 +57,17 @@ class TestConstruction:
             Nfa(0, ("a",), frozenset(), frozenset(), ())
         with pytest.raises(ValueError):
             Nfa(1, (), frozenset({0}), frozenset(), ())
+
+    @pytest.mark.parametrize(
+        "alphabet, message",
+        [((), "non-empty"), (("a", "a"), "duplicate letter"), (("a b",), "bad letter name")],
+    )
+    def test_dfa_alphabet_validated_like_nfa(self, alphabet, message):
+        with pytest.raises(ValueError, match=message):
+            Dfa(1, alphabet, 0, frozenset(), ((0,) * len(alphabet),))
+
+    def test_dfa_alphabet_stored_as_tuple(self):
+        assert Dfa(1, ["a", "b"], 0, frozenset(), ((0, 0),)).alphabet == ("a", "b")
 
     def test_targets_returns_empty_for_missing_entries(self):
         assert NFA_AA.targets(2, 0) == ()

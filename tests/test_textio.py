@@ -101,6 +101,10 @@ def test_state_labels_emit_as_ignorable_comments():
     text = emit_nfa(a, state_labels={0: "(0, 0, 0)", 2: "(0, 1, 0)"})
     assert "# state 0 = (0, 0, 0)" in text
     assert parse_nfa(text) == a
+    # a label that breaks its line would inject a directive, or split the comment
+    for label in ("zero\ntrans 1 x 0", "x\ninitial 1", "x\rfinal 0", "x\u2028y", "x\r\n"):
+        with pytest.raises(ValueError, match="state 0"):
+            emit_nfa(a, state_labels={0: label})
 
 
 @settings(max_examples=150)
