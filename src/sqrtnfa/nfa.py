@@ -5,20 +5,26 @@ an ordered alphabet of distinct names.  NFA transition relations may be
 partial and nondeterministic; a missing (state, letter) entry means the
 empty successor set, with no implicit sink.  Every operation here is a
 pure function of its inputs and automata are immutable after construction,
-so shared instances are safe to use concurrently: the successor index is
-built on first use, and a concurrent first use can at worst build that
-pure index twice.
+so shared instances are safe to use concurrently: the successor rows are
+built on first use, and a concurrent first use can at worst build a pure
+row twice.
 
-A set of states is simulated as an int bitmask stepped through ``_succ``;
-that one step serves ``reach``, the subset and pair explorations, and the
-accept tables, which flag every word up to a length in rank order (see
-:mod:`sqrtnfa.words`).  There is no state cap: masks are Python ints.
+An ``Nfa`` holds its relation as one sorted, read-only ``(k, 3)`` int64
+array of (source, letter, target) rows, validated with array operations;
+``Nfa.transitions`` is a :class:`Relation` view of it that reads like the
+tuple of triples.  A set of states is simulated as an int bitmask stepped
+through ``_succ``; that one step serves ``reach``, the subset and pair
+explorations, and the accept tables, which flag every word up to a length
+in rank order (see :mod:`sqrtnfa.words`).  There is no state cap: masks
+are Python ints.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -28,23 +34,106 @@ from .words import Word, explore, rank_to_word, walk_word_tree
 Transition = tuple[int, int, int]  # (source, letter, target)
 
 
+class Relation(Sequence):
+    """Read-only view of a transition relation: one sorted ``(k, 3)`` int64
+    array of (source, letter, target) rows, duplicate-free.
+
+    ``len`` reads the array.  Iteration, indexing, ``hash`` and ``repr``
+    behave as for the tuple of triples, which is built once, on first
+    need, and a view equals that tuple.  Wrapping an array marks it
+    read-only; an ``Nfa`` validates every relation it is given, a
+    ``Relation`` included, so one in an automaton always holds.
+    """
+
+    __slots__ = ("array", "_tuples")
+
+    def __init__(self, array: np.ndarray):
+        array.flags.writeable = False
+        self.array = array
+        self._tuples: tuple[Transition, ...] | None = None
+
+    def __reduce__(self):
+        return Relation, (self.array,)
+
+    def _triples(self) -> tuple[Transition, ...]:
+        if self._tuples is None:
+            self._tuples = tuple(map(tuple, self.array.tolist()))
+        return self._tuples
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, index):
+        return self._triples()[index]
+
+    def __iter__(self):
+        return iter(self._triples())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Relation):
+            return np.array_equal(self.array, other.array)
+        if isinstance(other, tuple):
+            return self._triples() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._triples())
+
+    def __repr__(self) -> str:
+        return repr(self._triples())
+
+
+class _SuccessorRows(Sequence):
+    """Per letter, a dict from source state to its successor set as an int
+    bitmask; a row is built on its first access, from one letter-sorted
+    copy of the relation's source and target columns."""
+
+    def __init__(self, relation: np.ndarray, sigma: int):
+        letters = relation[:, 1]
+        # row 0 the sources, row 1 the targets, in letter order
+        self._by_letter = relation[:, 0::2].T.take(letters.argsort(kind="stable"), axis=1)
+        self._ends = np.bincount(letters, minlength=sigma).cumsum().tolist()
+        self._rows: list[dict[int, int] | None] = [None] * sigma
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, letter: int) -> dict[int, int]:
+        row = self._rows[letter]
+        if row is None:
+            row = {}
+            start = self._ends[letter - 1] if letter else 0
+            sources, targets = self._by_letter[:, start : self._ends[letter]].tolist()
+            for src, dst in zip(sources, targets):
+                row[src] = row.get(src, 0) | 1 << dst
+            self._rows[letter] = row
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._rows)))
+
+
 @dataclass(frozen=True)
 class Nfa:
     """Nondeterministic finite automaton over named letters.
 
     ``transitions`` is an explicit relation of (source, letter, target)
-    triples, canonically sorted.  Every walk reads the successor index
-    ``_succ``, built on first use: per letter, a dict from source state to
-    its successor set as an int bitmask.  It is sparse because witness-style
-    alphabets are large (thousands of letters) but touch only a couple of
-    states each.
+    triples, given as any sequence of triples or a ``(k, 3)`` integer
+    array, which is copied, or as a :class:`Relation`, whose array is
+    validated like any other and kept without a copy when it is already
+    a ``(k, 3)`` int64 array.  It is kept as a
+    :class:`Relation` over one sorted int64 array.
+    Every walk reads the successor rows ``_succ``: per letter, a dict from
+    source state to its successor set as an int bitmask, each row built on
+    its first access.  They are sparse because witness-style alphabets are
+    large (thousands of letters) but touch only a couple of states each.
     """
 
     n_states: int
     alphabet: tuple[str, ...]
     initial: frozenset[int]
     final: frozenset[int]
-    transitions: tuple[Transition, ...]
+    transitions: Relation
 
     def __post_init__(self):
         if self.n_states < 1:
@@ -56,24 +145,20 @@ class Nfa:
             for s in states:
                 if not 0 <= s < self.n_states:
                     raise ValueError(f"{label} state {s} out of range")
-        triples = sorted(self.transitions)
-        for i, (src, letter, dst) in enumerate(triples):
-            if not 0 <= src < self.n_states or not 0 <= dst < self.n_states:
-                raise ValueError(f"transition {(src, letter, dst)} has a state out of range")
-            if not 0 <= letter < len(self.alphabet):
-                raise ValueError(f"transition {(src, letter, dst)} has a letter out of range")
-            if i > 0 and triples[i - 1] == (src, letter, dst):
-                raise ValueError(f"duplicate transition {(src, letter, dst)}")
-        object.__setattr__(self, "transitions", tuple(triples))
+        relation = self.transitions
+        if isinstance(relation, Relation):
+            relation = relation.array
+            if relation.dtype != np.int64 or relation.shape[1:] != (3,):
+                relation = _relation_array(relation)
+        else:
+            relation = _relation_array(relation)
+        relation = _sorted_relation(relation, self.n_states, len(self.alphabet))
+        object.__setattr__(self, "transitions", Relation(relation))
 
     @cached_property
-    def _succ(self) -> list[dict[int, int]]:
+    def _succ(self) -> _SuccessorRows:
         # written to the instance __dict__, not a field: not in ==, hash, repr
-        succ: list[dict[int, int]] = [{} for _ in self.alphabet]
-        for src, letter, dst in self.transitions:
-            row = succ[letter]
-            row[src] = row.get(src, 0) | 1 << dst
-        return succ
+        return _SuccessorRows(self.transitions.array, len(self.alphabet))
 
     def letter_index(self, name: str) -> int:
         try:
@@ -84,6 +169,73 @@ class Nfa:
     def targets(self, state: int, letter: int) -> tuple[int, ...]:
         """Ascending successors of one state on one letter (may be empty)."""
         return _states(self._succ[letter].get(state, 0) if 0 <= letter < len(self.alphabet) else 0)
+
+
+_INT64 = range(-(2**63), 2**63)
+
+
+def _relation_array(transitions) -> np.ndarray:
+    """The triples as a fresh ``(k, 3)`` int64 array; an entry that is not
+    a 64-bit integer raises ``ValueError``, never a truncated value."""
+    if not isinstance(transitions, (np.ndarray, list, tuple)):
+        transitions = tuple(transitions)
+    if len(transitions) == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    array = np.array(transitions)
+    if array.ndim != 2 or array.shape[1] != 3:
+        raise ValueError("transitions must be (source, letter, target) triples")
+    if array.dtype.kind not in "bi":
+        rows = transitions.tolist() if isinstance(transitions, np.ndarray) else transitions
+        for triple in rows:
+            if not all(isinstance(x, Integral) and int(x) in _INT64 for x in triple):
+                raise ValueError(
+                    f"transition {tuple(triple)} has an entry that is not a 64-bit integer"
+                )
+    return array.astype(np.int64, copy=False)
+
+
+def _sorted_relation(relation: np.ndarray, n: int, sigma: int) -> np.ndarray:
+    """The validated relation, sorted by (source, letter, target).
+
+    Rows that strictly increase in that order are sorted and
+    duplicate-free, so a sorted relation is not sorted again.
+    """
+    if len(relation):
+        # as unsigned, a negative entry reads as one above every bound
+        src, letter, dst = relation.view(np.uint64).max(axis=0).tolist()
+        if max(src, dst) >= n or letter >= sigma:
+            raise _first_bad(relation, n, sigma)
+    if not _increasing(relation):
+        relation = relation[np.lexsort(relation.T[::-1])]
+        if not _increasing(relation):
+            raise _first_bad(relation, n, sigma)
+    return relation
+
+
+def _increasing(relation: np.ndarray) -> bool:
+    """Whether the rows strictly increase in lexicographic order."""
+    before, after = relation[:-1].T, relation[1:].T
+    rises = after[2] > before[2]
+    for column in (1, 0):
+        rises = (after[column] > before[column]) | (after[column] == before[column]) & rises
+    return bool(rises.all())
+
+
+def _first_bad(relation: np.ndarray, n: int, sigma: int) -> ValueError:
+    """The error for the first triple, in sorted order, with a state out of
+    range, else a letter out of range, else equal to the triple before it."""
+    rows = relation[np.lexsort(relation.T[::-1])]
+    src, letter, dst = rows.T
+    bad_state = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    bad_letter = (letter < 0) | (letter >= sigma)
+    duplicate = np.r_[False, (rows[1:] == rows[:-1]).all(axis=1)]
+    i = int(np.argmax(bad_state | bad_letter | duplicate))
+    triple = tuple(rows[i].tolist())
+    if bad_state[i]:
+        return ValueError(f"transition {triple} has a state out of range")
+    if bad_letter[i]:
+        return ValueError(f"transition {triple} has a letter out of range")
+    return ValueError(f"duplicate transition {triple}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +270,8 @@ class Dfa:
             if len(row) != len(self.alphabet):
                 raise ValueError("transition table row must cover every letter")
             for dst in row:
+                if not isinstance(dst, Integral):
+                    raise ValueError(f"transition target {dst!r} is not an integer")
                 if not 0 <= dst < self.n_states:
                     raise ValueError(f"transition target {dst} out of range")
             rows.append(tuple(row))
@@ -142,7 +296,7 @@ def _checked_alphabet(alphabet) -> tuple[str, ...]:
         raise ValueError("alphabet must be non-empty")
     names: set[str] = set()
     for name in alphabet:
-        if not name or name.split() != [name] or "#" in name:
+        if not isinstance(name, str) or not name or name.split() != [name] or "#" in name:
             raise ValueError(f"bad letter name {name!r}")
         if name in names:
             raise ValueError(f"duplicate letter name {name!r}")
@@ -178,7 +332,7 @@ def _mask_step(mask: int, succ: dict[int, int]) -> int:
 
 def _stepper(nfa: Nfa):
     """Map a state set's mask to its successor masks, in letter order."""
-    succ = nfa._succ
+    succ = list(nfa._succ)
     return lambda mask: [_mask_step(mask, row) for row in succ]
 
 
@@ -233,16 +387,18 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
 
 def dfa_to_nfa(dfa: Dfa) -> Nfa:
     """View a DFA as an NFA with the same language."""
-    triples = []
-    for s, row in enumerate(dfa.transitions):
-        for a, dst in enumerate(row):
-            triples.append((s, a, dst))
+    n, sigma = dfa.n_states, len(dfa.alphabet)
+    # rows (s, a, transitions[s][a]) in (s, a) order: already sorted
+    relation = np.empty((n * sigma, 3), dtype=np.int64)
+    relation[:, 0] = np.repeat(np.arange(n), sigma)
+    relation[:, 1] = np.tile(np.arange(sigma), n)
+    relation[:, 2] = np.ravel(dfa.transitions)
     return Nfa(
-        n_states=dfa.n_states,
+        n_states=n,
         alphabet=dfa.alphabet,
         initial=frozenset({dfa.initial}),
         final=dfa.final,
-        transitions=tuple(triples),
+        transitions=Relation(relation),
     )
 
 
@@ -387,7 +543,7 @@ def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np
     state, and ww is accepted when applying it twice to the initial set
     meets a final state.
     """
-    succ = nfa._succ
+    succ = list(nfa._succ)
     init, fin = _mask(nfa.initial), _mask(nfa.final)
 
     def accepting(rel: tuple[int, ...]) -> int:

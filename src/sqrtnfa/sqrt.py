@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import effective_budget
 from .errors import BudgetExceededError
-from .nfa import Nfa, Word, reach
+from .nfa import Nfa, Relation, Word, reach
 
 
 @dataclass(frozen=True)
@@ -42,34 +44,45 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
     is a separate explicit call), the first coordinate is conserved by
     every transition, and transitions come out sorted, so the construction
     is deterministic.  Both the n^3 states and the n * sum over letters of
-    (pairs per letter)^2 transitions must fit the budget.
+    (pairs per letter)^2 transitions must fit the budget, which is checked
+    before anything is allocated.
+
+    The relation is built as one array: each letter's (q -> q', r -> r')
+    pair products, sorted once, then broadcast over the n values of p,
+    which is the leading coordinate of every source.
     """
     n = nfa.n_states
+    sigma = len(nfa.alphabet)
     budget = effective_budget(budget)
     if n**3 > budget:
         raise BudgetExceededError("cube construction states", n**3, budget)
     codec = TripleCodec(n)
 
-    # Per-letter source->targets pairs; each letter's product transitions
-    # are built independently from coordinates 2 and 3, which keeps the
-    # result sparse when letters touch few states (the witness alphabet
-    # has at most two sources per letter).
-    by_letter: dict[int, list[tuple[int, int]]] = {}
-    for src, letter, dst in nfa.transitions:
-        by_letter.setdefault(letter, []).append((src, dst))
-    n_transitions = n * sum(len(pairs) ** 2 for pairs in by_letter.values())
+    # The input's transitions grouped by letter; each letter's products
+    # pair only its own transitions, which keeps the result sparse when
+    # letters touch few states (the witness alphabet has at most two
+    # sources per letter).
+    relation = nfa.transitions.array
+    grouped = relation[np.argsort(relation[:, 1], kind="stable")]
+    letter = grouped[:, 1]
+    counts = np.bincount(letter, minlength=sigma)
+    n_transitions = n * int(counts @ counts)
     if n_transitions > budget:
         raise BudgetExceededError("cube construction transitions", n_transitions, budget)
 
-    triples = []
-    for letter, pairs in by_letter.items():
-        for q, q2 in pairs:
-            for r, r2 in pairs:
-                base_src = q * n + r
-                base_dst = q2 * n + r2
-                for p in range(n):
-                    offset = p * n * n
-                    triples.append((offset + base_src, letter, offset + base_dst))
+    # product k pairs transition first[k] (the q coordinate) with
+    # transition second[k] (the r coordinate) of the same letter, giving
+    # (q*n + r, letter, q'*n + r')
+    sizes = counts[letter]
+    first = np.repeat(np.arange(len(grouped)), sizes)
+    block_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    letter_start = np.cumsum(counts) - counts
+    second = letter_start[letter[first]] + np.arange(len(first)) - block_start
+    products = grouped[first] * (n, 1, n) + grouped[second] * (1, 0, 1)
+    products = products[np.lexsort(products.T[::-1])]
+    # p leads every source, so sorted products stay sorted under its offsets
+    offsets = np.multiply.outer(np.arange(n) * (n * n), (1, 0, 1))
+    cube = offsets[:, None, :] + products
 
     initial = frozenset(
         codec.encode(p, q0, p) for p in range(n) for q0 in nfa.initial
@@ -80,7 +93,7 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
         alphabet=nfa.alphabet,
         initial=initial,
         final=final,
-        transitions=tuple(triples),
+        transitions=Relation(cube.reshape(-1, 3)),
     )
 
 

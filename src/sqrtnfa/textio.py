@@ -16,6 +16,8 @@ order), so emit(parse(emit(x))) is byte-identical to emit(x).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import FormatError
 from .nfa import Nfa
 
@@ -130,6 +132,13 @@ def emit_nfa(nfa: Nfa, state_labels: dict[int, str] | None = None) -> str:
     lines.append("alphabet " + " ".join(nfa.alphabet))
     lines.append(("initial " + " ".join(str(s) for s in sorted(nfa.initial))).rstrip())
     lines.append(("final " + " ".join(str(s) for s in sorted(nfa.final))).rstrip())
-    for src, letter, dst in nfa.transitions:
-        lines.append(f"trans {src} {nfa.alphabet[letter]} {dst}")
-    return "\n".join(lines) + "\n"
+    relation = nfa.transitions.array
+    # one "trans {s} " and one " {d}\n" string per state in use, indexed
+    # by the relation's columns
+    used, ends = np.unique(relation[:, 0::2], return_inverse=True)
+    used, ends = used.tolist(), ends.reshape(-1, 2)
+    heads = np.array([f"trans {s} " for s in used], dtype=object)
+    tails = np.array([f" {d}\n" for d in used], dtype=object)
+    names = np.array(nfa.alphabet, dtype=object)
+    body = np.column_stack((heads[ends[:, 0]], names[relation[:, 1]], tails[ends[:, 1]]))
+    return "\n".join(lines) + "\n" + "".join(body.ravel().tolist())

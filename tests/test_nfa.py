@@ -25,7 +25,9 @@ from sqrtnfa import (
     sqrt_nfa,
     step_set,
     trim,
+    witness,
 )
+from sqrtnfa.nfa import Relation
 from conftest import NFA_AA, make_nfa, nfas, random_word
 
 
@@ -69,9 +71,111 @@ class TestConstruction:
     def test_dfa_alphabet_stored_as_tuple(self):
         assert Dfa(1, ["a", "b"], 0, frozenset(), ((0, 0),)).alphabet == ("a", "b")
 
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            ((0, 0, 1.5),),
+            ((0, 0.5, 1),),
+            ((0, 0, 1), (1.0, 0, 0)),
+            np.array([[0.0, 0.0, 1.5]]),
+            Relation(np.array([[0.0, 0.0, 1.5]])),
+            Relation(np.zeros((1, 3))),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, triples):
+        # an int64 conversion would truncate 1.5 to 1 and accept the relation
+        with pytest.raises(ValueError, match="not a 64-bit integer"):
+            Nfa(2, ("a",), {0}, set(), triples)
+
+    def test_non_integer_dfa_targets_rejected(self):
+        # dfa_to_nfa would otherwise truncate the target 1.5 to 1
+        with pytest.raises(ValueError, match="target 1.5 is not an integer"):
+            Dfa(2, ("a",), 0, {1}, ((1.5,), (0,)))
+
+    @pytest.mark.parametrize("triples", [((),), [[]], ((0, 0),), np.zeros((2, 2), dtype=np.int64)])
+    def test_misshapen_relations_rejected(self, triples):
+        with pytest.raises(ValueError, match="must be .source, letter, target. triples"):
+            Nfa(2, ("a",), {0}, set(), triples)
+        with pytest.raises(ValueError, match="must be .source, letter, target. triples"):
+            Nfa(2, ("a",), {0}, set(), Relation(np.array(triples)))
+
+    def test_non_string_letter_names_rejected(self):
+        for alphabet in ((1,), ("a", None), (b"a",)):
+            with pytest.raises(ValueError, match="bad letter name"):
+                Nfa(1, alphabet, {0}, set(), ())
+            with pytest.raises(ValueError, match="bad letter name"):
+                Dfa(1, alphabet, 0, frozenset(), ((0,) * len(alphabet),))
+
     def test_targets_returns_empty_for_missing_entries(self):
         assert NFA_AA.targets(2, 0) == ()
         assert NFA_AA.targets(0, 0) == (1,)
+
+
+class TestArrayRelation:
+    """The relation is one sorted int64 array behind a tuple-like view."""
+
+    @settings(max_examples=200)
+    @given(nfas(), st.randoms(use_true_random=False))
+    def test_tuples_and_array_build_the_same_automaton(self, a, rng):
+        triples = list(a.transitions)
+        rng.shuffle(triples)
+        from_tuples = Nfa(a.n_states, a.alphabet, a.initial, a.final, tuple(triples))
+        shuffled = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        from_array = Nfa(a.n_states, a.alphabet, a.initial, a.final, shuffled)
+        assert from_tuples == from_array == a
+        assert from_tuples.transitions == from_array.transitions == tuple(sorted(triples))
+        assert hash(from_tuples) == hash(from_array) == hash(a)
+        assert repr(from_tuples) == repr(from_array) == repr(a)
+        assert list(from_array.transitions) == sorted(triples)
+        if triples:
+            assert from_array.transitions[-1] == max(triples)
+        assert not from_array.transitions.array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "n, triples, message",
+        [
+            (2, [(0, 0, 1), (0, 0, 2)], r"transition \(0, 0, 2\) has a state out of range"),
+            (2, [(1, 0, 0), (-1, 0, 0)], r"transition \(-1, 0, 0\) has a state out of range"),
+            (2, [(1, 1, 0), (0, 0, 1)], r"transition \(1, 1, 0\) has a letter out of range"),
+            (2, [(1, -1, 0)], r"transition \(1, -1, 0\) has a letter out of range"),
+            (2, [(1, 0, 0), (0, 0, 1), (1, 0, 0)], r"duplicate transition \(1, 0, 0\)"),
+            # the first bad triple in sorted order is named, whatever its fault
+            (2, [(1, 0, 5), (0, 3, 0)], r"transition \(0, 3, 0\) has a letter out of range"),
+            (2, [(1, 0, 5), (0, 0, 1), (0, 0, 1)], r"duplicate transition \(0, 0, 1\)"),
+            (2, [(1, 0, 1), (1, 0, 1), (0, 9, 9)], r"transition \(0, 9, 9\) has a state out"),
+        ],
+    )
+    def test_errors_are_the_same_for_tuples_and_arrays(self, n, triples, message):
+        for given_as in (
+            tuple(triples),
+            np.array(triples),
+            Relation(np.array(triples)),
+            Relation(np.array(triples, dtype=np.int32)),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                Nfa(n, ("a",), {0}, set(), given_as)
+
+    def test_state_numbers_beyond_32_bits(self):
+        # a packed (source, letter, target) key would pass 2**63 here
+        n = 2**32
+        triples = [(n - 1, 2, 0), (5, 0, n - 1), (n - 1, 0, 7), (5, 0, 3), (0, 2, n - 2)]
+        a = Nfa(n, ("x", "y", "z"), {0}, {n - 1}, tuple(triples))
+        assert a.transitions == tuple(sorted(triples))
+        reversed_array = np.array(sorted(triples)[::-1])
+        assert Nfa(n, ("x", "y", "z"), {0}, {n - 1}, reversed_array) == a
+        with pytest.raises(ValueError, match=r"transition \(5, 0, 4294967296\) has a state"):
+            Nfa(n, ("x", "y", "z"), {0}, set(), tuple(triples) + ((5, 0, n),))
+        with pytest.raises(ValueError, match=r"transition \(5, 3, 1\) has a letter"):
+            Nfa(n, ("x", "y", "z"), {0}, set(), tuple(triples) + ((5, 3, 1),))
+        with pytest.raises(ValueError, match=r"duplicate transition \(5, 0, 3\)"):
+            Nfa(n, ("x", "y", "z"), {0}, set(), tuple(triples) + ((5, 0, 3),))
+
+    def test_length_builds_no_tuples(self):
+        cube = sqrt_nfa(witness(8))
+        assert len(cube.transitions) == 8 * 8**4
+        assert cube.transitions._tuples is None
+        assert cube.transitions[0] == tuple(cube.transitions.array[0].tolist())
+        assert cube.transitions._tuples is not None
 
 
 class TestReachability:
@@ -125,6 +229,15 @@ class TestSuccessorIndex:
         assert "_succ" not in fresh.__dict__
         assert fresh.targets(0, 0) == (1, 2)
         assert "_succ" in fresh.__dict__
+
+    def test_rows_built_only_for_letters_read(self, witness6):
+        cube = sqrt_nfa(witness6)
+        a, b = witness6.letter_index("a[2,3,5]"), witness6.letter_index("b[2,3,5]")
+        assert member(cube, (a, b))
+        assert [i for i, row in enumerate(cube._succ._rows) if row is not None] == [a, b]
+        rows = list(cube._succ)
+        assert len(rows) == len(cube.alphabet)
+        assert rows[a] == {s: 1 << d for s, x, d in cube.transitions if x == a}
 
     def test_concurrent_first_use_agrees(self):
         words = [w for k in range(4) for w in itertools.product(range(3), repeat=k)]

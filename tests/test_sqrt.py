@@ -1,18 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sqrtnfa import (
     BudgetExceededError,
+    Nfa,
     TripleCodec,
+    determinize,
+    dfa_to_nfa,
     enumerate_words,
+    equivalent,
     member,
     reach,
     reachable_triples,
+    sqrt_dfa,
     sqrt_member_direct,
     sqrt_nfa,
     triple_labels,
+    witness,
 )
-from conftest import NFA_AA, make_nfa, random_word
+from conftest import NFA_AA, make_nfa, nfas, random_word
+
+
+def sqrt_nfa_reference(nfa: Nfa) -> Nfa:
+    """The cube built one transition at a time: the audit reference for
+    the array construction."""
+    n = nfa.n_states
+    codec = TripleCodec(n)
+    by_letter: dict[int, list[tuple[int, int]]] = {}
+    for src, letter, dst in nfa.transitions:
+        by_letter.setdefault(letter, []).append((src, dst))
+    triples = []
+    for letter, pairs in by_letter.items():
+        for q, q2 in pairs:
+            for r, r2 in pairs:
+                for p in range(n):
+                    triples.append((codec.encode(p, q, r), letter, codec.encode(p, q2, r2)))
+    return Nfa(
+        n_states=n**3,
+        alphabet=nfa.alphabet,
+        initial=frozenset(codec.encode(p, q0, p) for p in range(n) for q0 in nfa.initial),
+        final=frozenset(codec.encode(p, p, f) for p in range(n) for f in nfa.final),
+        transitions=tuple(triples),
+    )
 
 
 class TestCodec:
@@ -99,6 +129,24 @@ class TestConstruction:
     def test_witness_cube_accepts_every_diagonal_pair(self, cube6):
         assert cube6.n_states == 216
         assert all(member(cube6, (flat, 216 + flat)) for flat in range(216))
+
+
+class TestArrayConstruction:
+    @settings(max_examples=200)
+    @given(nfas())
+    def test_equals_the_loop_reference(self, a):
+        cube = sqrt_nfa(a)
+        assert cube == sqrt_nfa_reference(a)
+        assert cube.transitions == sqrt_nfa_reference(a).transitions
+
+    def test_equals_the_loop_reference_on_witnesses(self):
+        for n in (6, 7):
+            assert sqrt_nfa(witness(n)) == sqrt_nfa_reference(witness(n))
+
+    @settings(max_examples=200)
+    @given(nfas())
+    def test_language_is_that_of_the_function_automaton(self, a):
+        assert equivalent(sqrt_nfa(a), dfa_to_nfa(sqrt_dfa(determinize(a))))
 
 
 class TestPointwiseAgreement:

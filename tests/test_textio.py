@@ -1,8 +1,23 @@
 import pytest
 from hypothesis import given, settings
 
-from sqrtnfa import FormatError, emit_nfa, member, parse_nfa, trim
+from sqrtnfa import FormatError, Nfa, emit_nfa, member, parse_nfa, sqrt_nfa, trim, witness
+from sqrtnfa.sqrt import triple_labels
 from conftest import nfas
+
+
+def emit_reference(nfa, state_labels=None):
+    """Canonical text written one f-string per line: the audit reference
+    for the table-driven emission."""
+    lines = [f"states {nfa.n_states}"]
+    for s in sorted(state_labels or {}):
+        lines.append(f"# state {s} = {state_labels[s]}")
+    lines.append("alphabet " + " ".join(nfa.alphabet))
+    lines.append(("initial " + " ".join(str(s) for s in sorted(nfa.initial))).rstrip())
+    lines.append(("final " + " ".join(str(s) for s in sorted(nfa.final))).rstrip())
+    for src, letter, dst in nfa.transitions:
+        lines.append(f"trans {src} {nfa.alphabet[letter]} {dst}")
+    return "\n".join(lines) + "\n"
 
 GOOD = """\
 states 3
@@ -111,3 +126,25 @@ def test_state_labels_emit_as_ignorable_comments():
 @given(nfas())
 def test_round_trip_identity_on_random_automata(a):
     assert parse_nfa(emit_nfa(a)) == a
+
+
+@settings(max_examples=200)
+@given(nfas())
+def test_emit_matches_the_per_line_reference(a):
+    assert emit_nfa(a) == emit_reference(a)
+
+
+def test_emit_matches_the_reference_on_witnesses_and_cubes():
+    for n in (6, 7, 8):
+        assert emit_nfa(witness(n)) == emit_reference(witness(n))
+        cube, labels = sqrt_nfa(witness(n)), triple_labels(n)
+        assert emit_nfa(cube, labels) == emit_reference(cube, labels)
+
+
+def test_emit_with_sparse_state_numbers():
+    # state numbers far above the transition count: tables only for states in use
+    n = 2**32
+    a = Nfa(n, ("x", "y", "z"), {0}, {n - 1}, ((n - 1, 2, 0), (5, 0, n - 1), (5, 1, 5)))
+    text = emit_nfa(a)
+    assert text == emit_reference(a)
+    assert parse_nfa(text) == a
