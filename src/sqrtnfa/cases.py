@@ -4,15 +4,22 @@ A word a_X1 b_X2 belongs to the square root of the witness language
 exactly when one of seven structural conditions on the payload triples
 holds.  This module states those conditions directly (scalar predicates)
 and checks them exhaustively against the simulated truth table for all
-n^6 payload pairs.  Both checks are one :func:`~sqrtnfa.kernels.first_hit`
-scan over row strips of the two tables, so no n^6 array is built.
+n^6 payload pairs.  Both checks are one call of
+:func:`~sqrtnfa.kernels.screened_first_hit`.  The two tables, and so both
+checks, are invariant under the permutations of the states >= 6: every
+predicate compares coordinates with each other, with the blocks {0,1,2}
+and {3,4,5}, or through the pivots, which send all states >= 6 to the
+same place (``identity_l`` commutes with the permutations too).  So the
+screen evaluates one cell per orbit, 163,967 for n >= 12, and only a
+mismatch or a crossing there costs the row-strip scan that names the
+lexicographically first pair; no n^6 array is built.
 """
 
 from __future__ import annotations
 
 from .config import effective_budget
 from .errors import BudgetExceededError
-from .kernels import case_table, first_hit, witness_square_table
+from .kernels import case_table, screened_first_hit, witness_square_table
 from .sqrt import TripleCodec
 from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m
 
@@ -94,7 +101,8 @@ def verify_cases(
     first (X1, X2) where the predicates and the simulation disagree.  With
     the damage knobs (``drop_case``, ``identity_l``) a counterexample is
     the expected outcome; without them, None is.  The budget caps the
-    n^6 pairs checked; memory is bounded by the strip size.
+    n^6 pairs checked, whether or not the orbit screen settles them; memory
+    is bounded by the strip size.
     """
     check_witness_n(n)
     budget = effective_budget(budget)
@@ -105,7 +113,7 @@ def verify_cases(
         truth = witness_square_table(n, rows, cols)
         return truth != (case_table(n, drop_case or 0, identity_l, rows, cols) != 0)
 
-    cell = first_hit(n**3, mismatch)
+    cell = screened_first_hit(n, mismatch)
     return None if cell is None else tuple(map(TripleCodec(n).decode, cell))
 
 
@@ -134,5 +142,5 @@ def pairwise_contradiction(
             case_table(n, 0, identity_l, cols, rows) != 0
         )
 
-    cell = first_hit(n**3, crossing, upper=True)
+    cell = screened_first_hit(n, crossing, upper=True)
     return None if cell is None else tuple(map(TripleCodec(n).decode, cell))

@@ -1,31 +1,49 @@
 """The witness family's membership tables as numpy array algebra.
 
 The witness tables (the square truth table and the case table) are cell
-algebra on broadcastable arrays of flat triple indices.  The checks built
-on them scan the n^3 x n^3 grid through one driver, :func:`first_hit`,
-in row strips of at most 2^22 cells, so no n^6 array is built; called
-without index arrays, a table is built whole, within the budget.  Each
-table is cross-checked in the test suite against an independent scalar
-route: simulation by ``member`` and the case predicates.
+algebra on broadcastable arrays of flat triple indices.  Each table is
+cross-checked in the test suite against an independent scalar route:
+simulation by ``member`` and the case predicates.  Called without index
+arrays, a table is built whole, within the budget.
+
+The checks built on them (:func:`screened_first_hit`) screen the n^3 x n^3
+grid on one cell per symmetry orbit before they scan it.  States 6..n-1 of
+the witness are interchangeable: a permutation of them, with the letters
+relabelled to match, maps ``witness(n)`` onto itself.  Both tables read a
+coordinate of (p1,q1,r1,p2,q2,r2) only through equalities between
+coordinates, tests against constants <= 5, and the pivot maps, which are
+constant on the states >= 6; so a cell's value, and a check's hit, depends
+only on the cell's orbit.  The orbits are listed by their canonical tuples
+(:func:`orbit_cells`): 163,967 for every n >= 12, instead of n^6 cells
+(2,985,984 at n = 12).  When no representative hits, no cell does.  When
+one does, the unchanged row-strip scan, :func:`first_hit`, reports the
+row-major first cell, in strips of at most 2^22 cells, so no n^6 array is
+built.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .config import effective_budget
-from .errors import BudgetExceededError
-from .witness import MAX_STATES, check_witness_n, pivot_l, pivot_m
+from .errors import BudgetExceededError, VerificationError
+from .witness import MAX_STATES, MIN_STATES, check_witness_n, pivot_l, pivot_m
 
 # there is no numba lane; benchmark run records still read this flag
 NUMBA_AVAILABLE = False
 
 
 # pivot maps as lookup arrays, indexed by arrays of states
-_PIVOT_L = np.array([pivot_l(p) for p in range(MAX_STATES)], dtype=np.int64)
-_PIVOT_M = np.array([pivot_m(p) for p in range(MAX_STATES)], dtype=np.int64)
+_PIVOT_L = np.array([pivot_l(p) for p in range(MAX_STATES)], dtype=np.uint16)
+_PIVOT_M = np.array([pivot_m(p) for p in range(MAX_STATES)], dtype=np.uint16)
+# a flat triple index is below MAX_STATES**3 = 2**15, so every index and
+# coordinate fits uint16, where numpy divides and compares several times
+# faster than in int64
+_CELL = np.uint16
 
 
 def _row_block(per_row: int) -> int:
@@ -58,21 +76,103 @@ def first_hit(
     return None
 
 
+@cache
+def _canonical_tuples() -> tuple[np.ndarray, np.ndarray]:
+    """Every canonical 6-tuple (p1,q1,r1,p2,q2,r2), as six uint8 rows in
+    lexicographic order, and the number of generic values in each.
+
+    Values 0..5 stand for themselves; the generic values (states >= 6)
+    appear as 6, 7, ... in order of first appearance.  A tuple's next
+    value is one of the 6 constants, a generic value it already uses, or
+    the next new one, so the list grows one coordinate at a time.
+    """
+    columns = np.zeros((0, 1), dtype=np.uint8)
+    generic = np.zeros(1, dtype=np.uint8)
+    for _ in range(6):
+        choices = MIN_STATES + 1 + generic.astype(np.int64)
+        parent = np.repeat(np.arange(generic.size), choices)
+        starts = np.repeat(np.cumsum(choices) - choices, choices)
+        value = (np.arange(parent.size) - starts).astype(np.uint8)
+        generic = generic[parent]
+        generic += value == MIN_STATES + generic
+        columns = np.vstack([columns[:, parent], value])
+    return columns, generic
+
+
+def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (x1, x2) of one cell per orbit of the n^3 x n^3 grid
+    under the permutations of the states >= 6: the canonical tuples that
+    use at most n - 6 generic values.
+
+    The list audits itself: an orbit with k generic values has
+    (n-6)(n-7)...(n-5-k) cells, and the orbits must cover exactly n^6
+    cells, else :class:`VerificationError`.
+    """
+    check_witness_n(n)
+    columns, generic = _canonical_tuples()
+    keep = generic <= n - MIN_STATES
+    columns = columns[:, keep]
+    counts = np.bincount(generic[keep], minlength=7).tolist()
+    cells = sum(c * math.perm(n - MIN_STATES, k) for k, c in enumerate(counts))
+    if cells != n**6:
+        raise VerificationError(
+            f"the orbits of the {n}-state witness cover {cells} cells, not {n**6}"
+        )
+    p1, q1, r1, p2, q2, r2 = columns
+    return tuple(
+        (p.astype(_CELL) * n + q) * n + r for p, q, r in ((p1, q1, r1), (p2, q2, r2))
+    )
+
+
+def screened_first_hit(
+    n: int, hit: Callable[[np.ndarray, np.ndarray], np.ndarray], upper: bool = False
+) -> tuple[int, int] | None:
+    """:func:`first_hit` over the witness grid of n^3 flat triples, for a
+    ``hit`` that is constant on every orbit (see the module docstring).
+
+    ``hit`` is first evaluated on the orbit representatives; when none
+    hits, no cell does, and the answer is None with no strip scan.  When
+    one does, the strip scan names the row-major first cell.  With
+    ``upper``, the representatives on the diagonal are skipped: a
+    permutation keeps two distinct triples distinct, so an orbit off the
+    diagonal has its representative off it too.  Every ``upper`` caller's
+    ``hit`` is symmetric in its two arguments, so a representative hit
+    below the diagonal mirrors a cell above it that the scan then finds.
+    """
+    x1, x2 = orbit_cells(n)
+    found = hit(x1, x2)
+    if upper:
+        found = found & (x1 != x2)
+    if not found.any():
+        return None
+    return first_hit(n**3, hit, upper)
+
+
 def _triple_cells(n: int, x1, x2, table: str):
     """Coordinates (p, q, r) of two broadcastable arrays of flat triple
-    indices (p*n + q)*n + r; both omitted stand for the whole n^3 x n^3
-    grid, whose n^6 cells must fit the budget."""
+    indices (p*n + q)*n + r in 0..n^3-1; both omitted stand for the whole
+    n^3 x n^3 grid, whose n^6 cells must fit the budget."""
     check_witness_n(n)
     if x1 is None and x2 is None:
         budget = effective_budget()
         if n**6 > budget:
             raise BudgetExceededError(f"{table} cells", n**6, budget)
-        x1 = np.arange(n**3, dtype=np.int64)[:, None]
+        x1 = np.arange(n**3, dtype=_CELL)[:, None]
         x2 = x1.T
     elif x1 is None or x2 is None:
         raise ValueError("give both index arrays x1 and x2, or neither")
-    x1, x2 = np.asarray(x1, dtype=np.int64), np.asarray(x2, dtype=np.int64)
-    return [(x // (n * n), (x // n) % n, x % n) for x in (x1, x2)]
+    cells = []
+    for x in map(np.asarray, (x1, x2)):
+        if x.dtype.kind not in "iu":
+            raise ValueError(f"{table}: flat triple indices must be integers, got {x.dtype}")
+        if x.size and (x.min() < 0 or x.max() >= n**3):
+            bad = x.min() if x.min() < 0 else x.max()
+            raise ValueError(
+                f"{table}: flat triple index {bad} out of range 0..{n**3 - 1} for n={n}"
+            )
+        pq, r = np.divmod(x.astype(_CELL, copy=False), _CELL(n))
+        cells.append((*np.divmod(pq, _CELL(n)), r))
+    return cells
 
 
 def witness_square_table(n: int, x1=None, x2=None) -> np.ndarray:

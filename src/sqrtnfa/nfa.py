@@ -136,15 +136,11 @@ class Nfa:
     transitions: Relation
 
     def __post_init__(self):
-        if self.n_states < 1:
-            raise ValueError("an automaton needs at least one state")
+        _check_state_count(self.n_states)
         object.__setattr__(self, "alphabet", _checked_alphabet(self.alphabet))
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "final", frozenset(self.final))
-        for label, states in (("initial", self.initial), ("final", self.final)):
-            for s in states:
-                if not 0 <= s < self.n_states:
-                    raise ValueError(f"{label} state {s} out of range")
+        for label in ("initial", "final"):
+            states = frozenset(_state(s, self, f"{label} state") for s in getattr(self, label))
+            object.__setattr__(self, label, states)
         relation = self.transitions
         if isinstance(relation, Relation):
             relation = relation.array
@@ -254,15 +250,11 @@ class Dfa:
     transitions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n_states < 1:
-            raise ValueError("an automaton needs at least one state")
+        _check_state_count(self.n_states)
         object.__setattr__(self, "alphabet", _checked_alphabet(self.alphabet))
-        if not 0 <= self.initial < self.n_states:
-            raise ValueError(f"initial state {self.initial} out of range")
-        object.__setattr__(self, "final", frozenset(self.final))
-        for s in self.final:
-            if not 0 <= s < self.n_states:
-                raise ValueError(f"final state {s} out of range")
+        object.__setattr__(self, "initial", _state(self.initial, self, "initial state"))
+        final = frozenset(_state(s, self, "final state") for s in self.final)
+        object.__setattr__(self, "final", final)
         if len(self.transitions) != self.n_states:
             raise ValueError("transition table must have one row per state")
         rows = []
@@ -270,7 +262,7 @@ class Dfa:
             if len(row) != len(self.alphabet):
                 raise ValueError("transition table row must cover every letter")
             for dst in row:
-                if not isinstance(dst, Integral):
+                if not _is_int(dst):
                     raise ValueError(f"transition target {dst!r} is not an integer")
                 if not 0 <= dst < self.n_states:
                     raise ValueError(f"transition target {dst} out of range")
@@ -304,7 +296,32 @@ def _checked_alphabet(alphabet) -> tuple[str, ...]:
     return alphabet
 
 
+def _is_int(x) -> bool:
+    # the exact type first: the Integral test alone costs about 0.6 us a
+    # call, and reach makes one per letter and per start state
+    return type(x) is int or isinstance(x, Integral)
+
+
+def _check_state_count(n: int) -> None:
+    if not _is_int(n):
+        raise ValueError(f"state count {n!r} is not an integer")
+    if n < 1:
+        raise ValueError("an automaton needs at least one state")
+
+
+def _state(s: int, auto: Nfa | Dfa, what: str) -> int:
+    """The state number ``s`` as an int (a numpy integer would not widen
+    past 64 bits in a mask); a non-integer or out of range raises."""
+    if not _is_int(s):
+        raise ValueError(f"{what} {s!r} is not an integer")
+    if not 0 <= s < auto.n_states:
+        raise ValueError(f"{what} {s} out of range")
+    return int(s)
+
+
 def _check_letter(a: int, auto: Nfa | Dfa) -> None:
+    if not _is_int(a):
+        raise ValueError(f"letter index {a!r} is not an integer")
     if not 0 <= a < len(auto.alphabet):
         raise ValueError(f"letter index {a} out of range")
 
@@ -343,10 +360,7 @@ def step_set(nfa: Nfa, states: set[int] | frozenset[int], a: int) -> set[int]:
 
 def reach(nfa: Nfa, states: set[int] | frozenset[int], word: Word) -> set[int]:
     """States reachable from ``states`` after reading ``word`` (epsilon = identity)."""
-    states = set(states)
-    for s in states:
-        if not 0 <= s < nfa.n_states:
-            raise ValueError(f"state index {s} out of range")
+    states = {_state(s, nfa, "state index") for s in states}
     for a in word:
         _check_letter(a, nfa)
     mask = _mask(states)

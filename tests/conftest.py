@@ -59,3 +59,19 @@ def nfas(draw, sigma=None):
     initial = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
     final = draw(st.sets(st.integers(0, n - 1), max_size=n))
     return make_nfa(n, sigma, sorted(triples), initial, final)
+
+
+def orbit_mask(n, cell, x1, x2):
+    """Which cells (x1, x2) of the witness grid lie in the orbit of ``cell``
+    = (p1,q1,r1,p2,q2,r2) under the permutations of the states >= 6: the
+    same constants 0..5 in the same places, and the same pattern of equal
+    coordinates."""
+    x1, x2 = np.asarray(x1), np.asarray(x2)
+    ys = [c for x in (x1, x2) for c in (x // (n * n), (x // n) % n, x % n)]
+    mask = np.ones(np.broadcast(x1, x2).shape, dtype=np.bool_)
+    for y, c in zip(ys, cell):
+        mask &= (y == c) if c < 6 else (y >= 6)
+    for i in range(6):
+        for k in range(i + 1, 6):
+            mask &= (ys[i] == ys[k]) == (cell[i] == cell[k])
+    return mask

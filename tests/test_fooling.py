@@ -17,6 +17,7 @@ from sqrtnfa import (
     verify_fooling,
 )
 from sqrtnfa import fooling, kernels
+from conftest import orbit_mask
 
 
 def oracle_for(language):
@@ -208,16 +209,33 @@ class TestCertifyMatchesReference:
 
     def test_strips_stay_within_block_bound(self, monkeypatch):
         sizes = []
+        damage = []
 
         def recording(n, x1, x2):
             sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
-            return kernels.witness_square_table(n, x1, x2)
+            table = kernels.witness_square_table(n, x1, x2)
+            for cell in damage:
+                table = table | orbit_mask(n, cell, x1, x2)
+            return table
 
         monkeypatch.setattr(fooling, "witness_square_table", recording)
         report = certify_lower_bound(13)  # 13^6 cells would be 4.8M
         m = 13**3
         assert report.certified and report.cond2_checked == m * (m - 1) // 2
-        assert len(sizes) > 3 and max(sizes) <= 1 << 22
+        # the diagonal, then the orbit screen's two table calls and no strip
+        assert sizes == [m, 163_967, 163_967]
+
+        # damage closed under the symmetry (two mirrored orbits) is caught
+        # by the screen, and the strip scan that names the pair stays in bound
+        damage[:] = [(5, 6, 7, 5, 7, 6), (5, 7, 6, 5, 6, 7)]
+        sizes.clear()
+        report = certify_lower_bound(13)
+        i, j = (5 * 13 + 6) * 13 + 7, (5 * 13 + 7) * 13 + 6
+        assert report.violation == Violation("cond2", i + 1, j + 1)
+        # one strip, two table calls, each as large as the bound allows:
+        # 1909 rows of 2197 cells
+        assert sizes[3:] == [(1 << 22) // m * m] * 2
+        assert max(sizes) <= 1 << 22
 
 
 class TestDoctoredSet:

@@ -21,6 +21,7 @@ from sqrtnfa import (
     sqrt_member_direct,
     sqrt_nfa,
     square_accept_table,
+    witness,
     witness_square_table,
 )
 from sqrtnfa.words import walk_word_tree
@@ -58,6 +59,23 @@ class TestWitnessSquareTable:
                 word = (x1, 216 + x2, x1, 216 + x2)
                 assert table[x1, x2] == member(witness6, word), (x1, x2)
 
+    def test_cells_at_the_largest_n_match_member(self):
+        # flat indices up to 32^3 - 1 = 32767, the top of their 16-bit range
+        n = 32
+        auto = witness(n)
+        rng = np.random.Generator(np.random.PCG64(32))
+        x1 = np.r_[0, n**3 - 1, n**3 - 1, rng.integers(0, n**3, 300)]
+        x2 = np.r_[n**3 - 1, 0, n**3 - 1, rng.integers(0, n**3, 300)]
+        # pairs on the diagonal are accepted, so both answers occur
+        x2[-100:] = x1[-100:]
+        table = witness_square_table(n, x1, x2)
+        cases = case_table(n, x1=x1, x2=x2)
+        assert table.any() and not table.all()
+        for a, b, t, c in zip(x1.tolist(), x2.tolist(), table, cases):
+            assert t == member(auto, (a, n**3 + b) * 2), (a, b)
+            triples = [(x // (n * n), (x // n) % n, x % n) for x in (a, b)]
+            assert c == (any_case(*triples, n) or 0), (a, b)
+
     def test_size_guards(self):
         with pytest.raises(ValueError):
             witness_square_table(5)
@@ -80,6 +98,21 @@ class TestTableForms:
         claimed = case_table(6, identity_l=True)[rows, cols]
         assert (witness_square_table(6, rows, cols) == truth).all()
         assert (case_table(6, 0, True, rows, cols) == claimed).all()
+
+    @pytest.mark.parametrize("x1, x2", [([-1], [0]), ([216], [0]), ([0], [-1]), ([3], [216])])
+    def test_flat_indices_out_of_range_rejected(self, x1, x2):
+        # the parent wrapped -1 to the pivot of state 31 and read 216 as a
+        # payload (6, 0, 0): a silent answer for a cell that does not exist
+        with pytest.raises(ValueError, match=r"index -?\d+ out of range 0\.\.215"):
+            witness_square_table(6, x1, x2)
+        with pytest.raises(ValueError, match=r"index -?\d+ out of range 0\.\.215"):
+            case_table(6, x1=x1, x2=x2)
+
+    def test_flat_indices_must_be_integers(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            witness_square_table(6, [0.5], [0])
+        with pytest.raises(ValueError, match="must be integers"):
+            case_table(6, x1=np.array([True]), x2=[0])
 
     def test_index_arrays_come_in_pairs(self):
         with pytest.raises(ValueError, match="both index arrays"):

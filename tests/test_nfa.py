@@ -99,6 +99,30 @@ class TestConstruction:
         with pytest.raises(ValueError, match="must be .source, letter, target. triples"):
             Nfa(2, ("a",), {0}, set(), Relation(np.array(triples)))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Nfa(2, ("a",), {0.5}, {1}, ((0, 0, 1),)), "initial state 0.5"),
+            (lambda: Nfa(2, ("a",), {0}, {0.5}, ((0, 0, 1),)), "final state 0.5"),
+            (lambda: Nfa(2.0, ("a",), {0}, {1}, ()), "state count 2.0"),
+            (lambda: Dfa(2, ("a",), 0.5, {1}, ((1,), (0,))), "initial state 0.5"),
+            (lambda: Dfa(2, ("a",), 0, {0.5}, ((1,), (0,))), "final state 0.5"),
+            (lambda: Dfa(2.0, ("a",), 0, {1}, ((1,), (0,))), "state count 2.0"),
+        ],
+        ids=["nfa-initial", "nfa-final", "nfa-count", "dfa-initial", "dfa-final", "dfa-count"],
+    )
+    def test_non_integer_states_rejected(self, build, message):
+        # the parent accepted each: a float final state was never reached,
+        # and a float initial state broke the first walk with a TypeError
+        with pytest.raises(ValueError, match=f"{message} is not an integer"):
+            build()
+
+    def test_numpy_integer_states_accepted(self):
+        a = Nfa(np.int64(2), ("a",), {np.int64(0)}, {np.int8(1)}, ((0, 0, 1),))
+        assert member(a, (0,))
+        d = Dfa(np.int64(2), ("a",), np.int64(0), {np.int32(1)}, ((1,), (0,)))
+        assert d.member((np.int64(0),))
+
     def test_non_string_letter_names_rejected(self):
         for alphabet in ((1,), ("a", None), (b"a",)):
             with pytest.raises(ValueError, match="bad letter name"):
@@ -201,6 +225,15 @@ class TestReachability:
         # the state set is empty after three letters; the fourth is still checked
         with pytest.raises(ValueError, match="letter index 3 out of range"):
             member(NFA_AA, (0, 0, 0, 3))
+
+    def test_non_integer_letters_and_states_rejected(self):
+        dfa = Dfa(2, ("a",), 0, {1}, ((1,), (0,)))
+        with pytest.raises(ValueError, match="letter index 0.5 is not an integer"):
+            reach(NFA_AA, {0}, (0.5,))
+        with pytest.raises(ValueError, match="letter index 0.5 is not an integer"):
+            dfa.run((0.5,))
+        with pytest.raises(ValueError, match="state index 0.5 is not an integer"):
+            reach(NFA_AA, {0.5}, (0,))
 
     @settings(max_examples=200)
     @given(
