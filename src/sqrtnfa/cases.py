@@ -3,23 +3,24 @@
 A word a_X1 b_X2 belongs to the square root of the witness language
 exactly when one of seven structural conditions on the payload triples
 holds.  This module states those conditions directly (scalar predicates)
-and checks them exhaustively against the simulated truth table for all
-n^6 payload pairs.  Both checks are one call of
-:func:`~sqrtnfa.kernels.screened_first_hit`.  The two tables, and so both
+and checks their table form against the closed-form square truth table
+for all n^6 payload pairs.  Both checks are one call of
+:func:`~sqrtnfa.kernels.first_orbit_hit`.  The two tables, and so both
 checks, are invariant under the permutations of the states >= 6: every
 predicate compares coordinates with each other, with the blocks {0,1,2}
 and {3,4,5}, or through the pivots, which send all states >= 6 to the
-same place (``identity_l`` commutes with the permutations too).  So the
-screen evaluates one cell per orbit, 163,967 for n >= 12, and only a
-mismatch or a crossing there costs the row-strip scan that names the
-lexicographically first pair; no n^6 array is built.
+same place (``identity_l`` commutes with the permutations too).  So a
+check reads one cell per orbit, 163,967 for n >= 12, and the first
+representative that disagrees or crosses is the lexicographically first
+pair; no n^6 array is built, and the budget is charged for the
+representatives read.
 """
 
 from __future__ import annotations
 
 from .config import effective_budget
 from .errors import BudgetExceededError
-from .kernels import case_table, screened_first_hit, witness_square_table
+from .kernels import case_table, first_orbit_hit, orbit_count, witness_square_table
 from .sqrt import TripleCodec
 from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m
 
@@ -95,25 +96,31 @@ def verify_cases(
     identity_l: bool = False,
     budget: int | None = None,
 ) -> tuple[Triple, Triple] | None:
-    """Compare the case predicates with the simulated truth on all n^6 pairs.
+    """Compare the case table with the square truth table on all n^6 pairs.
+
+    Both sides are closed forms: :func:`~sqrtnfa.kernels.case_table` and
+    :func:`~sqrtnfa.kernels.witness_square_table`.  The square truth table
+    meets the automaton elsewhere: :func:`~sqrtnfa.fooling.certify_lower_bound`
+    compares its diagonal with ``member`` on ``witness(n)``, and the tests
+    compare it with ``member`` on sampled and whole grids.
 
     Returns None when every pair agrees, otherwise the lexicographically
-    first (X1, X2) where the predicates and the simulation disagree.  With
-    the damage knobs (``drop_case``, ``identity_l``) a counterexample is
-    the expected outcome; without them, None is.  The budget caps the
-    n^6 pairs checked, whether or not the orbit screen settles them; memory
-    is bounded by the strip size.
+    first (X1, X2) where the two tables disagree.  With the damage knobs
+    (``drop_case``, ``identity_l``) a counterexample is the expected
+    outcome; without them, None is.  The budget caps the cells read, one
+    per orbit: n^6 at n = 6 and 7, at most 163,967 above.
     """
     check_witness_n(n)
     budget = effective_budget(budget)
-    if n**6 > budget:
-        raise BudgetExceededError("case verification pairs", n**6, budget)
+    cells = orbit_count(n)
+    if cells > budget:
+        raise BudgetExceededError("case verification pairs", cells, budget)
 
     def mismatch(rows, cols):
         truth = witness_square_table(n, rows, cols)
         return truth != (case_table(n, drop_case or 0, identity_l, rows, cols) != 0)
 
-    cell = screened_first_hit(n, mismatch)
+    cell = first_orbit_hit(n, mismatch)
     return None if cell is None else tuple(map(TripleCodec(n).decode, cell))
 
 
@@ -130,17 +137,19 @@ def pairwise_contradiction(
     word.  This re-derives condition 2 from the predicates alone, with no
     automaton simulation involved.  ``identity_l`` damages the pivot so
     tests can see the search actually bites.  Crossing is symmetric, so
-    the first pair has X3 < X4 and only those are scanned.
+    the first pair has X3 < X4.  The budget caps the cells read, as in
+    :func:`verify_cases`.
     """
     check_witness_n(n)
     budget = effective_budget(budget)
-    if n**6 > budget:
-        raise BudgetExceededError("pairwise contradiction pairs", n**6, budget)
+    cells = orbit_count(n)
+    if cells > budget:
+        raise BudgetExceededError("pairwise contradiction pairs", cells, budget)
 
     def crossing(rows, cols):
         return (case_table(n, 0, identity_l, rows, cols) != 0) & (
             case_table(n, 0, identity_l, cols, rows) != 0
         )
 
-    cell = screened_first_hit(n, crossing, upper=True)
+    cell = first_orbit_hit(n, crossing, upper=True)
     return None if cell is None else tuple(map(TripleCodec(n).decode, cell))

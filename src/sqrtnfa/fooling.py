@@ -13,12 +13,11 @@ runs condition 1 on the scalar oracle over the witness automaton, requires
 the diagonal cells of the square truth table (see
 :func:`~sqrtnfa.kernels.witness_square_table`) to agree with those scalar
 answers, and then reads condition 2 off the table through
-:func:`~sqrtnfa.kernels.screened_first_hit`.  The table is invariant under
+:func:`~sqrtnfa.kernels.first_orbit_hit`.  The table is invariant under
 the permutations of the states >= 6 (with the letters relabelled to
 match, they map the witness automaton onto itself), so condition 2 is
-first screened on one cell per orbit; only a clash there costs the
-row-strip scan that names the first violating pair.  The whole table is
-never built.
+read on one cell per orbit, and the first clashing representative is the
+first violating pair.  The whole table is never built.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .config import effective_budget
 from .errors import BudgetExceededError, VerificationError
-from .kernels import screened_first_hit, witness_square_table
+from .kernels import first_orbit_hit, witness_square_table
 from .nfa import Word, member
 from .witness import check_witness_n, witness
 
@@ -157,9 +156,8 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     Condition 1 asks that oracle once per pair.  The square truth table
     T[i, j] = (a_Xi b_Xj)^2 in L must agree with it on the diagonal, else
     :class:`VerificationError`; condition 2 for i < j is then
-    T[i, j] & T[j, i], screened on one cell per symmetry orbit and, only
-    when some orbit clashes, scanned for the first i < j in the kernels'
-    bounded row strips, so no n^6 table is ever built.
+    T[i, j] & T[j, i], read on one cell per symmetry orbit, whose first
+    clash is the first violating i < j, so no n^6 table is ever built.
     """
     budget = effective_budget(budget)
     if n**3 > budget:
@@ -191,7 +189,7 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     def clash(rows, cols):
         return witness_square_table(n, rows, cols) & witness_square_table(n, cols, rows)
 
-    hit = screened_first_hit(n, clash, upper=True)
+    hit = first_orbit_hit(n, clash, upper=True)
     if hit is None:
         return FoolingReport(
             certified=True, bound=m, cond1_checked=m, cond2_checked=m * (m - 1) // 2

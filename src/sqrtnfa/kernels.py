@@ -6,19 +6,19 @@ cross-checked in the test suite against an independent scalar route:
 simulation by ``member`` and the case predicates.  Called without index
 arrays, a table is built whole, within the budget.
 
-The checks built on them (:func:`screened_first_hit`) screen the n^3 x n^3
-grid on one cell per symmetry orbit before they scan it.  States 6..n-1 of
-the witness are interchangeable: a permutation of them, with the letters
-relabelled to match, maps ``witness(n)`` onto itself.  Both tables read a
-coordinate of (p1,q1,r1,p2,q2,r2) only through equalities between
-coordinates, tests against constants <= 5, and the pivot maps, which are
-constant on the states >= 6; so a cell's value, and a check's hit, depends
-only on the cell's orbit.  The orbits are listed by their canonical tuples
+The checks built on them (:func:`first_orbit_hit`) read the n^3 x n^3
+grid on one cell per symmetry orbit.  States 6..n-1 of the witness are
+interchangeable: a permutation of them, with the letters relabelled to
+match, maps ``witness(n)`` onto itself.  Both tables read a coordinate of
+(p1,q1,r1,p2,q2,r2) only through equalities between coordinates, tests
+against constants <= 5, and the pivot maps, which are constant on the
+states >= 6; so a cell's value, and a check's hit, depends only on the
+cell's orbit.  The orbits are listed by their canonical tuples
 (:func:`orbit_cells`): 163,967 for every n >= 12, instead of n^6 cells
-(2,985,984 at n = 12).  When no representative hits, no cell does.  When
-one does, the unchanged row-strip scan, :func:`first_hit`, reports the
-row-major first cell, in strips of at most 2^22 cells, so no n^6 array is
-built.
+(2,985,984 at n = 12).  The canonical tuple is the least cell of its
+orbit and the list is in lexicographic order, so the first
+representative that hits is the row-major first cell that hits, and no
+check reads more than the representatives.
 """
 
 from __future__ import annotations
@@ -46,36 +46,6 @@ _PIVOT_M = np.array([pivot_m(p) for p in range(MAX_STATES)], dtype=np.uint16)
 _CELL = np.uint16
 
 
-def _row_block(per_row: int) -> int:
-    # bound scratch arrays to ~4M entries regardless of n
-    return max(1, (1 << 22) // max(per_row, 1))
-
-
-def first_hit(
-    m: int, hit: Callable[[np.ndarray, np.ndarray], np.ndarray], upper: bool = False
-) -> tuple[int, int] | None:
-    """Row-major first cell (i, j) of the m x m grid where ``hit`` holds, or None.
-
-    ``hit(rows, cols)`` maps a column and a row of flat indices to the
-    boolean strip they span.  Strips of whole rows stay within the block
-    bound, so no m x m array is built.  ``upper`` scans only j > i.
-    """
-    idx = np.arange(m, dtype=np.int64)
-    i0 = 0
-    while i0 < m:
-        j0 = i0 if upper else 0
-        i1 = min(i0 + _row_block(m - j0), m)
-        rows, cols = idx[i0:i1, None], idx[None, j0:]
-        strip = hit(rows, cols)
-        if upper:
-            strip = strip & (cols > rows)
-        if strip.any():
-            r, c = divmod(int(np.argmax(strip)), m - j0)
-            return i0 + r, j0 + c
-        i0 = i1
-    return None
-
-
 @cache
 def _canonical_tuples() -> tuple[np.ndarray, np.ndarray]:
     """Every canonical 6-tuple (p1,q1,r1,p2,q2,r2), as six uint8 rows in
@@ -97,6 +67,13 @@ def _canonical_tuples() -> tuple[np.ndarray, np.ndarray]:
         generic += value == MIN_STATES + generic
         columns = np.vstack([columns[:, parent], value])
     return columns, generic
+
+
+def orbit_count(n: int) -> int:
+    """How many cells :func:`orbit_cells` lists, so how many a check on
+    them reads: n^6 at n = 6 and 7, at most 163,967 above."""
+    check_witness_n(n)
+    return int(np.count_nonzero(_canonical_tuples()[1] <= n - MIN_STATES))
 
 
 def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,20 +101,24 @@ def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def screened_first_hit(
+def first_orbit_hit(
     n: int, hit: Callable[[np.ndarray, np.ndarray], np.ndarray], upper: bool = False
 ) -> tuple[int, int] | None:
-    """:func:`first_hit` over the witness grid of n^3 flat triples, for a
-    ``hit`` that is constant on every orbit (see the module docstring).
+    """Row-major first cell (x1, x2) of the witness grid of n^3 flat
+    triples where ``hit`` holds, or None; ``upper`` keeps only x1 != x2.
 
-    ``hit`` is first evaluated on the orbit representatives; when none
-    hits, no cell does, and the answer is None with no strip scan.  When
-    one does, the strip scan names the row-major first cell.  With
-    ``upper``, the representatives on the diagonal are skipped: a
-    permutation keeps two distinct triples distinct, so an orbit off the
-    diagonal has its representative off it too.  Every ``upper`` caller's
-    ``hit`` is symmetric in its two arguments, so a representative hit
-    below the diagonal mirrors a cell above it that the scan then finds.
+    ``hit(x1, x2)`` maps two arrays of flat indices to a boolean array and
+    must be constant on every orbit (see the module docstring).  It is
+    evaluated once, on :func:`orbit_cells`, and the first representative
+    that hits is the answer, for two reasons:
+
+    1. the representatives come in lexicographic order, and each canonical
+       tuple is the lexicographically least cell of its orbit (the first
+       appearance of a new generic value takes the least one unused), so
+       the first hitting representative is the first hitting cell;
+    2. with ``upper``, ``hit`` must also be symmetric in its two
+       arguments: a hit (x2, x1) below the diagonal mirrors the smaller
+       hit (x1, x2) above it, so the first off-diagonal hit has x1 < x2.
     """
     x1, x2 = orbit_cells(n)
     found = hit(x1, x2)
@@ -145,7 +126,8 @@ def screened_first_hit(
         found = found & (x1 != x2)
     if not found.any():
         return None
-    return first_hit(n**3, hit, upper)
+    k = int(np.argmax(found))
+    return int(x1[k]), int(x2[k])
 
 
 def _triple_cells(n: int, x1, x2, table: str):

@@ -163,7 +163,12 @@ class Nfa:
             raise ValueError(f"unknown letter {name!r}") from None
 
     def targets(self, state: int, letter: int) -> tuple[int, ...]:
-        """Ascending successors of one state on one letter (may be empty)."""
+        """Ascending successors of one state on one letter (may be empty, and
+        is for an integer letter outside the alphabet); a state out of
+        range or a non-integer argument raises ``ValueError``."""
+        state = _state(state, self, "state index")
+        if not _is_int(letter):
+            raise ValueError(f"letter index {letter!r} is not an integer")
         return _states(self._succ[letter].get(state, 0) if 0 <= letter < len(self.alphabet) else 0)
 
 

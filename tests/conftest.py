@@ -75,3 +75,13 @@ def orbit_mask(n, cell, x1, x2):
         for k in range(i + 1, 6):
             mask &= (ys[i] == ys[k]) == (cell[i] == cell[k])
     return mask
+
+
+def first_pair(hit, n):
+    """Row-major first True cell of a whole n^3 x n^3 table, as a pair of
+    triples: the reference answer of every witness-table check."""
+    if not hit.any():
+        return None
+    return tuple(
+        (x // (n * n), (x // n) % n, x % n) for x in divmod(int(np.argmax(hit)), n**3)
+    )

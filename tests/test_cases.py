@@ -17,7 +17,8 @@ from sqrtnfa import (
     verify_cases,
     witness_square_table,
 )
-from sqrtnfa import kernels
+from sqrtnfa import cases
+from conftest import first_pair
 
 
 def all_triples(n):
@@ -149,40 +150,35 @@ def test_case_table_matches_scalar_any_case_row():
             assert table[flat1, flat2] == (any_case(x1, x2, 6) or 0)
 
 
-def first_pair(hit, n):
-    """Row-major first True cell of a whole table, as a pair of triples."""
-    if not hit.any():
-        return None
-    return tuple(
-        (x // (n * n), (x // n) % n, x % n) for x in divmod(int(np.argmax(hit)), n**3)
-    )
-
-
 MUTATIONS = [{"drop_case": k} for k in range(1, CASE_COUNT + 1)] + [{"identity_l": True}]
 
 
-class TestStripScan:
-    """The strip scans find the same pair as an argmax over whole tables."""
+def mutation_id(mutation):
+    return ",".join(f"{k}={v}" for k, v in mutation.items())
 
-    @pytest.mark.parametrize("n", [6, 7])
-    @pytest.mark.parametrize(
-        "mutation", MUTATIONS, ids=lambda m: ",".join(f"{k}={v}" for k, v in m.items())
-    )
-    def test_verify_cases_in_7_row_strips(self, monkeypatch, n, mutation):
+
+class TestStripScan:
+    """The one pass over the orbit representatives finds the same pair as
+    an argmax over whole tables.  At n = 6 and 7 every orbit is a single
+    cell; from n = 8 on, the answer rests on each canonical tuple being
+    the least cell of its orbit.  (The test names date from the row-strip
+    scan that these tests once forced into 7-row strips.)"""
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    @pytest.mark.parametrize("mutation", MUTATIONS, ids=mutation_id)
+    def test_verify_cases_in_7_row_strips(self, n, mutation):
         claimed = case_table(n, **mutation)
         expected = first_pair(witness_square_table(n) != (claimed != 0), n)
-        monkeypatch.setattr(kernels, "_row_block", lambda per_row: 7)
         assert expected is not None
         assert verify_cases(n, **mutation) == expected
 
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
     @pytest.mark.parametrize("identity_l", [False, True])
-    def test_pairwise_contradiction_in_7_row_strips(self, monkeypatch, n, identity_l):
+    def test_pairwise_contradiction_in_7_row_strips(self, n, identity_l):
         table = case_table(n, identity_l=identity_l)
         hit = (table != 0) & (table.T != 0)
         np.fill_diagonal(hit, False)
         expected = first_pair(hit, n)
-        monkeypatch.setattr(kernels, "_row_block", lambda per_row: 7)
         assert pairwise_contradiction(n, identity_l=identity_l) == expected
 
     @pytest.mark.parametrize("check", [verify_cases, pairwise_contradiction])
@@ -195,3 +191,56 @@ class TestStripScan:
         finally:
             tracemalloc.stop()
         assert peak < 56 * 2**20
+
+
+class TestOrbitPass:
+    """Both checks read only the orbit representatives, and charge them."""
+
+    @pytest.mark.parametrize("check", [verify_cases, pairwise_contradiction])
+    def test_budget_is_the_cells_read(self, check):
+        # n^6 = 4,826,809 cells at n = 13, one per orbit 163,967
+        assert check(13, budget=163_967) is None
+        with pytest.raises(BudgetExceededError, match="needs 163967, exceeds budget 163966"):
+            check(13, budget=163_966)
+
+    @pytest.mark.parametrize("check", [verify_cases, pairwise_contradiction])
+    def test_table_calls_read_only_the_representatives(self, monkeypatch, check):
+        sizes = []
+
+        def recording(table):
+            def call(n, *args):
+                sizes.append(np.broadcast(*map(np.asarray, args[-2:])).size)
+                return table(n, *args)
+
+            return call
+
+        for name in ("witness_square_table", "case_table"):
+            monkeypatch.setattr(cases, name, recording(getattr(cases, name)))
+        assert check(13, identity_l=True) is not None
+        assert sizes == [163_967, 163_967]
+
+
+# the parent's screen-plus-scan counterexamples; they are the same for every
+# n >= 8, because each lies in the constants 0..5
+PINNED_VERIFY_CASES = {
+    "drop_case=1": ((0, 0, 1), (0, 1, 1)),
+    "drop_case=2": ((0, 0, 1), (1, 1, 0)),
+    "drop_case=3": ((0, 0, 1), (0, 0, 1)),
+    "drop_case=4": ((3, 0, 0), (3, 0, 1)),
+    "drop_case=5": ((0, 0, 1), (1, 0, 0)),
+    "drop_case=6": ((3, 0, 0), (0, 1, 0)),
+    "drop_case=7": ((3, 0, 1), (5, 1, 0)),
+    "identity_l=True": ((0, 0, 0), (1, 0, 0)),
+}
+PINNED_CROSSING = ((0, 0, 1), (0, 1, 0))
+
+
+@pytest.mark.parametrize("n", [*range(8, 15), 32])
+class TestPinnedCounterexamples:
+    @pytest.mark.parametrize("mutation", MUTATIONS, ids=mutation_id)
+    def test_verify_cases(self, n, mutation):
+        found = verify_cases(n, budget=n**6, **mutation)
+        assert found == PINNED_VERIFY_CASES[mutation_id(mutation)]
+
+    def test_pairwise_contradiction(self, n):
+        assert pairwise_contradiction(n, identity_l=True, budget=n**6) == PINNED_CROSSING

@@ -3,6 +3,7 @@ import io
 import pytest
 
 from sqrtnfa import Report, emit_nfa, main, parse_nfa, run_report, witness
+from sqrtnfa.config import BUDGET_ENV
 
 
 @pytest.fixture()
@@ -188,6 +189,12 @@ class TestVerifyCases:
         code, _, err = run(capsys, "verify-cases", "--n", "6", "--budget", "100")
         assert code == 3
 
+    def test_default_budget_covers_the_cells_read(self, capsys, monkeypatch):
+        # 12^6 pairs, but one cell per orbit read: 163,967 < 1,000,000
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+        code, out, err = run(capsys, "verify-cases", "--n", "12")
+        assert (code, out, err) == (0, "verified: all 2985984 pairs agree\n", "")
+
 
 class TestRandomEquiv:
     def test_trials_agree(self, capsys):
@@ -247,6 +254,14 @@ class TestReport:
     def test_budget_exit(self, capsys):
         code, _, err = run(capsys, "report", "--n", "6", "--budget", "100")
         assert code == 3
+
+    def test_default_budget(self, capsys, monkeypatch):
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+        code, out, _ = run(capsys, "report", "--n", "16")
+        assert code == 0 and "certified_lower_bound=4096\n" in out
+        # the checks fit at n = 20; the cube's 1,280,000 transitions do not
+        code, _, err = run(capsys, "report", "--n", "20")
+        assert code == 3 and "cube construction transitions: needs 1280000" in err
 
 
 class TestRunReport:

@@ -167,19 +167,27 @@ class TestCertifyMatchesReference:
         assert certify_lower_bound(n) == reference
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("strip_rows", [None, 7])
-    def test_damaged_off_diagonal(self, monkeypatch, seed, strip_rows):
-        table = witness_square_table(6).copy()
+    @pytest.mark.parametrize("closed_at", [None, 8])
+    def test_damaged_off_diagonal(self, monkeypatch, seed, closed_at):
+        # three seeded clashes T[i, j] = T[j, i] = True; with ``closed_at``
+        # each is spread over the orbits of (i, j) and (j, i) at that n, so
+        # the damaged table keeps the symmetry the one pass relies on
+        n = closed_at or 6
+        table = witness_square_table(n).copy()
         m = table.shape[0]
+        idx = np.arange(m)
         rng = random.Random(seed)
         for _ in range(3):
             i, j = rng.sample(range(m), 2)
-            table[i, j] = table[j, i] = True
+            if closed_at is None:
+                table[i, j] = table[j, i] = True
+                continue
+            for x1, x2 in ((i, j), (j, i)):
+                cell = [c for x in (x1, x2) for c in (x // (n * n), (x // n) % n, x % n)]
+                table |= orbit_mask(n, cell, idx[:, None], idx[None, :])
         monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
-        if strip_rows is not None:
-            monkeypatch.setattr(kernels, "_row_block", lambda per_row: strip_rows)
-        report = certify_lower_bound(6)
-        reference = verify_fooling(witness_fooling_set(6), table_oracle(table))
+        report = certify_lower_bound(n)
+        reference = verify_fooling(witness_fooling_set(n), table_oracle(table))
         assert not report.certified
         assert report.violation == reference.violation
         assert report.cond2_checked == reference.cond2_checked
@@ -222,20 +230,17 @@ class TestCertifyMatchesReference:
         report = certify_lower_bound(13)  # 13^6 cells would be 4.8M
         m = 13**3
         assert report.certified and report.cond2_checked == m * (m - 1) // 2
-        # the diagonal, then the orbit screen's two table calls and no strip
+        # the diagonal, then one table call each way on the representatives
         assert sizes == [m, 163_967, 163_967]
 
-        # damage closed under the symmetry (two mirrored orbits) is caught
-        # by the screen, and the strip scan that names the pair stays in bound
+        # damage closed under the symmetry (two mirrored orbits) is named
+        # by the same calls, with no second pass
         damage[:] = [(5, 6, 7, 5, 7, 6), (5, 7, 6, 5, 6, 7)]
         sizes.clear()
         report = certify_lower_bound(13)
         i, j = (5 * 13 + 6) * 13 + 7, (5 * 13 + 7) * 13 + 6
         assert report.violation == Violation("cond2", i + 1, j + 1)
-        # one strip, two table calls, each as large as the bound allows:
-        # 1909 rows of 2197 cells
-        assert sizes[3:] == [(1 << 22) // m * m] * 2
-        assert max(sizes) <= 1 << 22
+        assert sizes == [m, 163_967, 163_967]
 
 
 class TestDoctoredSet:

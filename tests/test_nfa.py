@@ -134,6 +134,19 @@ class TestConstruction:
         assert NFA_AA.targets(2, 0) == ()
         assert NFA_AA.targets(0, 0) == (1,)
 
+    def test_targets_validates_its_arguments(self):
+        # an integer letter outside the alphabet has no successors, as documented
+        assert NFA_AA.targets(0, 1) == NFA_AA.targets(0, -1) == ()
+        assert NFA_AA.targets(np.int64(0), np.int32(0)) == (1,)
+        for args, message in (
+            ((0, 0.5), "letter index 0.5 is not an integer"),
+            ((0.5, 0), "state index 0.5 is not an integer"),
+            ((7, 0), "state index 7 out of range"),
+            ((-1, 0), "state index -1 out of range"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                NFA_AA.targets(*args)
+
 
 class TestArrayRelation:
     """The relation is one sorted int64 array behind a tuple-like view."""

@@ -3,8 +3,9 @@
 States 6..n-1 of ``witness(n)`` are interchangeable, so the square truth
 table and the case table are constant on the orbits of the n^3 x n^3 grid
 under their permutations.  These tests make that lemma executable, check
-the orbit enumerator, and check the orbit screen against the row-strip
-scan it stands in front of.
+the orbit enumerator and the fact that each canonical tuple is the least
+cell of its orbit, and check the one pass over the representatives
+against an argmax over the whole tables.
 """
 
 import math
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from sqrtnfa import (
     Nfa,
     VerificationError,
+    Violation,
     case_table,
     certify_lower_bound,
     pairwise_contradiction,
@@ -27,9 +29,10 @@ from sqrtnfa import (
     witness_fooling_set,
     witness_square_table,
 )
-from sqrtnfa import cases, fooling, kernels
-from sqrtnfa.kernels import orbit_cells
-from conftest import orbit_mask
+from sqrtnfa import fooling, kernels
+from sqrtnfa.config import BUDGET_ENV
+from sqrtnfa.kernels import orbit_cells, orbit_count
+from conftest import first_pair, orbit_mask
 
 ORBITS = 163_967
 
@@ -142,6 +145,20 @@ class TestOrbitEnumerator:
             cell = tuple(rng.randrange(n) for _ in range(6))
             assert canonical(cell) in reps, cell
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_canonical_tuple_is_the_least_cell_of_its_orbit(self, data):
+        n = data.draw(st.integers(8, 32), label="n")
+        cell = data.draw(st.lists(st.integers(0, n - 1), min_size=6, max_size=6))
+        perm = list(range(6)) + data.draw(st.permutations(range(6, n)), label="perm")
+        image = tuple(perm[v] for v in cell)
+        assert canonical(image) == canonical(cell)
+        assert canonical(cell) <= image
+
+    @pytest.mark.parametrize("n", range(6, 33))
+    def test_count_is_the_length_of_the_list(self, n):
+        assert orbit_count(n) == len(orbit_cells(n)[0])
+
     @pytest.mark.parametrize("damage", ["drop", "repeat"])
     def test_an_incomplete_list_is_refused(self, monkeypatch, damage):
         columns, generic = kernels._canonical_tuples()
@@ -155,32 +172,43 @@ class TestOrbitEnumerator:
             orbit_cells(12)
 
 
-def strip_route(n, hit, upper=False):
-    """The row-strip scan alone, without the orbit screen."""
-    return kernels.first_hit(n**3, hit, upper)
-
-
 MUTATIONS = [{}] + [{"drop_case": k} for k in range(1, 8)] + [{"identity_l": True}]
 
 
 def all_checks(n):
     budget = n**6
     return (
-        [certify_lower_bound(n)]
+        [certify_lower_bound(n).violation]
         + [verify_cases(n, budget=budget, **m) for m in MUTATIONS]
         + [pairwise_contradiction(n, identity_l=i, budget=budget) for i in (False, True)]
     )
 
 
+def whole_grid_checks(n):
+    """The same answers as :func:`all_checks`, each the argmax of a whole
+    n^3 x n^3 table."""
+    truth = witness_square_table(n)
+    clash = first_pair(np.triu(truth & truth.T, 1), n)
+    checks = [None if clash is None else Violation("cond2", *(flat(x, n) + 1 for x in clash))]
+    for m in MUTATIONS:
+        checks.append(first_pair(truth != (case_table(n, **m) != 0), n))
+    for identity_l in (False, True):
+        claimed = case_table(n, identity_l=identity_l) != 0
+        checks.append(first_pair(np.triu(claimed & claimed.T, 1), n))
+    return checks
+
+
 class TestScreenMatchesStrips:
+    """The one pass over the representatives against the whole grid.  (The
+    class name dates from the row-strip scan that used to be the reference.)"""
+
     @pytest.mark.parametrize("n", range(6, 13))
     def test_routes_agree(self, monkeypatch, n):
-        screened = all_checks(n)
-        monkeypatch.setattr(cases, "screened_first_hit", strip_route)
-        monkeypatch.setattr(fooling, "screened_first_hit", strip_route)
-        assert all_checks(n) == screened
-        certified, plain, *damaged, clean, crossing = screened
-        assert certified.certified and plain is None and clean is None
+        monkeypatch.setenv(BUDGET_ENV, str(n**6))
+        answers = all_checks(n)
+        assert answers == whole_grid_checks(n)
+        violation, plain, *damaged, clean, crossing = answers
+        assert violation is None and plain is None and clean is None
         assert None not in damaged and crossing is not None
 
     def test_damaged_orbit_is_caught(self, monkeypatch):
