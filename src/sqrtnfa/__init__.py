@@ -51,9 +51,7 @@ from .witness import (
     FINAL_BLOCK,
     INITIAL_BLOCK,
     MIN_STATES,
-    WitnessLetter,
     letter_name,
-    parse_letter,
     pivot_l,
     pivot_m,
     witness,
@@ -81,7 +79,6 @@ __all__ = [
     "TripleCodec",
     "VerificationError",
     "Violation",
-    "WitnessLetter",
     "Word",
     "accept_table",
     "any_case",
@@ -103,7 +100,6 @@ __all__ = [
     "main",
     "member",
     "witness_fooling_set",
-    "parse_letter",
     "parse_nfa",
     "pairwise_contradiction",
     "pivot_l",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +93,7 @@ def run_report(n: int, budget: int | None = None) -> Report:
     timings["verify_cases"] = time.perf_counter() - t
     if counterexample is not None:
         raise VerificationError(
-            f"case table disagrees with simulation at {counterexample}"
+            f"case table disagrees with the square truth table at {counterexample}"
         )
 
     timings["total"] = time.perf_counter() - t_total
@@ -166,14 +166,7 @@ def _cmd_sqrt(args: argparse.Namespace) -> int:
 
 def _cmd_member(args: argparse.Namespace) -> int:
     auto = _load_nfa(args.infile)
-    verdict = member(auto, _parse_word(auto, args.word))
-    print("true" if verdict else "false")
-    return 0 if verdict else 1
-
-
-def _cmd_sqrt_member(args: argparse.Namespace) -> int:
-    auto = _load_nfa(args.infile)
-    verdict = sqrt_member_direct(auto, _parse_word(auto, args.word))
+    verdict = args.test(auto, _parse_word(auto, args.word))
     print("true" if verdict else "false")
     return 0 if verdict else 1
 
@@ -253,13 +246,17 @@ def _triangle_mismatch(auto: Nfa, cube: Nfa, fn_dfa, budget: int | None) -> Word
 def _cmd_random_equiv(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    spec = RandomSpec(seed=args.seed, max_states=args.max_states, alphabet_size=args.alphabet)
+    # random_nfa draws one coin per (source, letter, target): refuse the
+    # largest automaton the spec allows before any trial draws it
+    budget = effective_budget(args.budget)
+    draws = spec.max_states**2 * spec.alphabet_size
+    if draws > budget:
+        raise BudgetExceededError("random automaton transition draws", draws, budget)
     failures = 0
     for trial in range(args.trials):
         seed = args.seed + trial
-        spec = RandomSpec(
-            seed=seed, max_states=args.max_states, alphabet_size=args.alphabet
-        )
-        auto = random_nfa(spec)
+        auto = random_nfa(replace(spec, seed=seed))
         cube = sqrt_nfa(auto, args.budget)
         det = determinize(auto, args.budget)
         fn_dfa = sqrt_dfa(det, budget=args.budget)
@@ -330,15 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.set_defaults(func=_cmd_sqrt)
 
-    p = sub.add_parser("member", help="test word membership on an NFA")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--word", required=True, help="whitespace-separated letter names")
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("sqrt-member", help="test whether the doubled word is accepted")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--word", required=True, help="whitespace-separated letter names")
-    p.set_defaults(func=_cmd_sqrt_member)
+    for name, test, help_text in (
+        ("member", member, "test word membership on an NFA"),
+        ("sqrt-member", sqrt_member_direct, "test whether the doubled word is accepted"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--word", required=True, help="whitespace-separated letter names")
+        p.set_defaults(func=_cmd_member, test=test)
 
     p = sub.add_parser("check-fooling", help="verify a fooling set certificate")
     p.add_argument("--n", type=int, default=None, help="use the canonical witness set")
@@ -348,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.set_defaults(func=_cmd_check_fooling, needs_parser=True)
 
-    p = sub.add_parser("verify-cases", help="check the case table against simulation")
+    p = sub.add_parser(
+        "verify-cases", help="check the case table against the square truth table"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--mutate",

@@ -153,22 +153,23 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     states, with the same report :func:`verify_fooling` gives for the
     canonical set under the square-membership oracle of ``witness(n)``.
 
-    Condition 1 asks that oracle once per pair.  The square truth table
+    Condition 1 asks that oracle once per pair, on the word
+    (a_X b_X)^2 itself.  The square truth table
     T[i, j] = (a_Xi b_Xj)^2 in L must agree with it on the diagonal, else
     :class:`VerificationError`; condition 2 for i < j is then
     T[i, j] & T[j, i], read on one cell per symmetry orbit, whose first
     clash is the first violating i < j, so no n^6 table is ever built.
     """
     budget = effective_budget(budget)
-    if n**3 > budget:
-        raise BudgetExceededError("fooling set pairs", n**3, budget)
+    m = n**3
+    if m > budget:
+        raise BudgetExceededError("fooling set pairs", m, budget)
     auto = witness(n)
-    pairs = witness_fooling_set(n).pairs
-    m = len(pairs)
 
     scalar = []
-    for x, y in pairs:
-        scalar.append(member(auto, x + y + x + y))
+    for i in range(m):
+        # pair i is (a_Xi, b_Xi), letters i and m + i
+        scalar.append(member(auto, (i, m + i, i, m + i)))
         if not scalar[-1]:
             break
     checked = np.arange(len(scalar), dtype=np.int64)

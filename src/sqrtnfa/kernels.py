@@ -24,22 +24,19 @@ check reads more than the representatives.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .config import effective_budget
 from .errors import BudgetExceededError, VerificationError
-from .witness import MAX_STATES, MIN_STATES, check_witness_n, pivot_l, pivot_m
+from .witness import _PIVOT_L, _PIVOT_M, MIN_STATES, check_witness_n
 
 # there is no numba lane; benchmark run records still read this flag
 NUMBA_AVAILABLE = False
 
 
-# pivot maps as lookup arrays, indexed by arrays of states
-_PIVOT_L = np.array([pivot_l(p) for p in range(MAX_STATES)], dtype=np.uint16)
-_PIVOT_M = np.array([pivot_m(p) for p in range(MAX_STATES)], dtype=np.uint16)
 # a flat triple index is below MAX_STATES**3 = 2**15, so every index and
 # coordinate fits uint16, where numpy divides and compares several times
 # faster than in int64
@@ -76,13 +73,15 @@ def orbit_count(n: int) -> int:
     return int(np.count_nonzero(_canonical_tuples()[1] <= n - MIN_STATES))
 
 
+@lru_cache(maxsize=1)
 def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices (x1, x2) of one cell per orbit of the n^3 x n^3 grid
     under the permutations of the states >= 6: the canonical tuples that
-    use at most n - 6 generic values.
+    use at most n - 6 generic values.  The two arrays are read-only, and
+    the last pair built is cached, so the checks of one report share it.
 
-    The list audits itself: an orbit with k generic values has
-    (n-6)(n-7)...(n-5-k) cells, and the orbits must cover exactly n^6
+    The list audits itself on every build: an orbit with k generic values
+    has (n-6)(n-7)...(n-5-k) cells, and the orbits must cover exactly n^6
     cells, else :class:`VerificationError`.
     """
     check_witness_n(n)
@@ -96,9 +95,9 @@ def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
             f"the orbits of the {n}-state witness cover {cells} cells, not {n**6}"
         )
     p1, q1, r1, p2, q2, r2 = columns
-    return tuple(
-        (p.astype(_CELL) * n + q) * n + r for p, q, r in ((p1, q1, r1), (p2, q2, r2))
-    )
+    x1, x2 = ((p.astype(_CELL) * n + q) * n + r for p, q, r in ((p1, q1, r1), (p2, q2, r2)))
+    x1.flags.writeable = x2.flags.writeable = False
+    return x1, x2
 
 
 def first_orbit_hit(

@@ -11,10 +11,11 @@ and 2-cycles.
 
 from __future__ import annotations
 
-import re
-from typing import NamedTuple
+from functools import lru_cache
+from itertools import product
 
-from .errors import FormatError
+import numpy as np
+
 from .nfa import Nfa
 
 INITIAL_BLOCK = frozenset({0, 1, 2})
@@ -22,17 +23,6 @@ FINAL_BLOCK = frozenset({3, 4, 5})
 
 MIN_STATES = 6
 MAX_STATES = 32  # 2*n^3 letters; 32 keeps the alphabet under 66k names
-
-
-class WitnessLetter(NamedTuple):
-    kind: str  # "a" or "b"
-    p: int
-    q: int
-    r: int
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
 
 
 def check_witness_n(n: int) -> None:
@@ -77,6 +67,11 @@ def pivot_m(p: int) -> int:
     return 3
 
 
+# the pivot maps as lookup arrays, indexed by arrays of states
+_PIVOT_L = np.array([pivot_l(p) for p in range(MAX_STATES)], dtype=np.uint16)
+_PIVOT_M = np.array([pivot_m(p) for p in range(MAX_STATES)], dtype=np.uint16)
+
+
 def letter_name(kind: str, triple: tuple[int, int, int]) -> str:
     if kind not in ("a", "b"):
         raise ValueError(f"letter kind must be 'a' or 'b', got {kind!r}")
@@ -86,43 +81,14 @@ def letter_name(kind: str, triple: tuple[int, int, int]) -> str:
     return f"{kind}[{p},{q},{r}]"
 
 
-_LETTER_RE = re.compile(r"^([ab])\[(\d+),(\d+),(\d+)\]$")
-
-
-def parse_letter(name: str, n: int | None = None) -> WitnessLetter:
-    """Parse a canonical witness letter name back to (kind, p, q, r).
-
-    With ``n`` given, payload indices are range-checked against it.
-    """
-    m = _LETTER_RE.match(name)
-    if not m:
-        for pos, ch in enumerate(name):
-            if ch not in "ab[],0123456789":
-                raise FormatError(f"bad character {ch!r} in letter name", column=pos + 1)
-        raise FormatError(f"malformed letter name {name!r}", column=1)
-    kind = m.group(1)
-    p, q, r = (int(m.group(i)) for i in (2, 3, 4))
-    if n is not None and max(p, q, r) >= n:
-        raise FormatError(
-            f"letter payload out of range for {n} states: {name!r}",
-            column=m.start(2) + 1,
-        )
-    return WitnessLetter(kind, p, q, r)
-
-
 def witness_alphabet(n: int) -> tuple[str, ...]:
     """Canonical alphabet order: all a-letters by lexicographic payload,
     then all b-letters.  The flat payload index of (p,q,r) is p*n^2+q*n+r,
     so letter indices are reproducible across runs and languages."""
-    names = []
-    for kind in ("a", "b"):
-        for p in range(n):
-            for q in range(n):
-                for r in range(n):
-                    names.append(letter_name(kind, (p, q, r)))
-    return tuple(names)
+    return tuple(letter_name(kind, x) for kind in "ab" for x in product(range(n), repeat=3))
 
 
+@lru_cache(maxsize=1)
 def witness(n: int) -> Nfa:
     """The n-state automaton whose square root needs n^3 NFA states.
 
@@ -131,25 +97,28 @@ def witness(n: int) -> Nfa:
     r -> pivot_m(p).  All other entries of the transition relation are
     empty on purpose: runs must die outside the two listed sources.
 
+    The relation is built as one array over the flat payload indices X;
+    the automaton is immutable, and the last one built is cached, so the
+    cube and the certificate of one report read the same automaton.
+
     Raises ValueError outside 6 <= n <= 32 (see :func:`check_witness_n`).
     """
     check_witness_n(n)
-    cube = n * n * n
-    triples = []
-    for p in range(n):
-        lp = pivot_l(p)
-        mp = pivot_m(p)
-        for q in range(n):
-            for r in range(n):
-                flat = (p * n + q) * n + r
-                triples.append((lp, flat, q))
-                triples.append((p, flat, r))
-                triples.append((q, cube + flat, p))
-                triples.append((r, cube + flat, mp))
+    x = np.arange(n**3)
+    p, q, r = x // (n * n), x // n % n, x % n
+    a, b = x, n**3 + x
+    relation = np.stack(
+        [
+            np.concatenate([_PIVOT_L[p], p, q, r]),
+            np.concatenate([a, a, b, b]),
+            np.concatenate([q, r, p, _PIVOT_M[p]]),
+        ],
+        axis=1,
+    )
     return Nfa(
         n_states=n,
         alphabet=witness_alphabet(n),
         initial=INITIAL_BLOCK,
         final=FINAL_BLOCK,
-        transitions=tuple(triples),
+        transitions=relation,
     )

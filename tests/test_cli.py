@@ -2,8 +2,9 @@ import io
 
 import pytest
 
-from sqrtnfa import Report, emit_nfa, main, parse_nfa, run_report, witness
+from sqrtnfa import Report, cli, emit_nfa, main, parse_nfa, run_report, witness
 from sqrtnfa.config import BUDGET_ENV
+from sqrtnfa.kernels import orbit_cells
 
 
 @pytest.fixture()
@@ -227,6 +228,24 @@ class TestRandomEquiv:
         )
         assert code == 0 and "all 20 trials agree" in out
 
+    def test_oversized_automata_are_refused_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(spec):
+            raise AssertionError("random_nfa called")
+
+        monkeypatch.setattr(cli, "random_nfa", no_draw)
+        code, out, err = run(
+            capsys, "random-equiv", "--trials", "1", "--seed", "3",
+            "--max-states", "800", "--budget", "1000",
+        )
+        assert code == 3 and out == ""
+        assert "random automaton transition draws: needs 1920000, exceeds budget 1000" in err
+        # a bad argument is still a usage error, whatever the budget
+        code, _, err = run(
+            capsys, "random-equiv", "--trials", "1", "--seed", "-1",
+            "--max-states", "800", "--budget", "1000",
+        )
+        assert code == 2 and "seed must be non-negative" in err
+
     def test_seed_is_required(self):
         with pytest.raises(SystemExit) as info:
             main(["random-equiv", "--trials", "2"])
@@ -274,6 +293,16 @@ class TestRunReport:
         assert first.previous_bound == 60
         assert first.case_check == "pass"
         assert set(first.timings) == {"witness", "sqrt", "certify", "verify_cases", "total"}
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_builds_the_witness_and_the_orbit_grid_once(self, n):
+        # the cube and the certificate read one witness(n); the certificate
+        # and the case check read one orbit grid
+        witness.cache_clear()
+        orbit_cells.cache_clear()
+        run_report(n, budget=4_000_000)
+        assert witness.cache_info().misses == 1
+        assert orbit_cells.cache_info().misses == 1
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):

@@ -155,12 +155,22 @@ class TestOrbitEnumerator:
         assert canonical(image) == canonical(cell)
         assert canonical(cell) <= image
 
+    def test_the_last_grid_built_is_reused_read_only(self):
+        orbit_cells.cache_clear()
+        x1, x2 = orbit_cells(9)
+        assert orbit_cells(9)[0] is x1
+        assert orbit_cells.cache_info().misses == 1
+        assert not x1.flags.writeable and not x2.flags.writeable
+
     @pytest.mark.parametrize("n", range(6, 33))
     def test_count_is_the_length_of_the_list(self, n):
         assert orbit_count(n) == len(orbit_cells(n)[0])
 
     @pytest.mark.parametrize("damage", ["drop", "repeat"])
     def test_an_incomplete_list_is_refused(self, monkeypatch, damage):
+        # the last grid built is cached: clear it, so that this call builds
+        # and audits
+        orbit_cells.cache_clear()
         columns, generic = kernels._canonical_tuples()
         keep = np.arange(ORBITS) != 1000
         if damage == "drop":

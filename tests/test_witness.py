@@ -3,14 +3,12 @@ import pytest
 from sqrtnfa import (
     FINAL_BLOCK,
     INITIAL_BLOCK,
-    FormatError,
-    WitnessLetter,
+    Nfa,
     case_holds,
     case_table,
     letter_name,
     member,
     pairwise_contradiction,
-    parse_letter,
     pivot_l,
     pivot_m,
     reach,
@@ -62,24 +60,6 @@ class TestLetterNames:
         with pytest.raises(ValueError):
             letter_name("c", (0, 0, 0))
 
-    def test_parse_round_trip(self):
-        for name in ("a[0,0,0]", "b[3,1,5]", "a[11,0,7]"):
-            letter = parse_letter(name)
-            assert letter_name(letter.kind, letter.triple) == name
-
-    def test_parse_fields(self):
-        assert parse_letter("b[2,3,5]") == WitnessLetter("b", 2, 3, 5)
-
-    def test_parse_range_check(self):
-        assert parse_letter("a[5,5,5]", n=6).triple == (5, 5, 5)
-        with pytest.raises(FormatError, match="out of range"):
-            parse_letter("a[6,0,0]", n=6)
-
-    def test_parse_malformed(self):
-        for bad in ("a[0,0]", "a[0,0,0,0]", "c[0,0,0]", "a(0,0,0)", "a[0, 0,0]"):
-            with pytest.raises(FormatError):
-                parse_letter(bad)
-
 
 class TestAlphabet:
     def test_size_and_order(self):
@@ -98,7 +78,31 @@ class TestAlphabet:
             assert names[216 + flat] == letter_name("b", (p, q, r))
 
 
+def loop_witness(n):
+    """The witness relation built one payload at a time, as the definition
+    reads: the reference the array build must equal."""
+    cube = n**3
+    triples = []
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                flat = (p * n + q) * n + r
+                triples.append((pivot_l(p), flat, q))
+                triples.append((p, flat, r))
+                triples.append((q, cube + flat, p))
+                triples.append((r, cube + flat, pivot_m(p)))
+    names = [letter_name(kind, (p, q, r)) for kind in "ab" for p in range(n)
+             for q in range(n) for r in range(n)]
+    return Nfa(n, tuple(names), INITIAL_BLOCK, FINAL_BLOCK, tuple(triples))
+
+
 class TestWitnessAutomaton:
+    @pytest.mark.parametrize("n", [*range(6, 15), 32])
+    def test_array_build_equals_the_loop_reference(self, n):
+        # relation, alphabet and blocks: Nfa equality compares every field
+        assert witness(n) == loop_witness(n)
+        assert witness(n).alphabet == witness_alphabet(n)
+
     def test_shape(self, witness6):
         assert witness6.n_states == 6
         assert witness6.initial == INITIAL_BLOCK
