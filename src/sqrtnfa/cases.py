@@ -18,8 +18,7 @@ representatives read.
 
 from __future__ import annotations
 
-from .config import effective_budget
-from .errors import BudgetExceededError
+from .config import _is_int, charge
 from .kernels import case_table, first_orbit_hit, orbit_count, witness_square_table
 from .sqrt import TripleCodec
 from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m
@@ -30,7 +29,7 @@ CASE_COUNT = 7
 
 
 def _check_triple(x: Triple, n: int, name: str) -> None:
-    if len(x) != 3 or not all(0 <= v < n for v in x):
+    if len(x) != 3 or not all(_is_int(v) and 0 <= v < n for v in x):
         raise ValueError(f"{name}={x!r} is not a state triple for n={n}")
 
 
@@ -110,11 +109,7 @@ def verify_cases(
     outcome; without them, None is.  The budget caps the cells read, one
     per orbit: n^6 at n = 6 and 7, at most 163,967 above.
     """
-    check_witness_n(n)
-    budget = effective_budget(budget)
-    cells = orbit_count(n)
-    if cells > budget:
-        raise BudgetExceededError("case verification pairs", cells, budget)
+    charge("case verification pairs", orbit_count(n), budget)
 
     def mismatch(rows, cols):
         truth = witness_square_table(n, rows, cols)
@@ -140,11 +135,7 @@ def pairwise_contradiction(
     the first pair has X3 < X4.  The budget caps the cells read, as in
     :func:`verify_cases`.
     """
-    check_witness_n(n)
-    budget = effective_budget(budget)
-    cells = orbit_count(n)
-    if cells > budget:
-        raise BudgetExceededError("pairwise contradiction pairs", cells, budget)
+    charge("pairwise contradiction pairs", orbit_count(n), budget)
 
     def crossing(rows, cols):
         return (case_table(n, 0, identity_l, rows, cols) != 0) & (

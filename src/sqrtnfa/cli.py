@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cases import verify_cases
-from .config import effective_budget
+from .config import charge, effective_budget
 from .errors import BudgetExceededError, FormatError, VerificationError
 from .fooling import FoolingSet, certify_lower_bound, verify_fooling
 from .nfa import (
@@ -194,6 +194,8 @@ def _cmd_check_fooling(args: argparse.Namespace, parser: argparse.ArgumentParser
         parser.error("either --n, or all of --in, --pairs and --mode are required")
     auto = _load_nfa(args.infile)
     candidate = _parse_pairs(auto, _read_text(args.pairs))
+    # condition 2 may examine every unordered pair of the candidate set
+    charge("fooling set cross pairs", len(candidate) * (len(candidate) - 1) // 2, args.budget)
 
     def oracle(word: Word) -> bool:
         if args.mode == "sqrt":
@@ -249,10 +251,8 @@ def _cmd_random_equiv(args: argparse.Namespace) -> int:
     spec = RandomSpec(seed=args.seed, max_states=args.max_states, alphabet_size=args.alphabet)
     # random_nfa draws one coin per (source, letter, target): refuse the
     # largest automaton the spec allows before any trial draws it
-    budget = effective_budget(args.budget)
     draws = spec.max_states**2 * spec.alphabet_size
-    if draws > budget:
-        raise BudgetExceededError("random automaton transition draws", draws, budget)
+    charge("random automaton transition draws", draws, args.budget)
     failures = 0
     for trial in range(args.trials):
         seed = args.seed + trial

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import effective_budget
-from .errors import BudgetExceededError, VerificationError
+from .config import charge
+from .errors import VerificationError
 from .kernels import first_orbit_hit, witness_square_table
 from .nfa import Word, member
 from .witness import check_witness_n, witness
@@ -160,10 +160,9 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     T[i, j] & T[j, i], read on one cell per symmetry orbit, whose first
     clash is the first violating i < j, so no n^6 table is ever built.
     """
-    budget = effective_budget(budget)
+    check_witness_n(n)
     m = n**3
-    if m > budget:
-        raise BudgetExceededError("fooling set pairs", m, budget)
+    charge("fooling set pairs", m, budget)
     auto = witness(n)
 
     scalar = []

@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import effective_budget
-from .errors import BudgetExceededError, VerificationError
+from .config import charge
+from .errors import VerificationError
 from .witness import _PIVOT_L, _PIVOT_M, MIN_STATES, check_witness_n
 
 # there is no numba lane; benchmark run records still read this flag
@@ -135,9 +135,7 @@ def _triple_cells(n: int, x1, x2, table: str):
     n^3 x n^3 grid, whose n^6 cells must fit the budget."""
     check_witness_n(n)
     if x1 is None and x2 is None:
-        budget = effective_budget()
-        if n**6 > budget:
-            raise BudgetExceededError(f"{table} cells", n**6, budget)
+        charge(f"{table} cells", n**6)
         x1 = np.arange(n**3, dtype=_CELL)[:, None]
         x2 = x1.T
     elif x1 is None or x2 is None:
@@ -189,7 +187,8 @@ def case_table(
     ``x1`` and ``x2`` select cells as in :func:`witness_square_table`.
     ``drop_case`` removes one case from consideration and ``identity_l``
     replaces the left pivot with the identity map; both exist to let tests
-    confirm that damaged predicates are caught against the simulated truth.
+    confirm that damaged predicates are caught against the closed-form
+    square truth table.
     """
     if not 0 <= drop_case <= 7:
         raise ValueError(f"drop_case must be 0..7, got {drop_case}")

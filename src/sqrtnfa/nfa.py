@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .config import effective_budget
+from .config import _is_int
 from .words import Word, explore, rank_to_word, walk_word_tree
 
 Transition = tuple[int, int, int]  # (source, letter, target)
@@ -301,12 +301,6 @@ def _checked_alphabet(alphabet) -> tuple[str, ...]:
     return alphabet
 
 
-def _is_int(x) -> bool:
-    # the exact type first: the Integral test alone costs about 0.6 us a
-    # call, and reach makes one per letter and per start state
-    return type(x) is int or isinstance(x, Integral)
-
-
 def _check_state_count(n: int) -> None:
     if not _is_int(n):
         raise ValueError(f"state count {n!r} is not an integer")
@@ -391,7 +385,7 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
     order, rows = explore(
         _mask(nfa.initial),
         _stepper(nfa),
-        effective_budget(cap),
+        cap,
         "determinization subset states",
     )
     final = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
@@ -448,8 +442,7 @@ def difference_witness(a: Nfa, b: Nfa, cap: int | None = None) -> Word | None:
     each side's determinization would fit.
     """
     start, successors, splits = _pair_graph(a, b)
-    budget = effective_budget(cap)
-    pairs, rows = explore(start, successors, budget, "equivalence product pairs", stop=splits)
+    pairs, rows = explore(start, successors, cap, "equivalence product pairs", stop=splits)
     if not splits(pairs[-1]):
         return None
     # a pair's word is its first parent's word plus the letter: ids are

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import effective_budget
 from .nfa import Dfa, Nfa, Word, member
 from .words import explore
 
@@ -42,7 +41,7 @@ def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
     order, rows = explore(
         tuple(range(dfa.n_states)),  # the identity map
         lambda f: [tuple(map(col.__getitem__, f)) for col in columns],
-        effective_budget(budget),
+        budget,
         "square-root DFA states",
     )
     final = frozenset(
@@ -99,16 +98,9 @@ def random_nfa(spec: RandomSpec) -> Nfa:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n = int(rng.integers(1, spec.max_states + 1))
     letters = tuple(f"l{a}" for a in range(spec.alphabet_size))
-    triples = []
-    for src in range(n):
-        for a in range(spec.alphabet_size):
-            for dst in range(n):
-                if rng.random() < spec.transition_density:
-                    triples.append((src, a, dst))
-    initial = frozenset(
-        s for s in range(n) if rng.random() < spec.initial_density
-    )
-    final = frozenset(s for s in range(n) if rng.random() < spec.final_density)
+    coins = rng.random((n, spec.alphabet_size, n)) < spec.transition_density
+    initial = frozenset(np.flatnonzero(rng.random(n) < spec.initial_density).tolist())
+    final = frozenset(np.flatnonzero(rng.random(n) < spec.final_density).tolist())
     if not initial:
         initial = frozenset({0})
     return Nfa(
@@ -116,5 +108,5 @@ def random_nfa(spec: RandomSpec) -> Nfa:
         alphabet=letters,
         initial=initial,
         final=final,
-        transitions=tuple(triples),
+        transitions=np.argwhere(coins),
     )

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import effective_budget
-from .errors import BudgetExceededError
+from .config import _is_int, charge
 from .nfa import Nfa, Relation, Word, reach
 
 
@@ -25,12 +24,12 @@ class TripleCodec:
     n: int
 
     def encode(self, p: int, q: int, r: int) -> int:
-        if not (0 <= p < self.n and 0 <= q < self.n and 0 <= r < self.n):
+        if not all(_is_int(x) and 0 <= x < self.n for x in (p, q, r)):
             raise ValueError(f"triple ({p},{q},{r}) out of range for n={self.n}")
         return (p * self.n + q) * self.n + r
 
     def decode(self, index: int) -> tuple[int, int, int]:
-        if not 0 <= index < self.n**3:
+        if not (_is_int(index) and 0 <= index < self.n**3):
             raise ValueError(f"index {index} out of range for n={self.n}")
         index, r = divmod(index, self.n)
         p, q = divmod(index, self.n)
@@ -53,9 +52,7 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
     """
     n = nfa.n_states
     sigma = len(nfa.alphabet)
-    budget = effective_budget(budget)
-    if n**3 > budget:
-        raise BudgetExceededError("cube construction states", n**3, budget)
+    budget = charge("cube construction states", n**3, budget)
     codec = TripleCodec(n)
 
     # The input's transitions grouped by letter; each letter's products
@@ -67,8 +64,7 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
     letter = grouped[:, 1]
     counts = np.bincount(letter, minlength=sigma)
     n_transitions = n * int(counts @ counts)
-    if n_transitions > budget:
-        raise BudgetExceededError("cube construction transitions", n_transitions, budget)
+    charge("cube construction transitions", n_transitions, budget)
 
     # product k pairs transition first[k] (the q coordinate) with
     # transition second[k] (the r coordinate) of the same letter, giving

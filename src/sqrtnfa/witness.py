@@ -16,6 +16,7 @@ from itertools import product
 
 import numpy as np
 
+from .config import _is_int
 from .nfa import Nfa
 
 INITIAL_BLOCK = frozenset({0, 1, 2})
@@ -29,6 +30,8 @@ def check_witness_n(n: int) -> None:
     """Raise ValueError unless the witness family is defined and supported
     at n: it needs disjoint 3-state initial and final blocks, and its
     alphabet (and every n^3 table over it) is capped at MAX_STATES."""
+    if not _is_int(n):
+        raise ValueError(f"witness family needs an integer n, got {n!r}")
     if n < MIN_STATES:
         raise ValueError(
             f"witness family needs n >= {MIN_STATES} "

@@ -13,8 +13,7 @@ from collections.abc import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
-from .config import effective_budget
-from .errors import BudgetExceededError
+from .config import _is_int, charge, effective_budget
 
 Word = tuple[int, ...]
 
@@ -36,15 +35,15 @@ def count_words(sigma: int, max_len: int) -> int:
 def word_to_rank(sigma: int, word: Word) -> int:
     value = 0
     for a in word:
-        if not 0 <= a < sigma:
+        if not (_is_int(a) and 0 <= a < sigma):
             raise ValueError(f"letter index {a} out of range for alphabet size {sigma}")
         value = value * sigma + a
     return level_offset(sigma, len(word)) + value
 
 
 def rank_to_word(sigma: int, rank: int) -> Word:
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
+    if not (_is_int(rank) and rank >= 0):
+        raise ValueError(f"rank must be a non-negative integer, got {rank!r}")
     length = 0
     while level_offset(sigma, length + 1) <= rank:
         length += 1
@@ -73,7 +72,7 @@ def iter_words(sigma: int, max_len: int) -> Iterator[Word]:
 def explore(
     start: Hashable,
     successors: Callable[[Hashable], Sequence[Hashable]],
-    budget: int,
+    budget: int | None,
     what: str,
     depth: int | None = None,
     stop: Callable[[Hashable], object] | None = None,
@@ -84,9 +83,11 @@ def explore(
     and ids go by first sight.  Nodes first seen at ``depth`` get ids but
     are not expanded.  The walk ends early at the first numbered node that
     satisfies ``stop``; it is then ``nodes[-1]``, and the last row may
-    name ids past it.  More than ``budget`` nodes raises
-    ``BudgetExceededError(what, budget + 1, budget)``.
+    name ids past it.  More than ``budget`` nodes (default from
+    :mod:`sqrtnfa.config`) raises ``BudgetExceededError(what, budget + 1,
+    budget)``.
     """
+    budget = effective_budget(budget)
     ids = {start: 0}
     nodes = [start]
     rows: list[list[int]] = []
@@ -102,7 +103,7 @@ def explore(
                 for i, kid in zip(row, kids):
                     if i == len(nodes):
                         if i == budget:
-                            raise BudgetExceededError(what, budget + 1, budget)
+                            charge(what, budget + 1, budget)
                         nodes.append(kid)
                         if stop is not None and stop(kid):
                             return nodes, rows
@@ -128,12 +129,10 @@ def walk_word_tree(
     ``budget`` (default from :mod:`sqrtnfa.config`) before anything is
     allocated.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    budget = effective_budget(budget)
+    if not (_is_int(max_len) and max_len >= 0):
+        raise ValueError(f"max_len must be a non-negative integer, got {max_len!r}")
     words = count_words(sigma, max_len)
-    if words > budget:
-        raise BudgetExceededError("word tree words", words, budget)
+    charge("word tree words", words, budget)
     # no more distinct nodes than words, so this budget never fires
     nodes, rows = explore(start, successors, words, "word tree words", depth=max_len)
     flags = np.array([bool(accepting(node)) for node in nodes], dtype=np.bool_)

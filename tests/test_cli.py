@@ -1,4 +1,5 @@
 import io
+from itertools import product
 
 import pytest
 
@@ -151,6 +152,20 @@ class TestCheckFooling:
             "--pairs", str(pairs), "--mode", "sqrt",
         )
         assert code == 2 and "unknown letter" in err
+
+    def test_budget_caps_the_cross_pairs(self, capsys, w6_file, tmp_path):
+        pairs = tmp_path / "canonical.pairs"
+        lines = (f"a[{p},{q},{r}] ; b[{p},{q},{r}]\n" for p, q, r in product(range(6), repeat=3))
+        pairs.write_text("".join(lines))
+        argv = ["check-fooling", "--in", w6_file, "--pairs", str(pairs), "--mode", "sqrt"]
+        code, out, err = run(capsys, *argv, "--budget", "23219")
+        assert (code, out) == (3, "")
+        assert err == (
+            "budget exceeded: fooling set cross pairs: needs 23220, exceeds budget 23219\n"
+        )
+        code, out, _ = run(capsys, *argv, "--budget", "23220")
+        assert code == 0
+        assert out == "certified: bound=216\ncond1_checked=216\ncond2_checked=23220\n"
 
     def test_n_and_in_conflict(self, capsys, w6_file):
         with pytest.raises(SystemExit) as info:

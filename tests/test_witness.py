@@ -6,6 +6,7 @@ from sqrtnfa import (
     Nfa,
     case_holds,
     case_table,
+    certify_lower_bound,
     letter_name,
     member,
     pairwise_contradiction,
@@ -19,6 +20,7 @@ from sqrtnfa import (
     witness_fooling_set,
     witness_square_table,
 )
+from sqrtnfa.kernels import orbit_count
 
 
 class TestPivots:
@@ -162,9 +164,14 @@ class TestWitnessAutomaton:
         with pytest.raises(ValueError, match="at most 32 states"):
             witness(33)
 
-    @pytest.mark.parametrize("n, message", [(5, "needs n >= 6"), (33, "at most 32 states")])
+    @pytest.mark.parametrize(
+        "n, message", [(5, "needs n >= 6"), (33, "at most 32 states"), (6.5, "integer n")]
+    )
     def test_witness_entry_points_share_one_size_check(self, n, message):
         calls = [
+            lambda: witness(n),
+            lambda: orbit_count(n),
+            lambda: certify_lower_bound(n, budget=1),  # before the n^3 budget check
             lambda: witness_fooling_set(n),
             lambda: witness_square_table(n),
             lambda: case_table(n),
