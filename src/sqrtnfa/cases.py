@@ -5,20 +5,14 @@ exactly when one of seven structural conditions on the payload triples
 holds.  This module states those conditions directly (scalar predicates)
 and checks their table form against the closed-form square truth table
 for all n^6 payload pairs.  Both checks are one call of
-:func:`~sqrtnfa.kernels.first_orbit_hit`.  The two tables, and so both
-checks, are invariant under the permutations of the states >= 6: every
-predicate compares coordinates with each other, with the blocks {0,1,2}
-and {3,4,5}, or through the pivots, which send all states >= 6 to the
-same place (``identity_l`` commutes with the permutations too).  So a
-check reads one cell per orbit, 163,967 for n >= 12, and the first
-representative that disagrees or crosses is the lexicographically first
-pair; no n^6 array is built, and the budget is charged for the
-representatives read.
+:func:`~sqrtnfa.kernels.first_orbit_hit`, which reads one cell per
+symmetry orbit (see :mod:`sqrtnfa.kernels`), and the budget is charged
+for the cells read.
 """
 
 from __future__ import annotations
 
-from .config import _is_int, charge
+from .config import charge, check_int
 from .kernels import case_table, first_orbit_hit, orbit_count, witness_square_table
 from .sqrt import TripleCodec
 from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m
@@ -26,11 +20,6 @@ from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot
 Triple = tuple[int, int, int]
 
 CASE_COUNT = 7
-
-
-def _check_triple(x: Triple, n: int, name: str) -> None:
-    if len(x) != 3 or not all(_is_int(v) and 0 <= v < n for v in x):
-        raise ValueError(f"{name}={x!r} is not a state triple for n={n}")
 
 
 def case_holds(
@@ -50,10 +39,9 @@ def case_holds(
     never used by the real check.
     """
     check_witness_n(n)
-    _check_triple(x1, n, "x1")
-    _check_triple(x2, n, "x2")
-    p1, q1, r1 = x1
-    p2, q2, r2 = x2
+    p1, q1, r1 = (check_int(v, "x1 entry", 0, n) for v in x1)
+    p2, q2, r2 = (check_int(v, "x2 entry", 0, n) for v in x2)
+    check_int(case, "case", 1, CASE_COUNT + 1)
     l1 = p1 if identity_l else pivot_l(p1)
     m2 = pivot_m(p2)
     if case == 1:
@@ -68,9 +56,8 @@ def case_holds(
         return p2 == l1 and q1 == q2 and q2 == r2
     if case == 6:
         return p1 == m2 and q1 == r1 and r1 == r2
-    if case == 7:
-        return p1 == m2 and r1 == q2 and q1 == r2 and p2 in FINAL_BLOCK
-    raise ValueError(f"case must be 1..{CASE_COUNT}, got {case}")
+    # case 7
+    return p1 == m2 and r1 == q2 and q1 == r2 and p2 in FINAL_BLOCK
 
 
 def any_case(

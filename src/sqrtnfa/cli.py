@@ -12,12 +12,13 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .cases import verify_cases
-from .config import charge, effective_budget
+from .config import charge, check_int, effective_budget
 from .errors import BudgetExceededError, FormatError, VerificationError
 from .fooling import FoolingSet, certify_lower_bound, verify_fooling
 from .nfa import (
@@ -196,12 +197,7 @@ def _cmd_check_fooling(args: argparse.Namespace, parser: argparse.ArgumentParser
     candidate = _parse_pairs(auto, _read_text(args.pairs))
     # condition 2 may examine every unordered pair of the candidate set
     charge("fooling set cross pairs", len(candidate) * (len(candidate) - 1) // 2, args.budget)
-
-    def oracle(word: Word) -> bool:
-        if args.mode == "sqrt":
-            return member(auto, word + word)
-        return member(auto, word)
-
+    oracle = partial(sqrt_member_direct if args.mode == "sqrt" else member, auto)
     return _print_fooling(verify_fooling(candidate, oracle))
 
 
@@ -246,8 +242,7 @@ def _triangle_mismatch(auto: Nfa, cube: Nfa, fn_dfa, budget: int | None) -> Word
 
 
 def _cmd_random_equiv(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    check_int(args.trials, "--trials", 1)
     spec = RandomSpec(seed=args.seed, max_states=args.max_states, alphabet_size=args.alphabet)
     # random_nfa draws one coin per (source, letter, target): refuse the
     # largest automaton the spec allows before any trial draws it

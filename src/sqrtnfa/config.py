@@ -1,11 +1,12 @@
-"""Size budgets, and the one gate that charges them.
+"""Size budgets and integer arguments, each behind one gate.
 
 A single integer budget caps every input-sized allocation or search in
 the package.  Each one is charged through :func:`charge` under the name
 of its phase before anything of that size is built: validate the input,
 then charge, then allocate.  The budget resolves from an explicit
 argument, else the ``SQRTNFA_BUDGET`` environment variable, else
-``DEFAULT_BUDGET``.
+``DEFAULT_BUDGET``.  Every integer argument (a size, state, letter,
+payload entry, rank or case id) is validated by :func:`check_int`.
 """
 
 import os
@@ -18,20 +19,23 @@ DEFAULT_BUDGET = 1_000_000
 BUDGET_ENV = "SQRTNFA_BUDGET"
 
 
-def _is_int(x) -> bool:
+def check_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``int(value)`` when ``value`` is an integer (numpy integers
+    included) with ``low <= value < high``, a None bound being open;
+    otherwise ``ValueError`` naming ``what``."""
     # the exact type first: the Integral test alone costs about 0.6 us a
-    # call, and reach makes one per letter and per start state
-    return type(x) is int or isinstance(x, Integral)
+    # call, and member makes one per letter
+    if type(value) is not int and not isinstance(value, Integral):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    if (low is not None and value < low) or (high is not None and value >= high):
+        raise ValueError(f"{what} {value} out of range")
+    return int(value)
 
 
 def effective_budget(override: int | None = None) -> int:
     """Resolve the budget to use: explicit argument > env var > default."""
     if override is not None:
-        if not _is_int(override):
-            raise ValueError(f"budget must be an integer, got {override!r}")
-        if override < 1:
-            raise ValueError(f"budget must be positive, got {override}")
-        return override
+        return check_int(override, "budget", 1)
     env = os.environ.get(BUDGET_ENV)
     if env:
         try:

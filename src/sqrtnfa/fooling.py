@@ -13,11 +13,8 @@ runs condition 1 on the scalar oracle over the witness automaton, requires
 the diagonal cells of the square truth table (see
 :func:`~sqrtnfa.kernels.witness_square_table`) to agree with those scalar
 answers, and then reads condition 2 off the table through
-:func:`~sqrtnfa.kernels.first_orbit_hit`.  The table is invariant under
-the permutations of the states >= 6 (with the letters relabelled to
-match, they map the witness automaton onto itself), so condition 2 is
-read on one cell per orbit, and the first clashing representative is the
-first violating pair.  The whole table is never built.
+:func:`~sqrtnfa.kernels.first_orbit_hit`, one cell per symmetry orbit
+(see :mod:`sqrtnfa.kernels`).
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import charge
+from .config import charge, check_int
 from .errors import VerificationError
 from .kernels import first_orbit_hit, witness_square_table
 from .nfa import Word, member
@@ -69,6 +66,9 @@ class Violation:
             raise ValueError(f"unknown violation kind {self.kind!r}")
         if (self.kind == "cond2") != (self.j is not None):
             raise ValueError("condition 2 violations name two pairs, condition 1 one")
+        object.__setattr__(self, "i", check_int(self.i, "violation index i", 1))
+        if self.j is not None:
+            object.__setattr__(self, "j", check_int(self.j, "violation index j", self.i + 1))
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,7 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     (a_X b_X)^2 itself.  The square truth table
     T[i, j] = (a_Xi b_Xj)^2 in L must agree with it on the diagonal, else
     :class:`VerificationError`; condition 2 for i < j is then
-    T[i, j] & T[j, i], read on one cell per symmetry orbit, whose first
-    clash is the first violating i < j, so no n^6 table is ever built.
+    T[i, j] & T[j, i], read by :func:`~sqrtnfa.kernels.first_orbit_hit`.
     """
     check_witness_n(n)
     m = n**3

@@ -12,13 +12,14 @@ interchangeable: a permutation of them, with the letters relabelled to
 match, maps ``witness(n)`` onto itself.  Both tables read a coordinate of
 (p1,q1,r1,p2,q2,r2) only through equalities between coordinates, tests
 against constants <= 5, and the pivot maps, which are constant on the
-states >= 6; so a cell's value, and a check's hit, depends only on the
-cell's orbit.  The orbits are listed by their canonical tuples
-(:func:`orbit_cells`): 163,967 for every n >= 12, instead of n^6 cells
-(2,985,984 at n = 12).  The canonical tuple is the least cell of its
-orbit and the list is in lexicographic order, so the first
-representative that hits is the row-major first cell that hits, and no
-check reads more than the representatives.
+states >= 6 (the identity that ``identity_l`` puts in place of the left
+pivot commutes with the permutations too); so a cell's value, and a
+check's hit, depends only on the cell's orbit.  The orbits are listed by
+their canonical tuples (:func:`orbit_cells`): 163,967 for every n >= 12,
+instead of n^6 cells (2,985,984 at n = 12).  The canonical tuple is the
+least cell of its orbit and the list is in lexicographic order, so the
+first representative that hits is the row-major first cell that hits, and
+no check reads more than the representatives.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import charge
+from .config import charge, check_int
 from .errors import VerificationError
 from .witness import _PIVOT_L, _PIVOT_M, MIN_STATES, check_witness_n
 
@@ -190,8 +191,7 @@ def case_table(
     confirm that damaged predicates are caught against the closed-form
     square truth table.
     """
-    if not 0 <= drop_case <= 7:
-        raise ValueError(f"drop_case must be 0..7, got {drop_case}")
+    check_int(drop_case, "drop_case", 0, 8)
     (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table")
     l1 = p1 if identity_l else _PIVOT_L[p1]
     m2 = _PIVOT_M[p2]

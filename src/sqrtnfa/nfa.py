@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .config import _is_int
+from .config import check_int
 from .words import Word, explore, rank_to_word, walk_word_tree
 
 Transition = tuple[int, int, int]  # (source, letter, target)
@@ -136,10 +136,12 @@ class Nfa:
     transitions: Relation
 
     def __post_init__(self):
-        _check_state_count(self.n_states)
+        object.__setattr__(self, "n_states", _checked_state_count(self.n_states))
         object.__setattr__(self, "alphabet", _checked_alphabet(self.alphabet))
         for label in ("initial", "final"):
-            states = frozenset(_state(s, self, f"{label} state") for s in getattr(self, label))
+            states = frozenset(
+                check_int(s, f"{label} state", 0, self.n_states) for s in getattr(self, label)
+            )
             object.__setattr__(self, label, states)
         relation = self.transitions
         if isinstance(relation, Relation):
@@ -166,9 +168,8 @@ class Nfa:
         """Ascending successors of one state on one letter (may be empty, and
         is for an integer letter outside the alphabet); a state out of
         range or a non-integer argument raises ``ValueError``."""
-        state = _state(state, self, "state index")
-        if not _is_int(letter):
-            raise ValueError(f"letter index {letter!r} is not an integer")
+        state = check_int(state, "state index", 0, self.n_states)
+        letter = check_int(letter, "letter index")
         return _states(self._succ[letter].get(state, 0) if 0 <= letter < len(self.alphabet) else 0)
 
 
@@ -255,30 +256,25 @@ class Dfa:
     transitions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_state_count(self.n_states)
+        n = _checked_state_count(self.n_states)
+        object.__setattr__(self, "n_states", n)
         object.__setattr__(self, "alphabet", _checked_alphabet(self.alphabet))
-        object.__setattr__(self, "initial", _state(self.initial, self, "initial state"))
-        final = frozenset(_state(s, self, "final state") for s in self.final)
+        object.__setattr__(self, "initial", check_int(self.initial, "initial state", 0, n))
+        final = frozenset(check_int(s, "final state", 0, n) for s in self.final)
         object.__setattr__(self, "final", final)
-        if len(self.transitions) != self.n_states:
+        if len(self.transitions) != n:
             raise ValueError("transition table must have one row per state")
         rows = []
         for row in self.transitions:
             if len(row) != len(self.alphabet):
                 raise ValueError("transition table row must cover every letter")
-            for dst in row:
-                if not _is_int(dst):
-                    raise ValueError(f"transition target {dst!r} is not an integer")
-                if not 0 <= dst < self.n_states:
-                    raise ValueError(f"transition target {dst} out of range")
-            rows.append(tuple(row))
+            rows.append(tuple(check_int(dst, "transition target", 0, n) for dst in row))
         object.__setattr__(self, "transitions", tuple(rows))
 
     def run(self, word: Word) -> int:
-        state = self.initial
+        state, sigma = self.initial, len(self.alphabet)
         for a in word:
-            _check_letter(a, self)
-            state = self.transitions[state][a]
+            state = self.transitions[state][check_int(a, "letter index", 0, sigma)]
         return state
 
     def member(self, word: Word) -> bool:
@@ -301,28 +297,11 @@ def _checked_alphabet(alphabet) -> tuple[str, ...]:
     return alphabet
 
 
-def _check_state_count(n: int) -> None:
-    if not _is_int(n):
-        raise ValueError(f"state count {n!r} is not an integer")
+def _checked_state_count(n: int) -> int:
+    n = check_int(n, "state count")
     if n < 1:
         raise ValueError("an automaton needs at least one state")
-
-
-def _state(s: int, auto: Nfa | Dfa, what: str) -> int:
-    """The state number ``s`` as an int (a numpy integer would not widen
-    past 64 bits in a mask); a non-integer or out of range raises."""
-    if not _is_int(s):
-        raise ValueError(f"{what} {s!r} is not an integer")
-    if not 0 <= s < auto.n_states:
-        raise ValueError(f"{what} {s} out of range")
-    return int(s)
-
-
-def _check_letter(a: int, auto: Nfa | Dfa) -> None:
-    if not _is_int(a):
-        raise ValueError(f"letter index {a!r} is not an integer")
-    if not 0 <= a < len(auto.alphabet):
-        raise ValueError(f"letter index {a} out of range")
+    return n
 
 
 def _mask(states: set[int] | frozenset[int]) -> int:
@@ -359,18 +338,25 @@ def step_set(nfa: Nfa, states: set[int] | frozenset[int], a: int) -> set[int]:
 
 def reach(nfa: Nfa, states: set[int] | frozenset[int], word: Word) -> set[int]:
     """States reachable from ``states`` after reading ``word`` (epsilon = identity)."""
-    states = {_state(s, nfa, "state index") for s in states}
-    for a in word:
-        _check_letter(a, nfa)
-    mask = _mask(states)
-    for a in word:
-        mask = _mask_step(mask, nfa._succ[a])
-    return set(_states(mask))
+    # as ints: a numpy integer would not widen past 64 bits in a mask
+    states = {check_int(s, "state index", 0, nfa.n_states) for s in states}
+    return set(_states(_run(nfa, _mask(states), word)))
 
 
 def member(nfa: Nfa, word: Word) -> bool:
     """Whether the automaton accepts ``word`` from any initial state."""
-    return bool(reach(nfa, nfa.initial, word) & nfa.final)
+    return bool(_run(nfa, _mask(nfa.initial), word) & _mask(nfa.final))
+
+
+def _run(nfa: Nfa, mask: int, word: Word) -> int:
+    """The state set ``mask`` after reading ``word``, whose letters are all
+    checked before the first step."""
+    sigma = len(nfa.alphabet)
+    for a in word:
+        check_int(a, "letter index", 0, sigma)
+    for a in word:
+        mask = _mask_step(mask, nfa._succ[a])
+    return mask
 
 
 def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_int
 from .nfa import Dfa, Nfa, Word, member
 from .words import explore
 
@@ -72,12 +73,8 @@ class RandomSpec:
     final_density: float = 0.5
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.max_states < 1:
-            raise ValueError("max_states must be at least 1")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be at least 1")
+        for name, low in (("seed", 0), ("max_states", 1), ("alphabet_size", 1)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, low))
         for name in ("transition_density", "initial_density", "final_density"):
             value = getattr(self, name)
             if not 0 < value <= 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _is_int, charge
+from .config import charge, check_int
 from .nfa import Nfa, Relation, Word, reach
 
 
@@ -23,14 +23,15 @@ class TripleCodec:
 
     n: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", check_int(self.n, "triple codec size", 1))
+
     def encode(self, p: int, q: int, r: int) -> int:
-        if not all(_is_int(x) and 0 <= x < self.n for x in (p, q, r)):
-            raise ValueError(f"triple ({p},{q},{r}) out of range for n={self.n}")
+        p, q, r = (check_int(x, "triple entry", 0, self.n) for x in (p, q, r))
         return (p * self.n + q) * self.n + r
 
     def decode(self, index: int) -> tuple[int, int, int]:
-        if not (_is_int(index) and 0 <= index < self.n**3):
-            raise ValueError(f"index {index} out of range for n={self.n}")
+        index = check_int(index, "flat triple index", 0, self.n**3)
         index, r = divmod(index, self.n)
         p, q = divmod(index, self.n)
         return (p, q, r)

@@ -12,11 +12,11 @@ and 2-cycles.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, starmap
 
 import numpy as np
 
-from .config import _is_int
+from .config import check_int
 from .nfa import Nfa
 
 INITIAL_BLOCK = frozenset({0, 1, 2})
@@ -30,8 +30,7 @@ def check_witness_n(n: int) -> None:
     """Raise ValueError unless the witness family is defined and supported
     at n: it needs disjoint 3-state initial and final blocks, and its
     alphabet (and every n^3 table over it) is capped at MAX_STATES."""
-    if not _is_int(n):
-        raise ValueError(f"witness family needs an integer n, got {n!r}")
+    check_int(n, "witness family n")
     if n < MIN_STATES:
         raise ValueError(
             f"witness family needs n >= {MIN_STATES} "
@@ -50,8 +49,7 @@ def pivot_l(p: int) -> int:
     Never a fixed point, and p = pivot_l(p') together with p' = pivot_l(p)
     is unsatisfiable; the lower-bound contradiction leans on both facts.
     """
-    if p < 0:
-        raise ValueError("state must be non-negative")
+    p = check_int(p, "state", 0)
     if p == 0:
         return 1
     if p == 1:
@@ -61,8 +59,7 @@ def pivot_l(p: int) -> int:
 
 def pivot_m(p: int) -> int:
     """Redirect into the final block: 3 -> 4, 4 -> 5, everything else -> 3."""
-    if p < 0:
-        raise ValueError("state must be non-negative")
+    p = check_int(p, "state", 0)
     if p == 3:
         return 4
     if p == 4:
@@ -75,20 +72,23 @@ _PIVOT_L = np.array([pivot_l(p) for p in range(MAX_STATES)], dtype=np.uint16)
 _PIVOT_M = np.array([pivot_m(p) for p in range(MAX_STATES)], dtype=np.uint16)
 
 
+# a letter's name from its kind and payload (p, q, r)
+_LETTER_NAME = "{}[{},{},{}]"
+
+
 def letter_name(kind: str, triple: tuple[int, int, int]) -> str:
     if kind not in ("a", "b"):
         raise ValueError(f"letter kind must be 'a' or 'b', got {kind!r}")
-    p, q, r = triple
-    if min(p, q, r) < 0:
-        raise ValueError(f"letter payload {triple} has a negative index")
-    return f"{kind}[{p},{q},{r}]"
+    p, q, r = (check_int(v, "letter payload entry", 0) for v in triple)
+    return _LETTER_NAME.format(kind, p, q, r)
 
 
 def witness_alphabet(n: int) -> tuple[str, ...]:
     """Canonical alphabet order: all a-letters by lexicographic payload,
     then all b-letters.  The flat payload index of (p,q,r) is p*n^2+q*n+r,
     so letter indices are reproducible across runs and languages."""
-    return tuple(letter_name(kind, x) for kind in "ab" for x in product(range(n), repeat=3))
+    # the payloads come from range(n), so letter_name's checks are skipped
+    return tuple(starmap(_LETTER_NAME.format, product("ab", range(n), range(n), range(n))))
 
 
 @lru_cache(maxsize=1)

@@ -13,15 +13,14 @@ from collections.abc import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
-from .config import _is_int, charge, effective_budget
+from .config import charge, check_int, effective_budget
 
 Word = tuple[int, ...]
 
 
 def level_offset(sigma: int, length: int) -> int:
     """Number of words strictly shorter than ``length``."""
-    if sigma < 1:
-        raise ValueError("alphabet size must be at least 1")
+    check_int(sigma, "alphabet size", 1)
     if sigma == 1:
         return length
     return (sigma**length - 1) // (sigma - 1)
@@ -29,21 +28,18 @@ def level_offset(sigma: int, length: int) -> int:
 
 def count_words(sigma: int, max_len: int) -> int:
     """Number of words of length <= max_len."""
-    return level_offset(sigma, max_len + 1)
+    return level_offset(sigma, check_int(max_len, "max_len", 0) + 1)
 
 
 def word_to_rank(sigma: int, word: Word) -> int:
     value = 0
     for a in word:
-        if not (_is_int(a) and 0 <= a < sigma):
-            raise ValueError(f"letter index {a} out of range for alphabet size {sigma}")
-        value = value * sigma + a
+        value = value * sigma + check_int(a, "letter index", 0, sigma)
     return level_offset(sigma, len(word)) + value
 
 
 def rank_to_word(sigma: int, rank: int) -> Word:
-    if not (_is_int(rank) and rank >= 0):
-        raise ValueError(f"rank must be a non-negative integer, got {rank!r}")
+    rank = check_int(rank, "rank", 0)
     length = 0
     while level_offset(sigma, length + 1) <= rank:
         length += 1
@@ -57,6 +53,7 @@ def rank_to_word(sigma: int, rank: int) -> Word:
 
 def iter_words(sigma: int, max_len: int) -> Iterator[Word]:
     """All words of length <= max_len in length-lexicographic order."""
+    check_int(max_len, "max_len", 0)
     level: list[Word] = [()]
     yield ()
     for _ in range(max_len):
@@ -129,9 +126,7 @@ def walk_word_tree(
     ``budget`` (default from :mod:`sqrtnfa.config`) before anything is
     allocated.
     """
-    if not (_is_int(max_len) and max_len >= 0):
-        raise ValueError(f"max_len must be a non-negative integer, got {max_len!r}")
-    words = count_words(sigma, max_len)
+    words = count_words(sigma, max_len)  # checks max_len
     charge("word tree words", words, budget)
     # no more distinct nodes than words, so this budget never fires
     nodes, rows = explore(start, successors, words, "word tree words", depth=max_len)

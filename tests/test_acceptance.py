@@ -60,7 +60,8 @@ def announce(capfd):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile/load any jitted lanes before the timed sections below
+    # call each table once on small inputs, so that first-call costs
+    # (numpy's first dispatches) stay out of the timed sections below
     witness_square_table(6)
     case_table(6)
     auto = random_nfa(RandomSpec(seed=0, max_states=4, alphabet_size=3))

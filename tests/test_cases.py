@@ -36,9 +36,9 @@ class TestCaseHolds:
         assert case_holds(2, (0, 5, 4), (1, 4, 5), 6)
 
     def test_case_ids_validated(self):
-        with pytest.raises(ValueError, match="case must be"):
+        with pytest.raises(ValueError, match="case 0 out of range"):
             case_holds(0, (0, 0, 0), (0, 0, 0), 6)
-        with pytest.raises(ValueError, match="case must be"):
+        with pytest.raises(ValueError, match="case 8 out of range"):
             case_holds(8, (0, 0, 0), (0, 0, 0), 6)
 
     def test_triples_validated(self):

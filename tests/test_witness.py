@@ -165,7 +165,12 @@ class TestWitnessAutomaton:
             witness(33)
 
     @pytest.mark.parametrize(
-        "n, message", [(5, "needs n >= 6"), (33, "at most 32 states"), (6.5, "integer n")]
+        "n, message",
+        [
+            (5, "needs n >= 6"),
+            (33, "at most 32 states"),
+            pytest.param(6.5, "n 6.5 is not an integer", id="6.5-integer n"),
+        ],
     )
     def test_witness_entry_points_share_one_size_check(self, n, message):
         calls = [
