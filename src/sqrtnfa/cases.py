@@ -22,27 +22,19 @@ Triple = tuple[int, int, int]
 CASE_COUNT = 7
 
 
-def case_holds(
-    case: int,
-    x1: Triple,
-    x2: Triple,
-    n: int,
-    identity_l: bool = False,
-) -> bool:
+def case_holds(case: int, x1: Triple, x2: Triple, n: int) -> bool:
     """Whether one numbered acceptance condition holds for the payload pair.
 
     ``x1`` labels the a-letter and ``x2`` the b-letter of the word
     a_X1 b_X2.  Conditions mention the left pivot of p1 and the middle
     pivot of p2, and read "p1 = i" as p1 lying in the initial block
-    (the run may start from any initial state).  ``identity_l`` swaps the
-    left pivot for the identity map, a deliberate damage knob for tests,
-    never used by the real check.
+    (the run may start from any initial state).
     """
     check_witness_n(n)
     p1, q1, r1 = (check_int(v, "x1 entry", 0, n) for v in x1)
     p2, q2, r2 = (check_int(v, "x2 entry", 0, n) for v in x2)
     check_int(case, "case", 1, CASE_COUNT + 1)
-    l1 = p1 if identity_l else pivot_l(p1)
+    l1 = pivot_l(p1)
     m2 = pivot_m(p2)
     if case == 1:
         return p1 == p2 and p1 in INITIAL_BLOCK and r1 == r2 and r1 == q2
@@ -60,28 +52,15 @@ def case_holds(
     return p1 == m2 and r1 == q2 and q1 == r2 and p2 in FINAL_BLOCK
 
 
-def any_case(
-    x1: Triple,
-    x2: Triple,
-    n: int,
-    drop_case: int | None = None,
-    identity_l: bool = False,
-) -> int | None:
+def any_case(x1: Triple, x2: Triple, n: int) -> int | None:
     """Lowest case number that holds for the pair, or None."""
     for case in range(1, CASE_COUNT + 1):
-        if case == drop_case:
-            continue
-        if case_holds(case, x1, x2, n, identity_l=identity_l):
+        if case_holds(case, x1, x2, n):
             return case
     return None
 
 
-def verify_cases(
-    n: int,
-    drop_case: int | None = None,
-    identity_l: bool = False,
-    budget: int | None = None,
-) -> tuple[Triple, Triple] | None:
+def verify_cases(n: int, budget: int | None = None) -> tuple[Triple, Triple] | None:
     """Compare the case table with the square truth table on all n^6 pairs.
 
     Both sides are closed forms: :func:`~sqrtnfa.kernels.case_table` and
@@ -91,43 +70,34 @@ def verify_cases(
     compare it with ``member`` on sampled and whole grids.
 
     Returns None when every pair agrees, otherwise the lexicographically
-    first (X1, X2) where the two tables disagree.  With the damage knobs
-    (``drop_case``, ``identity_l``) a counterexample is the expected
-    outcome; without them, None is.  The budget caps the cells read, one
-    per orbit: n^6 at n = 6 and 7, at most 163,967 above.
+    first (X1, X2) where the two tables disagree.  The budget caps the
+    cells read, one per orbit: n^6 at n = 6 and 7, at most 163,967 above.
     """
     charge("case verification pairs", orbit_count(n), budget)
 
     def mismatch(rows, cols):
         truth = witness_square_table(n, rows, cols)
-        return truth != (case_table(n, drop_case or 0, identity_l, rows, cols) != 0)
+        return truth != (case_table(n, rows, cols) != 0)
 
     cell = first_orbit_hit(n, mismatch)
     return None if cell is None else tuple(map(TripleCodec(n).decode, cell))
 
 
-def pairwise_contradiction(
-    n: int,
-    identity_l: bool = False,
-    budget: int | None = None,
-) -> tuple[Triple, Triple] | None:
+def pairwise_contradiction(n: int, budget: int | None = None) -> tuple[Triple, Triple] | None:
     """Search for distinct payloads X3 != X4 where a_X3 b_X4 and a_X4 b_X3
     both satisfy some case.
 
     None means no such pair exists, which is what makes the fooling-set
     argument work: any two distinct pairs cross in at least one rejected
     word.  This re-derives condition 2 from the predicates alone, with no
-    automaton simulation involved.  ``identity_l`` damages the pivot so
-    tests can see the search actually bites.  Crossing is symmetric, so
-    the first pair has X3 < X4.  The budget caps the cells read, as in
+    automaton simulation involved.  Crossing is symmetric, so the first
+    pair has X3 < X4.  The budget caps the cells read, as in
     :func:`verify_cases`.
     """
     charge("pairwise contradiction pairs", orbit_count(n), budget)
 
     def crossing(rows, cols):
-        return (case_table(n, 0, identity_l, rows, cols) != 0) & (
-            case_table(n, 0, identity_l, cols, rows) != 0
-        )
+        return (case_table(n, rows, cols) != 0) & (case_table(n, cols, rows) != 0)
 
     cell = first_orbit_hit(n, crossing, upper=True)
     return None if cell is None else tuple(map(TripleCodec(n).decode, cell))

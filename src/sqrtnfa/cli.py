@@ -201,27 +201,8 @@ def _cmd_check_fooling(args: argparse.Namespace, parser: argparse.ArgumentParser
     return _print_fooling(verify_fooling(candidate, oracle))
 
 
-def _cmd_verify_cases(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    drop_case = None
-    identity_l = False
-    if args.mutate is not None:
-        if args.mutate == "identity-l":
-            identity_l = True
-        elif args.mutate.startswith("drop-case="):
-            try:
-                drop_case = int(args.mutate.split("=", 1)[1])
-            except ValueError:
-                parser.error(f"bad --mutate value {args.mutate!r}")
-            if not 1 <= drop_case <= 7:
-                parser.error("drop-case needs K in 1..7")
-        else:
-            parser.error(f"bad --mutate value {args.mutate!r}")
-    counterexample = verify_cases(
-        args.n,
-        drop_case=drop_case,
-        identity_l=identity_l,
-        budget=args.budget,
-    )
+def _cmd_verify_cases(args: argparse.Namespace) -> int:
+    counterexample = verify_cases(args.n, budget=args.budget)
     if counterexample is None:
         print(f"verified: all {args.n**6} pairs agree")
         return 0
@@ -343,13 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-cases", help="check the case table against the square truth table"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--mutate",
-        default=None,
-        help="damage the table for negative testing: drop-case=K or identity-l",
-    )
     _add_budget(p)
-    p.set_defaults(func=_cmd_verify_cases, needs_parser=True)
+    p.set_defaults(func=_cmd_verify_cases)
 
     p = sub.add_parser(
         "random-equiv", help="cube construction vs function-automaton on random NFAs"

@@ -12,14 +12,13 @@ interchangeable: a permutation of them, with the letters relabelled to
 match, maps ``witness(n)`` onto itself.  Both tables read a coordinate of
 (p1,q1,r1,p2,q2,r2) only through equalities between coordinates, tests
 against constants <= 5, and the pivot maps, which are constant on the
-states >= 6 (the identity that ``identity_l`` puts in place of the left
-pivot commutes with the permutations too); so a cell's value, and a
-check's hit, depends only on the cell's orbit.  The orbits are listed by
-their canonical tuples (:func:`orbit_cells`): 163,967 for every n >= 12,
-instead of n^6 cells (2,985,984 at n = 12).  The canonical tuple is the
-least cell of its orbit and the list is in lexicographic order, so the
-first representative that hits is the row-major first cell that hits, and
-no check reads more than the representatives.
+states >= 6; so a cell's value, and a check's hit, depends only on the
+cell's orbit.  The orbits are listed by their canonical tuples
+(:func:`orbit_cells`): 163,967 for every n >= 12, instead of n^6 cells
+(2,985,984 at n = 12).  The canonical tuple is the least cell of its
+orbit and the list is in lexicographic order, so the first representative
+that hits is the row-major first cell that hits, and no check reads more
+than the representatives.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import charge, check_int
+from .config import charge
 from .errors import VerificationError
 from .witness import _PIVOT_L, _PIVOT_M, MIN_STATES, check_witness_n
 
@@ -180,22 +179,11 @@ def witness_square_table(n: int, x1=None, x2=None) -> np.ndarray:
     return (has_p2 & (p2 >= 3) & (p2 <= 5)) | (has_m2 & (m2 >= 3) & (m2 <= 5))
 
 
-def case_table(
-    n: int, drop_case: int = 0, identity_l: bool = False, x1=None, x2=None
-) -> np.ndarray:
-    """Lowest satisfied case id (1..7) per letter pair, 0 when none holds.
-
-    ``x1`` and ``x2`` select cells as in :func:`witness_square_table`.
-    ``drop_case`` removes one case from consideration and ``identity_l``
-    replaces the left pivot with the identity map; both exist to let tests
-    confirm that damaged predicates are caught against the closed-form
-    square truth table.
-    """
-    check_int(drop_case, "drop_case", 0, 8)
-    (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table")
-    l1 = p1 if identity_l else _PIVOT_L[p1]
-    m2 = _PIVOT_M[p2]
-    conds = [
+def _case_conditions(p1, q1, r1, p2, q2, r2, l1, m2) -> list[np.ndarray]:
+    """The seven acceptance conditions of a_X1 b_X2, in case order, as
+    boolean arrays over the cells given by the coordinates and the two
+    pivots l1 = pivot_l(p1) and m2 = pivot_m(p2)."""
+    return [
         (p1 == p2) & (p1 <= 2) & (r1 == r2) & (r1 == q2),
         (p1 <= 2) & (p2 == l1) & (r1 == q2) & (q1 == r2),
         (p1 == p2) & (q1 == q2) & (r1 == r2),
@@ -204,7 +192,14 @@ def case_table(
         (p1 == m2) & (q1 == r1) & (r1 == r2),
         (p1 == m2) & (r1 == q2) & (q1 == r2) & (p2 >= 3) & (p2 <= 5),
     ]
-    pairs = [
-        (cond, np.uint8(k)) for k, cond in enumerate(conds, start=1) if k != drop_case
-    ]
-    return np.select([c for c, _ in pairs], [v for _, v in pairs], default=np.uint8(0))
+
+
+def case_table(n: int, x1=None, x2=None) -> np.ndarray:
+    """Lowest satisfied case id (1..7) per letter pair, 0 when none holds.
+
+    ``x1`` and ``x2`` select cells as in :func:`witness_square_table`.
+    """
+    (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table")
+    conds = _case_conditions(p1, q1, r1, p2, q2, r2, _PIVOT_L[p1], _PIVOT_M[p2])
+    ids = [np.uint8(k) for k in range(1, len(conds) + 1)]
+    return np.select(conds, ids, default=np.uint8(0))

@@ -21,6 +21,7 @@ Word = tuple[int, ...]
 def level_offset(sigma: int, length: int) -> int:
     """Number of words strictly shorter than ``length``."""
     check_int(sigma, "alphabet size", 1)
+    check_int(length, "length", 0)
     if sigma == 1:
         return length
     return (sigma**length - 1) // (sigma - 1)

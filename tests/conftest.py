@@ -1,8 +1,13 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from sqrtnfa import Nfa, RandomSpec, random_nfa, sqrt_nfa, witness
+from sqrtnfa import cases
+from sqrtnfa.kernels import _case_conditions, _triple_cells
+from sqrtnfa.witness import _PIVOT_L, _PIVOT_M
 
 
 @pytest.fixture(scope="session")
@@ -85,3 +90,33 @@ def first_pair(hit, n):
     return tuple(
         (x // (n * n), (x // n) % n, x % n) for x in divmod(int(np.argmax(hit)), n**3)
     )
+
+
+def _mutant(drop=None, identity_l=False):
+    """A damaged ``case_table``: case ``drop`` never holds, or the left
+    pivot is the identity map (l1 = p1).  Built from the same seven
+    conditions as the real table, so each mutant differs from it only by
+    its one damage."""
+
+    def case_table(n, x1=None, x2=None):
+        (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table")
+        l1 = p1 if identity_l else _PIVOT_L[p1]
+        conds = _case_conditions(p1, q1, r1, p2, q2, r2, l1, _PIVOT_M[p2])
+        kept = [(c, np.uint8(k)) for k, c in enumerate(conds, start=1) if k != drop]
+        return np.select([c for c, _ in kept], [k for _, k in kept], default=np.uint8(0))
+
+    return case_table
+
+
+# the mutation tests of the case checks: each one must be caught
+MUTANTS = {f"drop_case={k}": _mutant(drop=k) for k in range(1, 8)}
+MUTANTS["identity_l=True"] = _mutant(identity_l=True)
+
+
+@contextmanager
+def mutant(name):
+    """``sqrtnfa.cases.case_table``, the table ``verify_cases`` and
+    ``pairwise_contradiction`` read, replaced by ``MUTANTS[name]``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cases, "case_table", MUTANTS[name])
+        yield MUTANTS[name]

@@ -44,6 +44,7 @@ from sqrtnfa import (
     witness_square_table,
     word_to_rank,
 )
+from conftest import MUTANTS, mutant
 
 
 @pytest.fixture()
@@ -135,8 +136,10 @@ def test_exact_bounds_at_n7_and_n8(announce):
 def test_case_table_verification_and_mutations(announce):
     clean6 = verify_cases(6)
     clean7 = verify_cases(7)
-    caught = {f"drop-case={k}": verify_cases(6, drop_case=k) for k in range(1, 8)}
-    caught["identity-l"] = verify_cases(6, identity_l=True)
+    caught = {}
+    for name in MUTANTS:
+        with mutant(name):
+            caught[name] = verify_cases(6)
     missed = sorted(name for name, hit in caught.items() if hit is None)
     ok = clean6 is None and clean7 is None and not missed
     line = announce(

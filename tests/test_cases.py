@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import itertools
 import tracemalloc
 
@@ -7,6 +9,7 @@ import pytest
 from sqrtnfa import (
     BudgetExceededError,
     CASE_COUNT,
+    TripleCodec,
     any_case,
     case_holds,
     case_table,
@@ -17,8 +20,8 @@ from sqrtnfa import (
     verify_cases,
     witness_square_table,
 )
-from sqrtnfa import cases
-from conftest import first_pair
+from sqrtnfa import cases, kernels
+from conftest import MUTANTS, first_pair, mutant
 
 
 def all_triples(n):
@@ -82,9 +85,6 @@ class TestAnyCase:
         assert case_holds(3, (1, 2, 2), (1, 2, 2), 6)
         assert any_case((1, 2, 2), (1, 2, 2), 6) == 1
 
-    def test_drop_case_skips(self):
-        assert any_case((1, 2, 2), (1, 2, 2), 6, drop_case=1) == 3
-
     def test_matches_direct_membership_on_sample(self, witness6):
         rng = np.random.Generator(np.random.PCG64(13))
         for _ in range(500):
@@ -103,20 +103,24 @@ class TestVerifyCases:
 
     def test_every_dropped_case_is_caught(self):
         for k in range(1, CASE_COUNT + 1):
-            cx = verify_cases(6, drop_case=k)
+            with mutant(f"drop_case={k}"):
+                cx = verify_cases(6)
             assert cx is not None, f"dropping case {k} went unnoticed"
             x1, x2 = cx
             # the damaged table must disagree exactly where the dropped
             # case was the only cover
             assert any_case(x1, x2, 6) == k
-            assert any_case(x1, x2, 6, drop_case=k) is None
+            others = set(range(1, CASE_COUNT + 1)) - {k}
+            assert not any(case_holds(c, x1, x2, 6) for c in others)
 
     def test_identity_pivot_is_caught(self):
-        cx = verify_cases(6, identity_l=True)
+        with mutant("identity_l=True"):
+            cx = verify_cases(6)
         assert cx is not None
 
     def test_counterexample_is_lexicographically_first(self):
-        cx = verify_cases(6, drop_case=3)
+        with mutant("drop_case=3"):
+            cx = verify_cases(6)
         assert cx == ((0, 0, 1), (0, 0, 1))
 
     def test_budget(self):
@@ -129,12 +133,13 @@ class TestPairwiseContradiction:
         assert pairwise_contradiction(6) is None
 
     def test_identity_pivot_breaks_condition_two(self):
-        cx = pairwise_contradiction(6, identity_l=True)
+        with mutant("identity_l=True") as table:
+            cx = pairwise_contradiction(6)
         assert cx is not None
         x3, x4 = cx
         assert x3 != x4
-        assert any_case(x3, x4, 6, identity_l=True) is not None
-        assert any_case(x4, x3, 6, identity_l=True) is not None
+        f3, f4 = (TripleCodec(6).encode(*x) for x in (x3, x4))
+        assert table(6, [f3, f4], [f4, f3]).all()
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -150,13 +155,6 @@ def test_case_table_matches_scalar_any_case_row():
             assert table[flat1, flat2] == (any_case(x1, x2, 6) or 0)
 
 
-MUTATIONS = [{"drop_case": k} for k in range(1, CASE_COUNT + 1)] + [{"identity_l": True}]
-
-
-def mutation_id(mutation):
-    return ",".join(f"{k}={v}" for k, v in mutation.items())
-
-
 class TestStripScan:
     """The one pass over the orbit representatives finds the same pair as
     an argmax over whole tables.  At n = 6 and 7 every orbit is a single
@@ -165,21 +163,24 @@ class TestStripScan:
     scan that these tests once forced into 7-row strips.)"""
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
-    @pytest.mark.parametrize("mutation", MUTATIONS, ids=mutation_id)
+    @pytest.mark.parametrize("mutation", list(MUTANTS))
     def test_verify_cases_in_7_row_strips(self, n, mutation):
-        claimed = case_table(n, **mutation)
-        expected = first_pair(witness_square_table(n) != (claimed != 0), n)
-        assert expected is not None
-        assert verify_cases(n, **mutation) == expected
+        with mutant(mutation) as damaged:
+            claimed = damaged(n)
+            expected = first_pair(witness_square_table(n) != (claimed != 0), n)
+            assert expected is not None
+            assert verify_cases(n) == expected
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     @pytest.mark.parametrize("identity_l", [False, True])
-    def test_pairwise_contradiction_in_7_row_strips(self, n, identity_l):
-        table = case_table(n, identity_l=identity_l)
+    def test_pairwise_contradiction_in_7_row_strips(self, monkeypatch, n, identity_l):
+        if identity_l:
+            monkeypatch.setattr(cases, "case_table", MUTANTS["identity_l=True"])
+        table = cases.case_table(n)
         hit = (table != 0) & (table.T != 0)
         np.fill_diagonal(hit, False)
         expected = first_pair(hit, n)
-        assert pairwise_contradiction(n, identity_l=identity_l) == expected
+        assert pairwise_contradiction(n) == expected
 
     @pytest.mark.parametrize("check", [verify_cases, pairwise_contradiction])
     def test_peak_memory_is_bounded_by_the_strip(self, check):
@@ -214,9 +215,10 @@ class TestOrbitPass:
 
             return call
 
+        monkeypatch.setattr(cases, "case_table", MUTANTS["identity_l=True"])
         for name in ("witness_square_table", "case_table"):
             monkeypatch.setattr(cases, name, recording(getattr(cases, name)))
-        assert check(13, identity_l=True) is not None
+        assert check(13) is not None
         assert sizes == [163_967, 163_967]
 
 
@@ -237,10 +239,51 @@ PINNED_CROSSING = ((0, 0, 1), (0, 1, 0))
 
 @pytest.mark.parametrize("n", [*range(8, 15), 32])
 class TestPinnedCounterexamples:
-    @pytest.mark.parametrize("mutation", MUTATIONS, ids=mutation_id)
+    @pytest.mark.parametrize("mutation", list(MUTANTS))
     def test_verify_cases(self, n, mutation):
-        found = verify_cases(n, budget=n**6, **mutation)
-        assert found == PINNED_VERIFY_CASES[mutation_id(mutation)]
+        with mutant(mutation):
+            found = verify_cases(n, budget=n**6)
+        assert found == PINNED_VERIFY_CASES[mutation]
 
     def test_pairwise_contradiction(self, n):
-        assert pairwise_contradiction(n, identity_l=True, budget=n**6) == PINNED_CROSSING
+        with mutant("identity_l=True"):
+            assert pairwise_contradiction(n, budget=n**6) == PINNED_CROSSING
+
+
+# sha256 of each whole damaged table that case_table's former damage
+# parameters built (``drop_case=k`` and ``identity_l=True``), at n = 6, 7
+PINNED_MUTANT_TABLES = {
+    (6, "drop_case=1"): "f531b034d157ec7102bf3e6e68e44489e2b8777050a655539fc2603c893a58c9",
+    (6, "drop_case=2"): "da9aa4ddcf6c6c07aacc9abaa398120b61fb793831d17e4e253613c3c2a10b88",
+    (6, "drop_case=3"): "0195e3f5829854846bc150a54eaeff633462d96c1d917bf36a89fc3633ae650a",
+    (6, "drop_case=4"): "8fe3819ac000feadb4be7c53a2610c3ad323d428ec8f50f341594097fab4b553",
+    (6, "drop_case=5"): "0f4c89bb4e6e1aaa705807909af0ab214bf91e05ab69c305ae0e56b936b5640a",
+    (6, "drop_case=6"): "4d03530dbdbd4c751768124e9e51903fe6b3377775c5deef916c07ef23307779",
+    (6, "drop_case=7"): "601a6c634e976ca9a82c688a2903d77dbf2207961af1f84d45d125d5da1234ff",
+    (6, "identity_l=True"): "af30c11e87cf802d2b39e8e49da879b7d45d012889f9f9d95c4d48a1a696982c",
+    (7, "drop_case=1"): "fa490648e016df62b3601af87e6705bb93a91f9cff7d18fdf85efe299a0d1041",
+    (7, "drop_case=2"): "f4597154ff05e144033a13520bafa17244967f2352faca461da829b73debc4b9",
+    (7, "drop_case=3"): "3f6aa23275b904f37e4784ddb4ca99f208564ac2f9b552328dedcd3c6d5ac844",
+    (7, "drop_case=4"): "9bdbadec57c6d6618036cd61b2419bdc3e85e95780cf904e7b9c00de59fa1de3",
+    (7, "drop_case=5"): "25551e0f3e6a0597a70d7d75c9bb12202654b65c7f827923b87f384ebaa82a9e",
+    (7, "drop_case=6"): "42efa958ee3eaf62370f654ba929a256146be891c38ad6b207112a2de1f7b27c",
+    (7, "drop_case=7"): "606ab156b71a4a9c2ef6e67ebb41af0fdf8d723955f0b162471dfbd9a1e980e6",
+    (7, "identity_l=True"): "6c05b9bdc420b9b2741935f3150f5da300d39869a9def6fb5ee13ecaf55c596c",
+}
+
+
+@pytest.mark.parametrize("n, mutation", sorted(PINNED_MUTANT_TABLES))
+def test_mutants_reproduce_the_former_damage_parameters(n, mutation):
+    table = MUTANTS[mutation](n)
+    assert table.dtype == np.uint8 and table.shape == (n**3, n**3)
+    digest = hashlib.sha256(table.tobytes()).hexdigest()
+    assert digest == PINNED_MUTANT_TABLES[n, mutation]
+
+
+@pytest.mark.parametrize(
+    "function",
+    [case_holds, any_case, kernels.case_table, verify_cases, pairwise_contradiction],
+)
+def test_the_library_has_no_damage_parameters(function):
+    # the damaged tables are the test mutants of conftest.py
+    assert not {"drop_case", "identity_l"} & set(inspect.signature(function).parameters)

@@ -15,7 +15,6 @@ from sqrtnfa import (
     Violation,
     accept_table,
     case_holds,
-    case_table,
     count_words,
     determinize,
     iter_words,
@@ -27,7 +26,6 @@ from sqrtnfa import (
     rank_to_word,
     reach,
     triple_labels,
-    verify_cases,
     witness,
     word_to_rank,
 )
@@ -154,6 +152,7 @@ def test_codecs_refuse_non_integers(call):
         lambda: case_holds(1, (0, 0, 0), (0, 2.5, 0), 6),
         lambda: witness(2.5),
         lambda: level_offset(2.5, 1),
+        lambda: level_offset(2, 2.5),
         lambda: count_words(2, 2.5),
         lambda: list(iter_words(2, 2.5)),
         lambda: word_to_rank(2, (2.5,)),
@@ -162,8 +161,6 @@ def test_codecs_refuse_non_integers(call):
         lambda: RandomSpec(seed=2.5),
         lambda: RandomSpec(seed=1, max_states=2.5),
         lambda: RandomSpec(seed=1, alphabet_size=2.5),
-        lambda: case_table(6, drop_case=2.5),
-        lambda: verify_cases(6, drop_case=2.5),
         lambda: pivot_l(2.5),
         lambda: pivot_m(2.5),
         lambda: letter_name("a", (0, 0, 2.5)),
@@ -174,10 +171,10 @@ def test_codecs_refuse_non_integers(call):
         "nfa-count", "nfa-initial", "nfa-final", "dfa-count", "dfa-initial",
         "dfa-final", "dfa-target", "dfa-run", "reach-state", "reach-letter", "member",
         "targets-state", "targets-letter", "codec-n", "encode", "decode", "triple_labels",
-        "case-id", "case-triple", "witness-n", "level_offset", "count_words", "iter_words",
-        "word_to_rank", "rank_to_word", "walk-max_len", "spec-seed", "spec-max_states",
-        "spec-alphabet_size", "case_table-drop_case", "verify_cases-drop_case", "pivot_l",
-        "pivot_m", "letter_name", "violation-i", "violation-j",
+        "case-id", "case-triple", "witness-n", "level_offset", "level_offset-length",
+        "count_words", "iter_words", "word_to_rank", "rank_to_word", "walk-max_len",
+        "spec-seed", "spec-max_states", "spec-alphabet_size", "pivot_l", "pivot_m",
+        "letter_name", "violation-i", "violation-j",
     ],
 )
 def test_every_gated_argument_refuses_a_float(call):

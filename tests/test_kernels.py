@@ -95,9 +95,9 @@ class TestTableForms:
         rows = np.array([[0], [17], [215]])
         cols = np.arange(216)[None, :]
         truth = witness_square_table(6)[rows, cols]
-        claimed = case_table(6, identity_l=True)[rows, cols]
+        claimed = case_table(6)[rows, cols]
         assert (witness_square_table(6, rows, cols) == truth).all()
-        assert (case_table(6, 0, True, rows, cols) == claimed).all()
+        assert (case_table(6, rows, cols) == claimed).all()
 
     @pytest.mark.parametrize("x1, x2", [([-1], [0]), ([216], [0]), ([0], [-1]), ([3], [216])])
     def test_flat_indices_out_of_range_rejected(self, x1, x2):
@@ -133,20 +133,6 @@ class TestCaseTable:
             t2 = (x2 // 36, (x2 // 6) % 6, x2 % 6)
             expected = any_case(t1, t2, 6) or 0
             assert table[x1, x2] == expected, (t1, t2)
-
-    def test_drop_case_validated(self):
-        with pytest.raises(ValueError):
-            case_table(6, drop_case=8)
-        with pytest.raises(ValueError):
-            case_table(6, drop_case=-1)
-
-    def test_drop_case_only_removes_that_case(self):
-        full = case_table(6)
-        for drop in range(1, 8):
-            dropped = case_table(6, drop_case=drop)
-            changed = full != dropped
-            assert (full[changed] == drop).all()
-            assert (dropped[full == drop] != drop).all()
 
 
 class TestAcceptTables:

@@ -32,7 +32,7 @@ from sqrtnfa import (
 from sqrtnfa import fooling, kernels
 from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa.kernels import orbit_cells, orbit_count
-from conftest import first_pair, orbit_mask
+from conftest import MUTANTS, first_pair, mutant, orbit_mask
 
 ORBITS = 163_967
 
@@ -90,11 +90,9 @@ class TestSymmetryLemma:
         x1, x2 = [flat(cell[:3], n)], [flat(cell[3:], n)]
         y1, y2 = [flat(image[:3], n)], [flat(image[3:], n)]
         assert witness_square_table(n, x1, x2) == witness_square_table(n, y1, y2)
-        for drop_case in range(8):
-            for identity_l in (False, True):
-                assert case_table(n, drop_case, identity_l, x1, x2) == case_table(
-                    n, drop_case, identity_l, y1, y2
-                ), (drop_case, identity_l)
+        # the damaged tables go through the orbit screen too
+        for name, table in [("case_table", case_table), *MUTANTS.items()]:
+            assert table(n, x1, x2) == table(n, y1, y2), name
 
 
 class TestOrbitEnumerator:
@@ -182,16 +180,16 @@ class TestOrbitEnumerator:
             orbit_cells(12)
 
 
-MUTATIONS = [{}] + [{"drop_case": k} for k in range(1, 8)] + [{"identity_l": True}]
-
-
 def all_checks(n):
     budget = n**6
-    return (
-        [certify_lower_bound(n).violation]
-        + [verify_cases(n, budget=budget, **m) for m in MUTATIONS]
-        + [pairwise_contradiction(n, identity_l=i, budget=budget) for i in (False, True)]
-    )
+    checks = [certify_lower_bound(n).violation, verify_cases(n, budget=budget)]
+    for name in MUTANTS:
+        with mutant(name):
+            checks.append(verify_cases(n, budget=budget))
+    checks.append(pairwise_contradiction(n, budget=budget))
+    with mutant("identity_l=True"):
+        checks.append(pairwise_contradiction(n, budget=budget))
+    return checks
 
 
 def whole_grid_checks(n):
@@ -200,10 +198,10 @@ def whole_grid_checks(n):
     truth = witness_square_table(n)
     clash = first_pair(np.triu(truth & truth.T, 1), n)
     checks = [None if clash is None else Violation("cond2", *(flat(x, n) + 1 for x in clash))]
-    for m in MUTATIONS:
-        checks.append(first_pair(truth != (case_table(n, **m) != 0), n))
-    for identity_l in (False, True):
-        claimed = case_table(n, identity_l=identity_l) != 0
+    for table in (case_table, *MUTANTS.values()):
+        checks.append(first_pair(truth != (table(n) != 0), n))
+    for table in (case_table, MUTANTS["identity_l=True"]):
+        claimed = table(n) != 0
         checks.append(first_pair(np.triu(claimed & claimed.T, 1), n))
     return checks
 

@@ -23,6 +23,12 @@ def test_level_offsets_unary():
     assert [level_offset(1, k) for k in range(4)] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("sigma", [1, 2])
+def test_level_offset_refuses_a_negative_length(sigma):
+    with pytest.raises(ValueError, match="^length -3 out of range$"):
+        level_offset(sigma, -3)
+
+
 def test_count_words():
     assert count_words(3, 0) == 1
     assert count_words(3, 2) == 13
