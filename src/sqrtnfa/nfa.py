@@ -5,18 +5,22 @@ an ordered alphabet of distinct names.  NFA transition relations may be
 partial and nondeterministic; a missing (state, letter) entry means the
 empty successor set, with no implicit sink.  Every operation here is a
 pure function of its inputs and automata are immutable after construction,
-so shared instances are safe to use concurrently: the successor rows are
-built on first use, and a concurrent first use can at worst build a pure
-row twice.
+so shared instances are safe to use concurrently: the successor rows and
+columns are built on first use, and a concurrent first use can at worst
+build a pure row or column twice.
 
 An ``Nfa`` holds its relation as one sorted, read-only ``(k, 3)`` int64
 array of (source, letter, target) rows, validated with array operations;
 ``Nfa.transitions`` is a :class:`Relation` view of it that reads like the
-tuple of triples.  A set of states is simulated as an int bitmask stepped
-through ``_succ``; that one step serves ``reach``, the subset and pair
-explorations, and the accept tables, which flag every word up to a length
-in rank order (see :mod:`sqrtnfa.words`).  There is no state cap: masks
-are Python ints.
+tuple of triples.  A set of states is simulated as an int bitmask, stepped
+by one of two lanes, one per access pattern.  A step on one letter
+(``reach``, ``member``, ``targets``, ``square_accept_table``) reads that
+letter's row of ``_succ``.  A step on every letter at once (``_stepper``:
+``determinize``, the pair walk of ``equivalent``, ``difference_witness``
+and ``bounded_equal``, and ``accept_table``, which flags every word up to
+a length in rank order, see :mod:`sqrtnfa.words`) ORs the packed
+all-letter columns of ``_columns`` and splits the result once.  There is
+no state cap: masks are Python ints.
 """
 
 from __future__ import annotations
@@ -86,7 +90,8 @@ class Relation(Sequence):
 class _SuccessorRows(Sequence):
     """Per letter, a dict from source state to its successor set as an int
     bitmask; a row is built on its first access, from one letter-sorted
-    copy of the relation's source and target columns."""
+    copy of the relation's source and target columns.  This is the
+    one-letter lane: a step reads one row, one lookup per set bit."""
 
     def __init__(self, relation: np.ndarray, sigma: int):
         letters = relation[:, 1]
@@ -113,6 +118,30 @@ class _SuccessorRows(Sequence):
         return map(self.__getitem__, range(len(self._rows)))
 
 
+class _SuccessorColumns:
+    """Per state, its successors on every letter packed in one int: byte
+    field ``a`` of a column (``width`` = ceil(n/8) bytes, little-endian)
+    holds the successor mask on letter ``a``.  A column is built on its
+    first use from the state's rows of the sorted relation.  This is the
+    all-letter lane: a step ORs one column per set bit, then splits."""
+
+    def __init__(self, relation: np.ndarray, n: int, sigma: int):
+        self._relation = relation
+        self._ends = np.bincount(relation[:, 0], minlength=n).cumsum().tolist()
+        self.width = -(-n // 8)
+        self.size = sigma * self.width
+        self.built: list[int | None] = [None] * n
+
+    def build(self, state: int) -> int:
+        start = self._ends[state - 1] if state else 0
+        letters, targets = self._relation[start : self._ends[state], 1:].T.tolist()
+        packed, width = bytearray(self.size), self.width
+        for a, t in zip(letters, targets):
+            packed[a * width + (t >> 3)] |= 1 << (t & 7)
+        column = self.built[state] = int.from_bytes(packed, "little")
+        return column
+
+
 @dataclass(frozen=True)
 class Nfa:
     """Nondeterministic finite automaton over named letters.
@@ -123,10 +152,13 @@ class Nfa:
     validated like any other and kept without a copy when it is already
     a ``(k, 3)`` int64 array.  It is kept as a
     :class:`Relation` over one sorted int64 array.
-    Every walk reads the successor rows ``_succ``: per letter, a dict from
-    source state to its successor set as an int bitmask, each row built on
-    its first access.  They are sparse because witness-style alphabets are
-    large (thousands of letters) but touch only a couple of states each.
+    A one-letter step reads the successor rows ``_succ``: per letter, a
+    dict from source state to its successor set as an int bitmask, each
+    row built on its first access.  They are sparse because witness-style
+    alphabets are large (thousands of letters) but touch only a couple of
+    states each.  A step on every letter reads the successor columns
+    ``_columns``: per state, the successor masks on all letters packed in
+    one int, each column built on its first use.
     """
 
     n_states: int
@@ -157,6 +189,10 @@ class Nfa:
     def _succ(self) -> _SuccessorRows:
         # written to the instance __dict__, not a field: not in ==, hash, repr
         return _SuccessorRows(self.transitions.array, len(self.alphabet))
+
+    @cached_property
+    def _columns(self) -> _SuccessorColumns:
+        return _SuccessorColumns(self.transitions.array, self.n_states, len(self.alphabet))
 
     def letter_index(self, name: str) -> int:
         try:
@@ -287,6 +323,9 @@ def _checked_alphabet(alphabet) -> tuple[str, ...]:
     alphabet = tuple(alphabet)
     if not alphabet:
         raise ValueError("alphabet must be non-empty")
+    if _plain_names(alphabet):
+        return alphabet
+    # some name is bad: find the first, one name at a time
     names: set[str] = set()
     for name in alphabet:
         if not isinstance(name, str) or not name or name.split() != [name] or "#" in name:
@@ -295,6 +334,21 @@ def _checked_alphabet(alphabet) -> tuple[str, ...]:
             raise ValueError(f"duplicate letter name {name!r}")
         names.add(name)
     return alphabet
+
+
+def _plain_names(alphabet: tuple) -> bool:
+    """Whether every name is a ``str``, non-empty, free of whitespace and
+    ``#``, and distinct, checked in a few passes at C speed: joined by
+    spaces, the names split back into themselves exactly when each is
+    non-empty and has no whitespace."""
+    if set(map(type, alphabet)) != {str}:
+        return False
+    joined = " ".join(alphabet)
+    return (
+        "#" not in joined
+        and joined.split() == list(alphabet)
+        and len(set(alphabet)) == len(alphabet)
+    )
 
 
 def _checked_state_count(n: int) -> int:
@@ -326,9 +380,25 @@ def _mask_step(mask: int, succ: dict[int, int]) -> int:
 
 
 def _stepper(nfa: Nfa):
-    """Map a state set's mask to its successor masks, in letter order."""
-    succ = list(nfa._succ)
-    return lambda mask: [_mask_step(mask, row) for row in succ]
+    """Map a state set's mask to its successor masks, in letter order: the
+    OR of the set's successor columns, split once into byte fields."""
+    index = nfa._columns
+    built, build, size, width = index.built, index.build, index.size, index.width
+    fields = [slice(i, i + width) for i in range(0, size, width)]
+    from_bytes = int.from_bytes
+
+    def step(mask: int) -> list[int]:
+        out = 0
+        while mask:
+            low = mask & -mask
+            state = low.bit_length() - 1
+            column = built[state]
+            out |= build(state) if column is None else column
+            mask ^= low
+        packed = out.to_bytes(size, "little")
+        return [from_bytes(packed[field], "little") for field in fields]
+
+    return step
 
 
 def step_set(nfa: Nfa, states: set[int] | frozenset[int], a: int) -> set[int]:

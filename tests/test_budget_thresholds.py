@@ -130,6 +130,10 @@ def test_refused_up_front_phases_allocate_nothing_of_their_size():
     auto = witness(6)
     det = determinize(auto)
     words = count_words(len(auto.alphabet), 3)
+    # 512 states over 1024 letters: its packed successor columns are 64 KB
+    # each, 32 MB if they were built before the walk is charged
+    wide = sqrt_nfa(witness(8))
+    wide_words = count_words(len(wide.alphabet), 2)
     cells = orbit_count(32)
     calls = {
         "fooling set pairs": lambda: certify_lower_bound(32, 32**3 - 1),
@@ -143,5 +147,6 @@ def test_refused_up_front_phases_allocate_nothing_of_their_size():
         lambda: square_accept_table(auto, 3, words - 1),
         lambda: dfa_accept_table(det, 3, words - 1),
         lambda: bounded_equal(auto, auto, 3, words - 1),
+        lambda: accept_table(wide, 2, wide_words - 1),
     ):
         assert refused_peak(table, "word tree words") < REFUSAL_PEAK

@@ -13,6 +13,7 @@ from sqrtnfa import (
     Dfa,
     Nfa,
     RandomSpec,
+    accept_table,
     bounded_equal,
     determinize,
     dfa_to_nfa,
@@ -27,7 +28,7 @@ from sqrtnfa import (
     trim,
     witness,
 )
-from sqrtnfa.nfa import Relation
+from sqrtnfa.nfa import Relation, _mask_step, _stepper
 from conftest import NFA_AA, make_nfa, nfas, random_word
 
 
@@ -263,8 +264,53 @@ class TestReachability:
         assert reach(a, s, u + v) == reach(a, reach(a, s, u), v)
 
 
+@st.composite
+def byte_boundary_nfas(draw):
+    """Automata whose packed successor fields are 1 or 2 bytes, full or
+    one state over: 7, 8, 9, 16 or 17 states, 1 to 3 letters."""
+    n = draw(st.sampled_from([7, 8, 9, 16, 17]))
+    sigma = draw(st.integers(1, 3))
+    triples = draw(
+        st.sets(
+            st.tuples(
+                st.integers(0, n - 1), st.integers(0, sigma - 1), st.integers(0, n - 1)
+            ),
+            max_size=60,
+        )
+    )
+    return make_nfa(n, sigma, sorted(triples), {0}, {n - 1})
+
+
+def agrees_under_threads(route) -> None:
+    """``route(a)`` on one automaton shared by 6 threads, each a first use
+    of its successor index, equals ``route`` on a fresh copy, for 10
+    random automata."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(10):
+            spec = RandomSpec(seed=seed, max_states=4, alphabet_size=3)
+            expected = route(random_nfa(spec))
+            shared = random_nfa(spec)
+            results = [None] * 6
+
+            def run(k):
+                results[k] = route(shared)
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert results == [expected] * 6
+    finally:
+        sys.setswitchinterval(old)
+
+
 class TestSuccessorIndex:
-    """The one successor index every walk reads, against the raw relation."""
+    """The successor index of each lane, rows for one letter and columns
+    for all letters, against the raw relation."""
 
     def test_built_on_first_use_only(self, witness6):
         fresh = make_nfa(3, 1, [(0, 0, 1), (0, 0, 2), (1, 0, 2)], {0}, {2})
@@ -272,9 +318,29 @@ class TestSuccessorIndex:
             "n_states", "alphabet", "initial", "final", "transitions"
         ]
         assert "_succ" not in sqrt_nfa(witness6).__dict__
+        assert "_columns" not in sqrt_nfa(witness6).__dict__
         assert "_succ" not in fresh.__dict__
         assert fresh.targets(0, 0) == (1, 2)
         assert "_succ" in fresh.__dict__
+        assert "_columns" not in fresh.__dict__
+        determinize(fresh)
+        assert "_columns" in fresh.__dict__
+
+    def test_columns_built_only_for_states_read(self, witness6):
+        cube = sqrt_nfa(witness6)
+        accept_table(cube, 1)
+        built = [s for s, column in enumerate(cube._columns.built) if column is not None]
+        assert built == sorted(cube.initial)
+        assert "_succ" not in cube.__dict__
+
+    @settings(max_examples=200)
+    @given(st.one_of(nfas(), byte_boundary_nfas()), st.data())
+    def test_packed_step_agrees_with_rows(self, a, data):
+        full = (1 << a.n_states) - 1
+        drawn = data.draw(st.lists(st.integers(0, full), max_size=8))
+        step = _stepper(a)
+        for mask in [0, full, *drawn]:
+            assert step(mask) == [_mask_step(mask, row) for row in a._succ]
 
     def test_rows_built_only_for_letters_read(self, witness6):
         cube = sqrt_nfa(witness6)
@@ -287,27 +353,10 @@ class TestSuccessorIndex:
 
     def test_concurrent_first_use_agrees(self):
         words = [w for k in range(4) for w in itertools.product(range(3), repeat=k)]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for seed in range(10):
-                spec = RandomSpec(seed=seed, max_states=4, alphabet_size=3)
-                expected = [member(random_nfa(spec), w) for w in words]
-                shared = random_nfa(spec)
-                results = [None] * 6
+        agrees_under_threads(lambda a: [member(a, w) for w in words])
 
-                def run(k):
-                    results[k] = [member(shared, w) for w in words]
-
-                threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-                    assert not t.is_alive()
-                assert results == [expected] * 6
-        finally:
-            sys.setswitchinterval(old)
+    def test_concurrent_first_use_of_columns_agrees(self):
+        agrees_under_threads(lambda a: (determinize(a), accept_table(a, 3).tolist()))
 
     @settings(max_examples=200)
     @given(nfas(), st.data())
@@ -331,8 +380,9 @@ class TestSuccessorIndex:
             for w in itertools.product(range(sigma), repeat=length):
                 assert dfa.member(w) == member(a, w)
 
-        # the index lives outside the dataclass fields
+        # both indexes live outside the dataclass fields
         assert "_succ" in a.__dict__
+        assert "_columns" in a.__dict__
         assert a == copy
         assert hash(a) == hash(copy)
         assert repr(a) == repr(copy)
