@@ -7,13 +7,7 @@ of those n^3 states, and machine-checks the matching lower bound through
 an executable fooling-set certificate.
 """
 
-from .cases import (
-    CASE_COUNT,
-    any_case,
-    case_holds,
-    pairwise_contradiction,
-    verify_cases,
-)
+from .cases import case_holds, pairwise_contradiction, verify_cases
 from .cli import Report, main, run_report
 from .config import DEFAULT_BUDGET, effective_budget
 from .errors import BudgetExceededError, FormatError, VerificationError
@@ -41,33 +35,29 @@ from .nfa import (
     member,
     reach,
     square_accept_table,
-    step_set,
     trim,
 )
-from .oracle import FnState, RandomSpec, random_nfa, sqrt_dfa, sqrt_member_direct
+from .oracle import RandomSpec, random_nfa, sqrt_dfa, sqrt_member_direct
 from .sqrt import TripleCodec, reachable_triples, sqrt_nfa, triple_labels
 from .textio import emit_nfa, parse_nfa
 from .witness import (
     FINAL_BLOCK,
     INITIAL_BLOCK,
     MIN_STATES,
-    letter_name,
     pivot_l,
     pivot_m,
     witness,
     witness_alphabet,
 )
-from .words import count_words, iter_words, rank_to_word, word_to_rank
+from .words import count_words, rank_to_word
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CASE_COUNT",
     "DEFAULT_BUDGET",
     "Dfa",
     "FINAL_BLOCK",
-    "FnState",
     "FoolingReport",
     "FoolingSet",
     "FormatError",
@@ -81,7 +71,6 @@ __all__ = [
     "Violation",
     "Word",
     "accept_table",
-    "any_case",
     "bounded_equal",
     "case_holds",
     "case_table",
@@ -95,8 +84,6 @@ __all__ = [
     "emit_nfa",
     "enumerate_words",
     "equivalent",
-    "iter_words",
-    "letter_name",
     "main",
     "member",
     "witness_fooling_set",
@@ -113,7 +100,6 @@ __all__ = [
     "sqrt_member_direct",
     "sqrt_nfa",
     "square_accept_table",
-    "step_set",
     "trim",
     "triple_labels",
     "verify_cases",
@@ -121,5 +107,4 @@ __all__ = [
     "witness",
     "witness_alphabet",
     "witness_square_table",
-    "word_to_rank",
 ]

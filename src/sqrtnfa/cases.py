@@ -52,14 +52,6 @@ def case_holds(case: int, x1: Triple, x2: Triple, n: int) -> bool:
     return p1 == m2 and r1 == q2 and q1 == r2 and p2 in FINAL_BLOCK
 
 
-def any_case(x1: Triple, x2: Triple, n: int) -> int | None:
-    """Lowest case number that holds for the pair, or None."""
-    for case in range(1, CASE_COUNT + 1):
-        if case_holds(case, x1, x2, n):
-            return case
-    return None
-
-
 def verify_cases(n: int, budget: int | None = None) -> tuple[Triple, Triple] | None:
     """Compare the case table with the square truth table on all n^6 pairs.
 

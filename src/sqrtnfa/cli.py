@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cases import verify_cases
-from .config import charge, check_int, effective_budget
+from .config import DEFAULT_BUDGET, charge, check_int
 from .errors import BudgetExceededError, FormatError, VerificationError
 from .fooling import FoolingSet, certify_lower_bound, verify_fooling
 from .nfa import (
@@ -280,7 +280,7 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="override the state/pair budget (default from SQRTNFA_BUDGET or "
-        f"{effective_budget()})",
+        f"{DEFAULT_BUDGET})",
     )
 
 

@@ -14,10 +14,10 @@ array of (source, letter, target) rows, validated with array operations;
 ``Nfa.transitions`` is a :class:`Relation` view of it that reads like the
 tuple of triples.  A set of states is simulated as an int bitmask, stepped
 by one of two lanes, one per access pattern.  A step on one letter
-(``reach``, ``member``, ``targets``, ``square_accept_table``) reads that
-letter's row of ``_succ``.  A step on every letter at once (``_stepper``:
-``determinize``, the pair walk of ``equivalent``, ``difference_witness``
-and ``bounded_equal``, and ``accept_table``, which flags every word up to
+(``reach``, ``member``, ``targets``) reads that letter's row of ``_succ``.
+A step on every letter at once (``_stepper``: ``determinize``, the pair
+walk of ``equivalent``, ``difference_witness`` and ``bounded_equal``, and
+``accept_table`` and ``square_accept_table``, which flag every word up to
 a length in rank order, see :mod:`sqrtnfa.words`) ORs the packed
 all-letter columns of ``_columns`` and splits the result once.  There is
 no state cap: masks are Python ints.
@@ -113,9 +113,6 @@ class _SuccessorRows(Sequence):
                 row[src] = row.get(src, 0) | 1 << dst
             self._rows[letter] = row
         return row
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self._rows)))
 
 
 class _SuccessorColumns:
@@ -401,11 +398,6 @@ def _stepper(nfa: Nfa):
     return step
 
 
-def step_set(nfa: Nfa, states: set[int] | frozenset[int], a: int) -> set[int]:
-    """One step of the extended transition function on a set of states."""
-    return reach(nfa, states, (a,))
-
-
 def reach(nfa: Nfa, states: set[int] | frozenset[int], word: Word) -> set[int]:
     """States reachable from ``states`` after reading ``word`` (epsilon = identity)."""
     # as ints: a numpy integer would not widen past 64 bits in a mask
@@ -611,7 +603,7 @@ def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np
     state, and ww is accepted when applying it twice to the initial set
     meets a final state.
     """
-    succ = list(nfa._succ)
+    step = _stepper(nfa)
     init, fin = _mask(nfa.initial), _mask(nfa.final)
 
     def accepting(rel: tuple[int, ...]) -> int:
@@ -620,9 +612,10 @@ def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np
 
     return walk_word_tree(
         tuple(1 << s for s in range(nfa.n_states)),
-        lambda rel: [tuple(_mask_step(m, row) for m in rel) for row in succ],
+        # each state's image stepped on every letter, regrouped by letter
+        lambda rel: list(zip(*map(step, rel))),
         accepting,
-        len(succ),
+        len(nfa.alphabet),
         max_len,
         budget,
     )

@@ -17,9 +17,6 @@ from .config import check_int
 from .nfa import Dfa, Nfa, Word, member
 from .words import explore
 
-# a DFA self-map: entry q is the state reached from q by the word read so far
-FnState = tuple[int, ...]
-
 
 def sqrt_member_direct(nfa: Nfa, word: Word) -> bool:
     """Square-root membership by definition: does the automaton accept ww?"""
@@ -29,10 +26,12 @@ def sqrt_member_direct(nfa: Nfa, word: Word) -> bool:
 def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
     """Deterministic automaton for the square root of a DFA's language.
 
-    States are the self-maps of the input DFA reachable from the identity;
-    reading letter ``a`` post-composes with that letter's action.  The map
-    f accepts iff f(f(start)) is final: f(start) is where the first copy of
-    the word ends, and applying f again runs the second copy from there.
+    States are the self-maps of the input DFA reachable from the identity,
+    each a tuple whose entry q is the state reached from q by the word
+    read so far; reading letter ``a`` post-composes with that letter's
+    action.  The map f accepts iff f(f(start)) is final: f(start) is where
+    the first copy of the word ends, and applying f again runs the second
+    copy from there.
 
     The state count can explode combinatorially, so ``budget`` caps the
     reachable maps actually materialized.

@@ -76,18 +76,11 @@ _PIVOT_M = np.array([pivot_m(p) for p in range(MAX_STATES)], dtype=np.uint16)
 _LETTER_NAME = "{}[{},{},{}]"
 
 
-def letter_name(kind: str, triple: tuple[int, int, int]) -> str:
-    if kind not in ("a", "b"):
-        raise ValueError(f"letter kind must be 'a' or 'b', got {kind!r}")
-    p, q, r = (check_int(v, "letter payload entry", 0) for v in triple)
-    return _LETTER_NAME.format(kind, p, q, r)
-
-
 def witness_alphabet(n: int) -> tuple[str, ...]:
     """Canonical alphabet order: all a-letters by lexicographic payload,
     then all b-letters.  The flat payload index of (p,q,r) is p*n^2+q*n+r,
     so letter indices are reproducible across runs and languages."""
-    # the payloads come from range(n), so letter_name's checks are skipped
+    # kind and payloads come from "ab" and range(n), so no name is checked
     return tuple(starmap(_LETTER_NAME.format, product("ab", range(n), range(n), range(n))))
 
 

@@ -2,14 +2,14 @@
 
 Words are tuples of letter indices.  Rank 0 is the empty word, followed by
 all length-1 words in letter order, then length-2, and so on.  The
-acceptance tables of :mod:`sqrtnfa.nfa` are indexed by this rank.  These
-helpers map between ranks and words; :func:`walk_word_tree` is the one walk that
-builds such tables.  :func:`explore`, the one breadth-first numbering of
-reachable nodes, serves it, the subset, function and product automata,
-and ``trim``.
+acceptance tables of :mod:`sqrtnfa.nfa` are indexed by this rank, and
+:func:`rank_to_word` reads a word off its rank; :func:`walk_word_tree` is
+the one walk that builds such tables.  :func:`explore`, the one
+breadth-first numbering of reachable nodes, serves it, the subset,
+function and product automata, and ``trim``.
 """
 
-from collections.abc import Callable, Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -32,13 +32,6 @@ def count_words(sigma: int, max_len: int) -> int:
     return level_offset(sigma, check_int(max_len, "max_len", 0) + 1)
 
 
-def word_to_rank(sigma: int, word: Word) -> int:
-    value = 0
-    for a in word:
-        value = value * sigma + check_int(a, "letter index", 0, sigma)
-    return level_offset(sigma, len(word)) + value
-
-
 def rank_to_word(sigma: int, rank: int) -> Word:
     rank = check_int(rank, "rank", 0)
     length = 0
@@ -50,21 +43,6 @@ def rank_to_word(sigma: int, rank: int) -> Word:
         digits[i] = value % sigma
         value //= sigma
     return tuple(digits)
-
-
-def iter_words(sigma: int, max_len: int) -> Iterator[Word]:
-    """All words of length <= max_len in length-lexicographic order."""
-    check_int(max_len, "max_len", 0)
-    level: list[Word] = [()]
-    yield ()
-    for _ in range(max_len):
-        nxt: list[Word] = []
-        for w in level:
-            for a in range(sigma):
-                wa = w + (a,)
-                nxt.append(wa)
-                yield wa
-        level = nxt
 
 
 def explore(

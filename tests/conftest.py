@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sqrtnfa import Nfa, RandomSpec, random_nfa, sqrt_nfa, witness
 from sqrtnfa import cases
+from sqrtnfa.cases import CASE_COUNT, case_holds
 from sqrtnfa.kernels import _case_conditions, _triple_cells
 from sqrtnfa.witness import _PIVOT_L, _PIVOT_M
 
@@ -45,6 +46,25 @@ def make_nfa(n, sigma, triples, initial, final):
 
 
 NFA_AA = make_nfa(3, 1, [(0, 0, 1), (1, 0, 2)], {0}, {2})
+
+
+def iter_words(sigma, max_len):
+    """All words of length <= max_len in length-lexicographic order: the
+    reference for the rank order of every acceptance table."""
+    level = [()]
+    yield ()
+    for _ in range(max_len):
+        level = [w + (a,) for w in level for a in range(sigma)]
+        yield from level
+
+
+def any_case(x1, x2, n):
+    """Lowest case number that holds for the pair, or None: the scalar
+    scan over ``case_holds`` that the case table must equal."""
+    for case in range(1, CASE_COUNT + 1):
+        if case_holds(case, x1, x2, n):
+            return case
+    return None
 
 
 @st.composite

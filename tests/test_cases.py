@@ -8,9 +8,7 @@ import pytest
 
 from sqrtnfa import (
     BudgetExceededError,
-    CASE_COUNT,
     TripleCodec,
-    any_case,
     case_holds,
     case_table,
     member,
@@ -21,7 +19,8 @@ from sqrtnfa import (
     witness_square_table,
 )
 from sqrtnfa import cases, kernels
-from conftest import MUTANTS, first_pair, mutant
+from sqrtnfa.cases import CASE_COUNT
+from conftest import MUTANTS, any_case, first_pair, mutant
 
 
 def all_triples(n):
@@ -282,7 +281,7 @@ def test_mutants_reproduce_the_former_damage_parameters(n, mutation):
 
 @pytest.mark.parametrize(
     "function",
-    [case_holds, any_case, kernels.case_table, verify_cases, pairwise_contradiction],
+    [case_holds, kernels.case_table, verify_cases, pairwise_contradiction],
 )
 def test_the_library_has_no_damage_parameters(function):
     # the damaged tables are the test mutants of conftest.py

@@ -291,6 +291,14 @@ class TestReport:
         code, _, err = run(capsys, "report", "--n", "6", "--budget", "100")
         assert code == 3
 
+    def test_a_bad_budget_variable_is_a_usage_error(self, capsys, monkeypatch):
+        # only a command that charges the budget reads the variable
+        monkeypatch.setenv(BUDGET_ENV, "abc")
+        code, out, err = run(capsys, "report", "--n", "6")
+        assert (code, out) == (2, "")
+        assert err == "error: SQRTNFA_BUDGET must be an integer, got 'abc'\n"
+        assert run(capsys, "witness", "--n", "6")[0] == 0
+
     def test_default_budget(self, capsys, monkeypatch):
         monkeypatch.delenv(BUDGET_ENV, raising=False)
         code, out, _ = run(capsys, "report", "--n", "16")

@@ -17,8 +17,6 @@ from sqrtnfa import (
     case_holds,
     count_words,
     determinize,
-    iter_words,
-    letter_name,
     member,
     pivot_l,
     pivot_m,
@@ -27,7 +25,6 @@ from sqrtnfa import (
     reach,
     triple_labels,
     witness,
-    word_to_rank,
 )
 from sqrtnfa.config import charge, check_int, effective_budget
 from sqrtnfa.errors import BudgetExceededError
@@ -116,12 +113,11 @@ def test_a_budget_that_is_not_an_integer_is_refused(override):
     [
         lambda: TripleCodec(6).encode(1.5, 0, 0),
         lambda: TripleCodec(6).decode(5.0),
-        lambda: word_to_rank(2, (0, 1.5)),
         lambda: rank_to_word(2, 2.5),
         lambda: case_holds(1, (0.5, 0, 0), (0, 0, 0), 6),
         lambda: accept_table(random_nfa(RandomSpec(seed=1)), 2.5),
     ],
-    ids=["encode", "decode", "word_to_rank", "rank_to_word", "case_holds", "accept_table"],
+    ids=["encode", "decode", "rank_to_word", "case_holds", "accept_table"],
 )
 def test_codecs_refuse_non_integers(call):
     with pytest.raises(ValueError):
@@ -154,8 +150,6 @@ def test_codecs_refuse_non_integers(call):
         lambda: level_offset(2.5, 1),
         lambda: level_offset(2, 2.5),
         lambda: count_words(2, 2.5),
-        lambda: list(iter_words(2, 2.5)),
-        lambda: word_to_rank(2, (2.5,)),
         lambda: rank_to_word(2, 2.5),
         lambda: accept_table(NFA_AA, 2.5),
         lambda: RandomSpec(seed=2.5),
@@ -163,7 +157,6 @@ def test_codecs_refuse_non_integers(call):
         lambda: RandomSpec(seed=1, alphabet_size=2.5),
         lambda: pivot_l(2.5),
         lambda: pivot_m(2.5),
-        lambda: letter_name("a", (0, 0, 2.5)),
         lambda: Violation("cond1", 2.5),
         lambda: Violation("cond2", 1, 2.5),
     ],
@@ -172,9 +165,9 @@ def test_codecs_refuse_non_integers(call):
         "dfa-final", "dfa-target", "dfa-run", "reach-state", "reach-letter", "member",
         "targets-state", "targets-letter", "codec-n", "encode", "decode", "triple_labels",
         "case-id", "case-triple", "witness-n", "level_offset", "level_offset-length",
-        "count_words", "iter_words", "word_to_rank", "rank_to_word", "walk-max_len",
+        "count_words", "rank_to_word", "walk-max_len",
         "spec-seed", "spec-max_states", "spec-alphabet_size", "pivot_l", "pivot_m",
-        "letter_name", "violation-i", "violation-j",
+        "violation-i", "violation-j",
     ],
 )
 def test_every_gated_argument_refuses_a_float(call):

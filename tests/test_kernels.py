@@ -8,14 +8,12 @@ from sqrtnfa import (
     Nfa,
     RandomSpec,
     accept_table,
-    any_case,
     bounded_equal,
     case_table,
     count_words,
     determinize,
     dfa_accept_table,
     difference_witness,
-    iter_words,
     member,
     random_nfa,
     sqrt_member_direct,
@@ -25,7 +23,7 @@ from sqrtnfa import (
     witness_square_table,
 )
 from sqrtnfa.words import walk_word_tree
-from conftest import nfas
+from conftest import any_case, iter_words, nfas
 
 class TestAcceptTableOnCube:
     def test_cube_of_4_states_exactly_fits(self, small_random):

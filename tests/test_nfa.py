@@ -24,7 +24,7 @@ from sqrtnfa import (
     random_nfa,
     reach,
     sqrt_nfa,
-    step_set,
+    square_accept_table,
     trim,
     witness,
 )
@@ -223,7 +223,7 @@ class TestReachability:
 
     def test_step_set_unions_successors(self):
         a = make_nfa(3, 1, [(0, 0, 1), (0, 0, 2), (1, 0, 2)], {0}, {2})
-        assert step_set(a, {0, 1}, 0) == {1, 2}
+        assert reach(a, {0, 1}, (0,)) == {1, 2}
 
     def test_member_on_aa_language(self):
         assert not member(NFA_AA, ())
@@ -332,6 +332,12 @@ class TestSuccessorIndex:
         built = [s for s, column in enumerate(cube._columns.built) if column is not None]
         assert built == sorted(cube.initial)
         assert "_succ" not in cube.__dict__
+
+    def test_square_table_steps_on_the_columns(self):
+        fresh = make_nfa(3, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0)], {0}, {2})
+        square_accept_table(fresh, 3)
+        assert "_columns" in fresh.__dict__
+        assert "_succ" not in fresh.__dict__
 
     @settings(max_examples=200)
     @given(st.one_of(nfas(), byte_boundary_nfas()), st.data())

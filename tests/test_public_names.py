@@ -5,11 +5,9 @@ import sqrtnfa
 
 PUBLIC_NAMES = [
     "BudgetExceededError",
-    "CASE_COUNT",
     "DEFAULT_BUDGET",
     "Dfa",
     "FINAL_BLOCK",
-    "FnState",
     "FoolingReport",
     "FoolingSet",
     "FormatError",
@@ -23,7 +21,6 @@ PUBLIC_NAMES = [
     "Violation",
     "Word",
     "accept_table",
-    "any_case",
     "bounded_equal",
     "case_holds",
     "case_table",
@@ -37,8 +34,6 @@ PUBLIC_NAMES = [
     "emit_nfa",
     "enumerate_words",
     "equivalent",
-    "iter_words",
-    "letter_name",
     "main",
     "member",
     "witness_fooling_set",
@@ -55,7 +50,6 @@ PUBLIC_NAMES = [
     "sqrt_member_direct",
     "sqrt_nfa",
     "square_accept_table",
-    "step_set",
     "trim",
     "triple_labels",
     "verify_cases",
@@ -63,7 +57,6 @@ PUBLIC_NAMES = [
     "witness",
     "witness_alphabet",
     "witness_square_table",
-    "word_to_rank",
 ]
 
 

@@ -1,11 +1,14 @@
 """README's examples, run as written: every ``sqrtnfa`` line of the CLI
 block with the exit code it should give, the output the block shows for
-``check-fooling --n 6``, and the Python block of the Library section."""
+``check-fooling --n 6``, the Python block of the Library section, and the
+library names its entry-point paragraph and successor-index bullets cite."""
 
 import re
 import shlex
+from functools import reduce
 from pathlib import Path
 
+import sqrtnfa
 from sqrtnfa import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -59,3 +62,23 @@ def test_check_fooling_prints_what_the_readme_shows(capsys):
 
 def test_the_library_example_runs():
     exec(compile(fenced_block("## Library", "python"), "README.md", "exec"), {})
+
+
+def paragraph(start):
+    """The README text from ``start`` up to the next bullet or blank line."""
+    return re.compile(r".*?(?=\n- |\n\n)", re.S).match(README, README.index(start)).group(0)
+
+
+def test_every_entry_point_named_resolves():
+    text = "".join(
+        map(paragraph, ("Key entry points:", "- The successor rows", "- The successor columns"))
+    )
+    names = re.findall(r"`([^`]+)`", text)
+    assert len(names) > 30 and "Nfa.targets" in names
+    missing = []
+    for name in names:
+        try:
+            reduce(getattr, name.split("."), sqrtnfa)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

@@ -7,13 +7,11 @@ from sqrtnfa import (
     case_holds,
     case_table,
     certify_lower_bound,
-    letter_name,
     member,
     pairwise_contradiction,
     pivot_l,
     pivot_m,
     reach,
-    step_set,
     verify_cases,
     witness,
     witness_alphabet,
@@ -53,16 +51,6 @@ class TestPivots:
             pivot_m(-2)
 
 
-class TestLetterNames:
-    def test_canonical_names(self):
-        assert letter_name("a", (0, 2, 4)) == "a[0,2,4]"
-        assert letter_name("b", (5, 0, 1)) == "b[5,0,1]"
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            letter_name("c", (0, 0, 0))
-
-
 class TestAlphabet:
     def test_size_and_order(self):
         names = witness_alphabet(6)
@@ -76,8 +64,8 @@ class TestAlphabet:
         names = witness_alphabet(6)
         for p, q, r in ((0, 0, 0), (1, 2, 3), (5, 5, 5)):
             flat = (p * 6 + q) * 6 + r
-            assert names[flat] == letter_name("a", (p, q, r))
-            assert names[216 + flat] == letter_name("b", (p, q, r))
+            assert names[flat] == f"a[{p},{q},{r}]"
+            assert names[216 + flat] == f"b[{p},{q},{r}]"
 
 
 def loop_witness(n):
@@ -93,7 +81,7 @@ def loop_witness(n):
                 triples.append((p, flat, r))
                 triples.append((q, cube + flat, p))
                 triples.append((r, cube + flat, pivot_m(p)))
-    names = [letter_name(kind, (p, q, r)) for kind in "ab" for p in range(n)
+    names = [f"{kind}[{p},{q},{r}]" for kind in "ab" for p in range(n)
              for q in range(n) for r in range(n)]
     return Nfa(n, tuple(names), INITIAL_BLOCK, FINAL_BLOCK, tuple(triples))
 
@@ -115,8 +103,8 @@ class TestWitnessAutomaton:
     def test_each_letter_moves_exactly_its_two_sources(self, witness6):
         n = 6
         for p, q, r in ((0, 2, 4), (3, 1, 5), (5, 5, 5)):
-            a_idx = witness6.letter_index(letter_name("a", (p, q, r)))
-            b_idx = witness6.letter_index(letter_name("b", (p, q, r)))
+            a_idx = witness6.letter_index(f"a[{p},{q},{r}]")
+            b_idx = witness6.letter_index(f"b[{p},{q},{r}]")
             a_moves = {
                 (src, dst)
                 for src, letter, dst in witness6.transitions
@@ -133,10 +121,10 @@ class TestWitnessAutomaton:
     def test_documented_step_examples(self, witness6):
         a024 = witness6.letter_index("a[0,2,4]")
         b024 = witness6.letter_index("b[0,2,4]")
-        assert step_set(witness6, {0, 1}, a024) == {2, 4}
-        assert step_set(witness6, {2}, b024) == {0}
-        assert step_set(witness6, {4}, b024) == {3}
-        assert step_set(witness6, {5}, a024) == set()
+        assert reach(witness6, {0, 1}, (a024,)) == {2, 4}
+        assert reach(witness6, {2}, (b024,)) == {0}
+        assert reach(witness6, {4}, (b024,)) == {3}
+        assert reach(witness6, {5}, (a024,)) == set()
 
     def test_squared_pair_reaches_single_final(self, witness6):
         aX = witness6.letter_index("a[2,3,5]")
