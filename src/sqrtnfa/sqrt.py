@@ -96,8 +96,12 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
 
 def triple_labels(n: int) -> dict[int, str]:
     """Readable (p,q,r) labels for the cube automaton's flat state indices."""
-    codec = TripleCodec(n)
-    return {i: str(codec.decode(i)) for i in range(n**3)}
+    n = TripleCodec(n).n
+    index = np.arange(n**3)
+    pq, r = np.divmod(index, n)
+    p, q = np.divmod(pq, n)
+    labels = map("({}, {}, {})".format, p.tolist(), q.tolist(), r.tolist())
+    return dict(zip(index.tolist(), labels))
 
 
 def reachable_triples(nfa: Nfa, word: Word, budget: int | None = None) -> set[tuple[int, int, int]]:

@@ -12,6 +12,14 @@ Format (UTF-8, ``#`` starts a comment anywhere on a line):
 line; ``initial``/``final`` may be empty or omitted.  ``emit_nfa`` writes
 the canonical form (directives in the order above, transitions in sorted
 order), so emit(parse(emit(x))) is byte-identical to emit(x).
+
+``parse_nfa`` reads canonical text on an array path: the header line by
+line, the ``trans`` block as flat token lists turned into one relation
+array, accepted only when emitting the result gives the block back byte
+for byte.  Any other text (comments or blank lines among the
+transitions, unsorted lines, CRLF, a bad token) goes through the
+per-line parser, which is the reference and the only reporter of a
+``FormatError``.
 """
 
 from __future__ import annotations
@@ -19,7 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FormatError
-from .nfa import Nfa
+from .nfa import Nfa, Relation
+
+_CHUNK = 1 << 16  # characters of trans lines tokenized at a time
 
 
 def _int_token(token: str, line_no: int, column: int, what: str) -> int:
@@ -30,6 +40,49 @@ def _int_token(token: str, line_no: int, column: int, what: str) -> int:
 
 
 def parse_nfa(text: str) -> Nfa:
+    """The automaton a text describes; the first bad line raises
+    ``FormatError`` with its line and column."""
+    try:
+        nfa = _parse_canonical(text)
+    except (ValueError, KeyError, OverflowError):  # the per-line parser reports it
+        nfa = None
+    return nfa if nfa is not None else Nfa(**_parse_lines(text))
+
+
+def _parse_canonical(text: str) -> Nfa | None:
+    """The automaton of a text whose ``trans`` block is exactly what
+    ``emit_nfa`` writes for it, else None.  A bad token, a ragged chunk,
+    an entry beyond int64 or an automaton ``Nfa`` refuses raises
+    ``ValueError``, ``KeyError`` or ``OverflowError`` instead.
+
+    The block is split into tokens a chunk of whole lines at a time, which
+    keeps the token strings of only one chunk alive.
+    """
+    start = text.find("\ntrans ") + 1
+    if not start:
+        return None
+    fields = _parse_lines(text[:start])
+    if fields["transitions"]:  # on the first line, or indented
+        return None
+    letter_index = dict(zip(fields["alphabet"], range(len(fields["alphabet"]))))
+    block, chunks, begin = text[start:], [], 0
+    while begin < len(block):
+        end = block.find("\n", begin + _CHUNK) + 1 or len(block)
+        tokens = block[begin:end].split()
+        columns = (
+            list(map(int, tokens[1::4])),
+            list(map(letter_index.__getitem__, tokens[2::4])),
+            list(map(int, tokens[3::4])),
+        )
+        chunks.append(np.array(columns, dtype=np.int64).T)
+        begin = end
+    nfa = Nfa(**{**fields, "transitions": Relation(np.concatenate(chunks))})
+    return nfa if _trans_block(nfa) == block else None
+
+
+def _parse_lines(text: str) -> dict:
+    """The ``Nfa`` fields of a text, read one line at a time; the first bad
+    line raises ``FormatError`` with its line and column."""
     n_states: int | None = None
     alphabet: tuple[str, ...] | None = None
     letter_index: dict[str, int] = {}
@@ -106,7 +159,7 @@ def parse_nfa(text: str) -> Nfa:
         raise FormatError("missing states line")
     if alphabet is None:
         raise FormatError("missing alphabet line")
-    return Nfa(
+    return dict(
         n_states=n_states,
         alphabet=alphabet,
         initial=frozenset(initial),
@@ -125,20 +178,33 @@ def emit_nfa(nfa: Nfa, state_labels: dict[int, str] | None = None) -> str:
     """
     lines = [f"states {nfa.n_states}"]
     if state_labels:
-        for s in sorted(state_labels):
-            if len(f"{state_labels[s]}.".splitlines()) != 1:  # the parser's line split
-                raise ValueError(f"label of state {s} contains a line break")
-            lines.append(f"# state {s} = {state_labels[s]}")
+        order = sorted(state_labels)
+        labels = [f"{state_labels[s]}" for s in order]
+        # one split of all labels, as the parser splits lines, finds any break
+        if len(("".join(labels) + ".").splitlines()) != 1:
+            s = next(s for s, label in zip(order, labels) if len(f"{label}.".splitlines()) != 1)
+            raise ValueError(f"label of state {s} contains a line break")
+        lines.extend(f"# state {s} = {label}" for s, label in zip(order, labels))
     lines.append("alphabet " + " ".join(nfa.alphabet))
     lines.append(("initial " + " ".join(str(s) for s in sorted(nfa.initial))).rstrip())
     lines.append(("final " + " ".join(str(s) for s in sorted(nfa.final))).rstrip())
+    return "\n".join(lines) + "\n" + _trans_block(nfa)
+
+
+def _trans_block(nfa: Nfa) -> str:
+    """The ``trans`` lines, from one ``"trans {s} "`` and one ``" {d}\\n"``
+    string per state indexed by the relation's columns; the table covers
+    every state unless the state numbers are sparse, where it covers only
+    the states in use."""
     relation = nfa.transitions.array
-    # one "trans {s} " and one " {d}\n" string per state in use, indexed
-    # by the relation's columns
-    used, ends = np.unique(relation[:, 0::2], return_inverse=True)
-    used, ends = used.tolist(), ends.reshape(-1, 2)
+    ends = relation[:, 0::2]
+    if nfa.n_states <= 2 * len(relation):
+        used = range(nfa.n_states)
+    else:
+        used, ends = np.unique(ends, return_inverse=True)
+        used, ends = used.tolist(), ends.reshape(-1, 2)
     heads = np.array([f"trans {s} " for s in used], dtype=object)
     tails = np.array([f" {d}\n" for d in used], dtype=object)
     names = np.array(nfa.alphabet, dtype=object)
     body = np.column_stack((heads[ends[:, 0]], names[relation[:, 1]], tails[ends[:, 1]]))
-    return "\n".join(lines) + "\n" + "".join(body.ravel().tolist())
+    return "".join(body.ravel().tolist())

@@ -207,3 +207,12 @@ def test_triple_labels_cover_all_states():
     assert len(labels) == 27
     assert labels[0] == "(0, 0, 0)"
     assert labels[26] == "(2, 2, 2)"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_triple_labels_match_the_codec(n):
+    codec = TripleCodec(n)
+    reference = {i: str(codec.decode(i)) for i in range(n**3)}
+    labels = triple_labels(n)
+    assert labels == reference
+    assert list(labels) == list(reference)

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqrtnfa import FormatError, Nfa, emit_nfa, member, parse_nfa, sqrt_nfa, trim, witness
+from sqrtnfa import FormatError, Nfa, emit_nfa, member, parse_nfa, sqrt_nfa, textio, trim, witness
 from sqrtnfa.sqrt import triple_labels
 from conftest import nfas
 
@@ -122,6 +123,14 @@ def test_state_labels_emit_as_ignorable_comments():
             emit_nfa(a, state_labels={0: label})
 
 
+def test_the_first_label_with_a_line_break_is_named():
+    a = parse_nfa(GOOD)
+    cases = [({0: "ok", 1: "x\ry", 2: "x\ny"}, 1), ({2: "x\r", 1: "ok", 0: "\x85"}, 0)]
+    for labels, first in cases:
+        with pytest.raises(ValueError, match=f"state {first} contains"):
+            emit_nfa(a, state_labels=labels)
+
+
 @settings(max_examples=150)
 @given(nfas())
 def test_round_trip_identity_on_random_automata(a):
@@ -148,3 +157,104 @@ def test_emit_with_sparse_state_numbers():
     text = emit_nfa(a)
     assert text == emit_reference(a)
     assert parse_nfa(text) == a
+
+
+def parse_lines(text):
+    """The per-line parser alone: the reference for the array path."""
+    return Nfa(**textio._parse_lines(text))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as error:  # FormatError included: message, line and column
+        return type(error), str(error), getattr(error, "line", None), getattr(error, "column", None)
+
+
+CORRUPTIONS = (
+    "drop", "duplicate", "swap", "letter", "range", "plus", "underscore", "digits",
+    "comment", "crlf", "join",
+)
+
+
+@st.composite
+def emitted_texts(draw):
+    a = draw(nfas())
+    labels = draw(st.sampled_from([None, {s: str((s, 0, s)) for s in range(a.n_states)}]))
+    return a, emit_nfa(a, labels)
+
+
+@st.composite
+def corrupted_texts(draw):
+    """An emitted text with one line corrupted (two for a swap, and a join
+    runs one line into the next)."""
+    a, text = draw(emitted_texts())
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    # trans lines are the usual target; any line may be hit
+    trans = [i for i, line in enumerate(lines) if line.startswith("trans ")] or [0]
+    pick = st.sampled_from(trans) | st.integers(0, len(lines) - 1)
+    i, j = draw(pick), draw(pick)
+    tokens = lines[i].split()
+    k = draw(st.integers(0, len(tokens) - 1))
+    if kind == "drop":
+        del tokens[k]
+    elif kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "letter":
+        tokens[min(k, 2)] = "zz"
+    elif kind == "range":
+        tokens[k] = draw(st.sampled_from([str(a.n_states), "-1", str(2**64)]))
+    elif kind == "plus":
+        tokens[k] = "+" + tokens[k]
+    elif kind == "underscore":
+        tokens[k] += "_0"
+    elif kind == "digits":
+        tokens[k] = tokens[k].translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    elif kind == "comment":
+        lines[i] = lines[i].rstrip("\n") + "  # note\n"
+    elif kind == "join":
+        lines[i] = lines[i].rstrip("\n") + " "
+    else:
+        lines[i] = lines[i].replace("\n", "\r\n")
+    if kind in ("drop", "letter", "range", "plus", "underscore", "digits"):
+        lines[i] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+@settings(max_examples=200)
+@given(emitted_texts())
+def test_array_parse_equals_the_per_line_parse(case):
+    a, text = case
+    assert parse_nfa(text) == parse_lines(text) == a
+
+
+@settings(max_examples=500)
+@given(corrupted_texts())
+def test_array_parse_equals_the_per_line_parse_on_corrupted_text(text):
+    assert outcome(parse_nfa, text) == outcome(parse_lines, text)
+
+
+def test_a_trans_line_above_the_canonical_block_is_kept():
+    # the array path starts at the first line that begins "trans "
+    text = GOOD.replace("trans 0 a 1", " trans 0 a 1")
+    assert parse_nfa(text) == parse_lines(text) == parse_nfa(GOOD)
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["witness8", "cube8-labelled"])
+def test_canonical_text_never_reaches_the_per_line_trans_code(monkeypatch, labelled):
+    a = sqrt_nfa(witness(8)) if labelled else witness(8)
+    text = emit_nfa(a, triple_labels(8) if labelled else None)
+    seen, per_line = [], textio._parse_lines
+
+    def recording(text):
+        seen.append(text)
+        return per_line(text)
+
+    monkeypatch.setattr(textio, "_parse_lines", recording)
+    assert parse_nfa(text) == a
+    assert seen and not any(
+        line.split()[:1] == ["trans"] for part in seen for line in part.splitlines()
+    )
