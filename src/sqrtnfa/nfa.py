@@ -5,22 +5,23 @@ an ordered alphabet of distinct names.  NFA transition relations may be
 partial and nondeterministic; a missing (state, letter) entry means the
 empty successor set, with no implicit sink.  Every operation here is a
 pure function of its inputs and automata are immutable after construction,
-so shared instances are safe to use concurrently: the successor rows and
-columns are built on first use, and a concurrent first use can at worst
+so shared instances are safe to use concurrently: a state's successor row
+and column are built on first use, and a concurrent first use can at worst
 build a pure row or column twice.
 
 An ``Nfa`` holds its relation as one sorted, read-only ``(k, 3)`` int64
 array of (source, letter, target) rows, validated with array operations;
 ``Nfa.transitions`` is a :class:`Relation` view of it that reads like the
 tuple of triples.  A set of states is simulated as an int bitmask, stepped
-by one of two lanes, one per access pattern.  A step on one letter
-(``reach``, ``member``, ``targets``) reads that letter's row of ``_succ``.
-A step on every letter at once (``_stepper``: ``determinize``, the pair
-walk of ``equivalent``, ``difference_witness`` and ``bounded_equal``, and
-``accept_table`` and ``square_accept_table``, which flag every word up to
-a length in rank order, see :mod:`sqrtnfa.words`) ORs the packed
-all-letter columns of ``_columns`` and splits the result once.  There is
-no state cap: masks are Python ints.
+through one per-state successor index, ``_succ``, in one of two forms, one
+per access pattern.  A step on one letter (``reach``, ``member``,
+``targets``) reads each set state's row, a dict from letter to successor
+mask.  A step on every letter at once (``_stepper``: ``determinize``, the
+pair walk of ``equivalent``, ``difference_witness`` and ``bounded_equal``,
+and ``accept_table`` and ``square_accept_table``, which flag every word up
+to a length in rank order, see :mod:`sqrtnfa.words`) ORs each set state's
+packed all-letter column and splits the result once.  There is no state
+cap: masks are Python ints.
 """
 
 from __future__ import annotations
@@ -87,55 +88,44 @@ class Relation(Sequence):
         return repr(self._triples())
 
 
-class _SuccessorRows(Sequence):
-    """Per letter, a dict from source state to its successor set as an int
-    bitmask; a row is built on its first access, from one letter-sorted
-    copy of the relation's source and target columns.  This is the
-    one-letter lane: a step reads one row, one lookup per set bit."""
-
-    def __init__(self, relation: np.ndarray, sigma: int):
-        letters = relation[:, 1]
-        # row 0 the sources, row 1 the targets, in letter order
-        self._by_letter = relation[:, 0::2].T.take(letters.argsort(kind="stable"), axis=1)
-        self._ends = np.bincount(letters, minlength=sigma).cumsum().tolist()
-        self._rows: list[dict[int, int] | None] = [None] * sigma
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, letter: int) -> dict[int, int]:
-        row = self._rows[letter]
-        if row is None:
-            row = {}
-            start = self._ends[letter - 1] if letter else 0
-            sources, targets = self._by_letter[:, start : self._ends[letter]].tolist()
-            for src, dst in zip(sources, targets):
-                row[src] = row.get(src, 0) | 1 << dst
-            self._rows[letter] = row
-        return row
-
-
-class _SuccessorColumns:
-    """Per state, its successors on every letter packed in one int: byte
-    field ``a`` of a column (``width`` = ceil(n/8) bytes, little-endian)
-    holds the successor mask on letter ``a``.  A column is built on its
-    first use from the state's rows of the sorted relation.  This is the
-    all-letter lane: a step ORs one column per set bit, then splits."""
+class _SuccessorIndex:
+    """Per state, its successors in two forms, each built on first use from
+    the state's slice of the sorted relation.  A row, for one-letter steps,
+    is a dict from letter to successor mask.  A column, for all-letter
+    steps, packs every letter's successor mask in one int: byte field
+    ``a`` (``width`` = ceil(n/8) bytes, little-endian) holds letter ``a``'s.
+    """
 
     def __init__(self, relation: np.ndarray, n: int, sigma: int):
         self._relation = relation
         self._ends = np.bincount(relation[:, 0], minlength=n).cumsum().tolist()
         self.width = -(-n // 8)
         self.size = sigma * self.width
-        self.built: list[int | None] = [None] * n
+        self.rows: list[dict[int, int] | None] = [None] * n
+        self.columns: list[int | None] = [None] * n
 
-    def build(self, state: int) -> int:
+    def _entries(self, state: int) -> list[list[int]]:
+        """The state's letters and targets, in relation order."""
         start = self._ends[state - 1] if state else 0
-        letters, targets = self._relation[start : self._ends[state], 1:].T.tolist()
-        packed, width = bytearray(self.size), self.width
-        for a, t in zip(letters, targets):
-            packed[a * width + (t >> 3)] |= 1 << (t & 7)
-        column = self.built[state] = int.from_bytes(packed, "little")
+        return self._relation[start : self._ends[state], 1:].T.tolist()
+
+    def row(self, state: int) -> dict[int, int]:
+        row = self.rows[state]
+        if row is None:
+            row = {}
+            for a, t in zip(*self._entries(state)):
+                row[a] = row.get(a, 0) | 1 << t
+            self.rows[state] = row
+        return row
+
+    def column(self, state: int) -> int:
+        column = self.columns[state]
+        if column is None:
+            letters, targets = self._entries(state)
+            packed, width = bytearray(self.size), self.width
+            for a, t in zip(letters, targets):
+                packed[a * width + (t >> 3)] |= 1 << (t & 7)
+            column = self.columns[state] = int.from_bytes(packed, "little")
         return column
 
 
@@ -149,13 +139,13 @@ class Nfa:
     validated like any other and kept without a copy when it is already
     a ``(k, 3)`` int64 array.  It is kept as a
     :class:`Relation` over one sorted int64 array.
-    A one-letter step reads the successor rows ``_succ``: per letter, a
-    dict from source state to its successor set as an int bitmask, each
-    row built on its first access.  They are sparse because witness-style
-    alphabets are large (thousands of letters) but touch only a couple of
-    states each.  A step on every letter reads the successor columns
-    ``_columns``: per state, the successor masks on all letters packed in
-    one int, each column built on its first use.
+    Steps read the successor index ``_succ``, which holds per state a row
+    and a column, each built on its first use from that state's slice of
+    the relation.  A one-letter step reads rows: dicts from letter to
+    successor mask, sparse because witness-style alphabets are large
+    (thousands of letters) but each state uses few of them.  A step on
+    every letter reads columns: the successor masks on all letters packed
+    in one int.
     """
 
     n_states: int
@@ -183,13 +173,9 @@ class Nfa:
         object.__setattr__(self, "transitions", Relation(relation))
 
     @cached_property
-    def _succ(self) -> _SuccessorRows:
+    def _succ(self) -> _SuccessorIndex:
         # written to the instance __dict__, not a field: not in ==, hash, repr
-        return _SuccessorRows(self.transitions.array, len(self.alphabet))
-
-    @cached_property
-    def _columns(self) -> _SuccessorColumns:
-        return _SuccessorColumns(self.transitions.array, self.n_states, len(self.alphabet))
+        return _SuccessorIndex(self.transitions.array, self.n_states, len(self.alphabet))
 
     def letter_index(self, name: str) -> int:
         try:
@@ -203,7 +189,7 @@ class Nfa:
         range or a non-integer argument raises ``ValueError``."""
         state = check_int(state, "state index", 0, self.n_states)
         letter = check_int(letter, "letter index")
-        return _states(self._succ[letter].get(state, 0) if 0 <= letter < len(self.alphabet) else 0)
+        return _states(self._succ.row(state).get(letter, 0))
 
 
 _INT64 = range(-(2**63), 2**63)
@@ -366,12 +352,13 @@ def _states(mask: int) -> tuple[int, ...]:
     return tuple(i for i, bit in enumerate(bits) if bit == "1")
 
 
-def _mask_step(mask: int, succ: dict[int, int]) -> int:
-    """Successor set of the state set ``mask`` on one letter's index row."""
+def _mask_step(mask: int, succ: tuple[int, ...]) -> int:
+    """Image of the state set ``mask`` under a relation given as one
+    successor mask per state."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= succ.get(low.bit_length() - 1, 0)
+        out |= succ[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -379,8 +366,8 @@ def _mask_step(mask: int, succ: dict[int, int]) -> int:
 def _stepper(nfa: Nfa):
     """Map a state set's mask to its successor masks, in letter order: the
     OR of the set's successor columns, split once into byte fields."""
-    index = nfa._columns
-    built, build, size, width = index.built, index.build, index.size, index.width
+    index = nfa._succ
+    built, build, size, width = index.columns, index.column, index.size, index.width
     fields = [slice(i, i + width) for i in range(0, size, width)]
     from_bytes = int.from_bytes
 
@@ -389,7 +376,7 @@ def _stepper(nfa: Nfa):
         while mask:
             low = mask & -mask
             state = low.bit_length() - 1
-            column = built[state]
+            column = built[state]  # read inline: no call once it is built
             out |= build(state) if column is None else column
             mask ^= low
         packed = out.to_bytes(size, "little")
@@ -416,8 +403,14 @@ def _run(nfa: Nfa, mask: int, word: Word) -> int:
     sigma = len(nfa.alphabet)
     for a in word:
         check_int(a, "letter index", 0, sigma)
+    row = nfa._succ.row
     for a in word:
-        mask = _mask_step(mask, nfa._succ[a])
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= row(low.bit_length() - 1).get(a, 0)
+            mask ^= low
+        mask = out
     return mask
 
 
@@ -607,8 +600,7 @@ def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np
     init, fin = _mask(nfa.initial), _mask(nfa.final)
 
     def accepting(rel: tuple[int, ...]) -> int:
-        image = dict(enumerate(rel))
-        return _mask_step(_mask_step(init, image), image) & fin
+        return _mask_step(_mask_step(init, rel), rel) & fin
 
     return walk_word_tree(
         tuple(1 << s for s in range(nfa.n_states)),

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from itertools import product
 
@@ -267,6 +268,35 @@ class TestRandomEquiv:
         with pytest.raises(SystemExit) as info:
             main(["random-equiv", "--trials", "2"])
         assert info.value.code == 2
+
+    def test_a_cube_that_loses_a_final_state_fails(self, capsys, monkeypatch):
+        real = cli.sqrt_nfa
+
+        def lossy(auto, budget=None):
+            cube = real(auto, budget)
+            return dataclasses.replace(cube, final=cube.final - {min(cube.final, default=0)})
+
+        monkeypatch.setattr(cli, "sqrt_nfa", lossy)
+        code, out, err = run(capsys, "random-equiv", "--trials", "5", "--seed", "0")
+        assert (code, err) == (1, "")
+        assert out == 'trial 2 seed=2 failed: word "l0 l1"\n1 of 5 trials failed\n'
+
+    def test_a_flipped_square_flag_fails_on_the_triangle(self, capsys, monkeypatch):
+        # the cube and the function automaton still agree, so the split
+        # shows only in the accept tables, at the last word of length 6
+        real = cli.square_accept_table
+
+        def flipped(auto, max_len, budget=None):
+            table = real(auto, max_len, budget).copy()
+            table[-1] = not table[-1]
+            return table
+
+        monkeypatch.setattr(cli, "square_accept_table", flipped)
+        code, out, err = run(capsys, "random-equiv", "--trials", "5", "--seed", "0")
+        assert (code, err) == (1, "")
+        word = " ".join(["l2"] * 6)
+        lines = [f'trial {t} seed={t} failed: word "{word}"' for t in range(5)]
+        assert out.splitlines() == [*lines, "5 of 5 trials failed"]
 
 
 class TestReport:

@@ -28,7 +28,7 @@ from sqrtnfa import (
     trim,
     witness,
 )
-from sqrtnfa.nfa import Relation, _mask_step, _stepper
+from sqrtnfa.nfa import Relation, _run, _stepper
 from conftest import NFA_AA, make_nfa, nfas, random_word
 
 
@@ -309,8 +309,8 @@ def agrees_under_threads(route) -> None:
 
 
 class TestSuccessorIndex:
-    """The successor index of each lane, rows for one letter and columns
-    for all letters, against the raw relation."""
+    """The one per-state successor index, rows for one-letter steps and
+    columns for all-letter steps, against the raw relation."""
 
     def test_built_on_first_use_only(self, witness6):
         fresh = make_nfa(3, 1, [(0, 0, 1), (0, 0, 2), (1, 0, 2)], {0}, {2})
@@ -318,44 +318,63 @@ class TestSuccessorIndex:
             "n_states", "alphabet", "initial", "final", "transitions"
         ]
         assert "_succ" not in sqrt_nfa(witness6).__dict__
-        assert "_columns" not in sqrt_nfa(witness6).__dict__
         assert "_succ" not in fresh.__dict__
         assert fresh.targets(0, 0) == (1, 2)
-        assert "_succ" in fresh.__dict__
-        assert "_columns" not in fresh.__dict__
+        index = fresh._succ
+        assert index.rows == [{0: 0b110}, None, None]
+        assert index.columns == [None] * 3
         determinize(fresh)
-        assert "_columns" in fresh.__dict__
+        assert fresh._succ is index
+        assert index.columns == [0b110, 0b100, 0]
 
     def test_columns_built_only_for_states_read(self, witness6):
         cube = sqrt_nfa(witness6)
         accept_table(cube, 1)
-        built = [s for s, column in enumerate(cube._columns.built) if column is not None]
+        index = cube._succ
+        built = [s for s, column in enumerate(index.columns) if column is not None]
         assert built == sorted(cube.initial)
-        assert "_succ" not in cube.__dict__
+        assert index.rows == [None] * cube.n_states
 
     def test_square_table_steps_on_the_columns(self):
         fresh = make_nfa(3, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0)], {0}, {2})
         square_accept_table(fresh, 3)
-        assert "_columns" in fresh.__dict__
-        assert "_succ" not in fresh.__dict__
+        index = fresh._succ
+        assert None not in index.columns
+        assert index.rows == [None] * 3
 
     @settings(max_examples=200)
     @given(st.one_of(nfas(), byte_boundary_nfas()), st.data())
     def test_packed_step_agrees_with_rows(self, a, data):
-        full = (1 << a.n_states) - 1
+        n, sigma = a.n_states, len(a.alphabet)
+        width = -(-n // 8)
+        index = a._succ
+        for s in range(n):
+            expected = [0] * sigma
+            for src, x, d in a.transitions:
+                if src == s:
+                    expected[x] |= 1 << d
+            row = index.row(s)
+            assert row == {x: m for x, m in enumerate(expected) if m}
+            packed = index.column(s).to_bytes(sigma * width, "little")
+            fields = [packed[x * width : (x + 1) * width] for x in range(sigma)]
+            assert [int.from_bytes(f, "little") for f in fields] == expected
+            assert [row.get(x, 0) for x in range(sigma)] == expected
+
+        full = (1 << n) - 1
         drawn = data.draw(st.lists(st.integers(0, full), max_size=8))
         step = _stepper(a)
         for mask in [0, full, *drawn]:
-            assert step(mask) == [_mask_step(mask, row) for row in a._succ]
+            assert step(mask) == [_run(a, mask, (x,)) for x in range(sigma)]
 
-    def test_rows_built_only_for_letters_read(self, witness6):
+    def test_rows_built_only_for_states_visited(self, witness6):
         cube = sqrt_nfa(witness6)
         a, b = witness6.letter_index("a[2,3,5]"), witness6.letter_index("b[2,3,5]")
         assert member(cube, (a, b))
-        assert [i for i, row in enumerate(cube._succ._rows) if row is not None] == [a, b]
-        rows = list(cube._succ)
-        assert len(rows) == len(cube.alphabet)
-        assert rows[a] == {s: 1 << d for s, x, d in cube.transitions if x == a}
+        after_a = {d for s, x, d in cube.transitions if x == a and s in cube.initial}
+        index = cube._succ
+        built = {s for s, row in enumerate(index.rows) if row is not None}
+        assert built == cube.initial | after_a
+        assert index.columns == [None] * cube.n_states
 
     def test_concurrent_first_use_agrees(self):
         words = [w for k in range(4) for w in itertools.product(range(3), repeat=k)]
@@ -386,9 +405,9 @@ class TestSuccessorIndex:
             for w in itertools.product(range(sigma), repeat=length):
                 assert dfa.member(w) == member(a, w)
 
-        # both indexes live outside the dataclass fields
-        assert "_succ" in a.__dict__
-        assert "_columns" in a.__dict__
+        # both lanes ran; their one index lives outside the dataclass fields
+        fields = {f.name for f in dataclasses.fields(Nfa)}
+        assert set(a.__dict__) - fields == {"_succ"}
         assert a == copy
         assert hash(a) == hash(copy)
         assert repr(a) == repr(copy)

@@ -1,7 +1,7 @@
 """README's examples, run as written: every ``sqrtnfa`` line of the CLI
 block with the exit code it should give, the output the block shows for
 ``check-fooling --n 6``, the Python block of the Library section, and the
-library names its entry-point paragraph and successor-index bullets cite."""
+library names its entry-point paragraph and successor-index bullet cite."""
 
 import re
 import shlex
@@ -70,9 +70,7 @@ def paragraph(start):
 
 
 def test_every_entry_point_named_resolves():
-    text = "".join(
-        map(paragraph, ("Key entry points:", "- The successor rows", "- The successor columns"))
-    )
+    text = "".join(map(paragraph, ("Key entry points:", "- The successor index")))
     names = re.findall(r"`([^`]+)`", text)
     assert len(names) > 30 and "Nfa.targets" in names
     missing = []
