@@ -3,8 +3,8 @@
 The witness tables (the square truth table and the case table) are cell
 algebra on broadcastable arrays of flat triple indices.  Each table is
 cross-checked in the test suite against an independent scalar route:
-simulation by ``member`` and the case predicates.  Called without index
-arrays, a table is built whole, within the budget.
+simulation by ``member`` and the case predicates.  Each reads only the
+cells its two index arrays select.
 
 The checks built on them (:func:`first_orbit_hit`) read the n^3 x n^3
 grid on one cell per symmetry orbit.  States 6..n-1 of the witness are
@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from .config import charge
 from .errors import VerificationError
 from .witness import _PIVOT_L, _PIVOT_M, MIN_STATES, check_witness_n
 
@@ -131,15 +130,8 @@ def first_orbit_hit(
 
 def _triple_cells(n: int, x1, x2, table: str):
     """Coordinates (p, q, r) of two broadcastable arrays of flat triple
-    indices (p*n + q)*n + r in 0..n^3-1; both omitted stand for the whole
-    n^3 x n^3 grid, whose n^6 cells must fit the budget."""
+    indices (p*n + q)*n + r in 0..n^3-1."""
     check_witness_n(n)
-    if x1 is None and x2 is None:
-        charge(f"{table} cells", n**6)
-        x1 = np.arange(n**3, dtype=_CELL)[:, None]
-        x2 = x1.T
-    elif x1 is None or x2 is None:
-        raise ValueError("give both index arrays x1 and x2, or neither")
     cells = []
     for x in map(np.asarray, (x1, x2)):
         if x.dtype.kind not in "iu":
@@ -154,14 +146,13 @@ def _triple_cells(n: int, x1, x2, table: str):
     return cells
 
 
-def witness_square_table(n: int, x1=None, x2=None) -> np.ndarray:
+def witness_square_table(n: int, x1, x2) -> np.ndarray:
     """Boolean table T[x1, x2] = the word a_X1 b_X2 squares into the witness
     language (6 <= n <= 32).  Triples are flat-indexed as (p*n + q)*n + r.
 
     ``x1`` and ``x2`` are broadcastable arrays of flat indices and select
-    the cells returned; omitted, the whole n^3 x n^3 table is built.  It
-    tracks, letter by letter, the only states each letter can produce
-    while reading (a_X1 b_X2)^2.
+    the cells returned.  The table tracks, letter by letter, the only
+    states each letter can produce while reading (a_X1 b_X2)^2.
     """
     (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "witness_square_table")
     l1 = _PIVOT_L[p1]
@@ -194,7 +185,7 @@ def _case_conditions(p1, q1, r1, p2, q2, r2, l1, m2) -> list[np.ndarray]:
     ]
 
 
-def case_table(n: int, x1=None, x2=None) -> np.ndarray:
+def case_table(n: int, x1, x2) -> np.ndarray:
     """Lowest satisfied case id (1..7) per letter pair, 0 when none holds.
 
     ``x1`` and ``x2`` select cells as in :func:`witness_square_table`.

@@ -56,28 +56,23 @@ def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
     )
 
 
+# inclusion probabilities of random_nfa's draws, part of its draw contract
+TRANSITION_DENSITY = 0.3
+INITIAL_DENSITY = 0.5
+FINAL_DENSITY = 0.5
+
+
 @dataclass(frozen=True)
 class RandomSpec:
-    """Parameters for drawing a random NFA; equal specs give equal automata.
-
-    Densities are inclusion probabilities in (0, 1]; zero is rejected
-    because it only produces degenerate automata.
-    """
+    """Parameters for drawing a random NFA; equal specs give equal automata."""
 
     seed: int
     max_states: int = 4
     alphabet_size: int = 3
-    transition_density: float = 0.3
-    initial_density: float = 0.5
-    final_density: float = 0.5
 
     def __post_init__(self):
         for name, low in (("seed", 0), ("max_states", 1), ("alphabet_size", 1)):
             object.__setattr__(self, name, check_int(getattr(self, name), name, low))
-        for name in ("transition_density", "initial_density", "final_density"):
-            value = getattr(self, name)
-            if not 0 < value <= 1:
-                raise ValueError(f"{name} must be in (0, 1], got {value}")
 
 
 def random_nfa(spec: RandomSpec) -> Nfa:
@@ -86,17 +81,17 @@ def random_nfa(spec: RandomSpec) -> Nfa:
     Draw order is part of the contract (changing it changes every seeded
     test): first the state count, uniform on 1..max_states; then one
     uniform per (source, letter, target) triple in lexicographic order,
-    kept when below the transition density; then one uniform per state for
-    the initial set and one per state for the final set.  State 0 is
-    forced initial when the initial draws all miss, so the automaton is
-    never without a start.
+    kept when below TRANSITION_DENSITY; then one uniform per state for the
+    initial set and one per state for the final set, kept when below
+    INITIAL_DENSITY and FINAL_DENSITY.  State 0 is forced initial when the
+    initial draws all miss, so the automaton is never without a start.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n = int(rng.integers(1, spec.max_states + 1))
     letters = tuple(f"l{a}" for a in range(spec.alphabet_size))
-    coins = rng.random((n, spec.alphabet_size, n)) < spec.transition_density
-    initial = frozenset(np.flatnonzero(rng.random(n) < spec.initial_density).tolist())
-    final = frozenset(np.flatnonzero(rng.random(n) < spec.final_density).tolist())
+    coins = rng.random((n, spec.alphabet_size, n)) < TRANSITION_DENSITY
+    initial = frozenset(np.flatnonzero(rng.random(n) < INITIAL_DENSITY).tolist())
+    final = frozenset(np.flatnonzero(rng.random(n) < FINAL_DENSITY).tolist())
     if not initial:
         initial = frozenset({0})
     return Nfa(

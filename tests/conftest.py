@@ -102,6 +102,11 @@ def orbit_mask(n, cell, x1, x2):
     return mask
 
 
+def grid(n):
+    """Index arrays (x1, x2) of the whole n^3 x n^3 witness grid."""
+    return np.arange(n**3)[:, None], np.arange(n**3)[None, :]
+
+
 def first_pair(hit, n):
     """Row-major first True cell of a whole n^3 x n^3 table, as a pair of
     triples: the reference answer of every witness-table check."""
@@ -118,7 +123,7 @@ def _mutant(drop=None, identity_l=False):
     conditions as the real table, so each mutant differs from it only by
     its one damage."""
 
-    def case_table(n, x1=None, x2=None):
+    def case_table(n, x1, x2):
         (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table")
         l1 = p1 if identity_l else _PIVOT_L[p1]
         conds = _case_conditions(p1, q1, r1, p2, q2, r2, l1, _PIVOT_M[p2])

@@ -43,7 +43,7 @@ from sqrtnfa import (
     witness,
     witness_square_table,
 )
-from conftest import MUTANTS, iter_words, mutant
+from conftest import MUTANTS, grid, iter_words, mutant
 
 
 @pytest.fixture()
@@ -62,8 +62,8 @@ def announce(capfd):
 def warm_kernels():
     # call each table once on small inputs, so that first-call costs
     # (numpy's first dispatches) stay out of the timed sections below
-    witness_square_table(6)
-    case_table(6)
+    witness_square_table(6, *grid(6))
+    case_table(6, *grid(6))
     auto = random_nfa(RandomSpec(seed=0, max_states=4, alphabet_size=3))
     accept_table(sqrt_nfa(auto), 2)
     square_accept_table(auto, 2)

@@ -20,7 +20,7 @@ from sqrtnfa import (
 )
 from sqrtnfa import cases, kernels
 from sqrtnfa.cases import CASE_COUNT
-from conftest import MUTANTS, any_case, first_pair, mutant
+from conftest import MUTANTS, any_case, first_pair, grid, mutant
 
 
 def all_triples(n):
@@ -146,7 +146,7 @@ class TestPairwiseContradiction:
 
 
 def test_case_table_matches_scalar_any_case_row():
-    table = case_table(6)
+    table = case_table(6, *grid(6))
     for x1 in all_triples(6):
         flat1 = (x1[0] * 6 + x1[1]) * 6 + x1[2]
         for x2 in ((0, 0, 0), (1, 2, 2), (3, 3, 3), (5, 4, 3)):
@@ -165,8 +165,8 @@ class TestStripScan:
     @pytest.mark.parametrize("mutation", list(MUTANTS))
     def test_verify_cases_in_7_row_strips(self, n, mutation):
         with mutant(mutation) as damaged:
-            claimed = damaged(n)
-            expected = first_pair(witness_square_table(n) != (claimed != 0), n)
+            claimed = damaged(n, *grid(n))
+            expected = first_pair(witness_square_table(n, *grid(n)) != (claimed != 0), n)
             assert expected is not None
             assert verify_cases(n) == expected
 
@@ -175,7 +175,7 @@ class TestStripScan:
     def test_pairwise_contradiction_in_7_row_strips(self, monkeypatch, n, identity_l):
         if identity_l:
             monkeypatch.setattr(cases, "case_table", MUTANTS["identity_l=True"])
-        table = cases.case_table(n)
+        table = cases.case_table(n, *grid(n))
         hit = (table != 0) & (table.T != 0)
         np.fill_diagonal(hit, False)
         expected = first_pair(hit, n)
@@ -273,7 +273,7 @@ PINNED_MUTANT_TABLES = {
 
 @pytest.mark.parametrize("n, mutation", sorted(PINNED_MUTANT_TABLES))
 def test_mutants_reproduce_the_former_damage_parameters(n, mutation):
-    table = MUTANTS[mutation](n)
+    table = MUTANTS[mutation](n, *grid(n))
     assert table.dtype == np.uint8 and table.shape == (n**3, n**3)
     digest = hashlib.sha256(table.tobytes()).hexdigest()
     assert digest == PINNED_MUTANT_TABLES[n, mutation]

@@ -17,7 +17,7 @@ from sqrtnfa import (
     verify_fooling,
 )
 from sqrtnfa import fooling, kernels
-from conftest import orbit_mask
+from conftest import grid, orbit_mask
 
 
 def oracle_for(language):
@@ -173,9 +173,8 @@ class TestCertifyMatchesReference:
         # each is spread over the orbits of (i, j) and (j, i) at that n, so
         # the damaged table keeps the symmetry the one pass relies on
         n = closed_at or 6
-        table = witness_square_table(n).copy()
+        table = witness_square_table(n, *grid(n))
         m = table.shape[0]
-        idx = np.arange(m)
         rng = random.Random(seed)
         for _ in range(3):
             i, j = rng.sample(range(m), 2)
@@ -184,7 +183,7 @@ class TestCertifyMatchesReference:
                 continue
             for x1, x2 in ((i, j), (j, i)):
                 cell = [c for x in (x1, x2) for c in (x // (n * n), (x // n) % n, x % n)]
-                table |= orbit_mask(n, cell, idx[:, None], idx[None, :])
+                table |= orbit_mask(n, cell, *grid(n))
         monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
         report = certify_lower_bound(n)
         reference = verify_fooling(witness_fooling_set(n), table_oracle(table))
@@ -194,7 +193,7 @@ class TestCertifyMatchesReference:
         assert report == reference
 
     def test_cond1_failure_when_table_and_automaton_agree(self, monkeypatch):
-        table = witness_square_table(6).copy()
+        table = witness_square_table(6, *grid(6))
         table[40, 40] = table[90, 90] = False
         oracle = table_oracle(table)
         monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
@@ -204,7 +203,7 @@ class TestCertifyMatchesReference:
         assert report == verify_fooling(witness_fooling_set(6), oracle)
 
     def test_damaged_diagonal_raises(self, monkeypatch):
-        table = witness_square_table(6).copy()
+        table = witness_square_table(6, *grid(6))
         table[40, 40] = False
         monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
         with pytest.raises(VerificationError, match="pair 41"):

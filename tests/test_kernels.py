@@ -23,7 +23,7 @@ from sqrtnfa import (
     witness_square_table,
 )
 from sqrtnfa.words import walk_word_tree
-from conftest import any_case, iter_words, nfas
+from conftest import any_case, grid, iter_words, nfas
 
 class TestAcceptTableOnCube:
     def test_cube_of_4_states_exactly_fits(self, small_random):
@@ -50,7 +50,7 @@ class TestAcceptTableOnCube:
 
 class TestWitnessSquareTable:
     def test_against_plain_member_exhaustively(self, witness6):
-        table = witness_square_table(6)
+        table = witness_square_table(6, *grid(6))
         assert table.shape == (216, 216) and table.dtype == np.bool_
         for x1 in range(216):
             for x2 in range(216):
@@ -76,24 +76,17 @@ class TestWitnessSquareTable:
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
-            witness_square_table(5)
+            witness_square_table(5, *grid(5))
         with pytest.raises(ValueError):
-            witness_square_table(33)
+            witness_square_table(33, [0], [0])
 
 
 class TestTableForms:
-    def test_whole_tables_check_the_budget(self, monkeypatch):
-        monkeypatch.setenv("SQRTNFA_BUDGET", "1000")
-        with pytest.raises(BudgetExceededError, match="witness_square_table"):
-            witness_square_table(6)
-        with pytest.raises(BudgetExceededError, match="case_table"):
-            case_table(6)
-
     def test_cell_form_matches_whole_table(self):
         rows = np.array([[0], [17], [215]])
         cols = np.arange(216)[None, :]
-        truth = witness_square_table(6)[rows, cols]
-        claimed = case_table(6)[rows, cols]
+        truth = witness_square_table(6, *grid(6))[rows, cols]
+        claimed = case_table(6, *grid(6))[rows, cols]
         assert (witness_square_table(6, rows, cols) == truth).all()
         assert (case_table(6, rows, cols) == claimed).all()
 
@@ -112,16 +105,10 @@ class TestTableForms:
         with pytest.raises(ValueError, match="must be integers"):
             case_table(6, x1=np.array([True]), x2=[0])
 
-    def test_index_arrays_come_in_pairs(self):
-        with pytest.raises(ValueError, match="both index arrays"):
-            witness_square_table(6, np.arange(3))
-        with pytest.raises(ValueError, match="both index arrays"):
-            case_table(6, x2=np.arange(3))
-
 
 class TestCaseTable:
     def test_against_scalar_predicates_sampled(self):
-        table = case_table(6)
+        table = case_table(6, *grid(6))
         assert table.dtype == np.uint8
         rng = np.random.Generator(np.random.PCG64(5))
         codec_pairs = [(int(rng.integers(216)), int(rng.integers(216))) for _ in range(2000)]

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import sys
 import threading
 
@@ -214,6 +216,23 @@ class TestArrayRelation:
         assert cube.transitions._tuples is None
         assert cube.transitions[0] == tuple(cube.transitions.array[0].tolist())
         assert cube.transitions._tuples is not None
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_copies_keep_a_read_only_relation(self, witness6, indexed):
+        # Relation.__reduce__ rebuilds the view, which marks the copied
+        # array read-only again; a built successor index travels along
+        cube = sqrt_nfa(witness6)
+        words = [(), (0, 216), (7, 216 + 7), (0, 216 + 5), (5, 256, 3, 259)]
+        if indexed:
+            member(cube, words[1])
+        copies = [pickle.loads(pickle.dumps(cube)), copy.deepcopy(cube)]
+        expected = [member(cube, w) for w in words]
+        assert True in expected and False in expected
+        for twin in copies:
+            assert twin == cube and hash(twin) == hash(cube)
+            assert not twin.transitions.array.flags.writeable
+            assert ("_succ" in twin.__dict__) == indexed
+            assert [member(twin, w) for w in words] == expected
 
 
 class TestReachability:

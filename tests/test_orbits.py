@@ -32,7 +32,7 @@ from sqrtnfa import (
 from sqrtnfa import fooling, kernels
 from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa.kernels import orbit_cells, orbit_count
-from conftest import MUTANTS, first_pair, mutant, orbit_mask
+from conftest import MUTANTS, first_pair, grid, mutant, orbit_mask
 
 ORBITS = 163_967
 
@@ -195,13 +195,13 @@ def all_checks(n):
 def whole_grid_checks(n):
     """The same answers as :func:`all_checks`, each the argmax of a whole
     n^3 x n^3 table."""
-    truth = witness_square_table(n)
+    truth = witness_square_table(n, *grid(n))
     clash = first_pair(np.triu(truth & truth.T, 1), n)
     checks = [None if clash is None else Violation("cond2", *(flat(x, n) + 1 for x in clash))]
     for table in (case_table, *MUTANTS.values()):
-        checks.append(first_pair(truth != (table(n) != 0), n))
+        checks.append(first_pair(truth != (table(n, *grid(n)) != 0), n))
     for table in (case_table, MUTANTS["identity_l=True"]):
-        claimed = table(n) != 0
+        claimed = table(n, *grid(n)) != 0
         checks.append(first_pair(np.triu(claimed & claimed.T, 1), n))
     return checks
 
@@ -232,9 +232,8 @@ class TestScreenMatchesStrips:
             return kernels.witness_square_table(n, x1, x2) ^ orbit_mask(n, cell, x1, x2)
 
         monkeypatch.setattr(fooling, "witness_square_table", damaged)
-        idx = np.arange(n**3)
-        table = damaged(n, idx[:, None], idx[None, :])
-        assert (table != witness_square_table(n)).sum() == 2
+        table = damaged(n, *grid(n))
+        assert (table != witness_square_table(n, *grid(n))).sum() == 2
         report = certify_lower_bound(n)
         reference = verify_fooling(
             witness_fooling_set(n), lambda w: bool(table[w[0], w[1] - n**3])
