@@ -121,8 +121,10 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_nfa(path: str) -> Nfa:
-    return parse_nfa(_read_text(path))
+def _load_nfa(path: str, budget: int | None = None) -> Nfa:
+    nfa = parse_nfa(_read_text(path))
+    charge("input automaton states", nfa.n_states, budget)
+    return nfa
 
 
 def _parse_word(nfa: Nfa, text: str) -> Word:
@@ -159,7 +161,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_sqrt(args: argparse.Namespace) -> int:
-    auto = _load_nfa(args.infile)
+    auto = _load_nfa(args.infile, args.budget)
     cube = sqrt_nfa(auto, args.budget)
     _write_text(args.out, emit_nfa(cube, state_labels=triple_labels(auto.n_states)))
     return 0
@@ -193,7 +195,7 @@ def _cmd_check_fooling(args: argparse.Namespace, parser: argparse.ArgumentParser
         return _print_fooling(certify_lower_bound(args.n, args.budget))
     if not (args.infile and args.pairs and args.mode):
         parser.error("either --n, or all of --in, --pairs and --mode are required")
-    auto = _load_nfa(args.infile)
+    auto = _load_nfa(args.infile, args.budget)
     candidate = _parse_pairs(auto, _read_text(args.pairs))
     # condition 2 may examine every unordered pair of the candidate set
     charge("fooling set cross pairs", len(candidate) * (len(candidate) - 1) // 2, args.budget)
@@ -211,8 +213,15 @@ def _cmd_verify_cases(args: argparse.Namespace) -> int:
     return 1
 
 
-def _triangle_mismatch(auto: Nfa, cube: Nfa, fn_dfa, budget: int | None) -> Word | None:
-    """First word of length <= 6 where the three membership routes split."""
+def _route_mismatch(auto: Nfa, budget: int | None) -> Word | None:
+    """The check of one ``random-equiv`` trial: the shortest word where the
+    cube and the function automaton disagree, else the first word of length
+    <= 6 where the three membership routes split, else None."""
+    cube = sqrt_nfa(auto, budget)
+    fn_dfa = sqrt_dfa(determinize(auto, budget), budget=budget)
+    fn_nfa = dfa_to_nfa(fn_dfa)
+    if not equivalent(cube, fn_nfa, budget):
+        return difference_witness(cube, fn_nfa, budget)
     direct = square_accept_table(auto, TRIANGLE_WORD_LENGTH, budget)
     via_cube = accept_table(cube, TRIANGLE_WORD_LENGTH, budget)
     via_fn = dfa_accept_table(fn_dfa, TRIANGLE_WORD_LENGTH, budget)
@@ -233,14 +242,7 @@ def _cmd_random_equiv(args: argparse.Namespace) -> int:
     for trial in range(args.trials):
         seed = args.seed + trial
         auto = random_nfa(replace(spec, seed=seed))
-        cube = sqrt_nfa(auto, args.budget)
-        det = determinize(auto, args.budget)
-        fn_dfa = sqrt_dfa(det, budget=args.budget)
-        fn_nfa = dfa_to_nfa(fn_dfa)
-        if not equivalent(cube, fn_nfa, args.budget):
-            word = difference_witness(cube, fn_nfa, args.budget)
-        else:
-            word = _triangle_mismatch(auto, cube, fn_dfa, args.budget)
+        word = _route_mismatch(auto, args.budget)
         if word is not None:
             print(f'trial {trial} seed={seed} failed: word "{_format_word(auto, word)}"')
             failures += 1
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", default=None, help="pairs file: 'x-letters ; y-letters'")
     p.add_argument("--mode", choices=("sqrt", "plain"), default=None)
     _add_budget(p)
-    p.set_defaults(func=_cmd_check_fooling, needs_parser=True)
+    p.set_defaults(func=partial(_cmd_check_fooling, parser=p))
 
     p = sub.add_parser(
         "verify-cases", help="check the case table against the square truth table"
@@ -349,8 +351,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "needs_parser", False):
-            return args.func(args, parser)
         return args.func(args)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)

@@ -414,8 +414,18 @@ def _run(nfa: Nfa, mask: int, word: Word) -> int:
     return mask
 
 
+def _explored_dfa(start, step, accepting, alphabet, budget, what: str) -> Dfa:
+    """The nodes :func:`explore` reaches from ``start`` as a DFA: node i is
+    state i, so ``start`` is state 0, a row lists a node's ``step``
+    successors in letter order, and a state is final when its node is
+    ``accepting``.  More than ``budget`` nodes are refused as ``what``."""
+    nodes, rows = explore(start, step, budget, what)
+    final = frozenset(i for i, node in enumerate(nodes) if accepting(node))
+    return Dfa(len(nodes), alphabet, 0, final, tuple(map(tuple, rows)))
+
+
 def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
-    """Subset construction over reachable subsets only.
+    """Subset construction over reachable subsets, laid out by :func:`_explored_dfa`.
 
     The empty subset becomes an explicit sink state if (and only if) some
     reachable subset has no successor on some letter, keeping the result
@@ -423,19 +433,9 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
     states would exceed the cap (default from :mod:`sqrtnfa.config`).
     """
     final_mask = _mask(nfa.final)
-    order, rows = explore(
-        _mask(nfa.initial),
-        _stepper(nfa),
-        cap,
-        "determinization subset states",
-    )
-    final = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
-    return Dfa(
-        n_states=len(order),
-        alphabet=nfa.alphabet,
-        initial=0,
-        final=final,
-        transitions=tuple(tuple(r) for r in rows),
+    return _explored_dfa(
+        _mask(nfa.initial), _stepper(nfa), lambda subset: subset & final_mask,
+        nfa.alphabet, cap, "determinization subset states",
     )
 
 

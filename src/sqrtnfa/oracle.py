@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_int
-from .nfa import Dfa, Nfa, Word, member
-from .words import explore
+from .nfa import Dfa, Nfa, Word, _explored_dfa, member
 
 
 def sqrt_member_direct(nfa: Nfa, word: Word) -> bool:
@@ -24,7 +23,8 @@ def sqrt_member_direct(nfa: Nfa, word: Word) -> bool:
 
 
 def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
-    """Deterministic automaton for the square root of a DFA's language.
+    """Deterministic automaton for the square root of a DFA's language,
+    laid out by :func:`sqrtnfa.nfa._explored_dfa`.
 
     States are the self-maps of the input DFA reachable from the identity,
     each a tuple whose entry q is the state reached from q by the word
@@ -38,21 +38,11 @@ def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
     """
     # column a maps each state to its successor on letter a
     columns = list(zip(*dfa.transitions))
-    order, rows = explore(
+    return _explored_dfa(
         tuple(range(dfa.n_states)),  # the identity map
         lambda f: [tuple(map(col.__getitem__, f)) for col in columns],
-        budget,
-        "square-root DFA states",
-    )
-    final = frozenset(
-        i for i, f in enumerate(order) if f[f[dfa.initial]] in dfa.final
-    )
-    return Dfa(
-        n_states=len(order),
-        alphabet=dfa.alphabet,
-        initial=0,
-        final=final,
-        transitions=tuple(tuple(r) for r in rows),
+        lambda f: f[f[dfa.initial]] in dfa.final,
+        dfa.alphabet, budget, "square-root DFA states",
     )
 
 

@@ -5,8 +5,8 @@ all length-1 words in letter order, then length-2, and so on.  The
 acceptance tables of :mod:`sqrtnfa.nfa` are indexed by this rank, and
 :func:`rank_to_word` reads a word off its rank; :func:`walk_word_tree` is
 the one walk that builds such tables.  :func:`explore`, the one
-breadth-first numbering of reachable nodes, serves it, the subset,
-function and product automata, and ``trim``.
+breadth-first numbering of reachable nodes, serves it, ``trim``, the
+product walk, and ``nfa._explored_dfa``: the subset and function automata.
 """
 
 from collections.abc import Callable, Hashable, Sequence

@@ -1,13 +1,13 @@
 import dataclasses
 import io
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
-from sqrtnfa import Report, cli, emit_nfa, main, parse_nfa, run_report, witness
+from sqrtnfa import Report, TripleCodec, cli, emit_nfa, main, parse_nfa, run_report, witness
 from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa.kernels import orbit_cells
-from conftest import mutant
+from conftest import make_nfa, mutant
 
 
 @pytest.fixture()
@@ -60,6 +60,11 @@ class TestSqrtCommand:
         assert code == 3 and out == ""
         assert "cube construction transitions: needs 1024" in err
 
+    def test_a_budget_below_the_input_states_names_them(self, capsys, w6_file):
+        code, out, err = run(capsys, "sqrt", "--in", w6_file, "--budget", "5")
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: input automaton states: needs 6, exceeds budget 5\n"
+
     def test_stdin_roundtrip(self, capsys, monkeypatch):
         small = "states 1\nalphabet a\ninitial 0\nfinal 0\ntrans 0 a 0\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(small))
@@ -99,6 +104,44 @@ class TestMembership:
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "member", "--in", str(tmp_path / "nope"), "--word", "")
         assert code == 2
+
+
+class TestInputStates:
+    """An automaton file's state count is charged before anything is sized
+    by it; the budget comes from --budget where the command has one, else
+    from the environment."""
+
+    HUGE = "states 1000000000000\nalphabet a\ninitial 0\nfinal 999999999999\ntrans 0 a 0\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["member", "--word", "a"],
+            ["sqrt-member", "--word", "a"],
+            ["check-fooling", "--pairs", "-", "--mode", "sqrt"],
+            ["sqrt"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_a_huge_state_count_is_refused(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+        path = tmp_path / "huge.nfa"
+        path.write_text(self.HUGE)
+        code, out, err = run(capsys, *command, "--in", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "budget exceeded: input automaton states: "
+            "needs 1000000000000, exceeds budget 1000000\n"
+        )
+
+    def test_the_budget_variable_bounds_member(self, capsys, monkeypatch, w6_file):
+        argv = ("member", "--in", w6_file, "--word", "a[2,3,5] b[2,3,5] a[2,3,5] b[2,3,5]")
+        monkeypatch.setenv(BUDGET_ENV, "6")
+        assert run(capsys, *argv) == (0, "true\n", "")
+        monkeypatch.setenv(BUDGET_ENV, "5")
+        assert run(capsys, *argv) == (
+            3, "", "budget exceeded: input automaton states: needs 6, exceeds budget 5\n"
+        )
 
 
 class TestCheckFooling:
@@ -180,6 +223,15 @@ class TestCheckFooling:
         with pytest.raises(SystemExit) as info:
             main(["check-fooling", "--in", w6_file, "--pairs", str(pairs)])
         assert info.value.code == 2
+
+    def test_usage_errors_name_the_subcommand(self, capsys, w6_file):
+        with pytest.raises(SystemExit):
+            main(["check-fooling", "--n", "6", "--in", w6_file])
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sqrtnfa check-fooling ")
+        assert err.endswith(
+            "sqrtnfa check-fooling: error: --n cannot be combined with --in/--pairs/--mode\n"
+        )
 
 
 class TestVerifyCases:
@@ -297,6 +349,50 @@ class TestRandomEquiv:
         word = " ".join(["l2"] * 6)
         lines = [f'trial {t} seed={t} failed: word "{word}"' for t in range(5)]
         assert out.splitlines() == [*lines, "5 of 5 trials failed"]
+
+
+@pytest.fixture(scope="module")
+def small_scope():
+    """Every automaton with 1 or 2 states over 1 or 2 letters: every
+    relation, every non-empty initial set, every final set."""
+    automata = []
+    for n, sigma in product((1, 2), repeat=2):
+        triples = list(product(range(n), range(sigma), range(n)))
+        sets = [{s for s in range(n) if bits >> s & 1} for bits in range(1 << n)]
+        for keep in product((False, True), repeat=len(triples)):
+            relation = list(compress(triples, keep))
+            for initial, final in product(sets[1:], sets):
+                automata.append(make_nfa(n, sigma, relation, initial, final))
+    return automata
+
+
+class TestSmallScope:
+    """The check of one random-equiv trial, run on every automaton of a
+    small scope instead of on random draws."""
+
+    def test_every_small_automaton_agrees_on_all_routes(self, small_scope):
+        assert len(small_scope) == 4 + 8 + 192 + 3072
+        mismatches = [
+            (auto, word)
+            for auto in small_scope
+            if (word := cli._route_mismatch(auto, None)) is not None
+        ]
+        assert mismatches == []
+
+    def test_a_cube_blind_to_the_midpoint_is_caught(self, small_scope, monkeypatch):
+        real = cli.sqrt_nfa
+
+        def midpoint_blind(auto, budget=None):
+            # (p, q, f) is final for every q, not only for q = p
+            cube = real(auto, budget)
+            n, codec = auto.n_states, TripleCodec(auto.n_states)
+            final = {
+                codec.encode(p, q, f) for p in range(n) for q in range(n) for f in auto.final
+            }
+            return dataclasses.replace(cube, final=frozenset(final))
+
+        monkeypatch.setattr(cli, "sqrt_nfa", midpoint_blind)
+        assert any(cli._route_mismatch(auto, None) is not None for auto in small_scope)
 
 
 class TestReport:

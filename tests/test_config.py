@@ -45,20 +45,31 @@ def function(tree: ast.AST, name: str) -> ast.FunctionDef:
     return node
 
 
-def constructions(tree: ast.AST) -> int:
-    """How many ``BudgetExceededError(...)`` calls, bare or dotted, a tree holds."""
-    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+def calls(tree: ast.AST, name: str) -> int:
+    """How many ``name(...)`` calls, bare or dotted, a tree holds."""
+    funcs = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
     return sum(
-        "BudgetExceededError" in (getattr(func, "id", None), getattr(func, "attr", None))
-        for func in calls
+        name in (getattr(func, "id", None), getattr(func, "attr", None)) for func in funcs
     )
+
+
+def call_sites(trees: dict[str, ast.Module], name: str) -> dict[str, int]:
+    return {module: count for module, tree in trees.items() if (count := calls(tree, name))}
 
 
 def test_only_the_gate_constructs_budget_errors():
     trees = parse_sources()
-    sites = {name: count for name, tree in trees.items() if (count := constructions(tree))}
-    assert sites == {"config.py": 1}
-    assert constructions(function(trees["config.py"], "charge")) == 1
+    assert call_sites(trees, "BudgetExceededError") == {"config.py": 1}
+    assert calls(function(trees["config.py"], "charge"), "BudgetExceededError") == 1
+
+
+def test_one_builder_assembles_every_explored_dfa():
+    # the subset and function automata share one layout: nfa._explored_dfa
+    # makes the one Dfa(...) call, and only nfa.py and words.py explore
+    trees = parse_sources()
+    assert call_sites(trees, "Dfa") == {"nfa.py": 1}
+    assert calls(function(trees["nfa.py"], "_explored_dfa"), "Dfa") == 1
+    assert set(call_sites(trees, "explore")) == {"nfa.py", "words.py"}
 
 
 def integral_references(tree: ast.AST) -> int:
