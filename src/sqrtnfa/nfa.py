@@ -22,13 +22,22 @@ and ``accept_table`` and ``square_accept_table``, which flag every word up
 to a length in rank order, see :mod:`sqrtnfa.words`) ORs each set state's
 packed all-letter column and splits the result once.  There is no state
 cap: masks are Python ints.
+
+The word walks (``determinize``, the pair walk, ``accept_table`` and
+``dfa_accept_table``) take their start node, successor function and
+acceptance test from :func:`_walk`, so the pair walk and the tables also
+take a ``Dfa``, which steps its states on its transition table with no
+NFA view.  A ``Dfa``
+validates a table of plain ``int`` rows in a few C-level passes and
+checks any other table entry by entry.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -283,11 +292,14 @@ class Dfa:
         object.__setattr__(self, "final", final)
         if len(self.transitions) != n:
             raise ValueError("transition table must have one row per state")
-        rows = []
-        for row in self.transitions:
-            if len(row) != len(self.alphabet):
-                raise ValueError("transition table row must cover every letter")
-            rows.append(tuple(check_int(dst, "transition target", 0, n) for dst in row))
+        rows = _plain_rows(self.transitions, n, len(self.alphabet))
+        if rows is None:
+            # some row is bad, or holds a non-int integer: one entry at a time
+            rows = []
+            for row in self.transitions:
+                if len(row) != len(self.alphabet):
+                    raise ValueError("transition table row must cover every letter")
+                rows.append(tuple(check_int(dst, "transition target", 0, n) for dst in row))
         object.__setattr__(self, "transitions", tuple(rows))
 
     def run(self, word: Word) -> int:
@@ -332,6 +344,18 @@ def _plain_names(alphabet: tuple) -> bool:
         and joined.split() == list(alphabet)
         and len(set(alphabet)) == len(alphabet)
     )
+
+
+def _plain_rows(table, n: int, sigma: int) -> tuple[tuple[int, ...], ...] | None:
+    """The table's rows as tuples when each is a tuple or list of ``sigma``
+    entries of type ``int`` in ``range(n)``, checked in a few passes at C
+    speed; otherwise None."""
+    if not set(map(type, table)) <= {tuple, list} or set(map(len, table)) != {sigma}:
+        return None
+    flat = list(chain.from_iterable(table))
+    if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= n:
+        return None
+    return tuple(map(tuple, table))
 
 
 def _checked_state_count(n: int) -> int:
@@ -385,6 +409,18 @@ def _stepper(nfa: Nfa):
     return step
 
 
+def _walk(auto: Nfa | Dfa):
+    """An automaton's walk on words: its start node, a node's successors
+    in letter order, and whether a node accepts.  An ``Nfa``'s nodes are
+    state-set masks stepped by :func:`_stepper`; a ``Dfa``'s are its
+    states, stepped on its table.  A DFA state d and its singleton mask
+    ``1 << d`` are numbered alike by :func:`explore`."""
+    if isinstance(auto, Dfa):
+        return auto.initial, auto.transitions.__getitem__, auto.final.__contains__
+    fin = _mask(auto.final)
+    return _mask(auto.initial), _stepper(auto), lambda mask: mask & fin != 0
+
+
 def reach(nfa: Nfa, states: set[int] | frozenset[int], word: Word) -> set[int]:
     """States reachable from ``states`` after reading ``word`` (epsilon = identity)."""
     # as ints: a numpy integer would not widen past 64 bits in a mask
@@ -432,11 +468,7 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
     total.  Raises :class:`BudgetExceededError` when the number of subset
     states would exceed the cap (default from :mod:`sqrtnfa.config`).
     """
-    final_mask = _mask(nfa.final)
-    return _explored_dfa(
-        _mask(nfa.initial), _stepper(nfa), lambda subset: subset & final_mask,
-        nfa.alphabet, cap, "determinization subset states",
-    )
+    return _explored_dfa(*_walk(nfa), nfa.alphabet, cap, "determinization subset states")
 
 
 def dfa_to_nfa(dfa: Dfa) -> Nfa:
@@ -456,29 +488,28 @@ def dfa_to_nfa(dfa: Dfa) -> Nfa:
     )
 
 
-def _pair_graph(a: Nfa, b: Nfa):
-    """The pairs of state sets one word reaches in ``a`` and in ``b``: the
-    start pair, a pair's successors in letter order, and whether a pair
-    splits on acceptance."""
+def _pair_graph(a: Nfa | Dfa, b: Nfa | Dfa):
+    """The pairs of nodes (see :func:`_walk`) one word reaches in ``a`` and
+    in ``b``: the start pair, a pair's successors in letter order, and
+    whether a pair splits on acceptance."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch between automata")
-    step_a, step_b = _stepper(a), _stepper(b)
-    fin_a, fin_b = _mask(a.final), _mask(b.final)
+    (start_a, step_a, accepts_a), (start_b, step_b, accepts_b) = _walk(a), _walk(b)
     return (
-        (_mask(a.initial), _mask(b.initial)),
+        (start_a, start_b),
         lambda ab: list(zip(step_a(ab[0]), step_b(ab[1]))),
-        lambda ab: bool(ab[0] & fin_a) != bool(ab[1] & fin_b),
+        lambda ab: accepts_a(ab[0]) != accepts_b(ab[1]),
     )
 
 
-def difference_witness(a: Nfa, b: Nfa, cap: int | None = None) -> Word | None:
+def difference_witness(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> Word | None:
     """Shortest word accepted by exactly one automaton, or None when the
     languages coincide.
 
-    The pairs of reached state sets are explored on the fly, breadth first
-    in letter order, without determinizing either side, and the walk stops
-    at the first pair that splits on acceptance, so ties resolve
-    lexicographically.  More pairs than the cap before that raises
+    The pairs of reached state sets (a ``Dfa`` side's are its states) are
+    explored on the fly, breadth first in letter order, without
+    determinizing either side, and the walk stops at the first pair that
+    splits on acceptance, so ties resolve lexicographically.  More pairs than the cap before that raises
     ``BudgetExceededError("equivalence product pairs", ...)``, even when
     each side's determinization would fit.
     """
@@ -496,7 +527,7 @@ def difference_witness(a: Nfa, b: Nfa, cap: int | None = None) -> Word | None:
     return words[len(pairs) - 1]
 
 
-def equivalent(a: Nfa, b: Nfa, cap: int | None = None) -> bool:
+def equivalent(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> bool:
     """Exact language equality: no reachable pair of state sets splits on
     acceptance (see :func:`difference_witness`).
 
@@ -506,7 +537,9 @@ def equivalent(a: Nfa, b: Nfa, cap: int | None = None) -> bool:
     return difference_witness(a, b, cap) is None
 
 
-def bounded_equal(a: Nfa, b: Nfa, max_len: int, budget: int | None = None) -> Word | None:
+def bounded_equal(
+    a: Nfa | Dfa, b: Nfa | Dfa, max_len: int, budget: int | None = None
+) -> Word | None:
     """First word of length <= max_len (length-lex order) where membership
     differs, or None.  The words walked must fit ``budget``.
 
@@ -575,17 +608,14 @@ def enumerate_words(nfa: Nfa, max_len: int, budget: int | None = None) -> list[W
     return [rank_to_word(len(nfa.alphabet), int(r)) for r in table.nonzero()[0]]
 
 
-def accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np.ndarray:
+def accept_table(nfa: Nfa | Dfa, max_len: int, budget: int | None = None) -> np.ndarray:
     """Acceptance flag for every word of length <= max_len, rank order.
 
     Index k of the result corresponds to the k-th word in length-lex
-    order (see :mod:`sqrtnfa.words`); a word's node is its reached state
-    set as an int mask.
+    order (see :mod:`sqrtnfa.words`); a word's node is what it reaches in
+    :func:`_walk`: a state set as an int mask, or a DFA state.
     """
-    fin = _mask(nfa.final)
-    return walk_word_tree(
-        _mask(nfa.initial), _stepper(nfa), lambda m: m & fin, len(nfa.alphabet), max_len, budget
-    )
+    return walk_word_tree(*_walk(nfa), len(nfa.alphabet), max_len, budget)
 
 
 def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np.ndarray:
@@ -596,7 +626,7 @@ def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np
     state, and ww is accepted when applying it twice to the initial set
     meets a final state.
     """
-    step = _stepper(nfa)
+    step = cache(_stepper(nfa))  # local to this call: each mask stepped once
     init, fin = _mask(nfa.initial), _mask(nfa.final)
 
     def accepting(rel: tuple[int, ...]) -> int:
@@ -615,11 +645,4 @@ def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np
 
 def dfa_accept_table(dfa: Dfa, max_len: int, budget: int | None = None) -> np.ndarray:
     """Acceptance flag for every word of length <= max_len on a DFA."""
-    return walk_word_tree(
-        dfa.initial,
-        dfa.transitions.__getitem__,
-        dfa.final.__contains__,
-        len(dfa.alphabet),
-        max_len,
-        budget,
-    )
+    return walk_word_tree(*_walk(dfa), len(dfa.alphabet), max_len, budget)

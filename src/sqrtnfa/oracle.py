@@ -27,20 +27,25 @@ def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
     laid out by :func:`sqrtnfa.nfa._explored_dfa`.
 
     States are the self-maps of the input DFA reachable from the identity,
-    each a tuple whose entry q is the state reached from q by the word
-    read so far; reading letter ``a`` post-composes with that letter's
-    action.  The map f accepts iff f(f(start)) is final: f(start) is where
-    the first copy of the word ends, and applying f again runs the second
-    copy from there.
+    each a byte string whose byte q is the state reached from q by the
+    word read so far; reading letter ``a`` post-composes with that
+    letter's action, one ``bytes.translate`` through a 256-byte table.
+    The map f accepts iff f(f(start)) is final: f(start) is where the
+    first copy of the word ends, and applying f again runs the second copy
+    from there.  A DFA of more than 256 states does not fit in bytes and
+    raises ``ValueError``.
 
     The state count can explode combinatorially, so ``budget`` caps the
     reachable maps actually materialized.
     """
-    # column a maps each state to its successor on letter a
-    columns = list(zip(*dfa.transitions))
+    n = dfa.n_states
+    if n > 256:
+        raise ValueError(f"sqrt_dfa supports at most 256 states, got {n}")
+    # table a maps each state to its successor on letter a
+    tables = [bytes(column).ljust(256, b"\0") for column in zip(*dfa.transitions)]
     return _explored_dfa(
-        tuple(range(dfa.n_states)),  # the identity map
-        lambda f: [tuple(map(col.__getitem__, f)) for col in columns],
+        bytes(range(n)),  # the identity map
+        lambda f: [f.translate(table) for table in tables],
         lambda f: f[f[dfa.initial]] in dfa.final,
         dfa.alphabet, budget, "square-root DFA states",
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sqrtnfa import Nfa, RandomSpec, random_nfa, sqrt_nfa, witness
+from sqrtnfa import Dfa, Nfa, RandomSpec, random_nfa, sqrt_nfa, witness
 from sqrtnfa import cases
 from sqrtnfa.cases import CASE_COUNT, case_holds
 from sqrtnfa.kernels import _case_conditions, _triple_cells
@@ -65,6 +65,25 @@ def any_case(x1, x2, n):
         if case_holds(case, x1, x2, n):
             return case
     return None
+
+
+def tuple_sqrt_dfa(dfa: Dfa) -> Dfa:
+    """The function automaton with each map a tuple, composed one entry at
+    a time and numbered breadth first in letter order: the reference for
+    ``sqrt_dfa``, whose maps are byte strings."""
+    columns = list(zip(*dfa.transitions))
+    start = tuple(range(dfa.n_states))
+    ids, maps, rows = {start: 0}, [start], []
+    for f in maps:  # grows while it is read: breadth first
+        row = []
+        for column in columns:
+            g = tuple(column[q] for q in f)
+            row.append(ids.setdefault(g, len(ids)))
+            if len(ids) > len(maps):
+                maps.append(g)
+        rows.append(tuple(row))
+    final = frozenset(i for i, f in enumerate(maps) if f[f[dfa.initial]] in dfa.final)
+    return Dfa(len(maps), dfa.alphabet, 0, final, tuple(rows))
 
 
 @st.composite

@@ -79,13 +79,20 @@ def test_automaton_phases_refuse_one_below_their_count(a, max_len):
     assert_threshold(
         lambda c: difference_witness(a, b, c), det.n_states, "equivalence product pairs"
     )
+    # det as a side walks its own states: the same pairs, charged alike
+    assert_threshold(lambda c: equivalent(a, det, c), det.n_states, "equivalence product pairs")
+    assert_threshold(
+        lambda c: difference_witness(det, a, c), det.n_states, "equivalence product pairs"
+    )
 
     words = count_words(len(a.alphabet), max_len)
     for table in (
         lambda c: accept_table(a, max_len, c),
         lambda c: square_accept_table(a, max_len, c),
         lambda c: dfa_accept_table(det, max_len, c),
+        lambda c: accept_table(det, max_len, c),
         lambda c: bounded_equal(a, b, max_len, c),
+        lambda c: bounded_equal(a, det, max_len, c),
     ):
         assert_threshold(table, words, "word tree words")
 

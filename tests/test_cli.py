@@ -1,6 +1,10 @@
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 from itertools import compress, product
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +319,18 @@ class TestRandomEquiv:
             "--max-states", "800", "--budget", "1000",
         )
         assert code == 2 and "seed -1 out of range" in err
+
+    def test_runs_as_a_module(self):
+        # python -m once ran nothing and exited 0: cli.py had no __main__ guard
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        module = (sys.executable, "-m", "sqrtnfa.cli", "random-equiv", "--seed", "0", "--trials")
+        done = subprocess.run((*module, "3"), capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (0, "all 3 trials agree\n")
+        done = subprocess.run((*module, "0"), capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "error: --trials 0 out of range" in done.stderr
 
     def test_seed_is_required(self):
         with pytest.raises(SystemExit) as info:

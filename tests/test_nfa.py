@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import re
 import sys
 import threading
 
@@ -18,6 +19,7 @@ from sqrtnfa import (
     accept_table,
     bounded_equal,
     determinize,
+    dfa_accept_table,
     dfa_to_nfa,
     difference_witness,
     enumerate_words,
@@ -119,6 +121,37 @@ class TestConstruction:
         # and a float initial state broke the first walk with a TypeError
         with pytest.raises(ValueError, match=f"{message} is not an integer"):
             build()
+
+    @pytest.mark.parametrize(
+        "rows, outcome",
+        [
+            (((0, 1), (True, 0)), ((0, 1), (1, 0))),
+            (((0, 1), (np.int64(1), 0)), ((0, 1), (1, 0))),
+            (([0, 1], [1, 0]), ((0, 1), (1, 0))),
+            (((0, 1), (1.0, 0)), "transition target 1.0 is not an integer"),
+            (((0, 1), (-1, 0)), "transition target -1 out of range"),
+            (((0, 1), (2, 0)), "transition target 2 out of range"),
+            (((0, 1), (np.int64(2), 0)), "transition target 2 out of range"),
+            (((0, 1), (0,)), "transition table row must cover every letter"),
+            (((0, 1),), "transition table must have one row per state"),
+            (((0, 5), (0,)), "transition target 5 out of range"),
+            (((0,), (0, 7)), "transition table row must cover every letter"),
+        ],
+        ids=[
+            "bool", "int64", "lists", "float", "negative", "too-large", "int64-too-large",
+            "short-row", "missing-row", "first-bad-row-entry", "first-bad-row-length",
+        ],
+    )
+    def test_dfa_rows_checked_entry_by_entry(self, rows, outcome):
+        # a row's length is checked before its entries, and rows in order
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
+                Dfa(2, ("a", "b"), 0, {1}, rows)
+            return
+        table = Dfa(2, ("a", "b"), 0, {1}, rows).transitions
+        assert table == outcome
+        assert type(table) is tuple and {type(row) for row in table} == {tuple}
+        assert {type(q) for row in table for q in row} == {int}
 
     def test_numpy_integer_states_accepted(self):
         a = Nfa(np.int64(2), ("a",), {np.int64(0)}, {np.int8(1)}, ((0, 0, 1),))
@@ -500,9 +533,12 @@ class TestEquivalence:
             difference_witness(two, three, 2)
 
     def test_difference_requires_same_alphabet(self):
-        other = Nfa(1, ("x",), frozenset({0}), frozenset(), ())
-        with pytest.raises(ValueError, match="alphabet"):
-            equivalent(NFA_AA, other)
+        for other in (
+            Nfa(1, ("x",), frozenset({0}), frozenset(), ()),
+            Dfa(1, ("x",), 0, frozenset(), ((0,),)),
+        ):
+            with pytest.raises(ValueError, match="alphabet"):
+                equivalent(NFA_AA, other)
 
     def test_bounded_equal_finds_first_disagreement(self):
         just_a = make_nfa(2, 1, [(0, 0, 1)], {0}, {1})
@@ -526,6 +562,33 @@ class TestEquivalence:
                 flagged += 1
                 assert not agree_exact
         assert flagged > 0  # the pool is varied enough to disagree somewhere
+
+
+@st.composite
+def nfa_pairs(draw):
+    """Two drawn automata over one alphabet."""
+    sigma = draw(st.integers(1, 3))
+    return draw(nfas(sigma)), draw(nfas(sigma))
+
+
+class TestDfaSide:
+    """A ``Dfa`` walks its states where its NFA view walks their singleton
+    masks; both are numbered alike, so every walk answers the same."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nfa_pairs(), st.integers(0, 4))
+    def test_a_dfa_side_matches_its_nfa_view(self, pair, max_len):
+        a, b = pair
+        d = determinize(b)
+        view = dfa_to_nfa(d)
+        word = difference_witness(a, view)
+        probe = bounded_equal(a, view, max_len)
+        for x, y in ((a, d), (d, a), (a, view)):
+            assert equivalent(x, y) == (word is None)
+            assert difference_witness(x, y) == word
+            assert bounded_equal(x, y, max_len) == probe
+        assert np.array_equal(accept_table(d, max_len), dfa_accept_table(d, max_len))
+        assert np.array_equal(accept_table(d, max_len), accept_table(view, max_len))
 
 
 class TestTrim:

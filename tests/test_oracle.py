@@ -15,7 +15,7 @@ from sqrtnfa import (
     sqrt_dfa,
     sqrt_member_direct,
 )
-from conftest import random_word
+from conftest import random_word, tuple_sqrt_dfa
 
 
 def unary_dfa(cycle, final):
@@ -72,6 +72,21 @@ class TestSqrtDfa:
 
     def test_seven_state_input_accepted(self):
         assert sqrt_dfa(unary_dfa(7, {0})).n_states == 7
+
+    def test_maps_match_the_tuple_reference_on_seeds_0_to_499(self):
+        for seed in range(500):
+            det = determinize(random_nfa(RandomSpec(seed=seed)))
+            fn, reference = sqrt_dfa(det), tuple_sqrt_dfa(det)
+            for name in ("n_states", "alphabet", "initial", "final", "transitions"):
+                assert getattr(fn, name) == getattr(reference, name), (seed, name)
+            assert {type(q) for row in fn.transitions for q in row} == {int}
+
+    def test_up_to_256_states_fit_in_bytes(self):
+        fn = sqrt_dfa(unary_dfa(256, {0}))
+        assert fn == tuple_sqrt_dfa(unary_dfa(256, {0}))
+        assert fn.n_states == 256
+        with pytest.raises(ValueError, match="^sqrt_dfa supports at most 256 states, got 257$"):
+            sqrt_dfa(unary_dfa(257, {0}))
 
     def test_budget_on_function_states(self):
         with pytest.raises(BudgetExceededError):
