@@ -5,23 +5,23 @@ an ordered alphabet of distinct names.  NFA transition relations may be
 partial and nondeterministic; a missing (state, letter) entry means the
 empty successor set, with no implicit sink.  Every operation here is a
 pure function of its inputs and automata are immutable after construction,
-so shared instances are safe to use concurrently: a state's successor row
-and column are built on first use, and a concurrent first use can at worst
-build a pure row or column twice.
+so shared instances are safe to use concurrently: successor rows and
+table entries are built on first use, and a concurrent first use can at
+worst build an entry twice.
 
 An ``Nfa`` holds its relation as one sorted, read-only ``(k, 3)`` int64
 array of (source, letter, target) rows, validated with array operations;
 ``Nfa.transitions`` is a :class:`Relation` view of it that reads like the
 tuple of triples.  A set of states is simulated as an int bitmask, stepped
-through one per-state successor index, ``_succ``, in one of two forms, one
-per access pattern.  A step on one letter (``reach``, ``member``,
-``targets``) reads each set state's row, a dict from letter to successor
-mask.  A step on every letter at once (``_stepper``: ``determinize``, the
-pair walk of ``equivalent``, ``difference_witness`` and ``bounded_equal``,
-and ``accept_table`` and ``square_accept_table``, which flag every word up
-to a length in rank order, see :mod:`sqrtnfa.words`) ORs each set state's
-packed all-letter column and splits the result once.  There is no state
-cap: masks are Python ints.
+through one successor index, ``_succ``, in one of two forms, one per
+access pattern.  A step on one letter (``reach``, ``member``, ``targets``)
+reads each set state's row, a dict from letter to successor mask.  A step
+on every letter at once (``_stepper``: ``determinize``, the pair walk of
+``equivalent``, ``difference_witness`` and ``bounded_equal``, and
+``accept_table`` and ``square_accept_table``, which flag every word up to
+a length in rank order, see :mod:`sqrtnfa.words`) ORs one table entry per
+non-zero byte of the mask, as in the Method of Four Russians, and splits
+the result once.  There is no state cap: masks are Python ints.
 
 The word walks (``determinize``, the pair walk, ``accept_table`` and
 ``dfa_accept_table``) take their start node, successor function and
@@ -98,11 +98,14 @@ class Relation(Sequence):
 
 
 class _SuccessorIndex:
-    """Per state, its successors in two forms, each built on first use from
-    the state's slice of the sorted relation.  A row, for one-letter steps,
-    is a dict from letter to successor mask.  A column, for all-letter
-    steps, packs every letter's successor mask in one int: byte field
-    ``a`` (``width`` = ceil(n/8) bytes, little-endian) holds letter ``a``'s.
+    """Successors in two forms, built on first use from the states' slices
+    of the sorted relation.  A row, for one-letter steps, is a state's dict
+    from letter to successor mask.  ``tables[i]``, for all-letter steps, has
+    256 slots; slot b packs the successors of the states 8i + j, j a set bit
+    of b, on every letter in one int whose byte field a (``width`` =
+    ceil(n/8) bytes, little-endian) holds letter a's.  At most 255 entries
+    per 8 states are built, each the size of one column, and only for byte
+    values a walk meets.
     """
 
     def __init__(self, relation: np.ndarray, n: int, sigma: int):
@@ -111,7 +114,7 @@ class _SuccessorIndex:
         self.width = -(-n // 8)
         self.size = sigma * self.width
         self.rows: list[dict[int, int] | None] = [None] * n
-        self.columns: list[int | None] = [None] * n
+        self.tables: list[list[int | None] | None] = [None] * self.width
 
     def _entries(self, state: int) -> list[list[int]]:
         """The state's letters and targets, in relation order."""
@@ -127,15 +130,28 @@ class _SuccessorIndex:
             self.rows[state] = row
         return row
 
-    def column(self, state: int) -> int:
-        column = self.columns[state]
-        if column is None:
-            letters, targets = self._entries(state)
-            packed, width = bytearray(self.size), self.width
-            for a, t in zip(letters, targets):
-                packed[a * width + (t >> 3)] |= 1 << (t & 7)
-            column = self.columns[state] = int.from_bytes(packed, "little")
-        return column
+    def _column(self, state: int) -> int:
+        """The state's successors on every letter, packed."""
+        letters, targets = self._entries(state)
+        packed, width = bytearray(self.size), self.width
+        for a, t in zip(letters, targets):
+            packed[a * width + (t >> 3)] |= 1 << (t & 7)
+        return int.from_bytes(packed, "little")
+
+    def entry(self, i: int, byte: int) -> int:
+        """Slot ``byte`` of table ``i``: one state's column or the OR of two slots."""
+        table = self.tables[i]
+        if table is None:
+            table = self.tables[i] = [None] * 256
+        entry = table[byte]
+        if entry is None:
+            low = byte & -byte
+            if low == byte:
+                entry = self._column(8 * i + low.bit_length() - 1)
+            else:
+                entry = self.entry(i, byte ^ low) | self.entry(i, low)
+            table[byte] = entry
+        return entry
 
 
 @dataclass(frozen=True)
@@ -148,13 +164,11 @@ class Nfa:
     validated like any other and kept without a copy when it is already
     a ``(k, 3)`` int64 array.  It is kept as a
     :class:`Relation` over one sorted int64 array.
-    Steps read the successor index ``_succ``, which holds per state a row
-    and a column, each built on its first use from that state's slice of
-    the relation.  A one-letter step reads rows: dicts from letter to
-    successor mask, sparse because witness-style alphabets are large
-    (thousands of letters) but each state uses few of them.  A step on
-    every letter reads columns: the successor masks on all letters packed
-    in one int.
+    Steps read the successor index ``_succ``, built on first use.  A
+    one-letter step reads rows: dicts from letter to successor mask,
+    sparse because witness-style alphabets are large (thousands of
+    letters) but each state uses few of them.  A step on every letter
+    reads tables: per 8 states, the packed successors of their subsets.
     """
 
     n_states: int
@@ -389,20 +403,20 @@ def _mask_step(mask: int, succ: tuple[int, ...]) -> int:
 
 def _stepper(nfa: Nfa):
     """Map a state set's mask to its successor masks, in letter order: the
-    OR of the set's successor columns, split once into byte fields."""
+    OR of one table entry per non-zero byte of the mask, split once into
+    byte fields."""
     index = nfa._succ
-    built, build, size, width = index.columns, index.column, index.size, index.width
+    tables, entry, size, width = index.tables, index.entry, index.size, index.width
     fields = [slice(i, i + width) for i in range(0, size, width)]
     from_bytes = int.from_bytes
 
     def step(mask: int) -> list[int]:
         out = 0
-        while mask:
-            low = mask & -mask
-            state = low.bit_length() - 1
-            column = built[state]  # read inline: no call once it is built
-            out |= build(state) if column is None else column
-            mask ^= low
+        for i, byte in enumerate(mask.to_bytes(width, "little")):
+            if byte:
+                table = tables[i]  # read inline: no call once built
+                value = None if table is None else table[byte]
+                out |= entry(i, byte) if value is None else value
         packed = out.to_bytes(size, "little")
         return [from_bytes(packed[field], "little") for field in fields]
 

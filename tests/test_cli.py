@@ -331,6 +331,10 @@ class TestRandomEquiv:
         done = subprocess.run((*module, "0"), capture_output=True, text=True, env=env)
         assert (done.returncode, done.stdout) == (2, "")
         assert "error: --trials 0 out of range" in done.stderr
+        # the package runs too, with no runpy warning: sqrtnfa.cli is not run twice
+        package = (sys.executable, "-m", "sqrtnfa", "random-equiv", "--seed", "0", "--trials")
+        done = subprocess.run((*package, "3"), capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "all 3 trials agree\n", "")
 
     def test_seed_is_required(self):
         with pytest.raises(SystemExit) as info:

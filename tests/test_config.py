@@ -72,6 +72,27 @@ def test_one_builder_assembles_every_explored_dfa():
     assert set(call_sites(trees, "explore")) == {"nfa.py", "words.py"}
 
 
+def attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[tuple[str, str | None]]:
+    """The top-level statements, as (module, name), whose code reads
+    ``x.attr``; a statement that is no function or class is named None."""
+    return {
+        (module, getattr(node, "name", None))
+        for module, tree in trees.items()
+        for node in tree.body
+        if any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(node))
+    }
+
+
+def test_one_lane_steps_on_every_letter():
+    # all-letter steps read the per-byte tables only through _stepper,
+    # and no per-state column list is left beside them
+    trees = parse_sources()
+    assert attribute_readers(trees, "tables") == {
+        ("nfa.py", "_SuccessorIndex"), ("nfa.py", "_stepper")
+    }
+    assert attribute_readers(trees, "columns") == set()
+
+
 def integral_references(tree: ast.AST) -> int:
     """How many references to ``Integral``, bare or dotted, a tree holds
     (the import itself is not one)."""

@@ -32,7 +32,7 @@ from sqrtnfa import (
     trim,
     witness,
 )
-from sqrtnfa.nfa import Relation, _run, _stepper
+from sqrtnfa.nfa import Relation, _mask, _run, _stepper
 from conftest import NFA_AA, make_nfa, nfas, random_word
 
 
@@ -333,17 +333,27 @@ def byte_boundary_nfas(draw):
     return make_nfa(n, sigma, sorted(triples), {0}, {n - 1})
 
 
-def agrees_under_threads(route) -> None:
+def small_nfa(seed: int) -> Nfa:
+    """A random automaton of 1 to 4 states over 3 letters."""
+    return random_nfa(RandomSpec(seed=seed, max_states=4, alphabet_size=3))
+
+
+def wide_nfa(seed: int) -> Nfa:
+    """A random 24-state automaton over 3 letters: its state sets span 3 bytes."""
+    coins = np.random.default_rng(seed).random((24, 3, 24)) < 0.1
+    return make_nfa(24, 3, np.argwhere(coins).tolist(), {0, 9, 17}, {5, 23})
+
+
+def agrees_under_threads(route, draw=small_nfa) -> None:
     """``route(a)`` on one automaton shared by 6 threads, each a first use
-    of its successor index, equals ``route`` on a fresh copy, for 10
-    random automata."""
+    of its successor index, equals ``route`` on a fresh copy, for the 10
+    automata ``draw(seed)``, seeds 0 to 9."""
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for seed in range(10):
-            spec = RandomSpec(seed=seed, max_states=4, alphabet_size=3)
-            expected = route(random_nfa(spec))
-            shared = random_nfa(spec)
+            expected = route(draw(seed))
+            shared = draw(seed)
             results = [None] * 6
 
             def run(k):
@@ -361,8 +371,8 @@ def agrees_under_threads(route) -> None:
 
 
 class TestSuccessorIndex:
-    """The one per-state successor index, rows for one-letter steps and
-    columns for all-letter steps, against the raw relation."""
+    """The one successor index, rows for one-letter steps and per-byte
+    tables for all-letter steps, against the raw relation."""
 
     def test_built_on_first_use_only(self, witness6):
         fresh = make_nfa(3, 1, [(0, 0, 1), (0, 0, 2), (1, 0, 2)], {0}, {2})
@@ -374,24 +384,41 @@ class TestSuccessorIndex:
         assert fresh.targets(0, 0) == (1, 2)
         index = fresh._succ
         assert index.rows == [{0: 0b110}, None, None]
-        assert index.columns == [None] * 3
+        assert index.tables == [None]
         determinize(fresh)
         assert fresh._succ is index
-        assert index.columns == [0b110, 0b100, 0]
+        # the steps of {0}, {1, 2} and {2}: three columns and their OR
+        built = {b: entry for b, entry in enumerate(index.tables[0]) if entry is not None}
+        assert built == {0b001: 0b110, 0b010: 0b100, 0b100: 0, 0b110: 0b100}
 
     def test_columns_built_only_for_states_read(self, witness6):
         cube = sqrt_nfa(witness6)
         accept_table(cube, 1)
         index = cube._succ
-        built = [s for s, column in enumerate(index.columns) if column is not None]
-        assert built == sorted(cube.initial)
+        initial = _mask(cube.initial).to_bytes(index.width, "little")
+        columns = {
+            8 * i + j
+            for i, table in enumerate(index.tables)
+            if table is not None
+            for j in range(8)
+            if table[1 << j] is not None
+        }
+        assert columns == set(cube.initial)
+        assert [i for i, table in enumerate(index.tables) if table is not None] == [
+            i for i, byte in enumerate(initial) if byte
+        ]
+        for table, byte in zip(index.tables, initial):
+            # every slot built holds initial states only
+            assert table is None or all(
+                entry is None or b & ~byte == 0 for b, entry in enumerate(table)
+            )
         assert index.rows == [None] * cube.n_states
 
     def test_square_table_steps_on_the_columns(self):
         fresh = make_nfa(3, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0)], {0}, {2})
         square_accept_table(fresh, 3)
         index = fresh._succ
-        assert None not in index.columns
+        assert all(index.tables[0][1 << s] is not None for s in range(3))
         assert index.rows == [None] * 3
 
     @settings(max_examples=200)
@@ -407,16 +434,28 @@ class TestSuccessorIndex:
                     expected[x] |= 1 << d
             row = index.row(s)
             assert row == {x: m for x, m in enumerate(expected) if m}
-            packed = index.column(s).to_bytes(sigma * width, "little")
+            packed = index.entry(s >> 3, 1 << (s & 7)).to_bytes(sigma * width, "little")
             fields = [packed[x * width : (x + 1) * width] for x in range(sigma)]
             assert [int.from_bytes(f, "little") for f in fields] == expected
             assert [row.get(x, 0) for x in range(sigma)] == expected
 
         full = (1 << n) - 1
         drawn = data.draw(st.lists(st.integers(0, full), max_size=8))
+        masks = [0, full, *drawn]
         step = _stepper(a)
-        for mask in [0, full, *drawn]:
+        for mask in masks:
             assert step(mask) == [_run(a, mask, (x,)) for x in range(sigma)]
+
+        # two fresh copies build their entries in opposite orders
+        met = {i for mask in masks for i, b in enumerate(mask.to_bytes(width, "little")) if b}
+        for order in (masks, masks[::-1]):
+            copy = Nfa(a.n_states, a.alphabet, a.initial, a.final, a.transitions)
+            step = _stepper(copy)
+            for mask in order:
+                assert step(mask) == [_run(a, mask, (x,)) for x in range(sigma)]
+            tables = copy._succ.tables
+            assert {i for i, table in enumerate(tables) if table is not None} == met
+            assert all(len(table) == 256 for table in tables if table is not None)
 
     def test_rows_built_only_for_states_visited(self, witness6):
         cube = sqrt_nfa(witness6)
@@ -426,14 +465,15 @@ class TestSuccessorIndex:
         index = cube._succ
         built = {s for s, row in enumerate(index.rows) if row is not None}
         assert built == cube.initial | after_a
-        assert index.columns == [None] * cube.n_states
+        assert index.tables == [None] * index.width
 
     def test_concurrent_first_use_agrees(self):
         words = [w for k in range(4) for w in itertools.product(range(3), repeat=k)]
         agrees_under_threads(lambda a: [member(a, w) for w in words])
 
-    def test_concurrent_first_use_of_columns_agrees(self):
-        agrees_under_threads(lambda a: (determinize(a), accept_table(a, 3).tolist()))
+    @pytest.mark.parametrize("draw", [small_nfa, wide_nfa], ids=["small", "wide"])
+    def test_concurrent_first_use_of_tables_agrees(self, draw):
+        agrees_under_threads(lambda a: (determinize(a), accept_table(a, 3).tolist()), draw)
 
     @settings(max_examples=200)
     @given(nfas(), st.data())
