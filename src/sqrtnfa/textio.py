@@ -11,18 +11,22 @@ Format (UTF-8, ``#`` starts a comment anywhere on a line):
 ``states`` and ``alphabet`` are required and must precede every ``trans``
 line; ``initial``/``final`` may be empty or omitted.  ``emit_nfa`` writes
 the canonical form (directives in the order above, transitions in sorted
-order), so emit(parse(emit(x))) is byte-identical to emit(x).
+order), so emit(parse(emit(x))) is byte-identical to emit(x).  It is made
+in blocks of rows, which the CLI writes out one at a time.
 
 ``parse_nfa`` reads canonical text on an array path: the header line by
 line, the ``trans`` block as flat token lists turned into one relation
 array, accepted only when emitting the result gives the block back byte
-for byte.  Any other text (comments or blank lines among the
-transitions, unsorted lines, CRLF, a bad token) goes through the
+for byte, block by block.  Any other text (comments or blank lines among
+the transitions, unsorted lines, CRLF, a bad token) goes through the
 per-line parser, which is the reference and the only reporter of a
 ``FormatError``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from itertools import chain, islice
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .errors import FormatError
 from .nfa import Nfa, Relation
 
 _CHUNK = 1 << 16  # characters of trans lines tokenized at a time
+_ROWS = 1 << 14  # trans lines emitted per piece
 
 
 def _int_token(token: str, line_no: int, column: int, what: str) -> int:
@@ -77,7 +82,12 @@ def _parse_canonical(text: str) -> Nfa | None:
         chunks.append(np.array(columns, dtype=np.int64).T)
         begin = end
     nfa = Nfa(**{**fields, "transitions": Relation(np.concatenate(chunks))})
-    return nfa if _trans_block(nfa) == block else None
+    pos = 0
+    for piece in islice(_pieces(nfa), 1, None):  # the trans blocks
+        if not block.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    return nfa if pos == len(block) else None
 
 
 def _parse_lines(text: str) -> dict:
@@ -176,6 +186,18 @@ def emit_nfa(nfa: Nfa, state_labels: dict[int, str] | None = None) -> str:
     back to the same automaton.  A label that would break its line raises
     ``ValueError``.
     """
+    return "".join(_pieces(nfa, state_labels))
+
+
+def _pieces(nfa: Nfa, state_labels: dict[int, str] | None = None) -> Iterator[str]:
+    """The canonical text in pieces: the header, then the ``trans`` lines
+    ``_ROWS`` at a time.  The header is built at the call, so a bad label
+    raises before any piece is taken.
+
+    Each block indexes one ``"trans {s} "`` and one ``" {d}\\n"`` string
+    per state with the relation's columns; the tables cover every state
+    unless the state numbers are sparse, where they cover only the states
+    in use."""
     lines = [f"states {nfa.n_states}"]
     if state_labels:
         order = sorted(state_labels)
@@ -188,14 +210,7 @@ def emit_nfa(nfa: Nfa, state_labels: dict[int, str] | None = None) -> str:
     lines.append("alphabet " + " ".join(nfa.alphabet))
     lines.append(("initial " + " ".join(str(s) for s in sorted(nfa.initial))).rstrip())
     lines.append(("final " + " ".join(str(s) for s in sorted(nfa.final))).rstrip())
-    return "\n".join(lines) + "\n" + _trans_block(nfa)
 
-
-def _trans_block(nfa: Nfa) -> str:
-    """The ``trans`` lines, from one ``"trans {s} "`` and one ``" {d}\\n"``
-    string per state indexed by the relation's columns; the table covers
-    every state unless the state numbers are sparse, where it covers only
-    the states in use."""
     relation = nfa.transitions.array
     ends = relation[:, 0::2]
     if nfa.n_states <= 2 * len(relation):
@@ -206,5 +221,11 @@ def _trans_block(nfa: Nfa) -> str:
     heads = np.array([f"trans {s} " for s in used], dtype=object)
     tails = np.array([f" {d}\n" for d in used], dtype=object)
     names = np.array(nfa.alphabet, dtype=object)
-    body = np.column_stack((heads[ends[:, 0]], names[relation[:, 1]], tails[ends[:, 1]]))
-    return "".join(body.ravel().tolist())
+
+    def block(rows: slice) -> str:
+        body = (heads[ends[rows, 0]], names[relation[rows, 1]], tails[ends[rows, 1]])
+        return "".join(np.column_stack(body).ravel().tolist())
+
+    step = _ROWS
+    blocks = (block(slice(i, i + step)) for i in range(0, len(relation), step))
+    return chain(["\n".join(lines) + "\n"], blocks)

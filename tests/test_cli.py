@@ -3,12 +3,25 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import compress, product
 from pathlib import Path
 
 import pytest
 
-from sqrtnfa import Report, TripleCodec, cli, emit_nfa, main, parse_nfa, run_report, witness
+from sqrtnfa import (
+    Report,
+    TripleCodec,
+    cli,
+    emit_nfa,
+    main,
+    parse_nfa,
+    run_report,
+    sqrt_nfa,
+    textio,
+    witness,
+)
+from sqrtnfa.sqrt import triple_labels
 from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa.kernels import orbit_cells
 from conftest import make_nfa, mutant
@@ -75,6 +88,38 @@ class TestSqrtCommand:
         code, out, _ = run(capsys, "sqrt", "--in", "-")
         assert code == 0
         assert parse_nfa(out).n_states == 1
+
+    def test_the_writer_holds_one_block_at_a_time(self):
+        # the labelled cube of witness(16) is 13.6 million characters, never held whole
+        cube, labels = sqrt_nfa(witness(16)), triple_labels(16)
+        length = sum(map(len, textio._pieces(cube, labels)))
+        tracemalloc.start()
+        try:
+            cli._write_pieces(os.devnull, textio._pieces(cube, labels))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < length / 4
+
+    def test_a_bad_label_leaves_the_out_file_untouched(
+        self, capsys, monkeypatch, w6_file, tmp_path
+    ):
+        message = "label of state 0 contains a line break"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            textio._pieces(witness(6), {0: "x\ny"})  # at the call, before any piece
+        target = tmp_path / "cube.nfa"
+        target.write_text("kept\n")
+        monkeypatch.setattr(cli, "triple_labels", lambda n: {0: "x\ny"})
+        code, out, err = run(capsys, "sqrt", "--in", w6_file, "--out", str(target))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", [["sqrt", "--in", "W6"], ["witness", "--n", "6"]])
+    def test_a_directory_as_out_is_a_usage_error(self, capsys, w6_file, tmp_path, command):
+        argv = [w6_file if arg == "W6" else arg for arg in command]
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 class TestMembership:

@@ -93,6 +93,33 @@ def test_one_lane_steps_on_every_letter():
     assert attribute_readers(trees, "columns") == set()
 
 
+def writing_opens(trees: dict[str, ast.Module]) -> set[tuple[str, str | None]]:
+    """The top-level statements, as (module, name), that call ``open`` with
+    a mode that writes, or with a mode that is not a string literal."""
+    sites = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call) or "open" not in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)
+                ):
+                    continue
+                modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+                mode = ast.Constant("r") if not modes else modes[0]
+                if set(str(getattr(mode, "value", "?"))) & set("wax+?"):
+                    sites.add((module, getattr(node, "name", None)))
+    return sites
+
+
+def test_one_writer_streams_every_output_file():
+    # text goes out piece by piece through cli._write_pieces: no whole-text
+    # write_text, and no other open for writing
+    trees = parse_sources()
+    assert call_sites(trees, "write_text") == {}
+    assert call_sites(trees, "write_bytes") == {}
+    assert writing_opens(trees) == {("cli.py", "_write_pieces")}
+
+
 def integral_references(tree: ast.AST) -> int:
     """How many references to ``Integral``, bare or dotted, a tree holds
     (the import itself is not one)."""

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from sqrtnfa import FormatError, Nfa, emit_nfa, member, parse_nfa, sqrt_nfa, textio, trim, witness
 from sqrtnfa.sqrt import triple_labels
-from conftest import nfas
+from conftest import make_nfa, nfas
 
 
 def emit_reference(nfa, state_labels=None):
@@ -258,3 +258,55 @@ def test_canonical_text_never_reaches_the_per_line_trans_code(monkeypatch, label
     assert seen and not any(
         line.split()[:1] == ["trans"] for part in seen for line in part.splitlines()
     )
+
+
+@st.composite
+def sparse_nfas(draw):
+    """Automata with more states than twice their transitions, and state
+    numbers far apart."""
+    n = draw(st.integers(9, 2**33))
+    state = st.integers(0, n - 1)
+    sigma = draw(st.integers(1, 3))
+    triples = draw(st.sets(st.tuples(state, st.integers(0, sigma - 1), state), max_size=4))
+    initial = draw(st.sets(state, min_size=1, max_size=3))
+    return make_nfa(n, sigma, sorted(triples), initial, draw(st.sets(state, max_size=3)))
+
+
+EMPTY = (make_nfa(1, 1, [], {0}, set()), make_nfa(5, 2, [], {0, 4}, {3}))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, textio._ROWS])
+@settings(max_examples=100)
+@given(st.one_of(nfas(), sparse_nfas(), st.sampled_from(EMPTY)))
+def test_the_block_size_does_not_change_the_text(rows, a):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textio, "_ROWS", rows)
+        text, pieces = emit_nfa(a), list(textio._pieces(a))
+        assert text == emit_reference(a)
+        assert len(pieces) == 1 + -(-len(a.transitions) // rows)
+        assert all(piece.endswith("\n") for piece in pieces[1:])
+        assert parse_nfa(text) == a
+
+
+def near_canonical_texts():
+    """Labelled cube6 text with its last trans line cut short at three
+    places, with that line appended again, and with a bare ``trans``
+    appended (no row for the array path, so only the length check sees it)."""
+    text = emit_nfa(sqrt_nfa(witness(6)), triple_labels(6))
+    last = text[text.rindex("\ntrans ") + 1:]
+    cuts = [text[:-1], text[:-2], text[: -len(last) + len("trans ") + 1]]
+    return cuts + [text + last, text + "trans\n"]
+
+
+@pytest.mark.parametrize("rows", [1, 3, textio._ROWS])
+def test_near_canonical_text_falls_back_to_the_per_line_parser(monkeypatch, rows):
+    # the comparison walks the emitted blocks; with 1 or 3 rows a block
+    # boundary falls inside the cut line, or right before it
+    monkeypatch.setattr(textio, "_ROWS", rows)
+    for text in near_canonical_texts():
+        try:
+            canonical = textio._parse_canonical(text)
+        except (ValueError, KeyError, OverflowError):
+            canonical = None
+        assert canonical is None
+        assert outcome(parse_nfa, text) == outcome(parse_lines, text)
