@@ -76,27 +76,24 @@ def run_report(n: int, budget: int | None = None) -> Report:
     failed check, so a Report in hand means every check ran and passed.
     """
     timings: dict[str, float] = {}
+
+    def timed(phase, call, *args, **kwargs):
+        t = time.perf_counter()
+        result = call(*args, **kwargs)
+        timings[phase] = time.perf_counter() - t
+        return result
+
     t_total = time.perf_counter()
-
-    t = time.perf_counter()
-    auto = witness(n)
-    timings["witness"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    cube = sqrt_nfa(auto, budget)
-    timings["sqrt"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    certificate = certify_lower_bound(n, budget)
-    timings["certify"] = time.perf_counter() - t
+    auto = timed("witness", witness, n)
+    cube = timed("sqrt", sqrt_nfa, auto, budget)
+    certificate = timed("certify", certify_lower_bound, n, budget)
     if not certificate.certified:
         raise VerificationError(
             f"fooling set for n={n} not certified: {certificate.violation}"
         )
 
-    t = time.perf_counter()
-    counterexample = verify_cases(n, budget=budget)
-    timings["verify_cases"] = time.perf_counter() - t
+    # by keyword: perfbench/tracing.py reads budget= from the keyword arguments
+    counterexample = timed("verify_cases", verify_cases, n, budget=budget)
     if counterexample is not None:
         raise VerificationError(
             f"case table disagrees with the square truth table at {counterexample}"

@@ -165,9 +165,8 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     auto = witness(n)
 
     scalar = []
-    for i in range(m):
-        # pair i is (a_Xi, b_Xi), letters i and m + i
-        scalar.append(member(auto, (i, m + i, i, m + i)))
+    for x, y in witness_fooling_set(n).pairs:
+        scalar.append(member(auto, x + y + x + y))
         if not scalar[-1]:
             break
     checked = np.arange(len(scalar), dtype=np.int64)

@@ -1,7 +1,8 @@
 """The witness family's membership tables as numpy array algebra.
 
 The witness tables (the square truth table and the case table) are cell
-algebra on broadcastable arrays of flat triple indices.  Each table is
+algebra on broadcastable arrays of flat triple indices, split by
+:meth:`~sqrtnfa.sqrt.TripleCodec.split`.  Each table is
 cross-checked in the test suite against an independent scalar route:
 simulation by ``member`` and the case predicates.  Each reads only the
 cells its two index arrays select.
@@ -30,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import VerificationError
+from .sqrt import TripleCodec
 from .witness import _PIVOT_L, _PIVOT_M, MIN_STATES, check_witness_n
 
 # there is no numba lane; benchmark run records still read this flag
@@ -93,8 +95,8 @@ def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise VerificationError(
             f"the orbits of the {n}-state witness cover {cells} cells, not {n**6}"
         )
-    p1, q1, r1, p2, q2, r2 = columns
-    x1, x2 = ((p.astype(_CELL) * n + q) * n + r for p, q, r in ((p1, q1, r1), (p2, q2, r2)))
+    join = TripleCodec(n).join
+    x1, x2 = join(*columns[:3].astype(_CELL)), join(*columns[3:].astype(_CELL))
     x1.flags.writeable = x2.flags.writeable = False
     return x1, x2
 
@@ -141,8 +143,7 @@ def _triple_cells(n: int, x1, x2, table: str):
             raise ValueError(
                 f"{table}: flat triple index {bad} out of range 0..{n**3 - 1} for n={n}"
             )
-        pq, r = np.divmod(x.astype(_CELL, copy=False), _CELL(n))
-        cells.append((*np.divmod(pq, _CELL(n)), r))
+        cells.append(TripleCodec(n).split(x.astype(_CELL, copy=False)))
     return cells
 
 

@@ -34,6 +34,7 @@ checks any other table entry by entry.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -99,36 +100,39 @@ class Relation(Sequence):
 
 class _SuccessorIndex:
     """Successors in two forms, built on first use from the states' slices
-    of the sorted relation.  A row, for one-letter steps, is a state's dict
-    from letter to successor mask.  ``tables[i]``, for all-letter steps, has
-    256 slots; slot b packs the successors of the states 8i + j, j a set bit
-    of b, on every letter in one int whose byte field a (``width`` =
-    ceil(n/8) bytes, little-endian) holds letter a's.  At most 255 entries
-    per 8 states are built, each the size of one column, and only for byte
-    values a walk meets.
+    of the sorted relation, in dicts that grow with use, not with n.  A
+    row, for one-letter steps, is a state's dict from letter to successor
+    mask.  ``tables[i]``, for all-letter steps, has 256 slots; slot b packs
+    the successors of the states 8i + j, j a set bit of b, on every letter
+    in one int whose byte field a (``width`` = ceil(n/8) bytes,
+    little-endian) holds letter a's.  At most 255 entries per 8 states are
+    built, each the size of one column, and only for byte values a walk
+    meets.
     """
 
     def __init__(self, relation: np.ndarray, n: int, sigma: int):
         self._relation = relation
-        self._ends = np.bincount(relation[:, 0], minlength=n).cumsum().tolist()
         self.width = -(-n // 8)
         self.size = sigma * self.width
-        self.rows: list[dict[int, int] | None] = [None] * n
-        self.tables: list[list[int | None] | None] = [None] * self.width
+        self.rows: dict[int, dict[int, int]] = {}
+        self.tables: dict[int, list[int | None]] = {}
 
     def _entries(self, state: int) -> list[list[int]]:
         """The state's letters and targets, in relation order."""
-        start = self._ends[state - 1] if state else 0
-        return self._relation[start : self._ends[state], 1:].T.tolist()
+        sources = self._relation[:, 0].data  # the sorted column, read in place
+        start = bisect_left(sources, state)
+        end = bisect_right(sources, state, start)
+        return self._relation[start:end, 1:].T.tolist()
 
     def row(self, state: int) -> dict[int, int]:
-        row = self.rows[state]
-        if row is None:
+        try:
+            return self.rows[state]
+        except KeyError:
             row = {}
             for a, t in zip(*self._entries(state)):
                 row[a] = row.get(a, 0) | 1 << t
             self.rows[state] = row
-        return row
+            return row
 
     def _column(self, state: int) -> int:
         """The state's successors on every letter, packed."""
@@ -140,7 +144,7 @@ class _SuccessorIndex:
 
     def entry(self, i: int, byte: int) -> int:
         """Slot ``byte`` of table ``i``: one state's column or the OR of two slots."""
-        table = self.tables[i]
+        table = self.tables.get(i)
         if table is None:
             table = self.tables[i] = [None] * 256
         entry = table[byte]
@@ -244,15 +248,13 @@ def _sorted_relation(relation: np.ndarray, n: int, sigma: int) -> np.ndarray:
     Rows that strictly increase in that order are sorted and
     duplicate-free, so a sorted relation is not sorted again.
     """
-    if len(relation):
-        # as unsigned, a negative entry reads as one above every bound
-        src, letter, dst = relation.view(np.uint64).max(axis=0).tolist()
-        if max(src, dst) >= n or letter >= sigma:
-            raise _first_bad(relation, n, sigma)
-    if not _increasing(relation):
+    increasing = _increasing(relation)
+    if not increasing:
         relation = relation[np.lexsort(relation.T[::-1])]
-        if not _increasing(relation):
-            raise _first_bad(relation, n, sigma)
+    # as unsigned, a negative entry reads as one above every bound
+    src, letter, dst = (int(c.max(initial=0)) for c in relation.view(np.uint64).T)
+    if max(src, dst) >= n or letter >= sigma or not (increasing or _increasing(relation)):
+        raise _first_bad(relation, n, sigma)
     return relation
 
 
@@ -265,10 +267,9 @@ def _increasing(relation: np.ndarray) -> bool:
     return bool(rises.all())
 
 
-def _first_bad(relation: np.ndarray, n: int, sigma: int) -> ValueError:
-    """The error for the first triple, in sorted order, with a state out of
-    range, else a letter out of range, else equal to the triple before it."""
-    rows = relation[np.lexsort(relation.T[::-1])]
+def _first_bad(rows: np.ndarray, n: int, sigma: int) -> ValueError:
+    """The error for the first of the sorted rows with a state out of range,
+    else a letter out of range, else equal to the row before it."""
     src, letter, dst = rows.T
     bad_state = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
     bad_letter = (letter < 0) | (letter >= sigma)
@@ -406,7 +407,7 @@ def _stepper(nfa: Nfa):
     OR of one table entry per non-zero byte of the mask, split once into
     byte fields."""
     index = nfa._succ
-    tables, entry, size, width = index.tables, index.entry, index.size, index.width
+    table_at, entry, size, width = index.tables.get, index.entry, index.size, index.width
     fields = [slice(i, i + width) for i in range(0, size, width)]
     from_bytes = int.from_bytes
 
@@ -414,7 +415,7 @@ def _stepper(nfa: Nfa):
         out = 0
         for i, byte in enumerate(mask.to_bytes(width, "little")):
             if byte:
-                table = tables[i]  # read inline: no call once built
+                table = table_at(i)  # read inline: no entry() call once built
                 value = None if table is None else table[byte]
                 out |= entry(i, byte) if value is None else value
         packed = out.to_bytes(size, "little")

@@ -5,6 +5,7 @@ automaton runs over state triples (p, q, r): p is a guessed midpoint that
 never changes, q simulates the first copy of w from an initial state, and
 r simulates the second copy of w from p.  Acceptance requires q to have
 actually arrived at the guessed midpoint p while r reached a final state.
+:class:`TripleCodec` numbers the triples, and the witness payloads too.
 """
 
 from __future__ import annotations
@@ -19,22 +20,28 @@ from .nfa import Nfa, Relation, Word, reach
 
 @dataclass(frozen=True)
 class TripleCodec:
-    """Bijection between triples over 0..n-1 and flat indices 0..n^3-1."""
+    """Bijection between triples over 0..n-1 and flat indices 0..n^3-1;
+    ``join`` and ``split`` are ``encode`` and ``decode`` without the checks,
+    on ints or numpy arrays alike (``split`` keeps the dtype)."""
 
     n: int
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_int(self.n, "triple codec size", 1))
 
-    def encode(self, p: int, q: int, r: int) -> int:
-        p, q, r = (check_int(x, "triple entry", 0, self.n) for x in (p, q, r))
+    def join(self, p, q, r):
         return (p * self.n + q) * self.n + r
 
+    def split(self, index):
+        pq, r = divmod(index, self.n)
+        p, q = divmod(pq, self.n)
+        return p, q, r
+
+    def encode(self, p: int, q: int, r: int) -> int:
+        return self.join(*(check_int(x, "triple entry", 0, self.n) for x in (p, q, r)))
+
     def decode(self, index: int) -> tuple[int, int, int]:
-        index = check_int(index, "flat triple index", 0, self.n**3)
-        index, r = divmod(index, self.n)
-        p, q = divmod(index, self.n)
-        return (p, q, r)
+        return self.split(check_int(index, "flat triple index", 0, self.n**3))
 
 
 def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
@@ -81,10 +88,8 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
     offsets = np.multiply.outer(np.arange(n) * (n * n), (1, 0, 1))
     cube = offsets[:, None, :] + products
 
-    initial = frozenset(
-        codec.encode(p, q0, p) for p in range(n) for q0 in nfa.initial
-    )
-    final = frozenset(codec.encode(p, p, f) for p in range(n) for f in nfa.final)
+    initial = frozenset(codec.join(p, q0, p) for p in range(n) for q0 in nfa.initial)
+    final = frozenset(codec.join(p, p, f) for p in range(n) for f in nfa.final)
     return Nfa(
         n_states=n**3,
         alphabet=nfa.alphabet,
@@ -96,10 +101,9 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
 
 def triple_labels(n: int) -> dict[int, str]:
     """Readable (p,q,r) labels for the cube automaton's flat state indices."""
-    n = TripleCodec(n).n
-    index = np.arange(n**3)
-    pq, r = np.divmod(index, n)
-    p, q = np.divmod(pq, n)
+    codec = TripleCodec(n)
+    index = np.arange(codec.n**3)
+    p, q, r = codec.split(index)
     labels = map("({}, {}, {})".format, p.tolist(), q.tolist(), r.tolist())
     return dict(zip(index.tolist(), labels))
 

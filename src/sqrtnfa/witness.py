@@ -6,7 +6,7 @@ recognized by any NFA with fewer than n^3 states.  Initial states are
 {0,1,2} and final states {3,4,5}; the transitions of each letter are
 steered by two pivot maps that send any state into the initial block
 (``pivot_l``) or the final block (``pivot_m``) while avoiding fixed points
-and 2-cycles.
+and 2-cycles.  Payloads are numbered as cube states, by ``TripleCodec``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import check_int
 from .nfa import Nfa
+from .sqrt import TripleCodec
 
 INITIAL_BLOCK = frozenset({0, 1, 2})
 FINAL_BLOCK = frozenset({3, 4, 5})
@@ -101,7 +102,7 @@ def witness(n: int) -> Nfa:
     """
     check_witness_n(n)
     x = np.arange(n**3)
-    p, q, r = x // (n * n), x // n % n, x % n
+    p, q, r = TripleCodec(n).split(x)
     a, b = x, n**3 + x
     relation = np.stack(
         [

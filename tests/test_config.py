@@ -120,6 +120,23 @@ def test_one_writer_streams_every_output_file():
     assert writing_opens(trees) == {("cli.py", "_write_pieces")}
 
 
+def flat_divisions(tree: ast.AST) -> int:
+    """How many ``divmod`` calls, bare or dotted, and ``//`` or ``%``
+    operators a tree holds."""
+    return calls(tree, "divmod") + sum(
+        isinstance(getattr(node, "op", None), (ast.FloorDiv, ast.Mod)) for node in ast.walk(tree)
+    )
+
+
+def test_only_the_codec_splits_flat_triples():
+    # the cube, the witness payloads and the kernels' cells share one
+    # flat (p, q, r) layout, divided only in TripleCodec.split
+    trees = parse_sources()
+    sites = {name: flat_divisions(trees[name]) for name in ("sqrt.py", "witness.py", "kernels.py")}
+    assert sites == {"sqrt.py": 2, "witness.py": 0, "kernels.py": 0}
+    assert flat_divisions(function(trees["sqrt.py"], "split")) == 2
+
+
 def integral_references(tree: ast.AST) -> int:
     """How many references to ``Integral``, bare or dotted, a tree holds
     (the import itself is not one)."""

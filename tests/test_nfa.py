@@ -5,6 +5,7 @@ import pickle
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,8 +384,8 @@ class TestSuccessorIndex:
         assert "_succ" not in fresh.__dict__
         assert fresh.targets(0, 0) == (1, 2)
         index = fresh._succ
-        assert index.rows == [{0: 0b110}, None, None]
-        assert index.tables == [None]
+        assert index.rows == {0: {0: 0b110}}
+        assert index.tables == {}
         determinize(fresh)
         assert fresh._succ is index
         # the steps of {0}, {1, 2} and {2}: three columns and their OR
@@ -398,28 +399,23 @@ class TestSuccessorIndex:
         initial = _mask(cube.initial).to_bytes(index.width, "little")
         columns = {
             8 * i + j
-            for i, table in enumerate(index.tables)
-            if table is not None
+            for i, table in index.tables.items()
             for j in range(8)
             if table[1 << j] is not None
         }
         assert columns == set(cube.initial)
-        assert [i for i, table in enumerate(index.tables) if table is not None] == [
-            i for i, byte in enumerate(initial) if byte
-        ]
-        for table, byte in zip(index.tables, initial):
+        assert sorted(index.tables) == [i for i, byte in enumerate(initial) if byte]
+        for i, table in index.tables.items():
             # every slot built holds initial states only
-            assert table is None or all(
-                entry is None or b & ~byte == 0 for b, entry in enumerate(table)
-            )
-        assert index.rows == [None] * cube.n_states
+            assert all(entry is None or b & ~initial[i] == 0 for b, entry in enumerate(table))
+        assert index.rows == {}
 
     def test_square_table_steps_on_the_columns(self):
         fresh = make_nfa(3, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (2, 1, 0)], {0}, {2})
         square_accept_table(fresh, 3)
         index = fresh._succ
         assert all(index.tables[0][1 << s] is not None for s in range(3))
-        assert index.rows == [None] * 3
+        assert index.rows == {}
 
     @settings(max_examples=200)
     @given(st.one_of(nfas(), byte_boundary_nfas()), st.data())
@@ -454,8 +450,8 @@ class TestSuccessorIndex:
             for mask in order:
                 assert step(mask) == [_run(a, mask, (x,)) for x in range(sigma)]
             tables = copy._succ.tables
-            assert {i for i, table in enumerate(tables) if table is not None} == met
-            assert all(len(table) == 256 for table in tables if table is not None)
+            assert set(tables) == met
+            assert all(len(table) == 256 for table in tables.values())
 
     def test_rows_built_only_for_states_visited(self, witness6):
         cube = sqrt_nfa(witness6)
@@ -463,9 +459,21 @@ class TestSuccessorIndex:
         assert member(cube, (a, b))
         after_a = {d for s, x, d in cube.transitions if x == a and s in cube.initial}
         index = cube._succ
-        built = {s for s, row in enumerate(index.rows) if row is not None}
-        assert built == cube.initial | after_a
-        assert index.tables == [None] * index.width
+        assert set(index.rows) == cube.initial | after_a
+        assert index.tables == {}
+
+    def test_index_grows_with_the_relation_not_the_states(self):
+        # one transition among 2**21 states: no per-state list or count
+        n = 2**21
+        a = Nfa(n, ("x",), {0}, {n - 1}, ((0, 0, n - 1),))
+        tracemalloc.start()
+        try:
+            assert member(a, (0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert a._succ.rows == {0: {0: 1 << n - 1}}
 
     def test_concurrent_first_use_agrees(self):
         words = [w for k in range(4) for w in itertools.product(range(3), repeat=k)]

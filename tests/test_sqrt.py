@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sqrtnfa import (
     BudgetExceededError,
@@ -67,6 +69,21 @@ class TestCodec:
             codec.encode(3, 0, 0)
         with pytest.raises(ValueError):
             codec.decode(27)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 32), st.sampled_from([np.int64, np.uint16]), st.data())
+    def test_split_and_join_on_arrays(self, n, dtype, data):
+        codec = TripleCodec(n)
+        flat = data.draw(arrays(dtype, st.integers(0, 16), elements=st.integers(0, n**3 - 1)))
+        parts = codec.split(flat)
+        assert [part.dtype for part in parts] == [flat.dtype] * 3
+        assert list(zip(*(part.tolist() for part in parts))) == list(
+            map(codec.decode, flat.tolist())
+        )
+        joined = codec.join(*parts)
+        assert joined.dtype == flat.dtype and np.array_equal(joined, flat)
+        p, q, r = data.draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        assert codec.join(p, q, r) == codec.encode(p, q, r)
 
 
 class TestConstruction:
