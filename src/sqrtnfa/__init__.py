@@ -37,7 +37,7 @@ from .nfa import (
     square_accept_table,
     trim,
 )
-from .oracle import RandomSpec, random_nfa, sqrt_dfa, sqrt_member_direct
+from .oracle import RandomSpec, random_nfa, relation_dfa, sqrt_dfa, sqrt_member_direct
 from .sqrt import TripleCodec, reachable_triples, sqrt_nfa, triple_labels
 from .textio import emit_nfa, parse_nfa
 from .witness import (
@@ -95,6 +95,7 @@ __all__ = [
     "random_nfa",
     "reach",
     "reachable_triples",
+    "relation_dfa",
     "run_report",
     "sqrt_dfa",
     "sqrt_member_direct",

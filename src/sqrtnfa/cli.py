@@ -16,35 +16,19 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .cases import verify_cases
 from .config import DEFAULT_BUDGET, charge, check_int
 from .errors import BudgetExceededError, FormatError, VerificationError
 from .fooling import FoolingSet, certify_lower_bound, verify_fooling
-from .nfa import (
-    Nfa,
-    Word,
-    accept_table,
-    determinize,
-    dfa_accept_table,
-    dfa_to_nfa,  # unused here, but perfbench/tracing.py::PATCHES looks it up in this module
-    difference_witness,
-    equivalent,
-    member,
-    square_accept_table,
-)
-from .oracle import RandomSpec, random_nfa, sqrt_dfa, sqrt_member_direct
+from .nfa import Nfa, Word, determinize, difference_witness, equivalent, member
+from .oracle import RandomSpec, random_nfa, relation_dfa, sqrt_dfa, sqrt_member_direct
 from .sqrt import sqrt_nfa, triple_labels
-from .textio import (
-    _pieces,
-    emit_nfa,  # unused here, but perfbench/tracing.py::PATCHES looks it up in this module
-    parse_nfa,
-)
+from .textio import _pieces, parse_nfa
 from .witness import witness
-from .words import rank_to_word
 
-TRIANGLE_WORD_LENGTH = 6
+# unused here, but perfbench/tracing.py::PATCHES looks them up in this module
+from .nfa import accept_table, dfa_accept_table, dfa_to_nfa, square_accept_table
+from .textio import emit_nfa
 
 
 @dataclass(frozen=True)
@@ -219,19 +203,18 @@ def _cmd_verify_cases(args: argparse.Namespace) -> int:
 
 def _route_mismatch(auto: Nfa, budget: int | None) -> Word | None:
     """The check of one ``random-equiv`` trial: the shortest word where the
-    cube and the function automaton disagree, else the first word of length
-    <= 6 where the three membership routes split, else None."""
+    cube and the function automaton disagree, else the shortest where the
+    function automaton and the relation automaton (ww run on ``auto``)
+    disagree, else None.  The relation automaton is built only once the
+    cube has agreed."""
     cube = sqrt_nfa(auto, budget)
     fn_dfa = sqrt_dfa(determinize(auto, budget), budget=budget)
     if not equivalent(cube, fn_dfa, budget):
         return difference_witness(cube, fn_dfa, budget)
-    direct = square_accept_table(auto, TRIANGLE_WORD_LENGTH, budget)
-    via_cube = accept_table(cube, TRIANGLE_WORD_LENGTH, budget)
-    via_fn = dfa_accept_table(fn_dfa, TRIANGLE_WORD_LENGTH, budget)
-    agree = (direct == via_cube) & (direct == via_fn)
-    if agree.all():
-        return None
-    return rank_to_word(len(auto.alphabet), int(np.argmin(agree)))
+    rel_dfa = relation_dfa(auto, budget)
+    if not equivalent(fn_dfa, rel_dfa, budget):
+        return difference_witness(fn_dfa, rel_dfa, budget)
+    return None
 
 
 def _cmd_random_equiv(args: argparse.Namespace) -> int:
@@ -333,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_cases)
 
     p = sub.add_parser(
-        "random-equiv", help="cube construction vs function-automaton on random NFAs"
+        "random-equiv", help="cube vs function and relation automata on random NFAs"
     )
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--max-states", type=int, default=4)

@@ -27,7 +27,8 @@ The word walks (``determinize``, the pair walk, ``accept_table`` and
 ``dfa_accept_table``) take their start node, successor function and
 acceptance test from :func:`_walk`, so the pair walk and the tables also
 take a ``Dfa``, which steps its states on its transition table with no
-NFA view.  A ``Dfa``
+NFA view.  ``square_accept_table`` and :func:`sqrtnfa.oracle.relation_dfa`
+share :func:`_square_walk`, whose node is a word's relation.  A ``Dfa``
 validates a table of plain ``int`` rows in a few C-level passes and
 checks any other table entry by entry.
 """
@@ -436,6 +437,21 @@ def _walk(auto: Nfa | Dfa):
     return _mask(auto.initial), _stepper(auto), lambda mask: mask & fin != 0
 
 
+def _square_walk(nfa: Nfa):
+    """The walk of :func:`_walk` for the words w whose square ww the
+    automaton accepts.  A word's node is its relation, one successor mask
+    per state, and ww is accepted when applying it twice to the initial
+    set meets a final state.  Each state set is stepped once per walk."""
+    step = cache(_stepper(nfa))
+    init, fin = _mask(nfa.initial), _mask(nfa.final)
+    return (
+        tuple(1 << s for s in range(nfa.n_states)),
+        # each state's image stepped on every letter, regrouped by letter
+        lambda rel: list(zip(*map(step, rel))),
+        lambda rel: _mask_step(_mask_step(init, rel), rel) & fin != 0,
+    )
+
+
 def reach(nfa: Nfa, states: set[int] | frozenset[int], word: Word) -> set[int]:
     """States reachable from ``states`` after reading ``word`` (epsilon = identity)."""
     # as ints: a numpy integer would not widen past 64 bits in a mask
@@ -637,25 +653,9 @@ def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np
     """Acceptance flag for ww, for every w of length <= max_len, rank order.
 
     This is the direct square-membership route: it never builds the cube
-    automaton.  A word's node is its relation, one successor mask per
-    state, and ww is accepted when applying it twice to the initial set
-    meets a final state.
+    automaton.  A word's node is its relation, as in :func:`_square_walk`.
     """
-    step = cache(_stepper(nfa))  # local to this call: each mask stepped once
-    init, fin = _mask(nfa.initial), _mask(nfa.final)
-
-    def accepting(rel: tuple[int, ...]) -> int:
-        return _mask_step(_mask_step(init, rel), rel) & fin
-
-    return walk_word_tree(
-        tuple(1 << s for s in range(nfa.n_states)),
-        # each state's image stepped on every letter, regrouped by letter
-        lambda rel: list(zip(*map(step, rel))),
-        accepting,
-        len(nfa.alphabet),
-        max_len,
-        budget,
-    )
+    return walk_word_tree(*_square_walk(nfa), len(nfa.alphabet), max_len, budget)
 
 
 def dfa_accept_table(dfa: Dfa, max_len: int, budget: int | None = None) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 The cube construction in :mod:`sqrtnfa.sqrt` is the object under study, so
 everything here avoids it on purpose: direct membership doubles the word
-and runs the original automaton, and the function-automaton route tracks
-how a whole DFA transforms under the word read so far.  Agreement of the
-three routes is what the equivalence tests certify.
+and runs the original automaton, and its automaton, ``relation_dfa``,
+tracks the relation of the word read so far on the NFA; the
+function-automaton route, ``sqrt_dfa``, tracks how a whole DFA transforms
+under it.  Exact equivalence of the three routes is what ``random-equiv``
+and the equivalence tests certify.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_int
-from .nfa import Dfa, Nfa, Word, _explored_dfa, member
+from .nfa import Dfa, Nfa, Word, _explored_dfa, _square_walk, member
 
 
 def sqrt_member_direct(nfa: Nfa, word: Word) -> bool:
@@ -49,6 +51,19 @@ def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
         lambda f: f[f[dfa.initial]] in dfa.final,
         dfa.alphabet, budget, "square-root DFA states",
     )
+
+
+def relation_dfa(nfa: Nfa, budget: int | None = None) -> Dfa:
+    """Deterministic automaton for the square root of an NFA's language,
+    built without determinizing it, laid out by
+    :func:`sqrtnfa.nfa._explored_dfa`.
+
+    States are the relations of the words read so far, one successor mask
+    per state of ``nfa`` (its transition monoid), and a relation R accepts
+    when I·R·R meets F: the direct route, ww run on ``nfa``, as an
+    automaton.  ``budget`` caps the reachable relations materialized.
+    """
+    return _explored_dfa(*_square_walk(nfa), nfa.alphabet, budget, "square relation DFA states")
 
 
 # inclusion probabilities of random_nfa's draws, part of its draw contract

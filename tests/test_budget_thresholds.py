@@ -25,6 +25,7 @@ from sqrtnfa import (
     difference_witness,
     equivalent,
     pairwise_contradiction,
+    relation_dfa,
     sqrt_dfa,
     sqrt_nfa,
     square_accept_table,
@@ -72,6 +73,8 @@ def test_automaton_phases_refuse_one_below_their_count(a, max_len):
     assert_threshold(lambda b: determinize(a, b), det.n_states, "determinization subset states")
     fn = sqrt_dfa(det)
     assert_threshold(lambda b: sqrt_dfa(det, b), fn.n_states, "square-root DFA states")
+    rel = relation_dfa(a)
+    assert_threshold(lambda b: relation_dfa(a, b), rel.n_states, "square relation DFA states")
     # the pair (S, {i}) of a's subset S and the determinized state i naming
     # it: one reachable pair per state of det, and none splits
     b = dfa_to_nfa(det)

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import compress, product
+from itertools import compress, permutations, product
 from pathlib import Path
 
 import pytest
 
 from sqrtnfa import (
+    BudgetExceededError,
+    Dfa,
     Report,
     TripleCodec,
     cli,
@@ -324,15 +326,26 @@ class TestRandomEquiv:
         )
         assert code == 0 and "all 10 trials agree" in out
 
-    def test_budget_reaches_the_accept_tables(self, capsys):
-        # the triangle tables walk the 127 words of length <= 6 over two letters
-        argv = ("random-equiv", "--trials", "20", "--seed", "0",
-                "--max-states", "2", "--alphabet", "2", "--budget")
-        code, _, err = run(capsys, *argv, "126")
-        assert code == 3
-        assert "word tree words: needs 127, exceeds budget 126" in err
-        code, out, _ = run(capsys, *argv, "127")
-        assert code == 0 and "all 20 trials agree" in out
+    def test_budget_reaches_the_relation_dfa(self, capsys, monkeypatch):
+        # the cube's n^3 states and its transitions are charged before the
+        # relation DFA and are larger, so spy on the budget it is handed
+        real, budgets = cli.relation_dfa, []
+
+        def spy(auto, budget=None):
+            budgets.append(budget)
+            return real(auto, budget)
+
+        monkeypatch.setattr(cli, "relation_dfa", spy)
+        argv = ("random-equiv", "--trials", "4", "--seed", "0")
+        assert run(capsys, *argv, "--budget", "54321")[:2] == (0, "all 4 trials agree\n")
+        assert run(capsys, *argv)[0] == 0
+        assert budgets == [54321] * 4 + [None] * 4
+
+    def test_ten_letters_fit_the_default_budget(self, capsys, monkeypatch):
+        # no table of the 1,111,111 words of length <= 6 over ten letters
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+        argv = ("random-equiv", "--trials", "5", "--seed", "0", "--alphabet", "10")
+        assert run(capsys, *argv)[:2] == (0, "all 5 trials agree\n")
 
     @pytest.mark.parametrize("trials", ["-5", "0"])
     def test_no_trials_is_a_usage_error(self, capsys, trials):
@@ -398,21 +411,48 @@ class TestRandomEquiv:
         assert (code, err) == (1, "")
         assert out == 'trial 2 seed=2 failed: word "l0 l1"\n1 of 5 trials failed\n'
 
-    def test_a_flipped_square_flag_fails_on_the_triangle(self, capsys, monkeypatch):
-        # the cube and the function automaton still agree, so the split
-        # shows only in the accept tables, at the last word of length 6
-        real = cli.square_accept_table
+    def test_a_cube_failure_never_builds_the_relation_dfa(self, capsys, monkeypatch):
+        real = cli.sqrt_nfa
 
-        def flipped(auto, max_len, budget=None):
-            table = real(auto, max_len, budget).copy()
-            table[-1] = not table[-1]
-            return table
+        def lossy(auto, budget=None):
+            cube = real(auto, budget)
+            return dataclasses.replace(cube, final=frozenset())
 
-        monkeypatch.setattr(cli, "square_accept_table", flipped)
+        def refused(auto, budget=None):
+            raise BudgetExceededError("square relation DFA states", 2, 1)
+
+        monkeypatch.setattr(cli, "sqrt_nfa", lossy)
+        monkeypatch.setattr(cli, "relation_dfa", refused)
+        # seed 0's square root holds the empty word, which the finalless
+        # cube rejects: the trial fails before the relation DFA is due
+        code, out, err = run(capsys, "random-equiv", "--trials", "1", "--seed", "0")
+        assert (code, err) == (1, "")
+        assert out == 'trial 0 seed=0 failed: word ""\n1 of 1 trials failed\n'
+
+    def test_a_direct_route_wrong_past_length_6_fails(self, capsys, monkeypatch):
+        # the relation DFA also accepts every word of length 7, so it splits
+        # from the function automaton at the least length-7 word outside
+        # the square root: the words of length <= 6 all agree
+        real = cli.relation_dfa
+
+        def also_length_7(auto, budget=None):
+            rel = real(auto, budget)
+            # state 9d + k: rel's state d after k letters, k stopping at 8
+            n, sigma = rel.n_states, len(rel.alphabet)
+            final = {9 * d + k for d in range(n) for k in range(9) if d in rel.final or k == 7}
+            rows = [
+                [9 * rel.transitions[d][a] + min(k + 1, 8) for a in range(sigma)]
+                for d in range(n)
+                for k in range(9)
+            ]
+            return Dfa(9 * n, rel.alphabet, 9 * rel.initial, frozenset(final), rows)
+
+        monkeypatch.setattr(cli, "relation_dfa", also_length_7)
         code, out, err = run(capsys, "random-equiv", "--trials", "5", "--seed", "0")
         assert (code, err) == (1, "")
-        word = " ".join(["l2"] * 6)
-        lines = [f'trial {t} seed={t} failed: word "{word}"' for t in range(5)]
+        zeros = " ".join(["l0"] * 7)
+        words = [zeros, zeros, zeros, "l0 l0 l0 l0 l0 l1 l0", zeros]
+        lines = [f'trial {t} seed={t} failed: word "{words[t]}"' for t in range(5)]
         assert out.splitlines() == [*lines, "5 of 5 trials failed"]
 
 
@@ -431,6 +471,37 @@ def small_scope():
     return automata
 
 
+def unary_orbits():
+    """One automaton per orbit of the 28,672 automata with 3 states over
+    one letter (every relation, every non-empty initial set, every final
+    set) under the 6 permutations of the states: the orbit's least
+    (relation, initial, final) as bitmasks, bit 3s + t of a relation
+    standing for its pair (s, t)."""
+    perms = list(permutations(range(3)))
+    # each permutation's image of every set mask and of every relation mask
+    sets = [[sum(1 << p[s] for s in range(3) if b >> s & 1) for b in range(8)] for p in perms]
+    relations = [
+        [sum(1 << 3 * p[k // 3] + p[k % 3] for k in range(9) if b >> k & 1) for b in range(512)]
+        for p in perms
+    ]
+    images = list(zip(relations, sets))
+    orbits = {
+        min((rel[r], set_[i], set_[f]) for rel, set_ in images)
+        for r in range(512)
+        for i in range(1, 8)
+        for f in range(8)
+    }
+    return [
+        make_nfa(
+            3, 1,
+            [(k // 3, 0, k % 3) for k in range(9) if r >> k & 1],
+            {s for s in range(3) if i >> s & 1},
+            {s for s in range(3) if f >> s & 1},
+        )
+        for r, i, f in sorted(orbits)
+    ]
+
+
 class TestSmallScope:
     """The check of one random-equiv trial, run on every automaton of a
     small scope instead of on random draws."""
@@ -443,6 +514,11 @@ class TestSmallScope:
             if (word := cli._route_mismatch(auto, None)) is not None
         ]
         assert mismatches == []
+
+    def test_every_three_state_unary_orbit_agrees_on_all_routes(self):
+        orbits = unary_orbits()
+        assert len(orbits) == 4_976
+        assert [auto for auto in orbits if cli._route_mismatch(auto, None) is not None] == []
 
     def test_a_cube_blind_to_the_midpoint_is_caught(self, small_scope, monkeypatch):
         real = cli.sqrt_nfa

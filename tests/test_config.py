@@ -93,6 +93,32 @@ def test_one_lane_steps_on_every_letter():
     assert attribute_readers(trees, "columns") == set()
 
 
+def callers(trees: dict[str, ast.Module], name: str) -> set[tuple[str, str | None]]:
+    """The top-level statements, as (module, name), whose code calls
+    ``name(...)``, bare or dotted."""
+    return {
+        (module, getattr(node, "name", None))
+        for module, tree in trees.items()
+        for node in tree.body
+        if calls(node, name)
+    }
+
+
+def test_one_walk_squares_relations_and_the_trial_tabulates_nothing():
+    # the relation DFA and square_accept_table step relations only through
+    # nfa._square_walk, and a random-equiv trial is two equivalences:
+    # cli.py calls no word-tree walk and no acceptance table
+    trees = parse_sources()
+    assert callers(trees, "_mask_step") == {("nfa.py", "_square_walk")}
+    called = {
+        getattr(node.func, "id", "") or getattr(node.func, "attr", "")
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.Call)
+    }
+    assert {name for name in called if name.endswith("accept_table")} == set()
+    assert "walk_word_tree" not in called
+
+
 def writing_opens(trees: dict[str, ast.Module]) -> set[tuple[str, str | None]]:
     """The top-level statements, as (module, name), that call ``open`` with
     a mode that writes, or with a mode that is not a string literal."""

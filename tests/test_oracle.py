@@ -2,20 +2,26 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sqrtnfa import (
     BudgetExceededError,
     Dfa,
     Nfa,
     RandomSpec,
+    accept_table,
     determinize,
     emit_nfa,
+    equivalent,
     member,
     random_nfa,
+    relation_dfa,
     sqrt_dfa,
     sqrt_member_direct,
+    sqrt_nfa,
+    square_accept_table,
 )
-from conftest import random_word, tuple_sqrt_dfa
+from conftest import nfas, random_word, tuple_sqrt_dfa
 
 
 def unary_dfa(cycle, final):
@@ -133,6 +139,18 @@ class TestSqrtDfa:
                 for w in level:
                     assert fn.member(w) == member(auto, w + w)
                 level = [w + (a,) for w in level for a in range(sigma)][:81]
+
+
+class TestRelationDfa:
+    @settings(max_examples=100, deadline=None)
+    @given(nfas())
+    def test_the_three_routes_accept_one_language(self, a):
+        rel = relation_dfa(a)
+        assert equivalent(rel, sqrt_dfa(determinize(a)))
+        assert equivalent(rel, sqrt_nfa(a))
+        # square_accept_table walks the nodes that are rel's states
+        for max_len in range(5):
+            assert np.array_equal(accept_table(rel, max_len), square_accept_table(a, max_len))
 
 
 class TestRandomSpec:

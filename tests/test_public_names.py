@@ -48,6 +48,7 @@ PUBLIC_NAMES = [
     "random_nfa",
     "reach",
     "reachable_triples",
+    "relation_dfa",
     "run_report",
     "sqrt_dfa",
     "sqrt_member_direct",
@@ -114,6 +115,7 @@ PUBLIC_OPTIONS = {
     "random_nfa": ("spec",),
     "reach": ("nfa", "states", "word"),
     "reachable_triples": ("nfa", "word", "budget=None"),
+    "relation_dfa": ("nfa", "budget=None"),
     "run_report": ("n", "budget=None"),
     "sqrt_dfa": ("dfa", "budget=None"),
     "sqrt_member_direct": ("nfa", "word"),
