@@ -327,8 +327,9 @@ class TestRandomEquiv:
         assert code == 0 and "all 10 trials agree" in out
 
     def test_budget_reaches_the_relation_dfa(self, capsys, monkeypatch):
-        # the cube's n^3 states and its transitions are charged before the
-        # relation DFA and are larger, so spy on the budget it is handed
+        # at 3 and 4 states a phase charged before the relation DFA (most
+        # often the cube's transitions) bound first on every seed checked,
+        # so spy on the budget it is handed
         real, budgets = cli.relation_dfa, []
 
         def spy(auto, budget=None):
@@ -340,6 +341,14 @@ class TestRandomEquiv:
         assert run(capsys, *argv, "--budget", "54321")[:2] == (0, "all 4 trials agree\n")
         assert run(capsys, *argv)[0] == 0
         assert budgets == [54321] * 4 + [None] * 4
+
+    def test_the_relation_dfa_can_be_the_binding_phase(self, capsys):
+        # seed 66 at 5 states: every phase before it fits 1,448 units
+        argv = ("random-equiv", "--trials", "1", "--max-states", "5", "--seed", "66")
+        code, out, err = run(capsys, *argv, "--budget", "1448")
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: square relation DFA states: needs 1449, exceeds budget 1448\n"
+        assert run(capsys, *argv, "--budget", "1449")[:2] == (0, "all 1 trials agree\n")
 
     def test_ten_letters_fit_the_default_budget(self, capsys, monkeypatch):
         # no table of the 1,111,111 words of length <= 6 over ten letters
@@ -354,7 +363,7 @@ class TestRandomEquiv:
         assert f"--trials {trials} out of range" in err
 
     def test_five_states_past_the_old_cap(self, capsys):
-        # 125-state cubes: the accept tables have no state cap
+        # 125-state cubes fit with no state cap
         code, out, _ = run(
             capsys, "random-equiv", "--trials", "20", "--max-states", "5", "--seed", "0"
         )
