@@ -3,8 +3,8 @@
 A word a_X1 b_X2 belongs to the square root of the witness language
 exactly when one of seven structural conditions on the payload triples
 holds.  This module states those conditions directly (scalar predicates)
-and checks their table form against the closed-form square truth table
-for all n^6 payload pairs.  Both checks are one call of
+and checks their table form against the square truth table of the witness
+automaton for all n^6 payload pairs.  Both checks are one call of
 :func:`~sqrtnfa.kernels.first_orbit_hit`, which reads one cell per
 symmetry orbit (see :mod:`sqrtnfa.kernels`), and the budget is charged
 for the cells read.
@@ -13,9 +13,11 @@ for the cells read.
 from __future__ import annotations
 
 from .config import charge, check_int
-from .kernels import case_table, first_orbit_hit, orbit_count, witness_square_table
+from .kernels import (
+    case_table, check_symmetric, first_orbit_hit, orbit_count, witness_square_table
+)
 from .sqrt import TripleCodec
-from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m
+from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m, witness
 
 Triple = tuple[int, int, int]
 
@@ -55,20 +57,19 @@ def case_holds(case: int, x1: Triple, x2: Triple, n: int) -> bool:
 def verify_cases(n: int, budget: int | None = None) -> tuple[Triple, Triple] | None:
     """Compare the case table with the square truth table on all n^6 pairs.
 
-    Both sides are closed forms: :func:`~sqrtnfa.kernels.case_table` and
-    :func:`~sqrtnfa.kernels.witness_square_table`.  The square truth table
-    meets the automaton elsewhere: :func:`~sqrtnfa.fooling.certify_lower_bound`
-    compares its diagonal with ``member`` on ``witness(n)``, and the tests
-    compare it with ``member`` on sampled and whole grids.
+    The closed form :func:`~sqrtnfa.kernels.case_table` meets
+    :func:`~sqrtnfa.kernels.witness_square_table` on ``witness(n)``, which
+    must pass :func:`~sqrtnfa.kernels.check_symmetric`.
 
     Returns None when every pair agrees, otherwise the lexicographically
     first (X1, X2) where the two tables disagree.  The budget caps the
     cells read, one per orbit: n^6 at n = 6 and 7, at most 163,967 above.
     """
     charge("case verification pairs", orbit_count(n), budget)
+    auto = check_symmetric(witness(n))
 
     def mismatch(rows, cols):
-        truth = witness_square_table(n, rows, cols)
+        truth = witness_square_table(auto, rows, cols)
         return truth != (case_table(n, rows, cols) != 0)
 
     cell = first_orbit_hit(n, mismatch)

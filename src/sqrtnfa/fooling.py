@@ -9,12 +9,10 @@ set has pairs, because distinct pairs cannot share a mid-word state.
 :func:`verify_fooling` is deliberately plain Python over a membership
 oracle; it is the audit reference for any candidate set.
 :func:`certify_lower_bound` checks the canonical witness set faster: it
-runs condition 1 on the scalar oracle over the witness automaton, requires
-the diagonal cells of the square truth table (see
-:func:`~sqrtnfa.kernels.witness_square_table`) to agree with those scalar
-answers, and then reads condition 2 off the table through
-:func:`~sqrtnfa.kernels.first_orbit_hit`, one cell per symmetry orbit
-(see :mod:`sqrtnfa.kernels`).
+reads both conditions off the square truth table of the witness automaton
+(:func:`~sqrtnfa.kernels.witness_square_table`), one cell per symmetry
+orbit (see :mod:`sqrtnfa.kernels`), and asks the scalar oracle too on
+the diagonal cells it reads.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 
 from .config import charge, check_int
 from .errors import VerificationError
-from .kernels import first_orbit_hit, witness_square_table
+from .kernels import check_symmetric, first_orbit_hit, orbit_cells, witness_square_table
 from .nfa import Word, member
 from .witness import check_witness_n, witness
 
@@ -143,9 +141,7 @@ def witness_fooling_set(n: int) -> FoolingSet:
     triple order, as single-letter words of witness alphabet indices."""
     check_witness_n(n)
     cube = n**3
-    return FoolingSet(
-        tuple(((flat,), (cube + flat,)) for flat in range(cube))
-    )
+    return FoolingSet(tuple(((flat,), (cube + flat,)) for flat in range(cube)))
 
 
 def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
@@ -153,39 +149,34 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     states, with the same report :func:`verify_fooling` gives for the
     canonical set under the square-membership oracle of ``witness(n)``.
 
-    Condition 1 asks that oracle once per pair, on the word
-    (a_X b_X)^2 itself.  The square truth table
-    T[i, j] = (a_Xi b_Xj)^2 in L must agree with it on the diagonal, else
-    :class:`VerificationError`; condition 2 for i < j is then
-    T[i, j] & T[j, i], read by :func:`~sqrtnfa.kernels.first_orbit_hit`.
+    The automaton must pass :func:`~sqrtnfa.kernels.check_symmetric`.
+    Condition 1 reads its square truth table T[i, j] = (a_Xi b_Xj)^2 in L
+    on the diagonal orbit representatives, each also asked of the oracle:
+    a disagreement raises :class:`VerificationError`.  Condition 2 for
+    i < j is T[i, j] & T[j, i], read by :func:`~sqrtnfa.kernels.first_orbit_hit`.
     """
     check_witness_n(n)
     m = n**3
     charge("fooling set pairs", m, budget)
-    auto = witness(n)
-
-    scalar = []
-    for x, y in witness_fooling_set(n).pairs:
-        scalar.append(member(auto, x + y + x + y))
-        if not scalar[-1]:
-            break
-    checked = np.arange(len(scalar), dtype=np.int64)
-    diagonal = witness_square_table(n, checked, checked)
-    mismatch = np.flatnonzero(diagonal != np.array(scalar, dtype=np.bool_))
+    auto = check_symmetric(witness(n))
+    pairs = witness_fooling_set(n).pairs
+    rows, cols = orbit_cells(n)
+    diagonal = rows[rows == cols]
+    inside = witness_square_table(auto, diagonal, diagonal)
+    scalar = [member(auto, 2 * (pairs[i][0] + pairs[i][1])) for i in diagonal.tolist()]
+    mismatch = diagonal[inside != scalar]
     if mismatch.size:
         raise VerificationError(
             f"square table disagrees with the witness automaton at pair {mismatch[0] + 1}"
         )
-    if not scalar[-1]:
+    if not inside.all():
+        i = int(diagonal[np.argmin(inside)]) + 1
         return FoolingReport(
-            certified=False,
-            bound=0,
-            violation=Violation("cond1", len(scalar)),
-            cond1_checked=len(scalar),
+            certified=False, bound=0, violation=Violation("cond1", i), cond1_checked=i
         )
 
     def clash(rows, cols):
-        return witness_square_table(n, rows, cols) & witness_square_table(n, cols, rows)
+        return witness_square_table(auto, rows, cols) & witness_square_table(auto, cols, rows)
 
     hit = first_orbit_hit(n, clash, upper=True)
     if hit is None:
@@ -194,9 +185,6 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
         )
     i, j = hit
     return FoolingReport(
-        certified=False,
-        bound=0,
-        violation=Violation("cond2", i + 1, j + 1),
-        cond1_checked=m,
-        cond2_checked=i * m - i * (i + 1) // 2 + (j - i),
+        certified=False, bound=0, violation=Violation("cond2", i + 1, j + 1),
+        cond1_checked=m, cond2_checked=i * m - i * (i + 1) // 2 + (j - i),
     )

@@ -1,36 +1,36 @@
-"""The witness family's membership tables as numpy array algebra.
+"""The witness family's membership tables as numpy arrays.
 
-The witness tables (the square truth table and the case table) are cell
-algebra on broadcastable arrays of flat triple indices, split by
-:meth:`~sqrtnfa.sqrt.TripleCodec.split`.  Each table is
-cross-checked in the test suite against an independent scalar route:
-simulation by ``member`` and the case predicates.  Each reads only the
-cells its two index arrays select.
+The square truth table (:func:`witness_square_table`) runs the automaton
+it is given, and the case table is cell algebra on the payload
+coordinates, split by :meth:`~sqrtnfa.sqrt.TripleCodec.split`.  Each
+reads only the cells its two index arrays select.
 
 The checks built on them (:func:`first_orbit_hit`) read the n^3 x n^3
 grid on one cell per symmetry orbit.  States 6..n-1 of the witness are
 interchangeable: a permutation of them, with the letters relabelled to
-match, maps ``witness(n)`` onto itself.  Both tables read a coordinate of
-(p1,q1,r1,p2,q2,r2) only through equalities between coordinates, tests
-against constants <= 5, and the pivot maps, which are constant on the
-states >= 6; so a cell's value, and a check's hit, depends only on the
-cell's orbit.  The orbits are listed by their canonical tuples
-(:func:`orbit_cells`): 163,967 for every n >= 12, instead of n^6 cells
-(2,985,984 at n = 12).  The canonical tuple is the least cell of its
-orbit and the list is in lexicographic order, so the first representative
-that hits is the row-major first cell that hits, and no check reads more
-than the representatives.
+match, maps ``witness(n)`` onto itself, which :func:`check_symmetric`
+checks at run time, so the square table is constant on every orbit.  The
+case table reads a coordinate of (p1,q1,r1,p2,q2,r2) only through
+equalities between coordinates, tests against constants <= 5, and the
+pivot maps, which are constant on the states >= 6; so it is too.  The
+orbits are listed by their canonical tuples (:func:`orbit_cells`):
+163,967 for every n >= 12, instead of n^6 cells (2,985,984 at n = 12).
+The canonical tuple is the least cell of its orbit and the list is in
+lexicographic order, so the first representative that hits is the
+row-major first cell that hits, and no check reads more than the
+representatives.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 
 from .errors import VerificationError
+from .nfa import Nfa
 from .sqrt import TripleCodec
 from .witness import _PIVOT_L, _PIVOT_M, MIN_STATES, check_witness_n
 
@@ -131,8 +131,13 @@ def first_orbit_hit(
 
 
 def _triple_cells(n: int, x1, x2, table: str):
-    """Coordinates (p, q, r) of two broadcastable arrays of flat triple
-    indices (p*n + q)*n + r in 0..n^3-1."""
+    """Coordinates (p, q, r) of two checked arrays of flat triple indices."""
+    return [TripleCodec(n).split(x) for x in _flat_cells(n, x1, x2, table)]
+
+
+def _flat_cells(n: int, x1, x2, table: str) -> list[np.ndarray]:
+    """Two broadcastable arrays of flat triple indices (p*n + q)*n + r in
+    0..n^3-1, checked, as uint16."""
     check_witness_n(n)
     cells = []
     for x in map(np.asarray, (x1, x2)):
@@ -143,32 +148,63 @@ def _triple_cells(n: int, x1, x2, table: str):
             raise ValueError(
                 f"{table}: flat triple index {bad} out of range 0..{n**3 - 1} for n={n}"
             )
-        cells.append(TripleCodec(n).split(x.astype(_CELL, copy=False)))
+        cells.append(x.astype(_CELL, copy=False))
     return cells
 
 
-def witness_square_table(n: int, x1, x2) -> np.ndarray:
-    """Boolean table T[x1, x2] = the word a_X1 b_X2 squares into the witness
-    language (6 <= n <= 32).  Triples are flat-indexed as (p*n + q)*n + r.
+def witness_square_table(auto: Nfa, x1, x2) -> np.ndarray:
+    """Boolean table T[x1, x2] = the word a_X1 b_X2 squares into the
+    language of ``auto``, an n-state automaton over the alphabet of
+    ``witness(n)``, 6 <= n <= 32.  ``x1`` and ``x2`` are broadcastable
+    arrays of flat triple indices (p*n + q)*n + r that select the cells.
 
-    ``x1`` and ``x2`` are broadcastable arrays of flat indices and select
-    the cells returned.  The table tracks, letter by letter, the only
-    states each letter can produce while reading (a_X1 b_X2)^2.
-    """
-    (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "witness_square_table")
-    l1 = _PIVOT_L[p1]
-    m2 = _PIVOT_M[p2]
-    # membership flags for the only states each letter can produce:
-    # after a_X1 the set is within {q1, r1}, after b_X2 within {p2, m2}
-    has_q1 = l1 <= 2
-    has_r1 = p1 <= 2
-    has_p2 = (has_q1 & (q2 == q1)) | (has_r1 & (q2 == r1))
-    has_m2 = (has_q1 & (r2 == q1)) | (has_r1 & (r2 == r1))
-    has_q1 = (has_p2 & (l1 == p2)) | (has_m2 & (l1 == m2))
-    has_r1 = (has_p2 & (p1 == p2)) | (has_m2 & (p1 == m2))
-    has_p2 = (has_q1 & (q2 == q1)) | (has_r1 & (q2 == r1))
-    has_m2 = (has_q1 & (r2 == q1)) | (has_r1 & (r2 == r1))
-    return (has_p2 & (p2 >= 3) & (p2 <= 5)) | (has_m2 & (m2 >= 3) & (m2 <= 5))
+    Each letter's transitions go into k slots, k the most any letter has,
+    and the table tracks which slots fire across (a_X1 b_X2)^2: a slot
+    fires when its source is initial (on the first letter) or the target
+    of a slot that fired on the letter before, and the word is accepted
+    when a slot that fires on its last letter has a final target."""
+    n, sigma = auto.n_states, 2 * auto.n_states**3
+    x1, x2 = _flat_cells(n, x1, x2, "witness_square_table")
+    if len(auto.alphabet) != sigma:
+        raise ValueError(f"witness_square_table: {len(auto.alphabet)} letters, not {sigma}")
+    relation = auto.transitions.array
+    source, letter, target = relation[np.argsort(relation[:, 1], kind="stable")].T
+    counts = np.bincount(letter, minlength=sigma)
+    slot = np.arange(letter.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    initial, final = np.isin(source, list(auto.initial)), np.isin(target, list(auto.final))
+    # slot i of a letter: its i-th source, target and flag (1 for an initial source
+    # on an a-letter, a final target on a b-letter); an unused slot holds n
+    slots = np.full((3, counts.max(initial=1), sigma), n, dtype=np.uint8)
+    slots[:, slot, letter] = source, target, np.where(letter < n**3, initial, final)
+    sa, da, fa = np.take(slots, x1, axis=2)
+    sb, db, fb = np.take(slots[:, :, n**3 :], x2, axis=2)
+    fired = fa == 1
+    for dst, src in ((da, sb), (db, sa), (da, sb)):
+        fired = [reduce(np.logical_or, [f & (d == s) for f, d in zip(fired, dst)]) for s in src]
+    return reduce(np.logical_or, [f & (d == 1) for f, d in zip(fired, fb)])
+
+
+def check_symmetric(auto: Nfa) -> Nfa:
+    """``auto``, an automaton over the witness alphabet, if every permutation
+    of its states >= 6, with the letters relabelled to match, maps its
+    relation, initial and final states onto themselves, as the orbit checks
+    assume; checked on the generators (6 7) and (6 7 ... n-1), none at n = 6
+    and 7.  Otherwise :class:`VerificationError` names the permutation."""
+    n, sigma = auto.n_states, len(auto.alphabet)
+    check_witness_n(n)
+    codec = TripleCodec(n)
+    source, letter, target = auto.transitions.array.T
+    kind, q, r = codec.split(letter)  # kind is p on a-letters and n + p on b-letters
+    keys = (source * sigma + letter) * n + target  # ascending, as the relation is sorted
+    names = ("(6 7)", f"({' '.join(map(str, range(6, n)))})")
+    perms = (np.r_[0:6, 7, 6, 8:n], np.r_[0:6, 7:n, 6])
+    for name, perm in zip(names, perms) if n > 7 else ():
+        relabel = codec.join(np.r_[perm, n + perm][kind], perm[q], perm[r])
+        mapped = np.sort((perm[source] * sigma + relabel) * n + perm[target])
+        fixed = [frozenset(perm[list(s)].tolist()) for s in (auto.initial, auto.final)]
+        if not np.array_equal(mapped, keys) or fixed != [auto.initial, auto.final]:
+            raise VerificationError(f"the automaton is not fixed by the permutation {name}")
+    return auto
 
 
 def _case_conditions(p1, q1, r1, p2, q2, r2, l1, m2) -> list[np.ndarray]:

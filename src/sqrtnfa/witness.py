@@ -50,22 +50,12 @@ def pivot_l(p: int) -> int:
     Never a fixed point, and p = pivot_l(p') together with p' = pivot_l(p)
     is unsatisfiable; the lower-bound contradiction leans on both facts.
     """
-    p = check_int(p, "state", 0)
-    if p == 0:
-        return 1
-    if p == 1:
-        return 2
-    return 0
+    return {0: 1, 1: 2}.get(check_int(p, "state", 0), 0)
 
 
 def pivot_m(p: int) -> int:
     """Redirect into the final block: 3 -> 4, 4 -> 5, everything else -> 3."""
-    p = check_int(p, "state", 0)
-    if p == 3:
-        return 4
-    if p == 4:
-        return 5
-    return 3
+    return {3: 4, 4: 5}.get(check_int(p, "state", 0), 3)
 
 
 # the pivot maps as lookup arrays, indexed by arrays of states

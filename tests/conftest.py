@@ -48,6 +48,24 @@ def make_nfa(n, sigma, triples, initial, final):
 NFA_AA = make_nfa(3, 1, [(0, 0, 1), (1, 0, 2)], {0}, {2})
 
 
+def with_transitions(auto, extra):
+    """``auto`` with the (source, letter, target) triples ``extra`` added."""
+    relation = np.unique(np.vstack([auto.transitions.array, extra]), axis=0)
+    return Nfa(auto.n_states, auto.alphabet, auto.initial, auto.final, relation)
+
+
+def doctored_witness(n, skip=()):
+    """``witness(n)`` with ``s -b[0,0,0]-> 3`` and ``s -a[1,0,0]-> 0`` added
+    for every state s not in ``skip``.  On it, a[0,0,0] b[1,0,0] and
+    a[1,0,0] b[0,0,0] both square into the language, so the canonical set
+    fails condition 2 at pairs (1, n^2 + 1)."""
+    auto = witness(n)
+    b000, a100 = auto.letter_index("b[0,0,0]"), auto.letter_index("a[1,0,0]")
+    sources = [s for s in range(n) if s not in skip]
+    extra = [(s, letter, t) for s in sources for letter, t in ((b000, 3), (a100, 0))]
+    return with_transitions(auto, extra)
+
+
 def iter_words(sigma, max_len):
     """All words of length <= max_len in length-lexicographic order: the
     reference for the rank order of every acceptance table."""

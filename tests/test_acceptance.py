@@ -17,6 +17,7 @@ from sqrtnfa import (
     FoolingSet,
     RandomSpec,
     TripleCodec,
+    VerificationError,
     Violation,
     accept_table,
     case_table,
@@ -41,9 +42,11 @@ from sqrtnfa import (
     verify_cases,
     verify_fooling,
     witness,
+    witness_fooling_set,
     witness_square_table,
 )
-from conftest import MUTANTS, grid, iter_words, mutant
+from sqrtnfa import fooling
+from conftest import MUTANTS, doctored_witness, grid, iter_words, mutant
 
 
 @pytest.fixture()
@@ -62,7 +65,7 @@ def announce(capfd):
 def warm_kernels():
     # call each table once on small inputs, so that first-call costs
     # (numpy's first dispatches) stay out of the timed sections below
-    witness_square_table(6, *grid(6))
+    witness_square_table(witness(6), *grid(6))
     case_table(6, *grid(6))
     auto = random_nfa(RandomSpec(seed=0, max_states=4, alphabet_size=3))
     accept_table(sqrt_nfa(auto), 2)
@@ -275,7 +278,28 @@ def test_invariant_suite(pool500, announce):
     assert ok, line
 
 
-def test_doctored_set_is_rejected(tmp_path, announce):
+def doctored_certificates(monkeypatch) -> tuple[bool, str]:
+    """The certificate on doctored witness automata: at n = 6 it must give
+    the plain verifier's report, and at n = 8, where the damage skips state
+    6 and so breaks the symmetry the orbit checks rest on, it must refuse."""
+    auto6 = doctored_witness(6)
+    reference = verify_fooling(witness_fooling_set(6), lambda w: member(auto6, w + w))
+    monkeypatch.setattr(fooling, "witness", lambda n: auto6)
+    report = certify_lower_bound(6)
+    monkeypatch.setattr(fooling, "witness", lambda n: doctored_witness(8, skip=(6,)))
+    try:
+        refusal = f"certified={certify_lower_bound(8).certified}"
+    except VerificationError as error:
+        refusal = f"refused ({error})"
+    ok = (
+        report == reference
+        and report.violation == Violation("cond2", 1, 37)
+        and refusal.startswith("refused")
+    )
+    return ok, f"doctored automaton n=6: {report.violation}; n=8: {refusal}"
+
+
+def test_doctored_set_is_rejected(tmp_path, announce, monkeypatch):
     auto = witness(6)
     letters = {name: i for i, name in enumerate(auto.alphabet)}
     doctored = FoolingSet(
@@ -303,11 +327,12 @@ def test_doctored_set_is_rejected(tmp_path, announce):
             "--mode", "sqrt",
         ]
     )
-    ok = library_ok and exit_code == 1
+    automaton_ok, automaton_detail = doctored_certificates(monkeypatch)
+    ok = library_ok and exit_code == 1 and automaton_ok
     line = announce(
         7,
         "doctored candidate rejected with exact verdict",
         ok,
-        f"violation={report.violation} exit_code={exit_code}",
+        f"violation={report.violation} exit_code={exit_code}; {automaton_detail}",
     )
     assert ok, line

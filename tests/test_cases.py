@@ -16,6 +16,7 @@ from sqrtnfa import (
     pivot_l,
     pivot_m,
     verify_cases,
+    witness,
     witness_square_table,
 )
 from sqrtnfa import cases, kernels
@@ -166,7 +167,7 @@ class TestStripScan:
     def test_verify_cases_in_7_row_strips(self, n, mutation):
         with mutant(mutation) as damaged:
             claimed = damaged(n, *grid(n))
-            expected = first_pair(witness_square_table(n, *grid(n)) != (claimed != 0), n)
+            expected = first_pair(witness_square_table(witness(n), *grid(n)) != (claimed != 0), n)
             assert expected is not None
             assert verify_cases(n) == expected
 

@@ -15,6 +15,7 @@ from sqrtnfa import (
     Violation,
     accept_table,
     case_holds,
+    certify_lower_bound,
     count_words,
     determinize,
     member,
@@ -26,6 +27,7 @@ from sqrtnfa import (
     triple_labels,
     witness,
 )
+from sqrtnfa import fooling
 from sqrtnfa.config import charge, check_int, effective_budget
 from sqrtnfa.errors import BudgetExceededError
 from sqrtnfa.words import level_offset
@@ -161,6 +163,29 @@ def test_only_the_codec_splits_flat_triples():
     sites = {name: flat_divisions(trees[name]) for name in ("sqrt.py", "witness.py", "kernels.py")}
     assert sites == {"sqrt.py": 2, "witness.py": 0, "kernels.py": 0}
     assert flat_divisions(function(trees["sqrt.py"], "split")) == 2
+
+
+def test_the_square_table_reads_the_automaton():
+    # the witness letters have one encoding, the relation witness.witness
+    # builds: the table runs the automaton it is given, and neither
+    # re-derives the pivot maps nor splits payloads
+    tree = function(parse_sources()["kernels.py"], "witness_square_table")
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+    assert names.isdisjoint({"_PIVOT_L", "_PIVOT_M", "TripleCodec"})
+
+
+def test_certify_asks_the_oracle_once_per_diagonal_orbit(monkeypatch):
+    # condition 1 is read off the table; the oracle cross-checks the 365
+    # diagonal orbit representatives, not all 13^3 = 2,197 pairs
+    words = []
+
+    def spy(auto, word):
+        words.append(word)
+        return member(auto, word)
+
+    monkeypatch.setattr(fooling, "member", spy)
+    assert certify_lower_bound(13).certified
+    assert 0 < len(words) <= 365
 
 
 def integral_references(tree: ast.AST) -> int:

@@ -6,6 +6,7 @@ import pytest
 from sqrtnfa import (
     BudgetExceededError,
     FoolingSet,
+    Nfa,
     VerificationError,
     Violation,
     certify_lower_bound,
@@ -16,8 +17,8 @@ from sqrtnfa import (
     witness_square_table,
     verify_fooling,
 )
-from sqrtnfa import fooling, kernels
-from conftest import grid, orbit_mask
+from sqrtnfa import cases, fooling, kernels
+from conftest import doctored_witness, grid, orbit_mask, with_transitions
 
 
 def oracle_for(language):
@@ -148,7 +149,7 @@ class TestCertify:
 def table_cells(table):
     """Stand-in for the cell form of ``witness_square_table`` that reads a
     given table."""
-    return lambda n, x1, x2: table[np.asarray(x1), np.asarray(x2)]
+    return lambda auto, x1, x2: table[np.asarray(x1), np.asarray(x2)]
 
 
 def table_oracle(table):
@@ -173,7 +174,7 @@ class TestCertifyMatchesReference:
         # each is spread over the orbits of (i, j) and (j, i) at that n, so
         # the damaged table keeps the symmetry the one pass relies on
         n = closed_at or 6
-        table = witness_square_table(n, *grid(n))
+        table = witness_square_table(witness(n), *grid(n))
         m = table.shape[0]
         rng = random.Random(seed)
         for _ in range(3):
@@ -193,7 +194,7 @@ class TestCertifyMatchesReference:
         assert report == reference
 
     def test_cond1_failure_when_table_and_automaton_agree(self, monkeypatch):
-        table = witness_square_table(6, *grid(6))
+        table = witness_square_table(witness(6), *grid(6))
         table[40, 40] = table[90, 90] = False
         oracle = table_oracle(table)
         monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
@@ -203,7 +204,7 @@ class TestCertifyMatchesReference:
         assert report == verify_fooling(witness_fooling_set(6), oracle)
 
     def test_damaged_diagonal_raises(self, monkeypatch):
-        table = witness_square_table(6, *grid(6))
+        table = witness_square_table(witness(6), *grid(6))
         table[40, 40] = False
         monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
         with pytest.raises(VerificationError, match="pair 41"):
@@ -218,19 +219,20 @@ class TestCertifyMatchesReference:
         sizes = []
         damage = []
 
-        def recording(n, x1, x2):
+        def recording(auto, x1, x2):
             sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
-            table = kernels.witness_square_table(n, x1, x2)
+            table = kernels.witness_square_table(auto, x1, x2)
             for cell in damage:
-                table = table | orbit_mask(n, cell, x1, x2)
+                table = table | orbit_mask(auto.n_states, cell, x1, x2)
             return table
 
         monkeypatch.setattr(fooling, "witness_square_table", recording)
         report = certify_lower_bound(13)  # 13^6 cells would be 4.8M
         m = 13**3
         assert report.certified and report.cond2_checked == m * (m - 1) // 2
-        # the diagonal, then one table call each way on the representatives
-        assert sizes == [m, 163_967, 163_967]
+        # the diagonal representatives, then one table call each way on
+        # the representatives
+        assert sizes == [365, 163_967, 163_967]
 
         # damage closed under the symmetry (two mirrored orbits) is named
         # by the same calls, with no second pass
@@ -239,7 +241,54 @@ class TestCertifyMatchesReference:
         report = certify_lower_bound(13)
         i, j = (5 * 13 + 6) * 13 + 7, (5 * 13 + 7) * 13 + 6
         assert report.violation == Violation("cond2", i + 1, j + 1)
-        assert sizes == [m, 163_967, 163_967]
+        assert sizes == [365, 163_967, 163_967]
+
+
+class TestDoctoredAutomaton:
+    """The certificate is checked against the automaton it certifies: a
+    damaged automaton gets the reference verdict, or is refused when it
+    breaks the symmetry the orbit checks rest on."""
+
+    def test_reference_verdict_at_n6(self, monkeypatch):
+        # the table used to re-derive the letters by hand, and certified
+        # this automaton with bound 216
+        auto = doctored_witness(6)
+        monkeypatch.setattr(fooling, "witness", lambda n: auto)
+        report = certify_lower_bound(6)
+        reference = verify_fooling(witness_fooling_set(6), lambda w: member(auto, w + w))
+        assert report == reference
+        assert report.violation == Violation("cond2", 1, 37)
+        assert (report.cond1_checked, report.cond2_checked) == (216, 36)
+
+    def test_asymmetric_damage_is_refused(self, monkeypatch):
+        # the same damage without state 6: the reference verdict is
+        # condition 2 at (1, 65), which no orbit check may claim to read
+        auto = doctored_witness(8, skip=(6,))
+        reference = verify_fooling(witness_fooling_set(8), lambda w: member(auto, w + w))
+        assert reference.violation == Violation("cond2", 1, 65)
+        monkeypatch.setattr(fooling, "witness", lambda n: auto)
+        monkeypatch.setattr(cases, "witness", lambda n: auto)
+        for check in (certify_lower_bound, cases.verify_cases):
+            with pytest.raises(VerificationError, match=r"permutation \(6 7\)"):
+                check(8)
+
+    def test_an_asymmetric_final_set_is_refused(self, monkeypatch):
+        w8 = witness(8)
+        auto = Nfa(8, w8.alphabet, w8.initial, {3, 4, 5, 7}, w8.transitions)
+        monkeypatch.setattr(fooling, "witness", lambda n: auto)
+        with pytest.raises(VerificationError, match=r"permutation \(6 7\)"):
+            certify_lower_bound(8)
+
+    def test_damage_the_swap_fixes_is_refused_by_the_cycle(self):
+        # a transition out of state 8 is fixed by (6 7) but moved by (6 7 8)
+        auto = with_transitions(witness(9), [(8, 0, 0)])
+        kernels.check_symmetric(with_transitions(witness(9), [(8, 0, 0), (6, 0, 0), (7, 0, 0)]))
+        with pytest.raises(VerificationError, match=r"permutation \(6 7 8\)"):
+            kernels.check_symmetric(auto)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 12])
+    def test_the_witness_is_symmetric(self, n):
+        assert kernels.check_symmetric(witness(n)) is witness(n)
 
 
 class TestDoctoredSet:

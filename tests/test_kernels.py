@@ -23,7 +23,7 @@ from sqrtnfa import (
     witness_square_table,
 )
 from sqrtnfa.words import walk_word_tree
-from conftest import any_case, grid, iter_words, nfas
+from conftest import any_case, grid, iter_words, nfas, with_transitions
 
 class TestAcceptTableOnCube:
     def test_cube_of_4_states_exactly_fits(self, small_random):
@@ -50,7 +50,7 @@ class TestAcceptTableOnCube:
 
 class TestWitnessSquareTable:
     def test_against_plain_member_exhaustively(self, witness6):
-        table = witness_square_table(6, *grid(6))
+        table = witness_square_table(witness(6), *grid(6))
         assert table.shape == (216, 216) and table.dtype == np.bool_
         for x1 in range(216):
             for x2 in range(216):
@@ -66,7 +66,7 @@ class TestWitnessSquareTable:
         x2 = np.r_[n**3 - 1, 0, n**3 - 1, rng.integers(0, n**3, 300)]
         # pairs on the diagonal are accepted, so both answers occur
         x2[-100:] = x1[-100:]
-        table = witness_square_table(n, x1, x2)
+        table = witness_square_table(witness(n), x1, x2)
         cases = case_table(n, x1=x1, x2=x2)
         assert table.any() and not table.all()
         for a, b, t, c in zip(x1.tolist(), x2.tolist(), table, cases):
@@ -76,18 +76,46 @@ class TestWitnessSquareTable:
 
     def test_size_guards(self):
         with pytest.raises(ValueError):
-            witness_square_table(5, *grid(5))
+            witness_square_table(witness(5), *grid(5))
         with pytest.raises(ValueError):
-            witness_square_table(33, [0], [0])
+            witness_square_table(witness(33), [0], [0])
+
+
+class TestTableReadsTheAutomaton:
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_added_transitions_match_member(self, data):
+        # every letter of the witness has two transitions; one added to a
+        # letter gives it a third slot, so the table must follow more than two
+        m = 216
+        triple = st.tuples(st.integers(0, 5), st.integers(0, 2 * m - 1), st.integers(0, 5))
+        extra = data.draw(st.lists(triple, min_size=1, max_size=6), label="extra")
+        auto = with_transitions(witness(6), extra)
+        others = data.draw(st.lists(st.integers(0, m - 1), max_size=16), label="others")
+        # the payloads of the letters that gained a transition, and others
+        payloads = sorted({letter % m for _, letter, _ in extra} | set(others))
+        cells = np.array(payloads)
+        table = witness_square_table(auto, cells[:, None], cells[None, :])
+        for i, x1 in enumerate(payloads):
+            for j, x2 in enumerate(payloads):
+                assert table[i, j] == member(auto, (x1, m + x2) * 2), (x1, x2)
+
+    def test_refuses_an_automaton_off_the_witness_alphabet(self):
+        small = Nfa(6, ("x", "y"), frozenset({0}), frozenset({5}), ((0, 0, 1),))
+        with pytest.raises(ValueError, match="2 letters, not 432"):
+            witness_square_table(small, [0], [0])
+        five = Nfa(5, witness(6).alphabet, frozenset({0}), frozenset(), ())
+        with pytest.raises(ValueError, match="needs n >= 6"):
+            witness_square_table(five, [0], [0])
 
 
 class TestTableForms:
     def test_cell_form_matches_whole_table(self):
         rows = np.array([[0], [17], [215]])
         cols = np.arange(216)[None, :]
-        truth = witness_square_table(6, *grid(6))[rows, cols]
+        truth = witness_square_table(witness(6), *grid(6))[rows, cols]
         claimed = case_table(6, *grid(6))[rows, cols]
-        assert (witness_square_table(6, rows, cols) == truth).all()
+        assert (witness_square_table(witness(6), rows, cols) == truth).all()
         assert (case_table(6, rows, cols) == claimed).all()
 
     @pytest.mark.parametrize("x1, x2", [([-1], [0]), ([216], [0]), ([0], [-1]), ([3], [216])])
@@ -95,13 +123,13 @@ class TestTableForms:
         # the parent wrapped -1 to the pivot of state 31 and read 216 as a
         # payload (6, 0, 0): a silent answer for a cell that does not exist
         with pytest.raises(ValueError, match=r"index -?\d+ out of range 0\.\.215"):
-            witness_square_table(6, x1, x2)
+            witness_square_table(witness(6), x1, x2)
         with pytest.raises(ValueError, match=r"index -?\d+ out of range 0\.\.215"):
             case_table(6, x1=x1, x2=x2)
 
     def test_flat_indices_must_be_integers(self):
         with pytest.raises(ValueError, match="must be integers"):
-            witness_square_table(6, [0.5], [0])
+            witness_square_table(witness(6), [0.5], [0])
         with pytest.raises(ValueError, match="must be integers"):
             case_table(6, x1=np.array([True]), x2=[0])
 

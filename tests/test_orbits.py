@@ -89,7 +89,7 @@ class TestSymmetryLemma:
         image = [perm[v] for v in cell]
         x1, x2 = [flat(cell[:3], n)], [flat(cell[3:], n)]
         y1, y2 = [flat(image[:3], n)], [flat(image[3:], n)]
-        assert witness_square_table(n, x1, x2) == witness_square_table(n, y1, y2)
+        assert witness_square_table(witness(n), x1, x2) == witness_square_table(witness(n), y1, y2)
         # the damaged tables go through the orbit screen too
         for name, table in [("case_table", case_table), *MUTANTS.items()]:
             assert table(n, x1, x2) == table(n, y1, y2), name
@@ -195,7 +195,7 @@ def all_checks(n):
 def whole_grid_checks(n):
     """The same answers as :func:`all_checks`, each the argmax of a whole
     n^3 x n^3 table."""
-    truth = witness_square_table(n, *grid(n))
+    truth = witness_square_table(witness(n), *grid(n))
     clash = first_pair(np.triu(truth & truth.T, 1), n)
     checks = [None if clash is None else Violation("cond2", *(flat(x, n) + 1 for x in clash))]
     for table in (case_table, *MUTANTS.values()):
@@ -225,15 +225,15 @@ class TestScreenMatchesStrips:
         # (X1, X2) True breaks condition 2 in each of its two cells
         cell = (0, 7, 6, 2, 6, 7)
         x1, x2 = flat(cell[:3], n), flat(cell[3:], n)
-        assert not witness_square_table(n, [x1], [x2])[0]
-        assert witness_square_table(n, [x2], [x1])[0]
+        assert not witness_square_table(witness(n), [x1], [x2])[0]
+        assert witness_square_table(witness(n), [x2], [x1])[0]
 
-        def damaged(n, x1, x2):
-            return kernels.witness_square_table(n, x1, x2) ^ orbit_mask(n, cell, x1, x2)
+        def damaged(auto, x1, x2):
+            return kernels.witness_square_table(auto, x1, x2) ^ orbit_mask(n, cell, x1, x2)
 
         monkeypatch.setattr(fooling, "witness_square_table", damaged)
-        table = damaged(n, *grid(n))
-        assert (table != witness_square_table(n, *grid(n))).sum() == 2
+        table = damaged(witness(n), *grid(n))
+        assert (table != witness_square_table(witness(n), *grid(n))).sum() == 2
         report = certify_lower_bound(n)
         reference = verify_fooling(
             witness_fooling_set(n), lambda w: bool(table[w[0], w[1] - n**3])

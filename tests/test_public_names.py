@@ -127,7 +127,7 @@ PUBLIC_OPTIONS = {
     "verify_fooling": ("candidate", "oracle"),
     "witness": ("n",),
     "witness_alphabet": ("n",),
-    "witness_square_table": ("n", "x1", "x2"),
+    "witness_square_table": ("auto", "x1", "x2"),
 }
 
 

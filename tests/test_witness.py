@@ -166,7 +166,7 @@ class TestWitnessAutomaton:
             lambda: orbit_count(n),
             lambda: certify_lower_bound(n, budget=1),  # before the n^3 budget check
             lambda: witness_fooling_set(n),
-            lambda: witness_square_table(n, [0], [0]),
+            lambda: witness_square_table(witness(n), [0], [0]),
             lambda: case_table(n, [0], [0]),
             lambda: case_holds(1, (0, 0, 0), (0, 0, 0), n),
             lambda: verify_cases(n),  # before the n^6 budget check
