@@ -20,8 +20,8 @@ from .cases import verify_cases
 from .config import DEFAULT_BUDGET, charge, check_int
 from .errors import BudgetExceededError, FormatError, VerificationError
 from .fooling import FoolingSet, certify_lower_bound, verify_fooling
-from .nfa import Nfa, Word, determinize, difference_witness, equivalent, member
-from .oracle import RandomSpec, random_nfa, relation_dfa, sqrt_dfa, sqrt_member_direct
+from .nfa import Nfa, Word, _first_split, _square_walk, _walk, determinize, member
+from .oracle import RandomSpec, random_nfa, sqrt_dfa, sqrt_member_direct
 from .sqrt import sqrt_nfa, triple_labels
 from .textio import _pieces, parse_nfa
 from .witness import witness
@@ -202,19 +202,19 @@ def _cmd_verify_cases(args: argparse.Namespace) -> int:
 
 
 def _route_mismatch(auto: Nfa, budget: int | None) -> Word | None:
-    """The check of one ``random-equiv`` trial: the shortest word where the
-    cube and the function automaton disagree, else the shortest where the
-    function automaton and the relation automaton (ww run on ``auto``)
-    disagree, else None.  The relation automaton is built only once the
-    cube has agreed."""
+    """The check of one ``random-equiv`` trial: the least word, length-lex,
+    on which the cube, the function automaton and the direct route (ww run
+    on ``auto``, stepped on the word's relation as in
+    :func:`sqrtnfa.oracle.relation_dfa`) do not all agree, else None.
+
+    One walk reads the three together, so each reachable triple of their
+    nodes is judged once; in a correct build the cube's subset and the
+    function state follow from the relation, and the walk numbers exactly
+    the relation automaton's states."""
     cube = sqrt_nfa(auto, budget)
     fn_dfa = sqrt_dfa(determinize(auto, budget), budget=budget)
-    if not equivalent(cube, fn_dfa, budget):
-        return difference_witness(cube, fn_dfa, budget)
-    rel_dfa = relation_dfa(auto, budget)
-    if not equivalent(fn_dfa, rel_dfa, budget):
-        return difference_witness(fn_dfa, rel_dfa, budget)
-    return None
+    walks = (_walk(cube), _walk(fn_dfa), _square_walk(auto))
+    return _first_split(walks, budget, "square-root route triples")
 
 
 def _cmd_random_equiv(args: argparse.Namespace) -> int:

@@ -136,12 +136,19 @@ def verify_fooling(candidate: FoolingSet, oracle: Oracle) -> FoolingReport:
     )
 
 
+def _witness_pair(cube: int, flat: int) -> tuple[Word, Word]:
+    """Pair ``flat`` of the canonical set, (a_X, b_X) for the payload X
+    numbered ``flat``: single-letter words of witness alphabet indices,
+    whose ``cube`` = n^3 a-letters come first."""
+    return (flat,), (cube + flat,)
+
+
 def witness_fooling_set(n: int) -> FoolingSet:
     """The n^3-pair set {(a_X, b_X)} over all payload triples X, in flat
     triple order, as single-letter words of witness alphabet indices."""
     check_witness_n(n)
     cube = n**3
-    return FoolingSet(tuple(((flat,), (cube + flat,)) for flat in range(cube)))
+    return FoolingSet(tuple(_witness_pair(cube, flat) for flat in range(cube)))
 
 
 def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
@@ -159,11 +166,12 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     m = n**3
     charge("fooling set pairs", m, budget)
     auto = check_symmetric(witness(n))
-    pairs = witness_fooling_set(n).pairs
     rows, cols = orbit_cells(n)
     diagonal = rows[rows == cols]
     inside = witness_square_table(auto, diagonal, diagonal)
-    scalar = [member(auto, 2 * (pairs[i][0] + pairs[i][1])) for i in diagonal.tolist()]
+    # only the pairs read here are built: the whole set is n^3 of them
+    pairs = [_witness_pair(m, i) for i in diagonal.tolist()]
+    scalar = [member(auto, 2 * (x + y)) for x, y in pairs]
     mismatch = diagonal[inside != scalar]
     if mismatch.size:
         raise VerificationError(

@@ -16,21 +16,25 @@ tuple of triples.  A set of states is simulated as an int bitmask, stepped
 through one successor index, ``_succ``, in one of two forms, one per
 access pattern.  A step on one letter (``reach``, ``member``, ``targets``)
 reads each set state's row, a dict from letter to successor mask.  A step
-on every letter at once (``_stepper``: ``determinize``, the pair walk of
-``equivalent``, ``difference_witness`` and ``bounded_equal``, and
+on every letter at once (``_stepper``: ``determinize``, the product walk
+of ``equivalent``, ``difference_witness`` and ``bounded_equal``, and
 ``accept_table`` and ``square_accept_table``, which flag every word up to
 a length in rank order, see :mod:`sqrtnfa.words`) ORs one table entry per
 non-zero byte of the mask, as in the Method of Four Russians, and splits
 the result once.  There is no state cap: masks are Python ints.
 
-The word walks (``determinize``, the pair walk, ``accept_table`` and
+The word walks (``determinize``, ``accept_table`` and
 ``dfa_accept_table``) take their start node, successor function and
-acceptance test from :func:`_walk`, so the pair walk and the tables also
-take a ``Dfa``, which steps its states on its transition table with no
-NFA view.  ``square_accept_table`` and :func:`sqrtnfa.oracle.relation_dfa`
-share :func:`_square_walk`, whose node is a word's relation.  A ``Dfa``
-validates a table of plain ``int`` rows in a few C-level passes and
-checks any other table entry by entry.
+acceptance test from :func:`_walk`, and so does each side of the product
+walk, so both take a ``Dfa``, which steps its states on its transition
+table with no NFA view.  ``square_accept_table`` and
+:func:`sqrtnfa.oracle.relation_dfa` share :func:`_square_walk`, whose node
+is a word's relation.  :func:`_product` steps any number of walks
+together, and :func:`_first_split` reads the least word on which they
+split off it: two automata's walks for ``difference_witness``, or the
+cube's, the function DFA's and the relation walk in one ``random-equiv``
+trial.  A ``Dfa`` validates a table of plain ``int`` rows in a few C-level
+passes and checks any other table entry by entry.
 """
 
 from __future__ import annotations
@@ -519,18 +523,48 @@ def dfa_to_nfa(dfa: Dfa) -> Nfa:
     )
 
 
-def _pair_graph(a: Nfa | Dfa, b: Nfa | Dfa):
-    """The pairs of nodes (see :func:`_walk`) one word reaches in ``a`` and
-    in ``b``: the start pair, a pair's successors in letter order, and
-    whether a pair splits on acceptance."""
+def _product(*walks):
+    """The walk (see :func:`_walk`) of the tuples of nodes one word reaches
+    in each of ``walks``: the start tuple, a tuple's successors in letter
+    order, and whether the walks split on acceptance there, not all
+    accepting and not all rejecting."""
+    starts, steps, accepts = zip(*walks)
+    return (
+        starts,
+        lambda node: list(zip(*[step(x) for step, x in zip(steps, node)])),
+        lambda node: len({accept(x) for accept, x in zip(accepts, node)}) > 1,
+    )
+
+
+def _first_split(walks, cap: int | None, what: str) -> Word | None:
+    """The least word, length-lex, on which ``walks`` split on acceptance,
+    or None when they agree on every word.
+
+    The tuples of their nodes are explored on the fly, breadth first in
+    letter order, and the walk stops at the first tuple that splits; each
+    tuple is first reached by its least word, so that word is the answer.
+    More tuples than the cap before that raises
+    ``BudgetExceededError(what, ...)``.
+    """
+    start, successors, splits = _product(*walks)
+    nodes, rows = explore(start, successors, cap, what, stop=splits)
+    if not splits(nodes[-1]):
+        return None
+    # a node's word is its first parent's word plus the letter: ids are
+    # handed out in (parent, letter) order, and the split node is the last
+    words: list[Word] = [()]
+    for parent, row in enumerate(rows):
+        for letter, child in enumerate(row):
+            if child == len(words):
+                words.append(words[parent] + (letter,))
+    return words[len(nodes) - 1]
+
+
+def _pair(a: Nfa | Dfa, b: Nfa | Dfa):
+    """The walks of two automata over one alphabet."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch between automata")
-    (start_a, step_a, accepts_a), (start_b, step_b, accepts_b) = _walk(a), _walk(b)
-    return (
-        (start_a, start_b),
-        lambda ab: list(zip(step_a(ab[0]), step_b(ab[1]))),
-        lambda ab: accepts_a(ab[0]) != accepts_b(ab[1]),
-    )
+    return _walk(a), _walk(b)
 
 
 def difference_witness(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> Word | None:
@@ -538,24 +572,12 @@ def difference_witness(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> Wo
     languages coincide.
 
     The pairs of reached state sets (a ``Dfa`` side's are its states) are
-    explored on the fly, breadth first in letter order, without
-    determinizing either side, and the walk stops at the first pair that
-    splits on acceptance, so ties resolve lexicographically.  More pairs than the cap before that raises
-    ``BudgetExceededError("equivalence product pairs", ...)``, even when
-    each side's determinization would fit.
+    explored by :func:`_first_split`, without determinizing either side,
+    so ties resolve lexicographically.  More pairs than the cap before the
+    first split raises ``BudgetExceededError("equivalence product pairs",
+    ...)``, even when each side's determinization would fit.
     """
-    start, successors, splits = _pair_graph(a, b)
-    pairs, rows = explore(start, successors, cap, "equivalence product pairs", stop=splits)
-    if not splits(pairs[-1]):
-        return None
-    # a pair's word is its first parent's word plus the letter: ids are
-    # handed out in (parent, letter) order, and the split pair is the last
-    words: list[Word] = [()]
-    for parent, row in enumerate(rows):
-        for letter, child in enumerate(row):
-            if child == len(words):
-                words.append(words[parent] + (letter,))
-    return words[len(pairs) - 1]
+    return _first_split(_pair(a, b), cap, "equivalence product pairs")
 
 
 def equivalent(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> bool:
@@ -577,7 +599,7 @@ def bounded_equal(
     This walks the word tree and reads the word off its rank, not off a
     breadth-first numbering, so it is a check on :func:`difference_witness`.
     """
-    start, successors, splits = _pair_graph(a, b)
+    start, successors, splits = _product(*_pair(a, b))
     # a negative max_len still judges the empty word
     table = walk_word_tree(
         start, successors, splits, len(a.alphabet), max(max_len, 0), budget

@@ -6,7 +6,8 @@ and runs the original automaton, and its automaton, ``relation_dfa``,
 tracks the relation of the word read so far on the NFA; the
 function-automaton route, ``sqrt_dfa``, tracks how a whole DFA transforms
 under it.  Exact equivalence of the three routes is what ``random-equiv``
-and the equivalence tests certify.
+(one walk over the triples of their nodes, see
+:func:`sqrtnfa.nfa._first_split`) and the equivalence tests certify.
 """
 
 from __future__ import annotations

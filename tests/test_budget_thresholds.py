@@ -2,9 +2,10 @@
 phase's count and refuses one below it, naming the phase; a phase charged
 up front refuses before it allocates anything of its size.
 
-``determinize``, ``sqrt_dfa`` and ``difference_witness`` charge as their
-exploration grows (through ``words.explore``), so only their thresholds
-are checked here, not their allocations.
+``determinize``, ``sqrt_dfa``, ``difference_witness`` and the walk of a
+``random-equiv`` trial charge as their exploration grows (through
+``words.explore``), so only their thresholds are checked here, not their
+allocations.
 """
 
 import tracemalloc
@@ -34,6 +35,7 @@ from sqrtnfa import (
 )
 from sqrtnfa.errors import BudgetExceededError
 from sqrtnfa.kernels import orbit_count
+from sqrtnfa.nfa import _first_split, _square_walk, _walk
 
 # what a refused call may allocate: its input-sized set-up, never the phase
 REFUSAL_PEAK = 1 << 20  # bytes
@@ -75,6 +77,11 @@ def test_automaton_phases_refuse_one_below_their_count(a, max_len):
     assert_threshold(lambda b: sqrt_dfa(det, b), fn.n_states, "square-root DFA states")
     rel = relation_dfa(a)
     assert_threshold(lambda b: relation_dfa(a, b), rel.n_states, "square relation DFA states")
+    # a random-equiv trial walks the triples of its three routes, the
+    # cube's, the function DFA's and the relation walk's: one per relation
+    walks = (_walk(sqrt_nfa(a)), _walk(fn), _square_walk(a))
+    phase = "square-root route triples"
+    assert_threshold(lambda b: _first_split(walks, b, phase), rel.n_states, phase)
     # the pair (S, {i}) of a's subset S and the determinized state i naming
     # it: one reachable pair per state of det, and none splits
     b = dfa_to_nfa(det)

@@ -8,25 +8,36 @@ from itertools import compress, permutations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqrtnfa import (
-    BudgetExceededError,
     Dfa,
+    RandomSpec,
     Report,
     TripleCodec,
     cli,
+    determinize,
+    difference_witness,
     emit_nfa,
+    equivalent,
     main,
+    member,
     parse_nfa,
+    random_nfa,
+    relation_dfa,
     run_report,
+    sqrt_dfa,
     sqrt_nfa,
     textio,
     witness,
 )
+from sqrtnfa.nfa import _product, _square_walk, _walk
 from sqrtnfa.sqrt import triple_labels
 from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa.kernels import orbit_cells
-from conftest import make_nfa, mutant
+from sqrtnfa.words import explore
+from conftest import make_nfa, mutant, nfas
 
 
 @pytest.fixture()
@@ -326,28 +337,30 @@ class TestRandomEquiv:
         )
         assert code == 0 and "all 10 trials agree" in out
 
-    def test_budget_reaches_the_relation_dfa(self, capsys, monkeypatch):
-        # at 3 and 4 states a phase charged before the relation DFA (most
-        # often the cube's transitions) bound first on every seed checked,
-        # so spy on the budget it is handed
-        real, budgets = cli.relation_dfa, []
+    def test_budget_reaches_the_product_walk(self, capsys, monkeypatch):
+        # at 3 and 4 states a phase charged before the walk of the three
+        # routes (most often the cube's transitions) bound first on every
+        # seed checked, so spy on the budget it is handed
+        real, budgets = cli._first_split, []
 
-        def spy(auto, budget=None):
-            budgets.append(budget)
-            return real(auto, budget)
+        def spy(walks, cap, what):
+            budgets.append(cap)
+            return real(walks, cap, what)
 
-        monkeypatch.setattr(cli, "relation_dfa", spy)
+        monkeypatch.setattr(cli, "_first_split", spy)
         argv = ("random-equiv", "--trials", "4", "--seed", "0")
         assert run(capsys, *argv, "--budget", "54321")[:2] == (0, "all 4 trials agree\n")
         assert run(capsys, *argv)[0] == 0
         assert budgets == [54321] * 4 + [None] * 4
 
     def test_the_relation_dfa_can_be_the_binding_phase(self, capsys):
-        # seed 66 at 5 states: every phase before it fits 1,448 units
+        # seed 66 at 5 states: every phase before it fits 1,448 units, and
+        # the walk of the three routes numbers the relation DFA's 1,449
+        # states, one triple per relation
         argv = ("random-equiv", "--trials", "1", "--max-states", "5", "--seed", "66")
         code, out, err = run(capsys, *argv, "--budget", "1448")
         assert (code, out) == (3, "")
-        assert err == "budget exceeded: square relation DFA states: needs 1449, exceeds budget 1448\n"
+        assert err == "budget exceeded: square-root route triples: needs 1449, exceeds budget 1448\n"
         assert run(capsys, *argv, "--budget", "1449")[:2] == (0, "all 1 trials agree\n")
 
     def test_ten_letters_fit_the_default_budget(self, capsys, monkeypatch):
@@ -409,60 +422,69 @@ class TestRandomEquiv:
         assert info.value.code == 2
 
     def test_a_cube_that_loses_a_final_state_fails(self, capsys, monkeypatch):
-        real = cli.sqrt_nfa
-
-        def lossy(auto, budget=None):
-            cube = real(auto, budget)
-            return dataclasses.replace(cube, final=cube.final - {min(cube.final, default=0)})
-
-        monkeypatch.setattr(cli, "sqrt_nfa", lossy)
+        monkeypatch.setattr(cli, "sqrt_nfa", losing_a_final_state(cli.sqrt_nfa))
         code, out, err = run(capsys, "random-equiv", "--trials", "5", "--seed", "0")
         assert (code, err) == (1, "")
         assert out == 'trial 2 seed=2 failed: word "l0 l1"\n1 of 5 trials failed\n'
 
-    def test_a_cube_failure_never_builds_the_relation_dfa(self, capsys, monkeypatch):
-        real = cli.sqrt_nfa
-
-        def lossy(auto, budget=None):
-            cube = real(auto, budget)
-            return dataclasses.replace(cube, final=frozenset())
-
-        def refused(auto, budget=None):
-            raise BudgetExceededError("square relation DFA states", 2, 1)
-
-        monkeypatch.setattr(cli, "sqrt_nfa", lossy)
-        monkeypatch.setattr(cli, "relation_dfa", refused)
-        # seed 0's square root holds the empty word, which the finalless
-        # cube rejects: the trial fails before the relation DFA is due
-        code, out, err = run(capsys, "random-equiv", "--trials", "1", "--seed", "0")
-        assert (code, err) == (1, "")
-        assert out == 'trial 0 seed=0 failed: word ""\n1 of 1 trials failed\n'
-
     def test_a_direct_route_wrong_past_length_6_fails(self, capsys, monkeypatch):
-        # the relation DFA also accepts every word of length 7, so it splits
-        # from the function automaton at the least length-7 word outside
-        # the square root: the words of length <= 6 all agree
-        real = cli.relation_dfa
-
-        def also_length_7(auto, budget=None):
-            rel = real(auto, budget)
-            # state 9d + k: rel's state d after k letters, k stopping at 8
-            n, sigma = rel.n_states, len(rel.alphabet)
-            final = {9 * d + k for d in range(n) for k in range(9) if d in rel.final or k == 7}
-            rows = [
-                [9 * rel.transitions[d][a] + min(k + 1, 8) for a in range(sigma)]
-                for d in range(n)
-                for k in range(9)
-            ]
-            return Dfa(9 * n, rel.alphabet, 9 * rel.initial, frozenset(final), rows)
-
-        monkeypatch.setattr(cli, "relation_dfa", also_length_7)
+        # the direct route also accepts every word of length 7, so the walk
+        # splits at the least length-7 word outside the square root: the
+        # words of length <= 6 all agree
+        monkeypatch.setattr(cli, "_square_walk", accepting_at_length(cli._square_walk, 7))
         code, out, err = run(capsys, "random-equiv", "--trials", "5", "--seed", "0")
         assert (code, err) == (1, "")
         zeros = " ".join(["l0"] * 7)
         words = [zeros, zeros, zeros, "l0 l0 l0 l0 l0 l1 l0", zeros]
         lines = [f'trial {t} seed={t} failed: word "{words[t]}"' for t in range(5)]
         assert out.splitlines() == [*lines, "5 of 5 trials failed"]
+
+    def test_two_wrong_routes_report_the_least_word(self, capsys, monkeypatch):
+        # trial 2's lossy cube first rejects "l0 l1" (see above); with the
+        # direct route also wrong, the one walk reports whichever word
+        # comes first length-lex: the direct route's "l0" at length 1, the
+        # cube's "l0 l1" against the direct route's "l0 l0 l0" at length 3
+        real_square = cli._square_walk
+        monkeypatch.setattr(cli, "sqrt_nfa", losing_a_final_state(cli.sqrt_nfa))
+        argv = ("random-equiv", "--trials", "5", "--seed", "0")
+        for length, words in (
+            (1, ["l0", "l0", "l0", None, "l0"]),
+            (3, ["l0 l0 l0", "l0 l0 l0", "l0 l1", "l0 l1 l0", "l0 l0 l0"]),
+        ):
+            monkeypatch.setattr(cli, "_square_walk", accepting_at_length(real_square, length))
+            code, out, err = run(capsys, *argv)
+            lines = [
+                f'trial {t} seed={t} failed: word "{word}"'
+                for t, word in enumerate(words)
+                if word is not None
+            ]
+            assert (code, err) == (1, "")
+            assert out.splitlines() == [*lines, f"{len(lines)} of 5 trials failed"]
+
+
+def losing_a_final_state(sqrt_nfa):
+    """``sqrt_nfa`` damaged to drop the least final state of each cube."""
+
+    def lossy(auto, budget=None):
+        cube = sqrt_nfa(auto, budget)
+        return dataclasses.replace(cube, final=cube.final - {min(cube.final, default=0)})
+
+    return lossy
+
+
+def accepting_at_length(square_walk, length: int):
+    """``square_walk`` damaged to also accept every word of ``length``
+    letters: its node is (relation, letters read, capped at 8)."""
+
+    def damaged(auto):
+        start, step, accepts = square_walk(auto)
+        return (
+            (start, 0),
+            lambda node: [(rel, min(node[1] + 1, 8)) for rel in step(node[0])],
+            lambda node: accepts(node[0]) or node[1] == length,
+        )
+
+    return damaged
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +565,74 @@ class TestSmallScope:
 
         monkeypatch.setattr(cli, "sqrt_nfa", midpoint_blind)
         assert any(cli._route_mismatch(auto, None) is not None for auto in small_scope)
+
+
+def two_equivalences(cube, fn, rel):
+    """The check of a random-equiv trial as two exact equivalences, the
+    reference for the one walk: the least word splitting the cube from the
+    function automaton, else the least splitting the function automaton
+    from the relation automaton, else None."""
+    if not equivalent(cube, fn):
+        return difference_witness(cube, fn)
+    if not equivalent(fn, rel):
+        return difference_witness(fn, rel)
+    return None
+
+
+def length_lex(word):
+    return len(word), word
+
+
+class TestRouteWalk:
+    """The one walk of a trial against the two equivalences it replaced,
+    on random automata whose cube or direct route may be damaged."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nfas(), st.data())
+    def test_the_walk_fails_exactly_when_an_equivalence_does(self, auto, data):
+        cube, fn, rel = sqrt_nfa(auto), sqrt_dfa(determinize(auto)), relation_dfa(auto)
+        # toggle a few final cube states, and the acceptance of a few
+        # relations: relation i is the relation DFA's state i
+        cube_flips = data.draw(st.sets(st.integers(0, cube.n_states - 1), max_size=2))
+        rel_flips = data.draw(st.sets(st.integers(0, rel.n_states - 1), max_size=2))
+        cube = dataclasses.replace(cube, final=cube.final ^ cube_flips)
+        rel = Dfa(rel.n_states, rel.alphabet, 0, rel.final ^ rel_flips, rel.transitions)
+        start, successors = _square_walk(auto)[:2]
+        relations = explore(start, successors, None, "relations")[0]
+        flipped = {relations[i] for i in rel_flips}
+
+        def damaged_square_walk(nfa):
+            start, successors, accepts = _square_walk(nfa)
+            return start, successors, lambda node: accepts(node) != (node in flipped)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "sqrt_nfa", lambda a, budget=None: cube)
+            patch.setattr(cli, "_square_walk", damaged_square_walk)
+            word = cli._route_mismatch(auto, None)
+        reference = two_equivalences(cube, fn, rel)
+        assert (word is None) == (reference is None)
+        if word is not None:
+            # a word where the routes do not all agree, and the least one:
+            # the reference's when only one route is damaged
+            assert len({member(cube, word), fn.member(word), rel.member(word)}) == 2
+            assert length_lex(word) <= length_lex(reference)
+            assert word == reference or (cube_flips and rel_flips)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nfas())
+    def test_the_walk_numbers_one_triple_per_relation(self, auto):
+        assert self.triples(auto) == relation_dfa(auto).n_states
+
+    def test_the_benchmark_trials_walk_the_relation_dfas(self):
+        autos = [random_nfa(RandomSpec(seed=seed)) for seed in range(500)]
+        assert sum(map(self.triples, autos)) == 24_504
+        assert sum(relation_dfa(auto).n_states for auto in autos) == 24_504
+
+    @staticmethod
+    def triples(auto):
+        walks = (_walk(sqrt_nfa(auto)), _walk(sqrt_dfa(determinize(auto))), _square_walk(auto))
+        start, successors, _ = _product(*walks)
+        return len(explore(start, successors, None, "triples")[0])
 
 
 class TestReport:

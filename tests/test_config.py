@@ -108,7 +108,7 @@ def callers(trees: dict[str, ast.Module], name: str) -> set[tuple[str, str | Non
 
 def test_one_walk_squares_relations_and_the_trial_tabulates_nothing():
     # the relation DFA and square_accept_table step relations only through
-    # nfa._square_walk, and a random-equiv trial is two equivalences:
+    # nfa._square_walk, and a random-equiv trial is one product walk:
     # cli.py calls no word-tree walk and no acceptance table
     trees = parse_sources()
     assert callers(trees, "_mask_step") == {("nfa.py", "_square_walk")}
@@ -119,6 +119,43 @@ def test_one_walk_squares_relations_and_the_trial_tabulates_nothing():
     }
     assert {name for name in called if name.endswith("accept_table")} == set()
     assert "walk_word_tree" not in called
+
+
+def word_extenders(trees: dict[str, ast.Module]) -> set[tuple[str, str | None]]:
+    """The top-level statements, as (module, name), whose code adds a
+    tuple display to something, as ``word + (letter,)`` does."""
+    return {
+        (module, getattr(node, "name", None))
+        for module, tree in trees.items()
+        for node in tree.body
+        if any(
+            isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+            and isinstance(n.right, ast.Tuple)
+            for n in ast.walk(node)
+        )
+    }
+
+
+def test_one_walk_reads_words_off_the_product():
+    # difference_witness, bounded_equal and the random-equiv trial walk
+    # one product of walks (nfa._product), and only nfa._first_split
+    # rebuilds a word from explore's rows; the trial's three routes are
+    # one walk, not two equivalences and a relation DFA
+    trees = parse_sources()
+    assert word_extenders(trees) == {("nfa.py", "_first_split")}
+    assert callers(trees, "_first_split") == {
+        ("nfa.py", "difference_witness"), ("cli.py", "_route_mismatch")
+    }
+    assert callers(trees, "_product") == {
+        ("nfa.py", "_first_split"), ("nfa.py", "bounded_equal")
+    }
+    defined = {
+        n.name for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef)
+    }
+    assert "_pair_graph" not in defined
+    for name in ("equivalent", "difference_witness", "relation_dfa"):
+        assert calls(trees["cli.py"], name) == 0, name
 
 
 def writing_opens(trees: dict[str, ast.Module]) -> set[tuple[str, str | None]]:

@@ -139,6 +139,25 @@ class TestCertify:
         with pytest.raises(BudgetExceededError):
             certify_lower_bound(6, budget=215)
 
+    def test_reads_only_the_pairs_it_asks_about(self, monkeypatch):
+        # no FoolingSet of all n^3 pairs is built; the words asked of the
+        # oracle are the canonical set's pairs, from the same pair function
+        asked = []
+
+        def spy(auto, word):
+            asked.append(word)
+            return member(auto, word)
+
+        def refused(pairs):
+            raise AssertionError("FoolingSet built")
+
+        monkeypatch.setattr(fooling, "member", spy)
+        monkeypatch.setattr(fooling, "FoolingSet", refused)
+        assert certify_lower_bound(8).certified
+        monkeypatch.undo()
+        squares = {2 * (x + y) for x, y in witness_fooling_set(8).pairs}
+        assert 0 < len(asked) == len(set(asked)) and set(asked) <= squares
+
     def test_agreement_with_case_predicates(self):
         # condition 2 certified exactly when the predicate search finds
         # no contradicting pair
