@@ -13,7 +13,7 @@ import sys
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .cases import verify_cases
@@ -21,13 +21,14 @@ from .config import DEFAULT_BUDGET, charge, check_int
 from .errors import BudgetExceededError, FormatError, VerificationError
 from .fooling import FoolingSet, certify_lower_bound, verify_fooling
 from .nfa import Nfa, Word, _first_split, _square_walk, _walk, determinize, member
-from .oracle import RandomSpec, random_nfa, sqrt_dfa, sqrt_member_direct
+from .oracle import RandomSpec, _function_walk, random_nfa, sqrt_member_direct
 from .sqrt import sqrt_nfa, triple_labels
 from .textio import _pieces, parse_nfa
 from .witness import witness
 
 # unused here, but perfbench/tracing.py::PATCHES looks them up in this module
 from .nfa import accept_table, dfa_accept_table, dfa_to_nfa, square_accept_table
+from .oracle import sqrt_dfa
 from .textio import emit_nfa
 
 
@@ -157,7 +158,9 @@ def _cmd_sqrt(args: argparse.Namespace) -> int:
 
 def _cmd_member(args: argparse.Namespace) -> int:
     auto = _load_nfa(args.infile)
-    verdict = args.test(auto, _parse_word(auto, args.word))
+    # looked up by subcommand on each call: the parser is built once
+    test = sqrt_member_direct if args.command == "sqrt-member" else member
+    verdict = test(auto, _parse_word(auto, args.word))
     print("true" if verdict else "false")
     return 0 if verdict else 1
 
@@ -203,17 +206,19 @@ def _cmd_verify_cases(args: argparse.Namespace) -> int:
 
 def _route_mismatch(auto: Nfa, budget: int | None) -> Word | None:
     """The check of one ``random-equiv`` trial: the least word, length-lex,
-    on which the cube, the function automaton and the direct route (ww run
-    on ``auto``, stepped on the word's relation as in
-    :func:`sqrtnfa.oracle.relation_dfa`) do not all agree, else None.
+    on which the cube, the function route (the self-map of the
+    determinized automaton's states, as in :func:`sqrtnfa.oracle.sqrt_dfa`)
+    and the direct route (ww run on ``auto``, stepped on the word's
+    relation as in :func:`sqrtnfa.oracle.relation_dfa`) do not all agree,
+    else None.
 
-    One walk reads the three together, so each reachable triple of their
-    nodes is judged once; in a correct build the cube's subset and the
-    function state follow from the relation, and the walk numbers exactly
-    the relation automaton's states."""
+    One walk steps the three together, the two routes on their walks with
+    neither automaton built, so each reachable triple of their nodes is
+    judged once; in a correct build the cube's subset and the map follow
+    from the relation, and the walk numbers exactly the relation
+    automaton's states."""
     cube = sqrt_nfa(auto, budget)
-    fn_dfa = sqrt_dfa(determinize(auto, budget), budget=budget)
-    walks = (_walk(cube), _walk(fn_dfa), _square_walk(auto))
+    walks = (_walk(cube), _function_walk(determinize(auto, budget)), _square_walk(auto))
     return _first_split(walks, budget, "square-root route triples")
 
 
@@ -272,7 +277,11 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  Its defaults hold only
+    ``_cmd_*`` handlers, which look up every library function when they
+    run, so a function replaced in this module later still takes effect."""
     parser = argparse.ArgumentParser(
         prog="sqrtnfa",
         description="square-root operation on regular languages: cube construction, "
@@ -291,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.set_defaults(func=_cmd_sqrt)
 
-    for name, test, help_text in (
-        ("member", member, "test word membership on an NFA"),
-        ("sqrt-member", sqrt_member_direct, "test whether the doubled word is accepted"),
+    for name, help_text in (
+        ("member", "test word membership on an NFA"),
+        ("sqrt-member", "test whether the doubled word is accepted"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--word", required=True, help="whitespace-separated letter names")
-        p.set_defaults(func=_cmd_member, test=test)
+        p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("check-fooling", help="verify a fooling set certificate")
     p.add_argument("--n", type=int, default=None, help="use the canonical witness set")

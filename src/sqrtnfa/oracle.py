@@ -5,9 +5,12 @@ everything here avoids it on purpose: direct membership doubles the word
 and runs the original automaton, and its automaton, ``relation_dfa``,
 tracks the relation of the word read so far on the NFA; the
 function-automaton route, ``sqrt_dfa``, tracks how a whole DFA transforms
-under it.  Exact equivalence of the three routes is what ``random-equiv``
-(one walk over the triples of their nodes, see
-:func:`sqrtnfa.nfa._first_split`) and the equivalence tests certify.
+under it.  Each automaton is one :func:`sqrtnfa.nfa._explored_dfa` call
+over a walk, :func:`sqrtnfa.nfa._square_walk` and :func:`_function_walk`.
+Exact equivalence of the three routes is what the equivalence tests and
+``random-equiv`` certify; a trial steps the cube and the two walks
+together (one walk over the triples of their nodes, see
+:func:`sqrtnfa.nfa._first_split`) and builds neither automaton.
 """
 
 from __future__ import annotations
@@ -25,33 +28,40 @@ def sqrt_member_direct(nfa: Nfa, word: Word) -> bool:
     return member(nfa, tuple(word) + tuple(word))
 
 
-def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
-    """Deterministic automaton for the square root of a DFA's language,
-    laid out by :func:`sqrtnfa.nfa._explored_dfa`.
+def _function_walk(dfa: Dfa):
+    """The walk of :func:`sqrtnfa.nfa._walk` for the square root of a DFA's
+    language: the function route, the walk :func:`sqrt_dfa` is built from.
 
-    States are the self-maps of the input DFA reachable from the identity,
-    each a byte string whose byte q is the state reached from q by the
-    word read so far; reading letter ``a`` post-composes with that
+    A word's node is the self-map of the DFA's states it induces, a byte
+    string whose byte q is the state reached from q; the start node is
+    the identity, and reading letter ``a`` post-composes with that
     letter's action, one ``bytes.translate`` through a 256-byte table.
     The map f accepts iff f(f(start)) is final: f(start) is where the
     first copy of the word ends, and applying f again runs the second copy
     from there.  A DFA of more than 256 states does not fit in bytes and
     raises ``ValueError``.
-
-    The state count can explode combinatorially, so ``budget`` caps the
-    reachable maps actually materialized.
     """
     n = dfa.n_states
     if n > 256:
         raise ValueError(f"sqrt_dfa supports at most 256 states, got {n}")
     # table a maps each state to its successor on letter a
     tables = [bytes(column).ljust(256, b"\0") for column in zip(*dfa.transitions)]
-    return _explored_dfa(
+    return (
         bytes(range(n)),  # the identity map
         lambda f: [f.translate(table) for table in tables],
         lambda f: f[f[dfa.initial]] in dfa.final,
-        dfa.alphabet, budget, "square-root DFA states",
     )
+
+
+def sqrt_dfa(dfa: Dfa, budget: int | None = None) -> Dfa:
+    """Deterministic automaton for the square root of a DFA's language,
+    laid out by :func:`sqrtnfa.nfa._explored_dfa`: its states are the
+    maps :func:`_function_walk` reaches from the identity.
+
+    The state count can explode combinatorially, so ``budget`` caps the
+    reachable maps actually materialized.
+    """
+    return _explored_dfa(*_function_walk(dfa), dfa.alphabet, budget, "square-root DFA states")
 
 
 def relation_dfa(nfa: Nfa, budget: int | None = None) -> Dfa:

@@ -36,6 +36,7 @@ from sqrtnfa import (
 from sqrtnfa.errors import BudgetExceededError
 from sqrtnfa.kernels import orbit_count
 from sqrtnfa.nfa import _first_split, _square_walk, _walk
+from sqrtnfa.oracle import _function_walk
 
 # what a refused call may allocate: its input-sized set-up, never the phase
 REFUSAL_PEAK = 1 << 20  # bytes
@@ -78,8 +79,8 @@ def test_automaton_phases_refuse_one_below_their_count(a, max_len):
     rel = relation_dfa(a)
     assert_threshold(lambda b: relation_dfa(a, b), rel.n_states, "square relation DFA states")
     # a random-equiv trial walks the triples of its three routes, the
-    # cube's, the function DFA's and the relation walk's: one per relation
-    walks = (_walk(sqrt_nfa(a)), _walk(fn), _square_walk(a))
+    # cube's, the function walk's and the relation walk's: one per relation
+    walks = (_walk(sqrt_nfa(a)), _function_walk(det), _square_walk(a))
     phase = "square-root route triples"
     assert_threshold(lambda b: _first_split(walks, b, phase), rel.n_states, phase)
     # the pair (S, {i}) of a's subset S and the determinized state i naming

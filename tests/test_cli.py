@@ -33,6 +33,7 @@ from sqrtnfa import (
     witness,
 )
 from sqrtnfa.nfa import _product, _square_walk, _walk
+from sqrtnfa.oracle import _function_walk
 from sqrtnfa.sqrt import triple_labels
 from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa.kernels import orbit_cells
@@ -158,6 +159,17 @@ class TestMembership:
             capsys, "sqrt-member", "--in", w6_file, "--word", "a[0,1,1] b[0,2,2]"
         )
         assert code == 1 and out.strip() == "false"
+
+    def test_the_parser_is_built_once_and_reads_the_test_when_run(
+        self, capsys, monkeypatch, w6_file
+    ):
+        # the cached parser holds no test function: one replaced after it
+        # was built is the one sqrt-member runs
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "sqrt_member_direct", lambda auto, word: True)
+        argv = ("--in", w6_file, "--word", "a[0,1,1] b[0,2,2]")
+        assert run(capsys, "sqrt-member", *argv)[:2] == (0, "true\n")
+        assert run(capsys, "member", *argv)[:2] == (1, "false\n")
 
     def test_unknown_letter_is_usage_error(self, capsys, w6_file):
         code, _, err = run(capsys, "member", "--in", w6_file, "--word", "zz")
@@ -363,6 +375,17 @@ class TestRandomEquiv:
         assert err == "budget exceeded: square-root route triples: needs 1449, exceeds budget 1448\n"
         assert run(capsys, *argv, "--budget", "1449")[:2] == (0, "all 1 trials agree\n")
 
+    def test_the_function_maps_are_charged_as_route_triples(self, capsys):
+        # seed 15 at 4 states: the function automaton and the relation DFA
+        # both have 1,311 states.  The trial steps the maps inside its walk
+        # and builds no function automaton, so the phase refusing 1,310 is
+        # the walk's
+        argv = ("random-equiv", "--trials", "1", "--seed", "15")
+        code, out, err = run(capsys, *argv, "--budget", "1310")
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: square-root route triples: needs 1311, exceeds budget 1310\n"
+        assert run(capsys, *argv, "--budget", "1311")[:2] == (0, "all 1 trials agree\n")
+
     def test_ten_letters_fit_the_default_budget(self, capsys, monkeypatch):
         # no table of the 1,111,111 words of length <= 6 over ten letters
         monkeypatch.delenv(BUDGET_ENV, raising=False)
@@ -439,6 +462,28 @@ class TestRandomEquiv:
         lines = [f'trial {t} seed={t} failed: word "{words[t]}"' for t in range(5)]
         assert out.splitlines() == [*lines, "5 of 5 trials failed"]
 
+    def test_a_function_route_past_256_states_is_a_usage_error(self, capsys, monkeypatch):
+        # the function route's maps are byte strings: a 257-state
+        # determinized input is refused before the walk starts
+        def wide(auto, budget=None):
+            rows = tuple(((s + 1) % 257,) * len(auto.alphabet) for s in range(257))
+            return Dfa(257, auto.alphabet, 0, {0}, rows)
+
+        monkeypatch.setattr(cli, "determinize", wide)
+        code, out, err = run(capsys, "random-equiv", "--trials", "1", "--seed", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: sqrt_dfa supports at most 256 states, got 257\n"
+
+    def test_a_function_route_wrong_at_length_4_fails(self, capsys, monkeypatch):
+        # the function route alone also accepts every word of length 4:
+        # the walk splits at the least length-4 word outside the square root
+        monkeypatch.setattr(cli, "_function_walk", accepting_at_length(cli._function_walk, 4))
+        code, out, err = run(capsys, "random-equiv", "--trials", "5", "--seed", "0")
+        assert (code, err) == (1, "")
+        words = ["l0 l0 l0 l0"] * 3 + ["l0 l0 l0 l1", "l0 l0 l0 l0"]
+        lines = [f'trial {t} seed={t} failed: word "{words[t]}"' for t in range(5)]
+        assert out.splitlines() == [*lines, "5 of 5 trials failed"]
+
     def test_two_wrong_routes_report_the_least_word(self, capsys, monkeypatch):
         # trial 2's lossy cube first rejects "l0 l1" (see above); with the
         # direct route also wrong, the one walk reports whichever word
@@ -472,15 +517,16 @@ def losing_a_final_state(sqrt_nfa):
     return lossy
 
 
-def accepting_at_length(square_walk, length: int):
-    """``square_walk`` damaged to also accept every word of ``length``
-    letters: its node is (relation, letters read, capped at 8)."""
+def accepting_at_length(route_walk, length: int):
+    """``route_walk`` (``_square_walk`` or ``_function_walk``) damaged to
+    also accept every word of ``length`` letters: its node is (the route's
+    node, letters read, capped at 8)."""
 
     def damaged(auto):
-        start, step, accepts = square_walk(auto)
+        start, step, accepts = route_walk(auto)
         return (
             (start, 0),
-            lambda node: [(rel, min(node[1] + 1, 8)) for rel in step(node[0])],
+            lambda node: [(x, min(node[1] + 1, 8)) for x in step(node[0])],
             lambda node: accepts(node[0]) or node[1] == length,
         )
 
@@ -623,6 +669,17 @@ class TestRouteWalk:
     def test_the_walk_numbers_one_triple_per_relation(self, auto):
         assert self.triples(auto) == relation_dfa(auto).n_states
 
+    @settings(max_examples=100, deadline=None)
+    @given(nfas())
+    def test_the_function_walk_numbers_the_function_automaton_states(self, auto):
+        # the trial steps the maps sqrt_dfa numbers, one node per state
+        det = determinize(auto)
+        start, successors, accepts = _function_walk(det)
+        maps = explore(start, successors, None, "maps")[0]
+        fn = sqrt_dfa(det)
+        assert len(maps) == fn.n_states
+        assert {i for i, f in enumerate(maps) if accepts(f)} == fn.final
+
     def test_the_benchmark_trials_walk_the_relation_dfas(self):
         autos = [random_nfa(RandomSpec(seed=seed)) for seed in range(500)]
         assert sum(map(self.triples, autos)) == 24_504
@@ -630,7 +687,7 @@ class TestRouteWalk:
 
     @staticmethod
     def triples(auto):
-        walks = (_walk(sqrt_nfa(auto)), _walk(sqrt_dfa(determinize(auto))), _square_walk(auto))
+        walks = (_walk(sqrt_nfa(auto)), _function_walk(determinize(auto)), _square_walk(auto))
         start, successors, _ = _product(*walks)
         return len(explore(start, successors, None, "triples")[0])
 

@@ -121,6 +121,22 @@ def test_one_walk_squares_relations_and_the_trial_tabulates_nothing():
     assert "walk_word_tree" not in called
 
 
+def test_each_route_automaton_is_one_explored_dfa_over_its_walk():
+    # sqrt_dfa and relation_dfa lay out the walks a random-equiv trial
+    # steps itself: cli.py builds neither automaton
+    trees = parse_sources()
+    for name, walk in (("sqrt_dfa", "_function_walk"), ("relation_dfa", "_square_walk")):
+        body = function(trees["oracle.py"], name).body
+        assert isinstance(body[0].value, ast.Constant)  # the docstring
+        (statement,) = body[1:]
+        assert isinstance(statement, ast.Return), name
+        call = statement.value
+        assert call.func.id == "_explored_dfa", name
+        (walked,) = [arg.value for arg in call.args if isinstance(arg, ast.Starred)]
+        assert walked.func.id == walk, name
+        assert calls(trees["cli.py"], name) == 0, name
+
+
 def word_extenders(trees: dict[str, ast.Module]) -> set[tuple[str, str | None]]:
     """The top-level statements, as (module, name), whose code adds a
     tuple display to something, as ``word + (letter,)`` does."""
