@@ -19,6 +19,15 @@ The canonical tuple is the least cell of its orbit and the list is in
 lexicographic order, so the first representative that hits is the
 row-major first cell that hits, and no check reads more than the
 representatives.
+
+A report builds each of these once.  :func:`orbit_cells` caches
+the last list it built, two read-only arrays built from row-contiguous
+coordinates; :func:`witness_square_table` keeps the last automaton's table
+on exactly those two arrays, so ``verify_cases`` reads the table
+``certify_lower_bound`` computed; and :func:`check_symmetric` keeps the last
+automaton it passed.  Each is keyed on the identity of immutable or
+read-only inputs and holds one of them, so every call returns what a fresh
+one would.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ def _canonical_tuples() -> tuple[np.ndarray, np.ndarray]:
     value is one of the 6 constants, a generic value it already uses, or
     the next new one, so the list grows one coordinate at a time.
     """
-    columns = np.zeros((0, 1), dtype=np.uint8)
+    rows: list[np.ndarray] = []
     generic = np.zeros(1, dtype=np.uint8)
     for _ in range(6):
         choices = MIN_STATES + 1 + generic.astype(np.int64)
@@ -63,8 +72,10 @@ def _canonical_tuples() -> tuple[np.ndarray, np.ndarray]:
         value = (np.arange(parent.size) - starts).astype(np.uint8)
         generic = generic[parent]
         generic += value == MIN_STATES + generic
-        columns = np.vstack([columns[:, parent], value])
-    return columns, generic
+        # one contiguous row per coordinate, stacked once at the end: a
+        # column-major array would make every later row read strided
+        rows = [row[parent] for row in rows] + [value]
+    return np.stack(rows), generic
 
 
 def orbit_count(n: int) -> int:
@@ -79,7 +90,8 @@ def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices (x1, x2) of one cell per orbit of the n^3 x n^3 grid
     under the permutations of the states >= 6: the canonical tuples that
     use at most n - 6 generic values.  The two arrays are read-only, and
-    the last pair built is cached, so the checks of one report share it.
+    the last pair built is cached, so the checks of one report share it,
+    and :func:`witness_square_table` keeps its table on this very pair.
 
     The list audits itself on every build: an orbit with k generic values
     has (n-6)(n-7)...(n-5-k) cells, and the orbits must cover exactly n^6
@@ -88,15 +100,17 @@ def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     check_witness_n(n)
     columns, generic = _canonical_tuples()
     keep = generic <= n - MIN_STATES
-    columns = columns[:, keep]
-    counts = np.bincount(generic[keep], minlength=7).tolist()
+    if not keep.all():
+        columns, generic = columns.compress(keep, axis=1), generic[keep]
+    counts = np.bincount(generic, minlength=7).tolist()
     cells = sum(c * math.perm(n - MIN_STATES, k) for k, c in enumerate(counts))
     if cells != n**6:
         raise VerificationError(
             f"the orbits of the {n}-state witness cover {cells} cells, not {n**6}"
         )
     join = TripleCodec(n).join
-    x1, x2 = join(*columns[:3].astype(_CELL)), join(*columns[3:].astype(_CELL))
+    p1, q1, r1, p2, q2, r2 = columns.astype(_CELL)
+    x1, x2 = join(p1, q1, r1), join(p2, q2, r2)
     x1.flags.writeable = x2.flags.writeable = False
     return x1, x2
 
@@ -152,6 +166,12 @@ def _flat_cells(n: int, x1, x2, table: str) -> list[np.ndarray]:
     return cells
 
 
+# The last automaton witness_square_table read, with its letter slots and,
+# once asked for, its table on the orbit pair: (auto, slots, (x1, x2, table)
+# or None).  A call on another automaton replaces it.
+_last_square: tuple = (None, None, None)
+
+
 def witness_square_table(auto: Nfa, x1, x2) -> np.ndarray:
     """Boolean table T[x1, x2] = the word a_X1 b_X2 squares into the
     language of ``auto``, an n-state automaton over the alphabet of
@@ -162,20 +182,51 @@ def witness_square_table(auto: Nfa, x1, x2) -> np.ndarray:
     and the table tracks which slots fire across (a_X1 b_X2)^2: a slot
     fires when its source is initial (on the first letter) or the target
     of a slot that fired on the letter before, and the word is accepted
-    when a slot that fires on its last letter has a final target."""
+    when a slot that fires on its last letter has a final target.
+
+    The slots of the last automaton read are kept, and so is its table on
+    the pair :func:`orbit_cells` holds, when ``x1`` and ``x2`` are those two
+    arrays themselves: the next call with the same automaton object and the
+    same two arrays returns that table, read-only, so the checks of one
+    report compute it once.  The automaton and the two arrays are immutable,
+    so a kept answer is the one a fresh call would give; every other call,
+    (x2, x1) and the diagonal among them, computes its table."""
+    global _last_square
     n, sigma = auto.n_states, 2 * auto.n_states**3
     x1, x2 = _flat_cells(n, x1, x2, "witness_square_table")
     if len(auto.alphabet) != sigma:
         raise ValueError(f"witness_square_table: {len(auto.alphabet)} letters, not {sigma}")
+    last, slots, kept = _last_square
+    if last is not auto:
+        slots, kept = _letter_slots(auto), None
+        _last_square = (auto, slots, None)
+    if kept is not None and kept[0] is x1 and kept[1] is x2:
+        return kept[2]
+    table = _square_cells(n, slots, x1, x2)
+    if _is_orbit_pair(n, x1, x2):
+        table.flags.writeable = False
+        _last_square = (auto, slots, (x1, x2, table))
+    return table
+
+
+def _letter_slots(auto: Nfa) -> np.ndarray:
+    """Slot i of each letter of ``auto``: its i-th source, target and flag
+    (1 for an initial source on an a-letter, a final target on a b-letter),
+    as a (3, k, 2n^3) uint8 array; an unused slot holds n."""
+    n, sigma = auto.n_states, len(auto.alphabet)
     relation = auto.transitions.array
     source, letter, target = relation[np.argsort(relation[:, 1], kind="stable")].T
     counts = np.bincount(letter, minlength=sigma)
     slot = np.arange(letter.size) - np.repeat(np.cumsum(counts) - counts, counts)
     initial, final = np.isin(source, list(auto.initial)), np.isin(target, list(auto.final))
-    # slot i of a letter: its i-th source, target and flag (1 for an initial source
-    # on an a-letter, a final target on a b-letter); an unused slot holds n
     slots = np.full((3, counts.max(initial=1), sigma), n, dtype=np.uint8)
     slots[:, slot, letter] = source, target, np.where(letter < n**3, initial, final)
+    return slots
+
+
+def _square_cells(n: int, slots: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """The cells (x1, x2) of the square table of the n-state automaton whose
+    :func:`_letter_slots` are ``slots``."""
     sa, da, fa = np.take(slots, x1, axis=2)
     sb, db, fb = np.take(slots[:, :, n**3 :], x2, axis=2)
     fired = fa == 1
@@ -184,12 +235,33 @@ def witness_square_table(auto: Nfa, x1, x2) -> np.ndarray:
     return reduce(np.logical_or, [f & (d == 1) for f, d in zip(fired, fb)])
 
 
+def _is_orbit_pair(n: int, x1: np.ndarray, x2: np.ndarray) -> bool:
+    """Whether ``x1`` and ``x2`` are the two arrays ``orbit_cells(n)`` holds;
+    only read-only arrays of its length are looked up, so no other call
+    builds a list."""
+    if x1.flags.writeable or x2.flags.writeable or x1.shape != (orbit_count(n),):
+        return False
+    rows, cols = orbit_cells(n)
+    return x1 is rows and x2 is cols
+
+
+# the last automaton check_symmetric passed
+_last_symmetric: Nfa | None = None
+
+
 def check_symmetric(auto: Nfa) -> Nfa:
     """``auto``, an automaton over the witness alphabet, if every permutation
     of its states >= 6, with the letters relabelled to match, maps its
     relation, initial and final states onto themselves, as the orbit checks
     assume; checked on the generators (6 7) and (6 7 ... n-1), none at n = 6
-    and 7.  Otherwise :class:`VerificationError` names the permutation."""
+    and 7.  Otherwise :class:`VerificationError` names the permutation.
+
+    The last automaton object that passed is kept, and the same object
+    passes again without the check: it is immutable, so the check would
+    pass again."""
+    global _last_symmetric
+    if auto is _last_symmetric:
+        return auto
     n, sigma = auto.n_states, len(auto.alphabet)
     check_witness_n(n)
     codec = TripleCodec(n)
@@ -204,6 +276,7 @@ def check_symmetric(auto: Nfa) -> Nfa:
         fixed = [frozenset(perm[list(s)].tolist()) for s in (auto.initial, auto.final)]
         if not np.array_equal(mapped, keys) or fixed != [auto.initial, auto.final]:
             raise VerificationError(f"the automaton is not fixed by the permutation {name}")
+    _last_symmetric = auto
     return auto
 
 

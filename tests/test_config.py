@@ -221,10 +221,13 @@ def test_only_the_codec_splits_flat_triples():
 def test_the_square_table_reads_the_automaton():
     # the witness letters have one encoding, the relation witness.witness
     # builds: the table runs the automaton it is given, and neither
-    # re-derives the pivot maps nor splits payloads
-    tree = function(parse_sources()["kernels.py"], "witness_square_table")
-    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
-    assert names.isdisjoint({"_PIVOT_L", "_PIVOT_M", "TripleCodec"})
+    # re-derives the pivot maps nor splits payloads, nor do the helpers
+    # that read its letter slots and compute its cells
+    tree = parse_sources()["kernels.py"]
+    for name in ("witness_square_table", "_letter_slots", "_square_cells"):
+        body = ast.walk(function(tree, name))
+        names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in body}
+        assert names.isdisjoint({"_PIVOT_L", "_PIVOT_M", "TripleCodec"}), name
 
 
 def test_certify_asks_the_oracle_once_per_diagonal_orbit(monkeypatch):

@@ -8,6 +8,7 @@ cell of its orbit, and check the one pass over the representatives
 against an argmax over the whole tables.
 """
 
+import hashlib
 import math
 import random
 
@@ -22,19 +23,33 @@ from sqrtnfa import (
     Violation,
     case_table,
     certify_lower_bound,
+    member,
     pairwise_contradiction,
+    run_report,
     verify_cases,
     verify_fooling,
     witness,
     witness_fooling_set,
     witness_square_table,
 )
-from sqrtnfa import fooling, kernels
+from sqrtnfa import cases, fooling, kernels
 from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa.kernels import orbit_cells, orbit_count
-from conftest import MUTANTS, first_pair, grid, mutant, orbit_mask
+from conftest import MUTANTS, doctored_witness, first_pair, grid, mutant, orbit_mask
 
 ORBITS = 163_967
+
+# sha256 of x1.tobytes() + x2.tobytes() for orbit_cells(n), recorded from the
+# list as the column-major build of the canonical tuples gave it
+ORBIT_DIGESTS = {
+    6: "1f659a7b102845665bb72fc1d64a499763a1cf1e7dd38770e204383b513d7244",
+    7: "67f2129cb7cc3e5bfc0b8139c7dd77364ee340f00fb2c2e63e71d87b9a18062e",
+    8: "d135e2a6096caf453ff79c1f0a484ec600e6cbee6a6d121d0f149865e46167ef",
+    9: "c80ecd296e1b6f2693d0ec9ac66a3d62a90aa5c2b587bbf64d51bf2780552536",
+    12: "a73e6a56733b328469c09a2ed9af3fca1ce5c38a800d358d85484667b41341e0",
+    16: "7bb61510ca443338e876f743b6356b80840afaf486a98318e2a6fd660d1a1c7a",
+    32: "a36bc339594da5eae1b57828deb135a44e21dfa3683d98ecbe0d09245a0833d5",
+}
 
 
 def flat(triple, n):
@@ -104,6 +119,7 @@ class TestOrbitEnumerator:
     def test_canonical_forms_are_canonical_and_unique(self):
         columns, generic = kernels._canonical_tuples()
         assert columns.dtype == np.uint8 and columns.shape == (6, ORBITS)
+        assert columns.flags.c_contiguous
         rows = list(map(tuple, columns.T.tolist()))
         assert len(set(rows)) == ORBITS
         assert rows == sorted(rows)
@@ -159,6 +175,15 @@ class TestOrbitEnumerator:
         assert orbit_cells(9)[0] is x1
         assert orbit_cells.cache_info().misses == 1
         assert not x1.flags.writeable and not x2.flags.writeable
+
+    @pytest.mark.parametrize("n", sorted(ORBIT_DIGESTS))
+    def test_the_list_is_pinned_byte_for_byte(self, n):
+        # values, order and dtype: a reordered or retyped list fails here
+        x1, x2 = orbit_cells(n)
+        assert x1.dtype == x2.dtype == np.uint16
+        assert not x1.flags.writeable and not x2.flags.writeable
+        digest = hashlib.sha256(x1.tobytes() + x2.tobytes()).hexdigest()
+        assert digest == ORBIT_DIGESTS[n]
 
     @pytest.mark.parametrize("n", range(6, 33))
     def test_count_is_the_length_of_the_list(self, n):
@@ -241,3 +266,100 @@ class TestScreenMatchesStrips:
         assert not report.certified
         assert report.violation == reference.violation
         assert report == reference
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The (x1, x2) of every square table the kernel computes rather than
+    serves from what it keeps."""
+    pairs = []
+    square_cells = kernels._square_cells
+
+    def spy(n, slots, x1, x2):
+        pairs.append((x1, x2))
+        return square_cells(n, slots, x1, x2)
+
+    monkeypatch.setattr(kernels, "_square_cells", spy)
+    return pairs
+
+
+def on_orbit_pair(pairs, n):
+    """How many of the computed ``pairs`` are the orbit pair itself."""
+    x1, x2 = orbit_cells(n)
+    return sum(a is x1 and b is x2 for a, b in pairs)
+
+
+def fresh(table, auto, x1, x2):
+    """Whether ``table`` is the square table of ``auto`` on copies of the
+    cells, which the kernel never keeps."""
+    return np.array_equal(table, witness_square_table(auto, x1.copy(), x2.copy()))
+
+
+class TestOneTablePerReport:
+    """The square table on the orbit pair is kept for the automaton object
+    it was computed for, and served to nothing else."""
+
+    def test_certify_then_verify_cases_compute_the_table_once(self, computed, monkeypatch):
+        witness.cache_clear()  # a new automaton object, so nothing is kept for it
+        assert certify_lower_bound(8).certified
+        assert verify_cases(8) is None
+        assert on_orbit_pair(computed, 8) == 1
+        # an equal automaton that is another object is computed afresh
+        auto = witness(8)
+        twin = Nfa(8, auto.alphabet, auto.initial, auto.final, auto.transitions)
+        monkeypatch.setattr(cases, "witness", lambda n: twin)
+        assert verify_cases(8) is None
+        assert on_orbit_pair(computed, 8) == 2
+
+    def test_a_doctored_automaton_after_a_clean_run_is_judged_afresh(self, monkeypatch):
+        assert certify_lower_bound(8).certified and verify_cases(8) is None
+        monkeypatch.setattr(fooling, "witness", lambda n: doctored_witness(8, skip=(6,)))
+        with pytest.raises(VerificationError, match=r"permutation \(6 7\)"):
+            certify_lower_bound(8)
+        monkeypatch.undo()
+        assert verify_cases(8) is None
+        # symmetric damage passes the check and gets the reference verdict
+        auto = doctored_witness(8)
+        monkeypatch.setattr(fooling, "witness", lambda n: auto)
+        reference = verify_fooling(witness_fooling_set(8), lambda w: member(auto, w + w))
+        assert reference.violation == Violation("cond2", 1, 65)
+        assert certify_lower_bound(8) == reference
+        monkeypatch.undo()
+        assert verify_cases(8) is None
+
+    def test_a_kept_table_cannot_be_written(self):
+        auto = witness(8)
+        x1, x2 = orbit_cells(8)
+        first = witness_square_table(auto, x1, x2)
+        kept = witness_square_table(auto, x1, x2)
+        for table in (first, kept):
+            with pytest.raises(ValueError, match="read-only"):
+                table[:] = ~table
+        assert fresh(witness_square_table(auto, x1, x2), auto, x1, x2)
+        # another automaton on the same two arrays gets its own table
+        other = doctored_witness(8)
+        assert fresh(witness_square_table(other, x1, x2), other, x1, x2)
+        assert not np.array_equal(witness_square_table(other, x1, x2), kept)
+
+    def test_the_mirror_and_the_diagonal_are_never_served(self, computed):
+        auto = witness(8)
+        x1, x2 = orbit_cells(8)
+        witness_square_table(auto, x1, x2)
+        diagonal = x1[x1 == x2]
+        computed.clear()
+        for rows, cols in ((x2, x1), (diagonal, diagonal), (x2, x1), (diagonal, diagonal)):
+            assert fresh(witness_square_table(auto, rows, cols), auto, rows, cols)
+        # each call and each fresh copy computed
+        assert len(computed) == 8
+        witness_square_table(auto, x1, x2)
+        assert len(computed) == 8
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_one_report_computes_each_table_once(self, computed, n):
+        # the diagonal, T(x1, x2) and T(x2, x1): a second pass over the
+        # orbit pair fails here before it shows in the benchmark
+        witness.cache_clear()
+        run_report(n, 4_000_000)
+        x1, x2 = orbit_cells(n)
+        cells = sum(np.broadcast(a, b).size for a, b in computed)
+        assert cells == np.count_nonzero(x1 == x2) + 2 * orbit_count(n)
