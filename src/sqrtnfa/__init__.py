@@ -25,12 +25,10 @@ from .nfa import (
     Nfa,
     Word,
     accept_table,
-    bounded_equal,
     determinize,
     dfa_accept_table,
     dfa_to_nfa,
     difference_witness,
-    enumerate_words,
     equivalent,
     member,
     reach,
@@ -49,7 +47,7 @@ from .witness import (
     witness,
     witness_alphabet,
 )
-from .words import count_words, rank_to_word
+from .words import count_words
 
 __version__ = "0.1.0"
 
@@ -71,7 +69,6 @@ __all__ = [
     "Violation",
     "Word",
     "accept_table",
-    "bounded_equal",
     "case_holds",
     "case_table",
     "certify_lower_bound",
@@ -82,7 +79,6 @@ __all__ = [
     "difference_witness",
     "effective_budget",
     "emit_nfa",
-    "enumerate_words",
     "equivalent",
     "main",
     "member",
@@ -91,7 +87,6 @@ __all__ = [
     "pairwise_contradiction",
     "pivot_l",
     "pivot_m",
-    "rank_to_word",
     "random_nfa",
     "reach",
     "reachable_triples",

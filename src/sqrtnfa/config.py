@@ -6,7 +6,7 @@ of its phase before anything of that size is built: validate the input,
 then charge, then allocate.  The budget resolves from an explicit
 argument, else the ``SQRTNFA_BUDGET`` environment variable, else
 ``DEFAULT_BUDGET``.  Every integer argument (a size, state, letter,
-payload entry, rank or case id) is validated by :func:`check_int`.
+payload entry, word length or case id) is validated by :func:`check_int`.
 """
 
 import os

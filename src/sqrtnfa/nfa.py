@@ -17,11 +17,11 @@ through one successor index, ``_succ``, in one of two forms, one per
 access pattern.  A step on one letter (``reach``, ``member``, ``targets``)
 reads each set state's row, a dict from letter to successor mask.  A step
 on every letter at once (``_stepper``: ``determinize``, the product walk
-of ``equivalent``, ``difference_witness`` and ``bounded_equal``, and
-``accept_table`` and ``square_accept_table``, which flag every word up to
-a length in rank order, see :mod:`sqrtnfa.words`) ORs one table entry per
-non-zero byte of the mask, as in the Method of Four Russians, and splits
-the result once.  There is no state cap: masks are Python ints.
+of ``equivalent`` and ``difference_witness``, and ``accept_table`` and
+``square_accept_table``, which flag every word up to a length in rank
+order, see :mod:`sqrtnfa.words`) ORs one table entry per non-zero byte of
+the mask, as in the Method of Four Russians, and splits the result once.
+There is no state cap: masks are Python ints.
 
 The word walks (``determinize``, ``accept_table`` and
 ``dfa_accept_table``) take their start node, successor function and
@@ -33,8 +33,10 @@ is a word's relation.  :func:`_product` steps any number of walks
 together, and :func:`_first_split` reads the least word on which they
 split off it: two automata's walks for ``difference_witness``, or the
 cube's, the function DFA's and the relation walk in one ``random-equiv``
-trial.  A ``Dfa`` validates a table of plain ``int`` rows in a few C-level
-passes and checks any other table entry by entry.
+trial.  It is the one place a word is rebuilt from a walk; the acceptance
+tables are flags in rank order, never read back into words.  A ``Dfa``
+validates a table of plain ``int`` rows in a few C-level passes and
+checks any other table entry by entry.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from numbers import Integral
 import numpy as np
 
 from .config import check_int
-from .words import Word, explore, rank_to_word, walk_word_tree
+from .words import Word, explore, walk_word_tree
 
 Transition = tuple[int, int, int]  # (source, letter, target)
 
@@ -471,6 +473,7 @@ def member(nfa: Nfa, word: Word) -> bool:
 def _run(nfa: Nfa, mask: int, word: Word) -> int:
     """The state set ``mask`` after reading ``word``, whose letters are all
     checked before the first step."""
+    word = tuple(word)  # read once, so an iterator loses no letter to the check
     sigma = len(nfa.alphabet)
     for a in word:
         check_int(a, "letter index", 0, sigma)
@@ -560,13 +563,6 @@ def _first_split(walks, cap: int | None, what: str) -> Word | None:
     return words[len(nodes) - 1]
 
 
-def _pair(a: Nfa | Dfa, b: Nfa | Dfa):
-    """The walks of two automata over one alphabet."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("alphabet mismatch between automata")
-    return _walk(a), _walk(b)
-
-
 def difference_witness(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> Word | None:
     """Shortest word accepted by exactly one automaton, or None when the
     languages coincide.
@@ -577,7 +573,9 @@ def difference_witness(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> Wo
     first split raises ``BudgetExceededError("equivalence product pairs",
     ...)``, even when each side's determinization would fit.
     """
-    return _first_split(_pair(a, b), cap, "equivalence product pairs")
+    if a.alphabet != b.alphabet:
+        raise ValueError("alphabet mismatch between automata")
+    return _first_split((_walk(a), _walk(b)), cap, "equivalence product pairs")
 
 
 def equivalent(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> bool:
@@ -588,23 +586,6 @@ def equivalent(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> bool:
     cap, the BudgetExceededError propagates rather than a guess.
     """
     return difference_witness(a, b, cap) is None
-
-
-def bounded_equal(
-    a: Nfa | Dfa, b: Nfa | Dfa, max_len: int, budget: int | None = None
-) -> Word | None:
-    """First word of length <= max_len (length-lex order) where membership
-    differs, or None.  The words walked must fit ``budget``.
-
-    This walks the word tree and reads the word off its rank, not off a
-    breadth-first numbering, so it is a check on :func:`difference_witness`.
-    """
-    start, successors, splits = _product(*_pair(a, b))
-    # a negative max_len still judges the empty word
-    table = walk_word_tree(
-        start, successors, splits, len(a.alphabet), max(max_len, 0), budget
-    )
-    return rank_to_word(len(a.alphabet), int(table.argmax())) if table.any() else None
 
 
 def trim(nfa: Nfa) -> Nfa:
@@ -648,17 +629,6 @@ def trim(nfa: Nfa) -> Nfa:
             if src in useful and dst in useful
         ),
     )
-
-
-def enumerate_words(nfa: Nfa, max_len: int, budget: int | None = None) -> list[Word]:
-    """All accepted words of length <= max_len in length-lex order.
-
-    The walk visits every word up to max_len, so the total word count must
-    fit the budget.
-    """
-    # a negative max_len still judges the empty word
-    table = accept_table(nfa, max(max_len, 0), budget)
-    return [rank_to_word(len(nfa.alphabet), int(r)) for r in table.nonzero()[0]]
 
 
 def accept_table(nfa: Nfa | Dfa, max_len: int, budget: int | None = None) -> np.ndarray:

@@ -25,7 +25,8 @@ from .nfa import Dfa, Nfa, Word, _explored_dfa, _square_walk, member
 
 def sqrt_member_direct(nfa: Nfa, word: Word) -> bool:
     """Square-root membership by definition: does the automaton accept ww?"""
-    return member(nfa, tuple(word) + tuple(word))
+    word = tuple(word)  # read once: an iterator yields its letters once
+    return member(nfa, word + word)
 
 
 def _function_walk(dfa: Dfa):

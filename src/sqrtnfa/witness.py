@@ -70,7 +70,11 @@ _LETTER_NAME = "{}[{},{},{}]"
 def witness_alphabet(n: int) -> tuple[str, ...]:
     """Canonical alphabet order: all a-letters by lexicographic payload,
     then all b-letters.  The flat payload index of (p,q,r) is p*n^2+q*n+r,
-    so letter indices are reproducible across runs and languages."""
+    so letter indices are reproducible across runs and languages.
+
+    Raises ValueError outside 6 <= n <= 32 (see :func:`check_witness_n`).
+    """
+    check_witness_n(n)
     # kind and payloads come from "ab" and range(n), so no name is checked
     return tuple(starmap(_LETTER_NAME.format, product("ab", range(n), range(n), range(n))))
 

@@ -1,12 +1,13 @@
-"""Length-lexicographic enumeration of words over an indexed alphabet.
+"""Length-lexicographic order of words over an indexed alphabet.
 
 Words are tuples of letter indices.  Rank 0 is the empty word, followed by
 all length-1 words in letter order, then length-2, and so on.  The
-acceptance tables of :mod:`sqrtnfa.nfa` are indexed by this rank, and
-:func:`rank_to_word` reads a word off its rank; :func:`walk_word_tree` is
-the one walk that builds such tables.  :func:`explore`, the one
-breadth-first numbering of reachable nodes, serves it, ``trim``, the
-product walk, and ``nfa._explored_dfa``: the subset and function automata.
+acceptance tables of :mod:`sqrtnfa.nfa` are flags indexed by this rank,
+and :func:`walk_word_tree` is the one walk that builds them.
+:func:`explore`, the one breadth-first numbering of reachable nodes,
+serves it, ``trim``, the product walk, whose least split word
+``nfa._first_split`` rebuilds from the numbering, and
+``nfa._explored_dfa``: the subset and function automata.
 """
 
 from collections.abc import Callable, Hashable, Sequence
@@ -18,31 +19,14 @@ from .config import charge, check_int, effective_budget
 Word = tuple[int, ...]
 
 
-def level_offset(sigma: int, length: int) -> int:
-    """Number of words strictly shorter than ``length``."""
-    check_int(sigma, "alphabet size", 1)
-    check_int(length, "length", 0)
+def count_words(sigma: int, max_len: int) -> int:
+    """Number of words of length <= max_len, which is also the rank of the
+    first word of length max_len + 1: the offset of that level."""
+    length = check_int(max_len, "max_len", 0) + 1
+    sigma = check_int(sigma, "alphabet size", 1)
     if sigma == 1:
         return length
     return (sigma**length - 1) // (sigma - 1)
-
-
-def count_words(sigma: int, max_len: int) -> int:
-    """Number of words of length <= max_len."""
-    return level_offset(sigma, check_int(max_len, "max_len", 0) + 1)
-
-
-def rank_to_word(sigma: int, rank: int) -> Word:
-    rank = check_int(rank, "rank", 0)
-    length = 0
-    while level_offset(sigma, length + 1) <= rank:
-        length += 1
-    value = rank - level_offset(sigma, length)
-    digits = [0] * length
-    for i in range(length - 1, -1, -1):
-        digits[i] = value % sigma
-        value //= sigma
-    return tuple(digits)
 
 
 def explore(
@@ -57,11 +41,11 @@ def explore(
 
     ``rows[i]`` holds the ids of ``successors(nodes[i])`` in letter order,
     and ids go by first sight.  Nodes first seen at ``depth`` get ids but
-    are not expanded.  The walk ends early at the first numbered node that
-    satisfies ``stop``; it is then ``nodes[-1]``, and the last row may
-    name ids past it.  More than ``budget`` nodes (default from
-    :mod:`sqrtnfa.config`) raises ``BudgetExceededError(what, budget + 1,
-    budget)``.
+    are not expanded; only :func:`walk_word_tree` sets a depth.  The walk
+    ends early at the first numbered node that satisfies ``stop``; it is
+    then ``nodes[-1]``, and the last row may name ids past it.  More than
+    ``budget`` nodes (default from :mod:`sqrtnfa.config`) raises
+    ``BudgetExceededError(what, budget + 1, budget)``.
     """
     budget = effective_budget(budget)
     ids = {start: 0}

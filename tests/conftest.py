@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sqrtnfa import Dfa, Nfa, RandomSpec, random_nfa, sqrt_nfa, witness
+from sqrtnfa import Dfa, Nfa, RandomSpec, member, random_nfa, sqrt_nfa, witness
 from sqrtnfa import cases
 from sqrtnfa.cases import CASE_COUNT, case_holds
 from sqrtnfa.kernels import _case_conditions, _triple_cells
@@ -74,6 +74,13 @@ def iter_words(sigma, max_len):
     for _ in range(max_len):
         level = [w + (a,) for w in level for a in range(sigma)]
         yield from level
+
+
+def first_disagreement(a, b, max_len):
+    """The first word of length <= max_len, in :func:`iter_words` order, on
+    which ``member`` tells two automata over one alphabet apart, or None."""
+    words = iter_words(len(a.alphabet), max_len)
+    return next((w for w in words if member(a, w) != member(b, w)), None)
 
 
 def any_case(x1, x2, n):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from conftest import nfas
 from sqrtnfa import (
     accept_table,
-    bounded_equal,
     certify_lower_bound,
     count_words,
     determinize,
@@ -102,8 +101,6 @@ def test_automaton_phases_refuse_one_below_their_count(a, max_len):
         lambda c: square_accept_table(a, max_len, c),
         lambda c: dfa_accept_table(det, max_len, c),
         lambda c: accept_table(det, max_len, c),
-        lambda c: bounded_equal(a, b, max_len, c),
-        lambda c: bounded_equal(a, det, max_len, c),
     ):
         assert_threshold(table, words, "word tree words")
 
@@ -164,7 +161,6 @@ def test_refused_up_front_phases_allocate_nothing_of_their_size():
         lambda: accept_table(auto, 3, words - 1),
         lambda: square_accept_table(auto, 3, words - 1),
         lambda: dfa_accept_table(det, 3, words - 1),
-        lambda: bounded_equal(auto, auto, 3, words - 1),
         lambda: accept_table(wide, 2, wide_words - 1),
     ):
         assert refused_peak(table, "word tree words") < REFUSAL_PEAK

@@ -22,15 +22,14 @@ from sqrtnfa import (
     pivot_l,
     pivot_m,
     random_nfa,
-    rank_to_word,
     reach,
     triple_labels,
     witness,
+    witness_alphabet,
 )
 from sqrtnfa import fooling
 from sqrtnfa.config import charge, check_int, effective_budget
 from sqrtnfa.errors import BudgetExceededError
-from sqrtnfa.words import level_offset
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "sqrtnfa"
 
@@ -153,23 +152,25 @@ def word_extenders(trees: dict[str, ast.Module]) -> set[tuple[str, str | None]]:
 
 
 def test_one_walk_reads_words_off_the_product():
-    # difference_witness, bounded_equal and the random-equiv trial walk
-    # one product of walks (nfa._product), and only nfa._first_split
-    # rebuilds a word from explore's rows; the trial's three routes are
-    # one walk, not two equivalences and a relation DFA
+    # difference_witness and the random-equiv trial walk one product of
+    # walks (nfa._product), and only nfa._first_split rebuilds a word from
+    # explore's rows: no second search reads words off a word table or a
+    # rank; the trial's three routes are one walk, not two equivalences
+    # and a relation DFA
     trees = parse_sources()
     assert word_extenders(trees) == {("nfa.py", "_first_split")}
     assert callers(trees, "_first_split") == {
         ("nfa.py", "difference_witness"), ("cli.py", "_route_mismatch")
     }
-    assert callers(trees, "_product") == {
-        ("nfa.py", "_first_split"), ("nfa.py", "bounded_equal")
-    }
+    assert callers(trees, "_product") == {("nfa.py", "_first_split")}
     defined = {
         n.name for tree in trees.values() for n in ast.walk(tree)
         if isinstance(n, ast.FunctionDef)
     }
-    assert "_pair_graph" not in defined
+    gone = {
+        "_pair_graph", "_pair", "bounded_equal", "enumerate_words", "rank_to_word", "level_offset"
+    }
+    assert defined.isdisjoint(gone), defined & gone
     for name in ("equivalent", "difference_witness", "relation_dfa"):
         assert calls(trees["cli.py"], name) == 0, name
 
@@ -296,11 +297,10 @@ def test_a_budget_that_is_not_an_integer_is_refused(override):
     [
         lambda: TripleCodec(6).encode(1.5, 0, 0),
         lambda: TripleCodec(6).decode(5.0),
-        lambda: rank_to_word(2, 2.5),
         lambda: case_holds(1, (0.5, 0, 0), (0, 0, 0), 6),
         lambda: accept_table(random_nfa(RandomSpec(seed=1)), 2.5),
     ],
-    ids=["encode", "decode", "rank_to_word", "case_holds", "accept_table"],
+    ids=["encode", "decode", "case_holds", "accept_table"],
 )
 def test_codecs_refuse_non_integers(call):
     with pytest.raises(ValueError):
@@ -330,10 +330,9 @@ def test_codecs_refuse_non_integers(call):
         lambda: case_holds(2.5, (0, 0, 0), (0, 0, 0), 6),
         lambda: case_holds(1, (0, 0, 0), (0, 2.5, 0), 6),
         lambda: witness(2.5),
-        lambda: level_offset(2.5, 1),
-        lambda: level_offset(2, 2.5),
+        lambda: witness_alphabet(2.5),
+        lambda: count_words(2.5, 1),
         lambda: count_words(2, 2.5),
-        lambda: rank_to_word(2, 2.5),
         lambda: accept_table(NFA_AA, 2.5),
         lambda: RandomSpec(seed=2.5),
         lambda: RandomSpec(seed=1, max_states=2.5),
@@ -347,8 +346,8 @@ def test_codecs_refuse_non_integers(call):
         "nfa-count", "nfa-initial", "nfa-final", "dfa-count", "dfa-initial",
         "dfa-final", "dfa-target", "dfa-run", "reach-state", "reach-letter", "member",
         "targets-state", "targets-letter", "codec-n", "encode", "decode", "triple_labels",
-        "case-id", "case-triple", "witness-n", "level_offset", "level_offset-length",
-        "count_words", "rank_to_word", "walk-max_len",
+        "case-id", "case-triple", "witness-n", "witness_alphabet-n", "count_words-sigma",
+        "count_words", "walk-max_len",
         "spec-seed", "spec-max_states", "spec-alphabet_size", "pivot_l", "pivot_m",
         "violation-i", "violation-j",
     ],

@@ -8,7 +8,6 @@ from sqrtnfa import (
     Nfa,
     RandomSpec,
     accept_table,
-    bounded_equal,
     case_table,
     count_words,
     determinize,
@@ -23,7 +22,7 @@ from sqrtnfa import (
     witness_square_table,
 )
 from sqrtnfa.words import walk_word_tree
-from conftest import any_case, grid, iter_words, nfas, with_transitions
+from conftest import any_case, first_disagreement, grid, iter_words, nfas, with_transitions
 
 class TestAcceptTableOnCube:
     def test_cube_of_4_states_exactly_fits(self, small_random):
@@ -223,18 +222,10 @@ class TestWordTreeWalk:
     def test_bounded_equal_is_first_difference(self, data):
         a = data.draw(nfas())
         b = data.draw(nfas(sigma=len(a.alphabet)))
-        for max_len in range(-1, 4):
-            expected = next(
-                (
-                    w
-                    for w in iter_words(len(a.alphabet), max(max_len, 0))
-                    if member(a, w) != member(b, w)
-                ),
-                None,
-            )
-            assert bounded_equal(a, b, max_len) == expected, max_len
+        exact = difference_witness(a, b)
+        for max_len in range(4):
+            expected = first_disagreement(a, b, max_len)
             # the product route finds the same first difference, or none this short
-            exact = difference_witness(a, b)
             if expected is not None:
                 assert exact == expected, max_len
             else:
@@ -246,11 +237,8 @@ class TestWordTreeWalk:
         assert count_words(len(auto.alphabet), 9) == 29_524
         with pytest.raises(BudgetExceededError, match="word tree words: needs 29524"):
             accept_table(auto, 9)
-        with pytest.raises(BudgetExceededError, match="word tree words"):
-            bounded_equal(auto, auto, 9)
         # an explicit budget overrides the environment
         assert accept_table(auto, 9, 29_524).size == 29_524
-        assert bounded_equal(auto, auto, 9, 29_524) is None
 
     def test_each_node_expanded_once(self):
         # one state with a self-loop on the one letter

@@ -18,23 +18,23 @@ from sqrtnfa import (
     Nfa,
     RandomSpec,
     accept_table,
-    bounded_equal,
     determinize,
     dfa_accept_table,
     dfa_to_nfa,
     difference_witness,
-    enumerate_words,
     equivalent,
     member,
     random_nfa,
     reach,
+    reachable_triples,
+    sqrt_member_direct,
     sqrt_nfa,
     square_accept_table,
     trim,
     witness,
 )
 from sqrtnfa.nfa import Relation, _mask, _run, _stepper
-from conftest import NFA_AA, make_nfa, nfas, random_word
+from conftest import NFA_AA, first_disagreement, iter_words, make_nfa, nfas, random_word
 
 
 class TestConstruction:
@@ -283,6 +283,23 @@ class TestReachability:
         assert not member(NFA_AA, (0,))
         assert member(NFA_AA, (0, 0))
         assert not member(NFA_AA, (0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "call, word",
+        [
+            (lambda w: member(NFA_AA, w), (0, 0)),
+            (lambda w: reach(NFA_AA, {0}, w), (0,)),
+            (lambda w: sqrt_member_direct(NFA_AA, w), (0,)),
+            (lambda w: reachable_triples(NFA_AA, w), (0,)),
+            (lambda w: determinize(NFA_AA).member(w), (0, 0)),
+        ],
+        ids=["member", "reach", "sqrt_member_direct", "reachable_triples", "dfa-member"],
+    )
+    def test_a_one_shot_word_is_read_once(self, call, word):
+        # an iterator's letters are checked and stepped in one reading, so
+        # it gets the answer of its tuple, which reading no letter would not
+        assert call(word) != call(())
+        assert call(iter(word)) == call(word)
 
     def test_reach_rejects_bad_indices(self):
         with pytest.raises(ValueError):
@@ -588,16 +605,11 @@ class TestEquivalence:
             with pytest.raises(ValueError, match="alphabet"):
                 equivalent(NFA_AA, other)
 
-    def test_bounded_equal_finds_first_disagreement(self):
-        just_a = make_nfa(2, 1, [(0, 0, 1)], {0}, {1})
-        assert bounded_equal(NFA_AA, just_a, 4) == (0,)
-        assert bounded_equal(NFA_AA, NFA_AA, 6) is None
-
-    def test_equivalent_implies_bounded_equal_none(self, small_random):
+    def test_equivalent_implies_member_agrees(self, small_random):
         for auto in small_random[:40]:
             mirror = dfa_to_nfa(determinize(auto))
             assert equivalent(auto, mirror)
-            assert bounded_equal(auto, mirror, 5) is None
+            assert first_disagreement(auto, mirror, 5) is None
 
     def test_inequivalent_pairs_are_caught_both_ways(self, small_random):
         flagged = 0
@@ -605,10 +617,11 @@ class TestEquivalence:
             if first.alphabet != second.alphabet:
                 continue
             agree_exact = equivalent(first, second)
-            probe = bounded_equal(first, second, 5)
+            probe = first_disagreement(first, second, 5)
             if probe is not None:
                 flagged += 1
                 assert not agree_exact
+                assert difference_witness(first, second) == probe
         assert flagged > 0  # the pool is varied enough to disagree somewhere
 
 
@@ -630,11 +643,12 @@ class TestDfaSide:
         d = determinize(b)
         view = dfa_to_nfa(d)
         word = difference_witness(a, view)
-        probe = bounded_equal(a, view, max_len)
         for x, y in ((a, d), (d, a), (a, view)):
             assert equivalent(x, y) == (word is None)
             assert difference_witness(x, y) == word
-            assert bounded_equal(x, y, max_len) == probe
+        # the split word is member's first disagreement, when it is this short
+        short = word is not None and len(word) <= max_len
+        assert first_disagreement(a, view, max_len) == (word if short else None)
         assert np.array_equal(accept_table(d, max_len), dfa_accept_table(d, max_len))
         assert np.array_equal(accept_table(d, max_len), accept_table(view, max_len))
 
@@ -668,23 +682,33 @@ class TestTrim:
         assert t.transitions == ((0, 0, 1), (1, 0, 2))
 
 
+def accepted(auto, max_len):
+    """The words ``accept_table`` flags, read off its rank order by
+    :func:`iter_words`."""
+    words = iter_words(len(auto.alphabet), max_len)
+    return [w for w, flag in zip(words, accept_table(auto, max_len), strict=True) if flag]
+
+
 class TestEnumerate:
     def test_empty_language_gives_empty_list(self):
         a = make_nfa(1, 1, [], {0}, set())
-        assert enumerate_words(a, 5) == []
+        assert accepted(a, 5) == []
 
     def test_aa_language(self):
-        assert enumerate_words(NFA_AA, 3) == [(0, 0)]
+        assert accepted(NFA_AA, 3) == [(0, 0)]
 
     def test_order_is_length_lex(self):
         a = make_nfa(1, 2, [(0, 0, 0), (0, 1, 0)], {0}, {0})
-        words = enumerate_words(a, 2)
+        words = accepted(a, 2)
         assert words == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+        # 0(0|1)*: the flags follow the letter order within each length
+        b = make_nfa(2, 2, [(0, 0, 1), (1, 0, 1), (1, 1, 1)], {0}, {1})
+        assert accepted(b, 2) == [(0,), (0, 0), (0, 1)]
 
     def test_budget_enforced(self):
         a = make_nfa(1, 2, [(0, 0, 0), (0, 1, 0)], {0}, {0})
         with pytest.raises(BudgetExceededError):
-            enumerate_words(a, 30, budget=100)
+            accept_table(a, 30, budget=100)
 
     def test_witness_subalphabet_contains_squared_pair(self, witness6):
         aX = witness6.letter_index("a[2,3,5]")
@@ -701,4 +725,4 @@ class TestEnumerate:
             final=witness6.final,
             transitions=tuple(keep),
         )
-        assert (0, 1, 0, 1) in enumerate_words(sub, 4)
+        assert (0, 1, 0, 1) in accepted(sub, 4)

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "Violation",
     "Word",
     "accept_table",
-    "bounded_equal",
     "case_holds",
     "case_table",
     "certify_lower_bound",
@@ -35,7 +34,6 @@ PUBLIC_NAMES = [
     "difference_witness",
     "effective_budget",
     "emit_nfa",
-    "enumerate_words",
     "equivalent",
     "main",
     "member",
@@ -44,7 +42,6 @@ PUBLIC_NAMES = [
     "pairwise_contradiction",
     "pivot_l",
     "pivot_m",
-    "rank_to_word",
     "random_nfa",
     "reach",
     "reachable_triples",
@@ -91,7 +88,6 @@ PUBLIC_OPTIONS = {
     "VerificationError": (),
     "Violation": ("kind", "i", "j=None"),
     "accept_table": ("nfa", "max_len", "budget=None"),
-    "bounded_equal": ("a", "b", "max_len", "budget=None"),
     "case_holds": ("case", "x1", "x2", "n"),
     "case_table": ("n", "x1", "x2"),
     "certify_lower_bound": ("n", "budget=None"),
@@ -102,7 +98,6 @@ PUBLIC_OPTIONS = {
     "difference_witness": ("a", "b", "cap=None"),
     "effective_budget": ("override=None",),
     "emit_nfa": ("nfa", "state_labels=None"),
-    "enumerate_words": ("nfa", "max_len", "budget=None"),
     "equivalent": ("a", "b", "cap=None"),
     "main": ("argv=None",),
     "member": ("nfa", "word"),
@@ -111,7 +106,6 @@ PUBLIC_OPTIONS = {
     "pairwise_contradiction": ("n", "budget=None"),
     "pivot_l": ("p",),
     "pivot_m": ("p",),
-    "rank_to_word": ("sigma", "rank"),
     "random_nfa": ("spec",),
     "reach": ("nfa", "states", "word"),
     "reachable_triples": ("nfa", "word", "budget=None"),

@@ -144,9 +144,10 @@ class TestWitnessAutomaton:
             assert len(auto.alphabet) == 2 * n**3
 
     def test_too_small_rejected(self):
-        for n in (0, 1, 5):
-            with pytest.raises(ValueError, match="needs n >= 6"):
-                witness(n)
+        for n in (-1, 0, 1, 5):
+            for call in (witness, witness_alphabet):
+                with pytest.raises(ValueError, match="needs n >= 6"):
+                    call(n)
 
     def test_size_guard_and_override(self):
         with pytest.raises(ValueError, match="at most 32 states"):
@@ -163,6 +164,7 @@ class TestWitnessAutomaton:
     def test_witness_entry_points_share_one_size_check(self, n, message):
         calls = [
             lambda: witness(n),
+            lambda: witness_alphabet(n),
             lambda: orbit_count(n),
             lambda: certify_lower_bound(n, budget=1),  # before the n^3 budget check
             lambda: witness_fooling_set(n),

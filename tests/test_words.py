@@ -1,30 +1,33 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sqrtnfa import BudgetExceededError, count_words, determinize, rank_to_word, sqrt_dfa
-from sqrtnfa.words import explore, level_offset
+from sqrtnfa import BudgetExceededError, count_words, determinize, sqrt_dfa
+from sqrtnfa.words import explore
 from conftest import iter_words, nfas
 
 
+# level k + 1 of the rank order starts at count_words(sigma, k)
 def test_level_offsets_binary():
-    assert [level_offset(2, k) for k in range(5)] == [0, 1, 3, 7, 15]
+    assert [count_words(2, k) for k in range(4)] == [1, 3, 7, 15]
 
 
 def test_level_offsets_unary():
-    assert [level_offset(1, k) for k in range(4)] == [0, 1, 2, 3]
+    assert [count_words(1, k) for k in range(3)] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("sigma", [1, 2])
 def test_level_offset_refuses_a_negative_length(sigma):
-    with pytest.raises(ValueError, match="^length -3 out of range$"):
-        level_offset(sigma, -3)
+    with pytest.raises(ValueError, match="^max_len -3 out of range$"):
+        count_words(sigma, -3)
 
 
 def test_count_words():
     assert count_words(3, 0) == 1
     assert count_words(3, 2) == 13
     assert count_words(2, 3) == 15
+    # a numpy alphabet size is read as an int: no 64-bit wrap to a negative count
+    assert count_words(np.int64(10), 30) == (10**31 - 1) // 9
 
 
 def test_rank_order_matches_iteration():
@@ -32,27 +35,12 @@ def test_rank_order_matches_iteration():
     assert words[0] == ()
     assert words[1:3] == [(0,), (1,)]
     assert len(words) == count_words(2, 3)
-    for rank, word in enumerate(words):
-        assert rank_to_word(2, rank) == word
 
 
 def test_iter_words_is_length_lex():
     words = list(iter_words(3, 3))
     keys = [(len(w), w) for w in words]
     assert keys == sorted(keys)
-
-
-def test_rank_to_word_rejects_negative():
-    with pytest.raises(ValueError):
-        rank_to_word(2, -1)
-
-
-@given(st.integers(1, 5), st.lists(st.integers(0, 4), max_size=6))
-def test_rank_round_trip(sigma, raw):
-    # the words no longer than it include every word ranked below it
-    word = tuple(a % sigma for a in raw)
-    rank = list(iter_words(sigma, len(word))).index(word)
-    assert rank_to_word(sigma, rank) == word
 
 
 def chain(node):
