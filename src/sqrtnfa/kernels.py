@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import VerificationError
-from .nfa import Nfa
+from .nfa import Nfa, pack
 from .sqrt import TripleCodec
 from .witness import _PIVOT_L, _PIVOT_M, MIN_STATES, check_witness_n
 
@@ -214,8 +214,8 @@ def _letter_slots(auto: Nfa) -> np.ndarray:
     (1 for an initial source on an a-letter, a final target on a b-letter),
     as a (3, k, 2n^3) uint8 array; an unused slot holds n."""
     n, sigma = auto.n_states, len(auto.alphabet)
-    relation = auto.transitions.array
-    source, letter, target = relation[np.argsort(relation[:, 1], kind="stable")].T
+    columns = np.stack(auto.transitions.unpack())
+    source, letter, target = columns[:, np.argsort(columns[1], kind="stable")]
     counts = np.bincount(letter, minlength=sigma)
     slot = np.arange(letter.size) - np.repeat(np.cumsum(counts) - counts, counts)
     initial, final = np.isin(source, list(auto.initial)), np.isin(target, list(auto.final))
@@ -265,14 +265,14 @@ def check_symmetric(auto: Nfa) -> Nfa:
     n, sigma = auto.n_states, len(auto.alphabet)
     check_witness_n(n)
     codec = TripleCodec(n)
-    source, letter, target = auto.transitions.array.T
+    keys = auto.transitions.keys
+    source, letter, target = auto.transitions.unpack()
     kind, q, r = codec.split(letter)  # kind is p on a-letters and n + p on b-letters
-    keys = (source * sigma + letter) * n + target  # ascending, as the relation is sorted
     names = ("(6 7)", f"({' '.join(map(str, range(6, n)))})")
     perms = (np.r_[0:6, 7, 6, 8:n], np.r_[0:6, 7:n, 6])
     for name, perm in zip(names, perms) if n > 7 else ():
         relabel = codec.join(np.r_[perm, n + perm][kind], perm[q], perm[r])
-        mapped = np.sort((perm[source] * sigma + relabel) * n + perm[target])
+        mapped = np.sort(pack(perm[source], relabel, perm[target], n, sigma))
         fixed = [frozenset(perm[list(s)].tolist()) for s in (auto.initial, auto.final)]
         if not np.array_equal(mapped, keys) or fixed != [auto.initial, auto.final]:
             raise VerificationError(f"the automaton is not fixed by the permutation {name}")

@@ -9,11 +9,15 @@ so shared instances are safe to use concurrently: successor rows and
 table entries are built on first use, and a concurrent first use can at
 worst build an entry twice.
 
-An ``Nfa`` holds its relation as one sorted, read-only ``(k, 3)`` int64
-array of (source, letter, target) rows, validated with array operations;
-``Nfa.transitions`` is a :class:`Relation` view of it that reads like the
-tuple of triples.  A set of states is simulated as an int bitmask, stepped
-through one successor index, ``_succ``, in one of two forms, one per
+An ``Nfa`` holds its relation as one sorted, read-only int64 array of
+keys, one per transition: ``(source * sigma + letter) * n + target``,
+so ascending keys are the triples in (source, letter, target) order and
+a state's transitions are one run of keys.  The keys are validated with
+a few array operations, and an automaton whose keys would pass int64
+(n * n * sigma >= 2**63) is refused.  ``Nfa.transitions`` is a
+:class:`Relation` view of them that reads like the tuple of triples and
+decodes rows only on demand.  A set of states is simulated as an int
+bitmask, stepped through one successor index, ``_succ``, in one of two forms, one per
 access pattern.  A step on one letter (``reach``, ``member``, ``targets``)
 reads each set state's row, a dict from letter to successor mask.  A step
 on every letter at once (``_stepper``: ``determinize``, the product walk
@@ -41,7 +45,7 @@ checks any other table entry by entry.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -57,33 +61,52 @@ Transition = tuple[int, int, int]  # (source, letter, target)
 
 
 class Relation(Sequence):
-    """Read-only view of a transition relation: one sorted ``(k, 3)`` int64
-    array of (source, letter, target) rows, duplicate-free.
+    """Read-only view of a transition relation over n states and sigma
+    letters, duplicate-free and sorted by (source, letter, target).
 
-    ``len`` reads the array.  Iteration, indexing, ``hash`` and ``repr``
-    behave as for the tuple of triples, which is built once, on first
-    need, and a view equals that tuple.  Wrapping an array marks it
-    read-only; an ``Nfa`` validates every relation it is given, a
-    ``Relation`` included, so one in an automaton always holds.
+    It holds one sorted, read-only int64 array, ``keys``, of one key
+    ``(source * sigma + letter) * n + target`` per transition: ascending
+    keys are the triples in that order.  :meth:`unpack` and ``.array``, a
+    read-only ``(k, 3)`` array of (source, letter, target) rows, decode
+    them on each call; ``len`` reads the keys.  Iteration, indexing,
+    ``hash`` and ``repr`` behave as for the tuple of triples, which is
+    decoded once, on first need, and a view equals that tuple.  An
+    ``Nfa`` over the same n and sigma given a ``Relation`` checks only
+    that its keys lie in range and strictly increase, sorting them first
+    if they do not; any other ``Nfa`` decodes and packs it again.
     """
 
-    __slots__ = ("array", "_tuples")
+    __slots__ = ("keys", "_radix", "_tuples")
 
-    def __init__(self, array: np.ndarray):
-        array.flags.writeable = False
-        self.array = array
+    def __init__(self, keys: np.ndarray, n: int, sigma: int):
+        keys.flags.writeable = False
+        self.keys, self._radix = keys, (n, sigma)
         self._tuples: tuple[Transition, ...] | None = None
 
     def __reduce__(self):
-        return Relation, (self.array,)
+        return Relation, (self.keys, *self._radix)
+
+    def unpack(self, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """The sources, letters and targets of the keys in ``rows``."""
+        n, sigma = self._radix
+        keys = self.keys[rows]
+        pairs = keys // n  # a floor division and a product: faster than np.divmod
+        source = pairs // sigma
+        return source, pairs - source * sigma, keys - pairs * n
+
+    @property
+    def array(self) -> np.ndarray:
+        array = np.column_stack(self.unpack())
+        array.flags.writeable = False
+        return array
 
     def _triples(self) -> tuple[Transition, ...]:
         if self._tuples is None:
-            self._tuples = tuple(map(tuple, self.array.tolist()))
+            self._tuples = tuple(zip(*(column.tolist() for column in self.unpack())))
         return self._tuples
 
     def __len__(self) -> int:
-        return len(self.array)
+        return len(self.keys)
 
     def __getitem__(self, index):
         return self._triples()[index]
@@ -93,6 +116,8 @@ class Relation(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Relation):
+            if self._radix == other._radix:
+                return np.array_equal(self.keys, other.keys)
             return np.array_equal(self.array, other.array)
         if isinstance(other, tuple):
             return self._triples() == other
@@ -106,8 +131,8 @@ class Relation(Sequence):
 
 
 class _SuccessorIndex:
-    """Successors in two forms, built on first use from the states' slices
-    of the sorted relation, in dicts that grow with use, not with n.  A
+    """Successors in two forms, built on first use from the states' runs
+    of sorted keys, in dicts that grow with use, not with n.  A
     row, for one-letter steps, is a state's dict from letter to successor
     mask.  ``tables[i]``, for all-letter steps, has 256 slots; slot b packs
     the successors of the states 8i + j, j a set bit of b, on every letter
@@ -117,35 +142,35 @@ class _SuccessorIndex:
     meets.
     """
 
-    def __init__(self, relation: np.ndarray, n: int, sigma: int):
-        self._relation = relation
+    def __init__(self, keys: np.ndarray, n: int, sigma: int):
+        self._keys, self._n, self._span = keys, n, sigma * n
         self.width = -(-n // 8)
         self.size = sigma * self.width
         self.rows: dict[int, dict[int, int]] = {}
         self.tables: dict[int, list[int | None]] = {}
 
-    def _entries(self, state: int) -> list[list[int]]:
-        """The state's letters and targets, in relation order."""
-        sources = self._relation[:, 0].data  # the sorted column, read in place
-        start = bisect_left(sources, state)
-        end = bisect_right(sources, state, start)
-        return self._relation[start:end, 1:].T.tolist()
+    def _entries(self, state: int) -> list[tuple[int, int]]:
+        """The state's (letter, target) pairs, in relation order: its keys
+        are those in [state * sigma * n, (state + 1) * sigma * n)."""
+        keys, base, n = self._keys.data, state * self._span, self._n  # read in place
+        start = bisect_left(keys, base)
+        end = bisect_left(keys, base + self._span, start)
+        return [divmod(key - base, n) for key in keys[start:end].tolist()]
 
     def row(self, state: int) -> dict[int, int]:
         try:
             return self.rows[state]
         except KeyError:
             row = {}
-            for a, t in zip(*self._entries(state)):
+            for a, t in self._entries(state):
                 row[a] = row.get(a, 0) | 1 << t
             self.rows[state] = row
             return row
 
     def _column(self, state: int) -> int:
         """The state's successors on every letter, packed."""
-        letters, targets = self._entries(state)
         packed, width = bytearray(self.size), self.width
-        for a, t in zip(letters, targets):
+        for a, t in self._entries(state):
             packed[a * width + (t >> 3)] |= 1 << (t & 7)
         return int.from_bytes(packed, "little")
 
@@ -170,11 +195,15 @@ class Nfa:
     """Nondeterministic finite automaton over named letters.
 
     ``transitions`` is an explicit relation of (source, letter, target)
-    triples, given as any sequence of triples or a ``(k, 3)`` integer
-    array, which is copied, or as a :class:`Relation`, whose array is
-    validated like any other and kept without a copy when it is already
-    a ``(k, 3)`` int64 array.  It is kept as a
-    :class:`Relation` over one sorted int64 array.
+    triples, given as any sequence of triples, a ``(k, 3)`` integer array
+    or a :class:`Relation`, whose keys are kept without a copy when it
+    was packed for the same n and sigma.  Each column's range is checked
+    before rows are packed into keys, so a key never overflows; the keys are
+    sorted unless they already strictly increase, and one pass checks
+    that they are sorted and duplicate-free.  They are kept as a
+    :class:`Relation`.  Keys run below n * n * sigma, so an automaton
+    with n * n * sigma >= 2**63 is refused with ``ValueError`` before
+    its relation is read.
     Steps read the successor index ``_succ``, built on first use.  A
     one-letter step reads rows: dicts from letter to successor mask,
     sparse because witness-style alphabets are large (thousands of
@@ -191,25 +220,19 @@ class Nfa:
     def __post_init__(self):
         object.__setattr__(self, "n_states", _checked_state_count(self.n_states))
         object.__setattr__(self, "alphabet", _checked_alphabet(self.alphabet))
+        check_key_limit(self.n_states, len(self.alphabet))
         for label in ("initial", "final"):
             states = frozenset(
                 check_int(s, f"{label} state", 0, self.n_states) for s in getattr(self, label)
             )
             object.__setattr__(self, label, states)
-        relation = self.transitions
-        if isinstance(relation, Relation):
-            relation = relation.array
-            if relation.dtype != np.int64 or relation.shape[1:] != (3,):
-                relation = _relation_array(relation)
-        else:
-            relation = _relation_array(relation)
-        relation = _sorted_relation(relation, self.n_states, len(self.alphabet))
-        object.__setattr__(self, "transitions", Relation(relation))
+        relation = _checked_relation(self.transitions, self.n_states, len(self.alphabet))
+        object.__setattr__(self, "transitions", relation)
 
     @cached_property
     def _succ(self) -> _SuccessorIndex:
         # written to the instance __dict__, not a field: not in ==, hash, repr
-        return _SuccessorIndex(self.transitions.array, self.n_states, len(self.alphabet))
+        return _SuccessorIndex(self.transitions.keys, self.n_states, len(self.alphabet))
 
     def letter_index(self, name: str) -> int:
         try:
@@ -229,14 +252,60 @@ class Nfa:
 _INT64 = range(-(2**63), 2**63)
 
 
+def check_key_limit(n: int, sigma: int) -> None:
+    """Refuse ``n`` states and ``sigma`` letters when their transition keys
+    (source * sigma + letter) * n + target, which run below n * n * sigma,
+    would not all fit in int64."""
+    if n * n * sigma >= 2**63:
+        raise ValueError(
+            f"transition keys need n*n*sigma below 2**63, but n = {n} and "
+            f"sigma = {sigma} give {n * n * sigma}"
+        )
+
+
+def pack(source, letter, target, n: int, sigma: int):
+    """The keys ``(source * sigma + letter) * n + target`` of transitions
+    over n states and sigma letters, on ints or numpy arrays alike,
+    unchecked: ascending keys are the transitions in (source, letter,
+    target) order."""
+    return (source * sigma + letter) * n + target
+
+
+def _checked_relation(transitions, n: int, sigma: int) -> Relation:
+    """The transitions as a validated :class:`Relation` over n states and
+    sigma letters.  Its keys are those of a ``Relation`` packed for this n
+    and sigma, and else packed here from the ``(k, 3)`` rows, after each
+    column's range is checked; they are sorted only if they do not
+    already strictly increase.  Any fault is reported by
+    :func:`_first_bad`."""
+    if isinstance(transitions, Relation) and transitions._radix == (n, sigma):
+        keys = transitions.keys
+    else:
+        if isinstance(transitions, Relation):
+            transitions = transitions.array
+        rows = _relation_array(transitions)
+        # as unsigned, a negative entry reads as one above every bound
+        src, letter, dst = rows.view(np.uint64).max(axis=0, initial=0).tolist()
+        if max(src, dst) >= n or letter >= sigma:
+            raise _first_bad(rows[np.lexsort(rows.T[::-1])], n, sigma)
+        keys = pack(*rows.T, n, sigma)
+    increasing = _increasing(keys)
+    if not increasing:
+        keys = np.sort(keys)
+    in_range = not len(keys) or 0 <= keys[0] and keys[-1] < n * n * sigma
+    if not (in_range and (increasing or _increasing(keys))):
+        raise _first_bad(Relation(keys, n, sigma).array, n, sigma)
+    return Relation(keys, n, sigma)
+
+
 def _relation_array(transitions) -> np.ndarray:
-    """The triples as a fresh ``(k, 3)`` int64 array; an entry that is not
-    a 64-bit integer raises ``ValueError``, never a truncated value."""
+    """The triples as a ``(k, 3)`` int64 array; an entry that is not a
+    64-bit integer raises ``ValueError``, never a truncated value."""
     if not isinstance(transitions, (np.ndarray, list, tuple)):
         transitions = tuple(transitions)
     if len(transitions) == 0:
         return np.empty((0, 3), dtype=np.int64)
-    array = np.array(transitions)
+    array = np.asarray(transitions)
     if array.ndim != 2 or array.shape[1] != 3:
         raise ValueError("transitions must be (source, letter, target) triples")
     if array.dtype.kind not in "bi":
@@ -249,29 +318,9 @@ def _relation_array(transitions) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def _sorted_relation(relation: np.ndarray, n: int, sigma: int) -> np.ndarray:
-    """The validated relation, sorted by (source, letter, target).
-
-    Rows that strictly increase in that order are sorted and
-    duplicate-free, so a sorted relation is not sorted again.
-    """
-    increasing = _increasing(relation)
-    if not increasing:
-        relation = relation[np.lexsort(relation.T[::-1])]
-    # as unsigned, a negative entry reads as one above every bound
-    src, letter, dst = (int(c.max(initial=0)) for c in relation.view(np.uint64).T)
-    if max(src, dst) >= n or letter >= sigma or not (increasing or _increasing(relation)):
-        raise _first_bad(relation, n, sigma)
-    return relation
-
-
-def _increasing(relation: np.ndarray) -> bool:
-    """Whether the rows strictly increase in lexicographic order."""
-    before, after = relation[:-1].T, relation[1:].T
-    rises = after[2] > before[2]
-    for column in (1, 0):
-        rises = (after[column] > before[column]) | (after[column] == before[column]) & rises
-    return bool(rises.all())
+def _increasing(keys: np.ndarray) -> bool:
+    """Whether the keys strictly increase: sorted and duplicate-free."""
+    return bool((keys[1:] > keys[:-1]).all())
 
 
 def _first_bad(rows: np.ndarray, n: int, sigma: int) -> ValueError:
@@ -512,17 +561,15 @@ def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:
 def dfa_to_nfa(dfa: Dfa) -> Nfa:
     """View a DFA as an NFA with the same language."""
     n, sigma = dfa.n_states, len(dfa.alphabet)
-    # rows (s, a, transitions[s][a]) in (s, a) order: already sorted
-    relation = np.empty((n * sigma, 3), dtype=np.int64)
-    relation[:, 0] = np.repeat(np.arange(n), sigma)
-    relation[:, 1] = np.tile(np.arange(sigma), n)
-    relation[:, 2] = np.ravel(dfa.transitions)
+    # the key of (s, a, transitions[s][a]) is (s * sigma + a) * n + its
+    # target: in (s, a) order, already sorted
+    keys = np.arange(n * sigma) * n + np.ravel(dfa.transitions)
     return Nfa(
         n_states=n,
         alphabet=dfa.alphabet,
         initial=frozenset({dfa.initial}),
         final=dfa.final,
-        transitions=Relation(relation),
+        transitions=Relation(keys, n, sigma),
     )
 
 

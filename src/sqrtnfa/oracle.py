@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_int
-from .nfa import Dfa, Nfa, Word, _explored_dfa, _square_walk, member
+from .nfa import Dfa, Nfa, Relation, Word, _explored_dfa, _square_walk, member
 
 
 def sqrt_member_direct(nfa: Nfa, word: Word) -> bool:
@@ -121,5 +121,5 @@ def random_nfa(spec: RandomSpec) -> Nfa:
         alphabet=letters,
         initial=initial,
         final=final,
-        transitions=np.argwhere(coins),
+        transitions=Relation(np.flatnonzero(coins), n, spec.alphabet_size),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import charge, check_int
-from .nfa import Nfa, Relation, Word, reach
+from .nfa import Nfa, Relation, Word, check_key_limit, pack, reach
 
 
 @dataclass(frozen=True)
@@ -51,51 +51,59 @@ def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
     is a separate explicit call), the first coordinate is conserved by
     every transition, and transitions come out sorted, so the construction
     is deterministic.  Both the n^3 states and the n * sum over letters of
-    (pairs per letter)^2 transitions must fit the budget, which is checked
-    before anything is allocated.
+    (pairs per letter)^2 transitions must fit the budget, and the cube's
+    transition keys must fit in int64 (see :class:`Relation`), which is
+    checked before anything is allocated.
 
-    The relation is built as one array: each letter's (q -> q', r -> r')
-    pair products, sorted once, then broadcast over the n values of p,
-    which is the leading coordinate of every source.
+    The relation is built as one array of keys: each letter's
+    (q -> q', r -> r') pair products are packed and sorted once, then
+    broadcast over the n values of p.  Going from p to p + 1 adds n^2 to
+    a source and to its target, so n^2 * (sigma * n^3 + 1) to a key, and
+    p leads every source, so the blocks of keys follow in order.
     """
-    n = nfa.n_states
-    sigma = len(nfa.alphabet)
-    budget = charge("cube construction states", n**3, budget)
+    n, sigma = nfa.n_states, len(nfa.alphabet)
+    size = n**3
+    budget = charge("cube construction states", size, budget)
+    check_key_limit(size, sigma)
     codec = TripleCodec(n)
 
     # The input's transitions grouped by letter; each letter's products
     # pair only its own transitions, which keeps the result sparse when
     # letters touch few states (the witness alphabet has at most two
     # sources per letter).
-    relation = nfa.transitions.array
-    grouped = relation[np.argsort(relation[:, 1], kind="stable")]
-    letter = grouped[:, 1]
+    source, letter, target = nfa.transitions.unpack()
+    order = np.argsort(letter, kind="stable")
+    source, letter, target = source[order], letter[order], target[order]
     counts = np.bincount(letter, minlength=sigma)
     n_transitions = n * int(counts @ counts)
     charge("cube construction transitions", n_transitions, budget)
 
     # product k pairs transition first[k] (the q coordinate) with
     # transition second[k] (the r coordinate) of the same letter, giving
-    # (q*n + r, letter, q'*n + r')
+    # the key of (q*n + r, letter, q'*n + r') for p = 0
     sizes = counts[letter]
-    first = np.repeat(np.arange(len(grouped)), sizes)
+    first = np.repeat(np.arange(len(letter)), sizes)
     block_start = np.repeat(np.cumsum(sizes) - sizes, sizes)
     letter_start = np.cumsum(counts) - counts
     second = letter_start[letter[first]] + np.arange(len(first)) - block_start
-    products = grouped[first] * (n, 1, n) + grouped[second] * (1, 0, 1)
-    products = products[np.lexsort(products.T[::-1])]
-    # p leads every source, so sorted products stay sorted under its offsets
-    offsets = np.multiply.outer(np.arange(n) * (n * n), (1, 0, 1))
-    cube = offsets[:, None, :] + products
+    products = pack(
+        source[first] * n + source[second],
+        letter[first],
+        target[first] * n + target[second],
+        size,
+        sigma,
+    )
+    products.sort()
+    keys = np.add.outer(np.arange(n) * (n * n * (sigma * size + 1)), products)
 
     initial = frozenset(codec.join(p, q0, p) for p in range(n) for q0 in nfa.initial)
     final = frozenset(codec.join(p, p, f) for p in range(n) for f in nfa.final)
     return Nfa(
-        n_states=n**3,
+        n_states=size,
         alphabet=nfa.alphabet,
         initial=initial,
         final=final,
-        transitions=Relation(cube.reshape(-1, 3)),
+        transitions=Relation(keys.ravel(), size, sigma),
     )
 
 

@@ -14,13 +14,13 @@ the canonical form (directives in the order above, transitions in sorted
 order), so emit(parse(emit(x))) is byte-identical to emit(x).  It is made
 in blocks of rows, which the CLI writes out one at a time.
 
-``parse_nfa`` reads canonical text on an array path: the header line by
-line, the ``trans`` block as flat token lists turned into one relation
-array, accepted only when emitting the result gives the block back byte
-for byte, block by block.  Any other text (comments or blank lines among
-the transitions, unsorted lines, CRLF, a bad token) goes through the
-per-line parser, which is the reference and the only reporter of a
-``FormatError``.
+``parse_nfa`` reads canonical text on a key path: the header line by
+line, the ``trans`` block as flat token lists packed into one array of
+keys (see :class:`~sqrtnfa.nfa.Relation`), accepted only when emitting
+the result gives the block back byte for byte, block by block.  Any
+other text (comments or blank lines among the transitions, unsorted
+lines, CRLF, a bad token) goes through the per-line parser, which is the
+reference and the only reporter of a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import FormatError
-from .nfa import Nfa, Relation
+from .nfa import Nfa, Relation, pack
 
 _CHUNK = 1 << 16  # characters of trans lines tokenized at a time
 _ROWS = 1 << 14  # trans lines emitted per piece
@@ -61,7 +61,9 @@ def _parse_canonical(text: str) -> Nfa | None:
     ``ValueError``, ``KeyError`` or ``OverflowError`` instead.
 
     The block is split into tokens a chunk of whole lines at a time, which
-    keeps the token strings of only one chunk alive.
+    keeps the token strings of only one chunk alive, and each chunk is
+    packed into keys unchecked: a row out of range packs to a wrong key,
+    whose emitted line then differs from the block.
     """
     start = text.find("\ntrans ") + 1
     if not start:
@@ -69,7 +71,8 @@ def _parse_canonical(text: str) -> Nfa | None:
     fields = _parse_lines(text[:start])
     if fields["transitions"]:  # on the first line, or indented
         return None
-    letter_index = dict(zip(fields["alphabet"], range(len(fields["alphabet"]))))
+    n, sigma = fields["n_states"], len(fields["alphabet"])
+    letter_index = dict(zip(fields["alphabet"], range(sigma)))
     block, chunks, begin = text[start:], [], 0
     while begin < len(block):
         end = block.find("\n", begin + _CHUNK) + 1 or len(block)
@@ -79,9 +82,10 @@ def _parse_canonical(text: str) -> Nfa | None:
             list(map(letter_index.__getitem__, tokens[2::4])),
             list(map(int, tokens[3::4])),
         )
-        chunks.append(np.array(columns, dtype=np.int64).T)
+        chunks.append(pack(*np.array(columns, dtype=np.int64), n, sigma))
         begin = end
-    nfa = Nfa(**{**fields, "transitions": Relation(np.concatenate(chunks))})
+    keys = np.concatenate(chunks)
+    nfa = Nfa(**{**fields, "transitions": Relation(keys, n, sigma)})
     pos = 0
     for piece in islice(_pieces(nfa), 1, None):  # the trans blocks
         if not block.startswith(piece, pos):
@@ -194,10 +198,10 @@ def _pieces(nfa: Nfa, state_labels: dict[int, str] | None = None) -> Iterator[st
     ``_ROWS`` at a time.  The header is built at the call, so a bad label
     raises before any piece is taken.
 
-    Each block indexes one ``"trans {s} "`` and one ``" {d}\\n"`` string
-    per state with the relation's columns; the tables cover every state
-    unless the state numbers are sparse, where they cover only the states
-    in use."""
+    Each block decodes its own keys and indexes one ``"trans {s} "`` and
+    one ``" {d}\\n"`` string per state with the decoded columns; the
+    tables cover every state unless the state numbers are sparse, where
+    they cover only the states in use."""
     lines = [f"states {nfa.n_states}"]
     if state_labels:
         order = sorted(state_labels)
@@ -211,19 +215,23 @@ def _pieces(nfa: Nfa, state_labels: dict[int, str] | None = None) -> Iterator[st
     lines.append(("initial " + " ".join(str(s) for s in sorted(nfa.initial))).rstrip())
     lines.append(("final " + " ".join(str(s) for s in sorted(nfa.final))).rstrip())
 
-    relation = nfa.transitions.array
-    ends = relation[:, 0::2]
-    if nfa.n_states <= 2 * len(relation):
-        used = range(nfa.n_states)
+    relation, n = nfa.transitions, nfa.n_states
+    used = None
+    if n <= 2 * len(relation):
+        states = range(n)
     else:
-        used, ends = np.unique(ends, return_inverse=True)
-        used, ends = used.tolist(), ends.reshape(-1, 2)
-    heads = np.array([f"trans {s} " for s in used], dtype=object)
-    tails = np.array([f" {d}\n" for d in used], dtype=object)
+        source, _, target = relation.unpack()
+        used = np.unique(np.concatenate([source, target]))
+        states = used.tolist()
+    heads = np.array([f"trans {s} " for s in states], dtype=object)
+    tails = np.array([f" {d}\n" for d in states], dtype=object)
     names = np.array(nfa.alphabet, dtype=object)
 
     def block(rows: slice) -> str:
-        body = (heads[ends[rows, 0]], names[relation[rows, 1]], tails[ends[rows, 1]])
+        source, letter, target = relation.unpack(rows)
+        if used is not None:
+            source, target = np.searchsorted(used, source), np.searchsorted(used, target)
+        body = (heads[source], names[letter], tails[target])
         return "".join(np.column_stack(body).ravel().tolist())
 
     step = _ROWS

@@ -134,7 +134,7 @@ def refused_peak(call, phase: str) -> int:
 
 
 def test_a_refused_cube_allocates_nothing_of_its_size():
-    auto = witness(12)
+    auto = witness(16)  # its cube's keys take 4 MiB
     need = len(sqrt_nfa(auto, 10**6).transitions)
     assert traced_peak(lambda: sqrt_nfa(auto, need)) > 4 * REFUSAL_PEAK
     peak = refused_peak(lambda: sqrt_nfa(auto, need - 1), "cube construction transitions")

@@ -185,7 +185,8 @@ class TestInputStates:
     by it; the budget comes from --budget where the command has one, else
     from the environment."""
 
-    HUGE = "states 1000000000000\nalphabet a\ninitial 0\nfinal 999999999999\ntrans 0 a 0\n"
+    # the most states whose transition keys fit in int64 is about 3 * 10**9
+    HUGE = "states 1000000000\nalphabet a\ninitial 0\nfinal 999999999\ntrans 0 a 0\n"
 
     @pytest.mark.parametrize(
         "command",
@@ -205,7 +206,25 @@ class TestInputStates:
         assert (code, out) == (3, "")
         assert err == (
             "budget exceeded: input automaton states: "
-            "needs 1000000000000, exceeds budget 1000000\n"
+            "needs 1000000000, exceeds budget 1000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        [["member", "--word", "a"], ["sqrt"]],
+        ids=lambda command: command[0],
+    )
+    def test_keys_past_int64_are_a_usage_error(self, capsys, monkeypatch, tmp_path, command):
+        # refused whatever the budget; under the default budget the parent
+        # refused this file on its state count (exit 3)
+        monkeypatch.setenv(BUDGET_ENV, str(2**40))
+        path = tmp_path / "past-the-key-limit.nfa"
+        path.write_text("states 4294967296\nalphabet a\ninitial 0\nfinal 0\ntrans 0 a 0\n")
+        code, out, err = run(capsys, *command, "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: transition keys need n*n*sigma below 2**63, "
+            "but n = 4294967296 and sigma = 1 give 18446744073709551616\n"
         )
 
     def test_the_budget_variable_bounds_member(self, capsys, monkeypatch, w6_file):

@@ -94,6 +94,21 @@ def test_one_lane_steps_on_every_letter():
     assert attribute_readers(trees, "columns") == set()
 
 
+def test_only_nfa_py_decodes_a_whole_relation():
+    # a relation is read as keys; Relation.array decodes all of them into
+    # (k, 3) rows on every read, so no module but nfa.py reads it, by any
+    # name: every other ``.array`` is numpy's
+    trees = parse_sources()
+    readers = {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "array"
+        and getattr(node.value, "id", None) != "np"
+    }
+    assert readers == {"nfa.py"}
+
+
 def callers(trees: dict[str, ast.Module], name: str) -> set[tuple[str, str | None]]:
     """The top-level statements, as (module, name), whose code calls
     ``name(...)``, bare or dotted."""

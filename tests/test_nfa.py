@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import math
 import pickle
 import re
 import sys
@@ -33,7 +34,7 @@ from sqrtnfa import (
     trim,
     witness,
 )
-from sqrtnfa.nfa import Relation, _mask, _run, _stepper
+from sqrtnfa.nfa import _mask, _run, _stepper
 from conftest import NFA_AA, first_disagreement, iter_words, make_nfa, nfas, random_word
 
 
@@ -84,8 +85,8 @@ class TestConstruction:
             ((0, 0.5, 1),),
             ((0, 0, 1), (1.0, 0, 0)),
             np.array([[0.0, 0.0, 1.5]]),
-            Relation(np.array([[0.0, 0.0, 1.5]])),
-            Relation(np.zeros((1, 3))),
+            np.zeros((1, 3)),
+            np.array([[0, 0, 2**63]], dtype=np.uint64),
         ],
     )
     def test_non_integer_entries_rejected(self, triples):
@@ -102,8 +103,6 @@ class TestConstruction:
     def test_misshapen_relations_rejected(self, triples):
         with pytest.raises(ValueError, match="must be .source, letter, target. triples"):
             Nfa(2, ("a",), {0}, set(), triples)
-        with pytest.raises(ValueError, match="must be .source, letter, target. triples"):
-            Nfa(2, ("a",), {0}, set(), Relation(np.array(triples)))
 
     @pytest.mark.parametrize(
         "build, message",
@@ -203,7 +202,7 @@ class TestArrayRelation:
         assert list(from_array.transitions) == sorted(triples)
         if triples:
             assert from_array.transitions[-1] == max(triples)
-        assert not from_array.transitions.array.flags.writeable
+        assert not from_array.transitions.keys.flags.writeable
 
     @pytest.mark.parametrize(
         "n, triples, message",
@@ -223,26 +222,67 @@ class TestArrayRelation:
         for given_as in (
             tuple(triples),
             np.array(triples),
-            Relation(np.array(triples)),
-            Relation(np.array(triples, dtype=np.int32)),
+            np.array(triples, dtype=np.int32),
         ):
             with pytest.raises(ValueError, match=f"^{message}"):
                 Nfa(n, ("a",), {0}, set(), given_as)
 
-    def test_state_numbers_beyond_32_bits(self):
-        # a packed (source, letter, target) key would pass 2**63 here
-        n = 2**32
+    def test_state_numbers_up_to_the_key_limit(self):
+        # keys (source * 3 + letter) * n + target pass 2**62 here
+        n = 2**30
         triples = [(n - 1, 2, 0), (5, 0, n - 1), (n - 1, 0, 7), (5, 0, 3), (0, 2, n - 2)]
         a = Nfa(n, ("x", "y", "z"), {0}, {n - 1}, tuple(triples))
         assert a.transitions == tuple(sorted(triples))
         reversed_array = np.array(sorted(triples)[::-1])
         assert Nfa(n, ("x", "y", "z"), {0}, {n - 1}, reversed_array) == a
-        with pytest.raises(ValueError, match=r"transition \(5, 0, 4294967296\) has a state"):
+        with pytest.raises(ValueError, match=r"transition \(5, 0, 1073741824\) has a state"):
             Nfa(n, ("x", "y", "z"), {0}, set(), tuple(triples) + ((5, 0, n),))
         with pytest.raises(ValueError, match=r"transition \(5, 3, 1\) has a letter"):
             Nfa(n, ("x", "y", "z"), {0}, set(), tuple(triples) + ((5, 3, 1),))
         with pytest.raises(ValueError, match=r"duplicate transition \(5, 0, 3\)"):
             Nfa(n, ("x", "y", "z"), {0}, set(), tuple(triples) + ((5, 0, 3),))
+        # the largest n whose keys fit: its last key is 3 * n * n - 1 < 2**63
+        n = math.isqrt((2**63 - 1) // 3)
+        last = (n - 1, 2, n - 1)
+        b = Nfa(n, ("x", "y", "z"), {0}, {n - 1}, ((0, 0, 0), last))
+        assert b.transitions[-1] == last and member(b, (2,)) is False
+        assert b.transitions.keys[-1] == 3 * n * n - 1
+        with pytest.raises(ValueError, match=r"^transition keys need n\*n\*sigma below 2\*\*63"):
+            Nfa(n + 1, ("x", "y", "z"), {0}, set(), ())
+        # n * n * sigma = 2**63 exactly is refused too
+        with pytest.raises(ValueError, match=r"give 9223372036854775808$"):
+            Nfa(2**31, ("x", "y"), {0}, set(), ())
+
+    def test_a_relation_is_repacked_for_another_automaton(self):
+        # keys depend on n and sigma: another automaton's relation is
+        # decoded, checked and packed again
+        a = Nfa(3, ("a", "b"), {0}, {2}, ((0, 1, 2), (2, 0, 1), (1, 1, 1)))
+        b = Nfa(5, ("a", "b", "c"), {0}, {2}, a.transitions)
+        assert b.transitions == a.transitions == ((0, 1, 2), (1, 1, 1), (2, 0, 1))
+        assert b.transitions.keys.tolist() == [7, 21, 31]
+        assert member(b, (1,)) and not member(b, (1, 0)) and not member(b, (2,))
+        with pytest.raises(ValueError, match=r"^transition \(0, 1, 2\) has a state out of range"):
+            Nfa(2, ("a", "b"), {0}, {1}, a.transitions)
+        with pytest.raises(ValueError, match=r"^transition \(0, 1, 2\) has a letter out of range"):
+            Nfa(3, ("a",), {0}, {1}, a.transitions)
+
+    def test_state_numbers_beyond_32_bits(self):
+        # keys would pass int64: refused before the relation is read
+        n = 2**32
+        triples = [(n - 1, 2, 0), (5, 0, n - 1), (n - 1, 0, 7), (5, 0, 3), (0, 2, n - 2)]
+        message = (
+            r"^transition keys need n\*n\*sigma below 2\*\*63, "
+            r"but n = 4294967296 and sigma = 3 give 55340232221128654848$"
+        )
+
+        def unread():
+            raise AssertionError("the relation was read")
+            yield
+
+        packed = Nfa(2**30, ("x", "y", "z"), {0}, set(), ((5, 0, 3),)).transitions
+        for given_as in (tuple(triples), np.array(triples), packed, unread()):
+            with pytest.raises(ValueError, match=message):
+                Nfa(n, ("x", "y", "z"), {0}, {n - 1}, given_as)
 
     def test_length_builds_no_tuples(self):
         cube = sqrt_nfa(witness(8))
@@ -254,7 +294,7 @@ class TestArrayRelation:
     @pytest.mark.parametrize("indexed", [False, True])
     def test_copies_keep_a_read_only_relation(self, witness6, indexed):
         # Relation.__reduce__ rebuilds the view, which marks the copied
-        # array read-only again; a built successor index travels along
+        # keys read-only again; a built successor index travels along
         cube = sqrt_nfa(witness6)
         words = [(), (0, 216), (7, 216 + 7), (0, 216 + 5), (5, 256, 3, 259)]
         if indexed:
@@ -264,7 +304,7 @@ class TestArrayRelation:
         assert True in expected and False in expected
         for twin in copies:
             assert twin == cube and hash(twin) == hash(cube)
-            assert not twin.transitions.array.flags.writeable
+            assert not twin.transitions.keys.flags.writeable
             assert ("_succ" in twin.__dict__) == indexed
             assert [member(twin, w) for w in words] == expected
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from sqrtnfa import (
     sqrt_dfa,
     sqrt_member_direct,
     sqrt_nfa,
+    textio,
     triple_labels,
     witness,
 )
@@ -233,3 +236,34 @@ def test_triple_labels_match_the_codec(n):
     labels = triple_labels(n)
     assert labels == reference
     assert list(labels) == list(reference)
+
+
+def test_the_cube_and_its_text_fit_beside_one_key_array():
+    # witness(12)'s cube has 165,888 transitions: 1.3 MB of keys, where
+    # (source, letter, target) rows took 4 MB.  Building the cube and
+    # making its text piece by piece peaked at 3.6 MB (5.9 MB with rows).
+    auto = witness(12)
+    tracemalloc.start()
+    try:
+        cube = sqrt_nfa(auto)
+        for _piece in textio._pieces(cube):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cube.transitions) == 8 * 12**4
+    assert peak < 4_500_000
+
+
+def test_cube_keys_past_int64_are_refused_before_the_cube_is_built():
+    # 1300 states give 1300**3 cube states and keys up to 2 * 1300**6 > 2**63
+    auto = Nfa(1300, ("a", "b"), {0}, {1299}, ((0, 0, 1299), (1299, 1, 0)))
+    message = r"^transition keys need n\*n\*sigma below 2\*\*63, but n = 2197000000 "
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            sqrt_nfa(auto, budget=10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

@@ -152,7 +152,7 @@ def test_emit_matches_the_reference_on_witnesses_and_cubes():
 
 def test_emit_with_sparse_state_numbers():
     # state numbers far above the transition count: tables only for states in use
-    n = 2**32
+    n = 2**30
     a = Nfa(n, ("x", "y", "z"), {0}, {n - 1}, ((n - 1, 2, 0), (5, 0, n - 1), (5, 1, 5)))
     text = emit_nfa(a)
     assert text == emit_reference(a)
@@ -264,7 +264,7 @@ def test_canonical_text_never_reaches_the_per_line_trans_code(monkeypatch, label
 def sparse_nfas(draw):
     """Automata with more states than twice their transitions, and state
     numbers far apart."""
-    n = draw(st.integers(9, 2**33))
+    n = draw(st.integers(9, 2**30))  # 3 * n * n keys fit in int64
     state = st.integers(0, n - 1)
     sigma = draw(st.integers(1, 3))
     triples = draw(st.sets(st.tuples(state, st.integers(0, sigma - 1), state), max_size=4))
@@ -310,3 +310,26 @@ def test_near_canonical_text_falls_back_to_the_per_line_parser(monkeypatch, rows
             canonical = None
         assert canonical is None
         assert outcome(parse_nfa, text) == outcome(parse_lines, text)
+
+
+def test_state_numbers_past_the_key_limit_are_refused():
+    # the old range of the sparse tests: keys 3 * n * n pass int64 from
+    # n = 2**32, so the automaton, and a text of it, are refused
+    n = 2**32
+    message = r"^transition keys need n\*n\*sigma below 2\*\*63, but n = 4294967296"
+    with pytest.raises(ValueError, match=message):
+        Nfa(n, ("x", "y", "z"), {0}, {n - 1}, ((n - 1, 2, 0), (5, 0, n - 1)))
+    text = f"states {n}\nalphabet x y z\ninitial 0\nfinal {n - 1}\ntrans 5 x {n - 1}\n"
+    with pytest.raises(ValueError, match=message) as info:
+        parse_nfa(text)
+    assert not isinstance(info.value, FormatError)
+
+
+@pytest.mark.parametrize("line", ["trans 0 a 3", "trans 0 b -3", "trans 1 a -1"])
+def test_a_row_packed_to_another_rows_key_is_not_read_as_it(line):
+    # the key path packs rows unchecked: each of these lines packs to the
+    # key of an in-range row, (0, b, 0) or (0, b, 2), whose emitted line differs
+    text = f"states 3\nalphabet a b\ninitial 0\nfinal 0\n{line}\n"
+    assert textio._parse_canonical(text) is None
+    with pytest.raises(FormatError, match="^line 5"):
+        parse_nfa(text)
