@@ -5,8 +5,8 @@ the package.  Each one is charged through :func:`charge` under the name
 of its phase before anything of that size is built: validate the input,
 then charge, then allocate.  The budget resolves from an explicit
 argument, else the ``SQRTNFA_BUDGET`` environment variable, else
-``DEFAULT_BUDGET``.  Every integer argument (a size, state, letter,
-payload entry, word length or case id) is validated by :func:`check_int`.
+``DEFAULT_BUDGET``.  Every integer (a size, state, letter, payload or
+transition entry, word length or case id) passes :func:`check_int` alone.
 """
 
 import os

@@ -11,8 +11,8 @@ oracle; it is the audit reference for any candidate set.
 :func:`certify_lower_bound` checks the canonical witness set faster: it
 reads both conditions off the square truth table of the witness automaton
 (:func:`~sqrtnfa.kernels.witness_square_table`), one cell per symmetry
-orbit (see :mod:`sqrtnfa.kernels`), and asks the scalar oracle too on
-the diagonal cells it reads.
+orbit (see :mod:`sqrtnfa.kernels`), computed once: condition 1 on its
+diagonal cells, also asked of the scalar oracle, and 2 against its mirror.
 """
 
 from __future__ import annotations
@@ -156,19 +156,21 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     states, with the same report :func:`verify_fooling` gives for the
     canonical set under the square-membership oracle of ``witness(n)``.
 
-    The automaton must pass :func:`~sqrtnfa.kernels.check_symmetric`.
-    Condition 1 reads its square truth table T[i, j] = (a_Xi b_Xj)^2 in L
-    on the diagonal orbit representatives, each also asked of the oracle:
-    a disagreement raises :class:`VerificationError`.  Condition 2 for
-    i < j is T[i, j] & T[j, i], read by :func:`~sqrtnfa.kernels.first_orbit_hit`.
+    The automaton must pass :func:`~sqrtnfa.kernels.check_symmetric`.  Its
+    square truth table T[i, j] = (a_Xi b_Xj)^2 in L is computed once, on the
+    orbit representatives, and kept.  Condition 1 reads its diagonal cells,
+    each also asked of the oracle: a disagreement raises :class:`VerificationError`.
+    Condition 2 for i < j is T[i, j] & T[j, i], read by
+    :func:`~sqrtnfa.kernels.first_orbit_hit` from the kept T and its mirror.
     """
     check_witness_n(n)
     m = n**3
     charge("fooling set pairs", m, budget)
     auto = check_symmetric(witness(n))
     rows, cols = orbit_cells(n)
-    diagonal = rows[rows == cols]
-    inside = witness_square_table(auto, diagonal, diagonal)
+    # the table is kept, so clash below reads it again
+    on_diagonal = rows == cols
+    diagonal, inside = rows[on_diagonal], witness_square_table(auto, rows, cols)[on_diagonal]
     # only the pairs read here are built: the whole set is n^3 of them
     pairs = [_witness_pair(m, i) for i in diagonal.tolist()]
     scalar = [member(auto, 2 * (x + y)) for x, y in pairs]

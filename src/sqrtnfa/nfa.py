@@ -39,8 +39,8 @@ split off it: two automata's walks for ``difference_witness``, or the
 cube's, the function DFA's and the relation walk in one ``random-equiv``
 trial.  It is the one place a word is rebuilt from a walk; the acceptance
 tables are flags in rank order, never read back into words.  A ``Dfa``
-validates a table of plain ``int`` rows in a few C-level passes and
-checks any other table entry by entry.
+checks its table entry by entry through :func:`~sqrtnfa.config.check_int`,
+the one integer test, and keeps it as a tuple of tuples of ``int``.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
-from numbers import Integral
 
 import numpy as np
 
@@ -249,9 +247,6 @@ class Nfa:
         return _states(self._succ.row(state).get(letter, 0))
 
 
-_INT64 = range(-(2**63), 2**63)
-
-
 def check_key_limit(n: int, sigma: int) -> None:
     """Refuse ``n`` states and ``sigma`` letters when their transition keys
     (source * sigma + letter) * n + target, which run below n * n * sigma,
@@ -299,8 +294,8 @@ def _checked_relation(transitions, n: int, sigma: int) -> Relation:
 
 
 def _relation_array(transitions) -> np.ndarray:
-    """The triples as a ``(k, 3)`` int64 array; an entry that is not a
-    64-bit integer raises ``ValueError``, never a truncated value."""
+    """The triples as a ``(k, 3)`` int64 array; unless they are of bool or
+    signed int dtype, each entry first passes :func:`check_int` within int64."""
     if not isinstance(transitions, (np.ndarray, list, tuple)):
         transitions = tuple(transitions)
     if len(transitions) == 0:
@@ -311,10 +306,8 @@ def _relation_array(transitions) -> np.ndarray:
     if array.dtype.kind not in "bi":
         rows = transitions.tolist() if isinstance(transitions, np.ndarray) else transitions
         for triple in rows:
-            if not all(isinstance(x, Integral) and int(x) in _INT64 for x in triple):
-                raise ValueError(
-                    f"transition {tuple(triple)} has an entry that is not a 64-bit integer"
-                )
+            for x in triple:
+                check_int(x, f"transition {tuple(triple)} entry", -(2**63), 2**63)
     return array.astype(np.int64, copy=False)
 
 
@@ -363,14 +356,11 @@ class Dfa:
         object.__setattr__(self, "final", final)
         if len(self.transitions) != n:
             raise ValueError("transition table must have one row per state")
-        rows = _plain_rows(self.transitions, n, len(self.alphabet))
-        if rows is None:
-            # some row is bad, or holds a non-int integer: one entry at a time
-            rows = []
-            for row in self.transitions:
-                if len(row) != len(self.alphabet):
-                    raise ValueError("transition table row must cover every letter")
-                rows.append(tuple(check_int(dst, "transition target", 0, n) for dst in row))
+        rows = []
+        for row in self.transitions:
+            if len(row) != len(self.alphabet):
+                raise ValueError("transition table row must cover every letter")
+            rows.append(tuple(check_int(dst, "transition target", 0, n) for dst in row))
         object.__setattr__(self, "transitions", tuple(rows))
 
     def run(self, word: Word) -> int:
@@ -415,18 +405,6 @@ def _plain_names(alphabet: tuple) -> bool:
         and joined.split() == list(alphabet)
         and len(set(alphabet)) == len(alphabet)
     )
-
-
-def _plain_rows(table, n: int, sigma: int) -> tuple[tuple[int, ...], ...] | None:
-    """The table's rows as tuples when each is a tuple or list of ``sigma``
-    entries of type ``int`` in ``range(n)``, checked in a few passes at C
-    speed; otherwise None."""
-    if not set(map(type, table)) <= {tuple, list} or set(map(len, table)) != {sigma}:
-        return None
-    flat = list(chain.from_iterable(table))
-    if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= n:
-        return None
-    return tuple(map(tuple, table))
 
 
 def _checked_state_count(n: int) -> int:
@@ -544,7 +522,7 @@ def _explored_dfa(start, step, accepting, alphabet, budget, what: str) -> Dfa:
     ``accepting``.  More than ``budget`` nodes are refused as ``what``."""
     nodes, rows = explore(start, step, budget, what)
     final = frozenset(i for i, node in enumerate(nodes) if accepting(node))
-    return Dfa(len(nodes), alphabet, 0, final, tuple(map(tuple, rows)))
+    return Dfa(len(nodes), alphabet, 0, final, rows)
 
 
 def determinize(nfa: Nfa, cap: int | None = None) -> Dfa:

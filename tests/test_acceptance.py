@@ -19,12 +19,9 @@ from sqrtnfa import (
     TripleCodec,
     VerificationError,
     Violation,
-    accept_table,
     case_table,
     certify_lower_bound,
     determinize,
-    dfa_accept_table,
-    dfa_to_nfa,
     emit_nfa,
     equivalent,
     main,
@@ -34,11 +31,11 @@ from sqrtnfa import (
     pivot_m,
     random_nfa,
     reach,
+    relation_dfa,
     run_report,
     sqrt_dfa,
     sqrt_member_direct,
     sqrt_nfa,
-    square_accept_table,
     verify_cases,
     verify_fooling,
     witness,
@@ -46,7 +43,7 @@ from sqrtnfa import (
     witness_square_table,
 )
 from sqrtnfa import fooling
-from conftest import MUTANTS, doctored_witness, grid, iter_words, mutant
+from conftest import MUTANTS, doctored_witness, grid, mutant
 
 
 @pytest.fixture()
@@ -67,10 +64,6 @@ def warm_kernels():
     # (numpy's first dispatches) stay out of the timed sections below
     witness_square_table(witness(6), *grid(6))
     case_table(6, *grid(6))
-    auto = random_nfa(RandomSpec(seed=0, max_states=4, alphabet_size=3))
-    accept_table(sqrt_nfa(auto), 2)
-    square_accept_table(auto, 2)
-    dfa_accept_table(determinize(auto), 2)
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +156,7 @@ def test_cube_matches_function_dfa_on_500_random(pool500, announce):
         cube = sqrt_nfa(auto)
         det = determinize(auto)
         func = sqrt_dfa(det)
-        if not equivalent(cube, dfa_to_nfa(func)):
+        if not equivalent(cube, func):
             failures.append(idx)
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
@@ -185,37 +178,31 @@ def test_three_membership_routes_agree(pool500, announce):
     spot_total = 0
     for idx, auto in enumerate(pool500):
         cube = sqrt_nfa(auto)
-        det = determinize(auto)
-        func = sqrt_dfa(det)
-        via_cube = accept_table(cube, max_len)
-        via_square = square_accept_table(auto, max_len)
-        via_dfa = dfa_accept_table(func, max_len)
-        if not (
-            np.array_equal(via_cube, via_square)
-            and np.array_equal(via_cube, via_dfa)
-        ):
+        func = sqrt_dfa(determinize(auto))
+        # the direct route as an automaton: ww run on auto, word by word
+        direct_dfa = relation_dfa(auto)
+        if not (equivalent(cube, direct_dfa) and equivalent(cube, func)):
             mismatches += 1
             continue
         if idx % 10 == 0:
-            # tie the tables back to the definitional membership routes
+            # tie the exact checks back to the definitional membership routes
             sigma = len(auto.alphabet)
             length = int(rng.integers(0, max_len + 1))
             word = tuple(int(rng.integers(0, sigma)) for _ in range(length))
-            rank = list(iter_words(sigma, length)).index(word)
             spot_total += 1
             direct = sqrt_member_direct(auto, word)
             if not (
-                bool(via_square[rank]) == direct
-                and bool(via_cube[rank]) == member(cube, word)
-                and bool(via_dfa[rank]) == func.member(word)
+                direct_dfa.member(word) == direct
+                and member(cube, word) == direct
+                and func.member(word) == direct
             ):
                 spot_bad += 1
     ok = mismatches == 0 and spot_bad == 0 and spot_total >= 50
     line = announce(
         5,
-        "direct, triple and function-DFA routes agree to length 6",
+        "direct, triple and function-DFA routes agree on every word",
         ok,
-        f"automata={len(pool500)} table_mismatches={mismatches} "
+        f"automata={len(pool500)} route_mismatches={mismatches} "
         f"spot_checks={spot_total} spot_failures={spot_bad}",
     )
     assert ok, line

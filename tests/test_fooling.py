@@ -249,9 +249,10 @@ class TestCertifyMatchesReference:
         report = certify_lower_bound(13)  # 13^6 cells would be 4.8M
         m = 13**3
         assert report.certified and report.cond2_checked == m * (m - 1) // 2
-        # the diagonal representatives, then one table call each way on
-        # the representatives
-        assert sizes == [365, 163_967, 163_967]
+        # the table on the representatives, whose diagonal is condition 1,
+        # then one call each way for condition 2: the first is served from
+        # the kept table, the second computes its mirror
+        assert sizes == [163_967, 163_967, 163_967]
 
         # damage closed under the symmetry (two mirrored orbits) is named
         # by the same calls, with no second pass
@@ -260,7 +261,7 @@ class TestCertifyMatchesReference:
         report = certify_lower_bound(13)
         i, j = (5 * 13 + 6) * 13 + 7, (5 * 13 + 7) * 13 + 6
         assert report.violation == Violation("cond2", i + 1, j + 1)
-        assert sizes == [365, 163_967, 163_967]
+        assert sizes == [163_967, 163_967, 163_967]
 
 
 class TestDoctoredAutomaton:

@@ -79,19 +79,27 @@ class TestConstruction:
         assert Dfa(1, ["a", "b"], 0, frozenset(), ((0, 0),)).alphabet == ("a", "b")
 
     @pytest.mark.parametrize(
-        "triples",
+        "triples, message",
         [
-            ((0, 0, 1.5),),
-            ((0, 0.5, 1),),
-            ((0, 0, 1), (1.0, 0, 0)),
-            np.array([[0.0, 0.0, 1.5]]),
-            np.zeros((1, 3)),
-            np.array([[0, 0, 2**63]], dtype=np.uint64),
+            (((0, 0, 1.5),), "transition (0, 0, 1.5) entry 1.5 is not an integer"),
+            (((0, 0.5, 1),), "transition (0, 0.5, 1) entry 0.5 is not an integer"),
+            (((0, 0, 1), (1.0, 0, 0)), "transition (1.0, 0, 0) entry 1.0 is not an integer"),
+            (
+                np.array([[0.0, 0.0, 1.5]]),
+                "transition (0.0, 0.0, 1.5) entry 0.0 is not an integer",
+            ),
+            (np.zeros((1, 3)), "transition (0.0, 0.0, 0.0) entry 0.0 is not an integer"),
+            (
+                np.array([[0, 0, 2**63]], dtype=np.uint64),
+                f"transition (0, 0, {2**63}) entry {2**63} out of range",
+            ),
         ],
+        ids=[f"triples{i}" for i in range(6)],
     )
-    def test_non_integer_entries_rejected(self, triples):
-        # an int64 conversion would truncate 1.5 to 1 and accept the relation
-        with pytest.raises(ValueError, match="not a 64-bit integer"):
+    def test_non_integer_entries_rejected(self, triples, message):
+        # an int64 conversion would truncate 1.5 to 1 and accept the
+        # relation; each entry goes through check_int, within int64
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Nfa(2, ("a",), {0}, set(), triples)
 
     def test_non_integer_dfa_targets_rejected(self):
@@ -609,8 +617,7 @@ class TestDeterminize:
 
 class TestEquivalence:
     def test_equivalent_to_self_through_determinization(self):
-        dfa_view = dfa_to_nfa(determinize(NFA_AA))
-        assert equivalent(NFA_AA, dfa_view)
+        assert equivalent(NFA_AA, determinize(NFA_AA))
 
     def test_difference_witness_is_shortest(self):
         just_a = make_nfa(2, 1, [(0, 0, 1)], {0}, {1})
@@ -647,9 +654,10 @@ class TestEquivalence:
 
     def test_equivalent_implies_member_agrees(self, small_random):
         for auto in small_random[:40]:
-            mirror = dfa_to_nfa(determinize(auto))
+            mirror = determinize(auto)
             assert equivalent(auto, mirror)
-            assert first_disagreement(auto, mirror, 5) is None
+            words = iter_words(len(auto.alphabet), 5)
+            assert all(member(auto, w) == mirror.member(w) for w in words)
 
     def test_inequivalent_pairs_are_caught_both_ways(self, small_random):
         flagged = 0

@@ -85,6 +85,9 @@ class TestSqrtDfa:
             fn, reference = sqrt_dfa(det), tuple_sqrt_dfa(det)
             for name in ("n_states", "alphabet", "initial", "final", "transitions"):
                 assert getattr(fn, name) == getattr(reference, name), (seed, name)
+            # explore's lists, converted once, by Dfa: a tuple of tuples of int
+            assert type(fn.transitions) is tuple
+            assert {type(row) for row in fn.transitions} == {tuple}
             assert {type(q) for row in fn.transitions for q in row} == {int}
 
     def test_up_to_256_states_fit_in_bytes(self):

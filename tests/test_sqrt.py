@@ -11,7 +11,6 @@ from sqrtnfa import (
     Nfa,
     TripleCodec,
     determinize,
-    dfa_to_nfa,
     equivalent,
     member,
     reach,
@@ -166,7 +165,7 @@ class TestArrayConstruction:
     @settings(max_examples=200)
     @given(nfas())
     def test_language_is_that_of_the_function_automaton(self, a):
-        assert equivalent(sqrt_nfa(a), dfa_to_nfa(sqrt_dfa(determinize(a))))
+        assert equivalent(sqrt_nfa(a), sqrt_dfa(determinize(a)))
 
 
 class TestPointwiseAgreement:
