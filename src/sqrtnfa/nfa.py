@@ -24,8 +24,9 @@ on every letter at once (``_stepper``: ``determinize``, the product walk
 of ``equivalent`` and ``difference_witness``, and ``accept_table`` and
 ``square_accept_table``, which flag every word up to a length in rank
 order, see :mod:`sqrtnfa.words`) ORs one table entry per non-zero byte of
-the mask, as in the Method of Four Russians, and splits the result once.
-There is no state cap: masks are Python ints.
+the mask, as in the Method of Four Russians, and cuts the result into one
+mask per letter with a shift and an AND.  There is no state cap: masks
+are Python ints.
 
 The word walks (``determinize``, ``accept_table`` and
 ``dfa_accept_table``) take their start node, successor function and
@@ -55,6 +56,11 @@ import numpy as np
 from .config import check_int
 from .words import Word, explore, walk_word_tree
 
+try:
+    from operator import call
+except ImportError:  # before Python 3.11
+    call = lambda function, *args: function(*args)  # noqa: E731
+
 Transition = tuple[int, int, int]  # (source, letter, target)
 
 
@@ -69,9 +75,9 @@ class Relation(Sequence):
     them on each call; ``len`` reads the keys.  Iteration, indexing,
     ``hash`` and ``repr`` behave as for the tuple of triples, which is
     decoded once, on first need, and a view equals that tuple.  An
-    ``Nfa`` over the same n and sigma given a ``Relation`` checks only
-    that its keys lie in range and strictly increase, sorting them first
-    if they do not; any other ``Nfa`` decodes and packs it again.
+    ``Nfa`` over the same n and sigma given a ``Relation`` of 1-D int64
+    keys checks only that they lie in range and strictly increase, sorting
+    them first if not; else it decodes, checks and packs them again.
     """
 
     __slots__ = ("keys", "_radix", "_tuples")
@@ -135,9 +141,10 @@ class _SuccessorIndex:
     mask.  ``tables[i]``, for all-letter steps, has 256 slots; slot b packs
     the successors of the states 8i + j, j a set bit of b, on every letter
     in one int whose byte field a (``width`` = ceil(n/8) bytes,
-    little-endian) holds letter a's.  At most 255 entries per 8 states are
-    built, each the size of one column, and only for byte values a walk
-    meets.
+    little-endian) holds letter a's: a state's column sets bit
+    ``a * 8 * width + t`` for each of its transitions (a, t).  At most 255
+    entries per 8 states are built, each the size of one column, and only
+    for byte values a walk meets.
     """
 
     def __init__(self, keys: np.ndarray, n: int, sigma: int):
@@ -167,10 +174,10 @@ class _SuccessorIndex:
 
     def _column(self, state: int) -> int:
         """The state's successors on every letter, packed."""
-        packed, width = bytearray(self.size), self.width
+        column, field = 0, 8 * self.width
         for a, t in self._entries(state):
-            packed[a * width + (t >> 3)] |= 1 << (t & 7)
-        return int.from_bytes(packed, "little")
+            column |= 1 << (a * field + t)
+        return column
 
     def entry(self, i: int, byte: int) -> int:
         """Slot ``byte`` of table ``i``: one state's column or the OR of two slots."""
@@ -268,16 +275,17 @@ def pack(source, letter, target, n: int, sigma: int):
 
 def _checked_relation(transitions, n: int, sigma: int) -> Relation:
     """The transitions as a validated :class:`Relation` over n states and
-    sigma letters.  Its keys are those of a ``Relation`` packed for this n
-    and sigma, and else packed here from the ``(k, 3)`` rows, after each
-    column's range is checked; they are sorted only if they do not
-    already strictly increase.  Any fault is reported by
+    sigma letters.  Its keys are the 1-D int64 keys of a ``Relation``
+    packed for this n and sigma, and else packed here from the ``(k, 3)``
+    rows, after each column's range is checked; they are sorted only if
+    they do not already strictly increase.  Any fault is reported by
     :func:`_first_bad`."""
-    if isinstance(transitions, Relation) and transitions._radix == (n, sigma):
-        keys = transitions.keys
-    else:
-        if isinstance(transitions, Relation):
-            transitions = transitions.array
+    keys = transitions.keys if isinstance(transitions, Relation) else None
+    packed = keys is not None and keys.dtype == np.int64 and keys.ndim == 1
+    if not (packed and transitions._radix == (n, sigma)):
+        if keys is not None:
+            # keys of another dtype or shape are checked as decoded triples
+            transitions = transitions.array if packed else tuple(transitions)
         rows = _relation_array(transitions)
         # as unsigned, a negative entry reads as one above every bound
         src, letter, dst = rows.view(np.uint64).max(axis=0, initial=0).tolist()
@@ -295,7 +303,8 @@ def _checked_relation(transitions, n: int, sigma: int) -> Relation:
 
 def _relation_array(transitions) -> np.ndarray:
     """The triples as a ``(k, 3)`` int64 array; unless they are of bool or
-    signed int dtype, each entry first passes :func:`check_int` within int64."""
+    signed int dtype, or unsigned with a maximum below 2**63, each entry
+    first passes :func:`check_int` within int64."""
     if not isinstance(transitions, (np.ndarray, list, tuple)):
         transitions = tuple(transitions)
     if len(transitions) == 0:
@@ -303,7 +312,8 @@ def _relation_array(transitions) -> np.ndarray:
     array = np.asarray(transitions)
     if array.ndim != 2 or array.shape[1] != 3:
         raise ValueError("transitions must be (source, letter, target) triples")
-    if array.dtype.kind not in "bi":
+    kind = array.dtype.kind
+    if kind not in "bi" and not (kind == "u" and int(array.max()) < 2**63):
         rows = transitions.tolist() if isinstance(transitions, np.ndarray) else transitions
         for triple in rows:
             for x in triple:
@@ -438,12 +448,11 @@ def _mask_step(mask: int, succ: tuple[int, ...]) -> int:
 
 def _stepper(nfa: Nfa):
     """Map a state set's mask to its successor masks, in letter order: the
-    OR of one table entry per non-zero byte of the mask, split once into
-    byte fields."""
+    OR of one table entry per non-zero byte of the mask, cut into its byte
+    fields by one shift and one AND per letter."""
     index = nfa._succ
-    table_at, entry, size, width = index.tables.get, index.entry, index.size, index.width
-    fields = [slice(i, i + width) for i in range(0, size, width)]
-    from_bytes = int.from_bytes
+    table_at, entry, width = index.tables.get, index.entry, index.width
+    shifts, full = range(0, 8 * index.size, 8 * width), (1 << 8 * width) - 1
 
     def step(mask: int) -> list[int]:
         out = 0
@@ -452,8 +461,7 @@ def _stepper(nfa: Nfa):
                 table = table_at(i)  # read inline: no entry() call once built
                 value = None if table is None else table[byte]
                 out |= entry(i, byte) if value is None else value
-        packed = out.to_bytes(size, "little")
-        return [from_bytes(packed[field], "little") for field in fields]
+        return [out >> shift & full for shift in shifts]
 
     return step
 
@@ -480,7 +488,7 @@ def _square_walk(nfa: Nfa):
     return (
         tuple(1 << s for s in range(nfa.n_states)),
         # each state's image stepped on every letter, regrouped by letter
-        lambda rel: list(zip(*map(step, rel))),
+        lambda rel: zip(*map(step, rel)),
         lambda rel: _mask_step(_mask_step(init, rel), rel) & fin != 0,
     )
 
@@ -554,13 +562,13 @@ def dfa_to_nfa(dfa: Dfa) -> Nfa:
 def _product(*walks):
     """The walk (see :func:`_walk`) of the tuples of nodes one word reaches
     in each of ``walks``: the start tuple, a tuple's successors in letter
-    order, and whether the walks split on acceptance there, not all
-    accepting and not all rejecting."""
+    order as a ``zip`` to be read once, and whether the walks split on
+    acceptance there, not all accepting and not all rejecting."""
     starts, steps, accepts = zip(*walks)
     return (
         starts,
-        lambda node: list(zip(*[step(x) for step, x in zip(steps, node)])),
-        lambda node: len({accept(x) for accept, x in zip(accepts, node)}) > 1,
+        lambda node: zip(*map(call, steps, node)),
+        lambda node: len(set(map(call, accepts, node))) > 1,
     )
 
 
@@ -576,7 +584,7 @@ def _first_split(walks, cap: int | None, what: str) -> Word | None:
     """
     start, successors, splits = _product(*walks)
     nodes, rows = explore(start, successors, cap, what, stop=splits)
-    if not splits(nodes[-1]):
+    if len(rows) == len(nodes):  # every node expanded: no split
         return None
     # a node's word is its first parent's word plus the letter: ids are
     # handed out in (parent, letter) order, and the split node is the last

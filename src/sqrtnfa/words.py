@@ -4,13 +4,14 @@ Words are tuples of letter indices.  Rank 0 is the empty word, followed by
 all length-1 words in letter order, then length-2, and so on.  The
 acceptance tables of :mod:`sqrtnfa.nfa` are flags indexed by this rank,
 and :func:`walk_word_tree` is the one walk that builds them.
-:func:`explore`, the one breadth-first numbering of reachable nodes,
-serves it, ``trim``, the product walk, whose least split word
-``nfa._first_split`` rebuilds from the numbering, and
+:func:`explore`, the one breadth-first numbering of reachable nodes, in
+one pass that reads each node's successors once and numbers each first
+sight at once, serves it, ``trim``, the product walk, whose least split
+word ``nfa._first_split`` rebuilds from the numbering, and
 ``nfa._explored_dfa``: the subset and function automata.
 """
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -31,7 +32,7 @@ def count_words(sigma: int, max_len: int) -> int:
 
 def explore(
     start: Hashable,
-    successors: Callable[[Hashable], Sequence[Hashable]],
+    successors: Callable[[Hashable], Iterable[Hashable]],
     budget: int | None,
     what: str,
     depth: int | None = None,
@@ -39,13 +40,15 @@ def explore(
 ) -> tuple[list[Hashable], list[list[int]]]:
     """Number every node reachable from ``start`` breadth first: ``(nodes, rows)``.
 
-    ``rows[i]`` holds the ids of ``successors(nodes[i])`` in letter order,
-    and ids go by first sight.  Nodes first seen at ``depth`` get ids but
-    are not expanded; only :func:`walk_word_tree` sets a depth.  The walk
-    ends early at the first numbered node that satisfies ``stop``; it is
-    then ``nodes[-1]``, and the last row may name ids past it.  More than
-    ``budget`` nodes (default from :mod:`sqrtnfa.config`) raises
-    ``BudgetExceededError(what, budget + 1, budget)``.
+    ``rows[i]`` holds the ids of ``successors(nodes[i])``, read once in
+    letter order, and ids go by first sight, so ``nodes`` grows while it is
+    read.  Nodes first seen at ``depth`` get ids but are not expanded; only
+    :func:`walk_word_tree` sets a depth.  The walk ends early at the first
+    numbered node that satisfies ``stop``: it is then ``nodes[-1]``, the
+    last row ends at its id, and there are fewer rows than nodes (with no
+    depth, only then).  More than ``budget`` nodes (default from
+    :mod:`sqrtnfa.config`) raises ``BudgetExceededError(what, budget + 1,
+    budget)``.
     """
     budget = effective_budget(budget)
     ids = {start: 0}
@@ -53,27 +56,28 @@ def explore(
     rows: list[list[int]] = []
     if stop is not None and stop(start):
         return nodes, rows
-    level = 0
-    while len(rows) < len(nodes) and level != depth:  # depth None: no limit
-        for node in nodes[len(rows) :]:  # one level: sliced before it grows
-            kids = successors(node)
-            row = [ids.setdefault(kid, len(ids)) for kid in kids]
-            rows.append(row)
-            if len(ids) > len(nodes):  # first sights: append them in id order
-                for i, kid in zip(row, kids):
-                    if i == len(nodes):
-                        if i == budget:
-                            charge(what, budget + 1, budget)
-                        nodes.append(kid)
-                        if stop is not None and stop(kid):
-                            return nodes, rows
-        level += 1
+    level, level_end = 0, 1  # the level of nodes[len(rows)], and its end
+    for node in nodes:
+        if len(rows) == level_end:
+            level, level_end = level + 1, len(nodes)
+        if level == depth:  # depth None: no limit
+            break
+        rows.append(row := [])
+        for kid in successors(node):
+            i = ids.setdefault(kid, len(nodes))
+            row.append(i)
+            if i == len(nodes):  # first sight
+                if i == budget:
+                    charge(what, budget + 1, budget)
+                nodes.append(kid)
+                if stop is not None and stop(kid):
+                    return nodes, rows
     return nodes, rows
 
 
 def walk_word_tree(
     start: Hashable,
-    successors: Callable[[Hashable], Sequence[Hashable]],
+    successors: Callable[[Hashable], Iterable[Hashable]],
     accepting: Callable[[Hashable], bool],
     sigma: int,
     max_len: int,

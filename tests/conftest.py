@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sqrtnfa import Dfa, Nfa, RandomSpec, member, random_nfa, sqrt_nfa, witness
+from sqrtnfa import (
+    BudgetExceededError, Dfa, Nfa, RandomSpec, member, random_nfa, sqrt_nfa, witness,
+)
 from sqrtnfa import cases
 from sqrtnfa.cases import CASE_COUNT, case_holds
 from sqrtnfa.kernels import _case_conditions, _triple_cells
@@ -109,6 +111,36 @@ def tuple_sqrt_dfa(dfa: Dfa) -> Dfa:
         rows.append(tuple(row))
     final = frozenset(i for i, f in enumerate(maps) if f[f[dfa.initial]] in dfa.final)
     return Dfa(len(maps), dfa.alphabet, 0, final, tuple(rows))
+
+
+def reference_explore(start, successors, budget, what, depth=None, stop=None):
+    """Breadth-first numbering level by level, in two passes per node: the
+    node's successors are numbered first, then the first sights among them
+    are appended (and judged by ``stop``) in id order.  The reference for
+    ``words.explore``, with the same ``(nodes, rows)``, the same refusal
+    ``BudgetExceededError(what, budget + 1, budget)``, and, when ``stop``
+    ends the walk, a last row cut after the stop node's id."""
+    ids, nodes, rows = {start: 0}, [start], []
+    if stop is not None and stop(start):
+        return nodes, rows
+    level, frontier = 0, [start]
+    while frontier and level != depth:
+        next_frontier = []
+        for node in frontier:
+            kids = list(successors(node))
+            row = [ids.setdefault(kid, len(ids)) for kid in kids]
+            for k, (i, kid) in enumerate(zip(row, kids)):
+                if i == len(nodes):
+                    if i == budget:
+                        raise BudgetExceededError(what, budget + 1, budget)
+                    nodes.append(kid)
+                    next_frontier.append(kid)
+                    if stop is not None and stop(kid):
+                        rows.append(row[: k + 1])
+                        return nodes, rows
+            rows.append(row)
+        level, frontier = level + 1, next_frontier
+    return nodes, rows
 
 
 @st.composite

@@ -23,6 +23,7 @@ from sqrtnfa import (
     equivalent,
     main,
     member,
+    nfa,
     parse_nfa,
     random_nfa,
     relation_dfa,
@@ -703,6 +704,55 @@ class TestRouteWalk:
         autos = [random_nfa(RandomSpec(seed=seed)) for seed in range(500)]
         assert sum(map(self.triples, autos)) == 24_504
         assert sum(relation_dfa(auto).n_states for auto in autos) == 24_504
+
+    @pytest.mark.parametrize("damaged", [False, True], ids=["agreeing", "split"])
+    def test_a_trial_steps_and_judges_each_triple_once(self, monkeypatch, damaged):
+        # counts, not times: each walk's step runs once per expanded triple
+        # and its acceptance test once per numbered triple, so no node is
+        # stepped or judged again, also when the walk stops at a split
+        auto = random_nfa(RandomSpec(seed=3, max_states=4))
+        if damaged:
+            cube = sqrt_nfa(auto)
+            cube = dataclasses.replace(cube, final=cube.final ^ {cube.n_states - 1})
+            monkeypatch.setattr(cli, "sqrt_nfa", lambda a, budget=None: cube)
+        calls = []
+
+        def counted(make_walk):
+            def walk(auto):
+                start, step, accepts = make_walk(auto)
+                tally = {"step": 0, "accept": 0}
+                calls.append(tally)
+
+                def counted_step(node):
+                    tally["step"] += 1
+                    return step(node)
+
+                def counted_accept(node):
+                    tally["accept"] += 1
+                    return accepts(node)
+
+                return start, counted_step, counted_accept
+
+            return walk
+
+        for name in ("_walk", "_function_walk", "_square_walk"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        walks, real_explore = [], nfa.explore
+
+        def recorded_explore(*args, **kwargs):
+            walks.append(real_explore(*args, **kwargs))
+            return walks[-1]
+
+        monkeypatch.setattr(nfa, "explore", recorded_explore)
+        word = cli._route_mismatch(auto, None)
+        # the subset construction's walk, then the trial's
+        assert len(walks) == 2
+        nodes, rows = walks[-1]
+        assert (word is None) == (not damaged) == (len(rows) == len(nodes))
+        expected = {"step": len(rows), "accept": len(nodes)}
+        assert calls == [expected] * 3
+        if not damaged:
+            assert len(nodes) == relation_dfa(auto).n_states == 134
 
     @staticmethod
     def triples(auto):

@@ -34,7 +34,9 @@ from sqrtnfa import (
     trim,
     witness,
 )
-from sqrtnfa.nfa import _mask, _run, _stepper
+from sqrtnfa import nfa
+from sqrtnfa.config import check_int
+from sqrtnfa.nfa import Relation, _mask, _run, _stepper
 from conftest import NFA_AA, first_disagreement, iter_words, make_nfa, nfas, random_word
 
 
@@ -273,6 +275,41 @@ class TestArrayRelation:
             Nfa(2, ("a", "b"), {0}, {1}, a.transitions)
         with pytest.raises(ValueError, match=r"^transition \(0, 1, 2\) has a letter out of range"):
             Nfa(3, ("a",), {0}, {1}, a.transitions)
+
+    def test_float_keys_are_refused(self):
+        # the parent kept them and member then raised TypeError
+        keys = Relation(np.array([1.0]), 2, 1)
+        message = "transition (0.0, 0.0, 1.0) entry 0.0 is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Nfa(2, ("a",), {0}, {1}, keys)
+
+    def test_two_dimensional_keys_are_refused(self):
+        # the parent kept them and member then raised NotImplementedError
+        keys = Relation(np.array([[1]]), 2, 1)
+        message = "transitions must be (source, letter, target) triples"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Nfa(2, ("a",), {0}, {1}, keys)
+
+    def test_keys_of_another_int_dtype_are_packed_again(self):
+        keys = Relation(np.array([1, 3], dtype=np.int32), 2, 1)
+        a = Nfa(2, ("a",), {0}, {1}, keys)
+        assert a.transitions.keys.dtype == np.int64
+        assert a.transitions == ((0, 0, 1), (1, 0, 1)) and member(a, (0, 0))
+
+    def test_unsigned_arrays_are_checked_by_their_maximum(self, monkeypatch):
+        # one comparison with 2**63, not one check_int call per entry
+        w = witness(12)
+        rows = w.transitions.array.astype(np.uint32)
+        entries = []
+
+        def spy(value, what, *bounds):
+            if what.startswith("transition"):
+                entries.append(value)
+            return check_int(value, what, *bounds)
+
+        monkeypatch.setattr(nfa, "check_int", spy)
+        assert Nfa(w.n_states, w.alphabet, w.initial, w.final, rows) == w
+        assert entries == []
 
     def test_state_numbers_beyond_32_bits(self):
         # keys would pass int64: refused before the relation is read

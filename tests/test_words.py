@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqrtnfa import BudgetExceededError, count_words, determinize, sqrt_dfa
 from sqrtnfa.words import explore
-from conftest import iter_words, nfas
+from conftest import iter_words, nfas, reference_explore
 
 
 # level k + 1 of the rank order starts at count_words(sigma, k)
@@ -62,6 +63,62 @@ def test_explore_stops_at_the_first_match():
     assert nodes == [0, 1, 2, 3]
     assert rows == [[1], [2], [3]]
     assert explore(0, chain, 1, "chain nodes", stop=lambda node: True) == ([0], [])
+
+
+@st.composite
+def successor_graphs(draw):
+    """A random graph on nodes 0..n-1, each with up to 3 successors in
+    order, a set of stop nodes or None, a depth or None, and a budget."""
+    n = draw(st.integers(1, 12))
+    graph = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n))
+    stops = draw(st.none() | st.sets(st.integers(0, n - 1), max_size=3))
+    depth = draw(st.none() | st.integers(0, 4))
+    return graph, stops, depth, draw(st.integers(1, n + 1))
+
+
+def explored(explore_fn, graph, stops, depth, budget):
+    """``explore_fn`` from node 0 of ``graph``, each node's successors
+    handed out as an iterator: ``(nodes, rows)`` or the refusal's fields,
+    then the nodes expanded and the nodes judged by ``stop``, in call
+    order."""
+    expanded, judged = [], []
+
+    def successors(node):
+        expanded.append(node)
+        return iter(graph[node])
+
+    def stop(node):
+        judged.append(node)
+        return node in stops
+
+    stopper = None if stops is None else stop
+    try:
+        result = explore_fn(0, successors, budget, "graph nodes", depth, stopper)
+    except BudgetExceededError as error:
+        result = (error.what, error.needed, error.budget)
+    return result, expanded, judged
+
+
+@settings(max_examples=500, deadline=None)
+@given(successor_graphs())
+def test_explore_numbers_like_a_two_pass_bfs(case):
+    graph, stops, depth, budget = case
+    got = explored(explore, *case)
+    assert got == explored(reference_explore, *case)
+    result, expanded, judged = got
+    if result[0] == "graph nodes":
+        assert result == ("graph nodes", budget + 1, budget)
+        return
+    nodes, rows = result
+    assert expanded == nodes[: len(rows)]
+    if stops is not None:
+        assert judged == nodes
+    if stops and nodes[-1] in stops:
+        # the walk stopped there: the last row ends at the stop node
+        assert len(rows) < len(nodes)
+        assert rows == [] or rows[-1][-1] == len(nodes) - 1
+    elif depth is None:
+        assert len(rows) == len(nodes)
 
 
 @settings(max_examples=150, deadline=None)
