@@ -84,13 +84,10 @@ def pairwise_contradiction(n: int, budget: int | None = None) -> tuple[Triple, T
     argument work: any two distinct pairs cross in at least one rejected
     word.  This re-derives condition 2 from the predicates alone, with no
     automaton simulation involved.  Crossing is symmetric, so the first
-    pair has X3 < X4.  The budget caps the cells read, as in
-    :func:`verify_cases`.
+    pair has X3 < X4, and a_X4 b_X3 is read only where a_X3 b_X4 holds.
+    The budget caps the cells read, as in :func:`verify_cases`.
     """
     charge("pairwise contradiction pairs", orbit_count(n), budget)
 
-    def crossing(rows, cols):
-        return (case_table(n, rows, cols) != 0) & (case_table(n, cols, rows) != 0)
-
-    cell = first_orbit_hit(n, crossing, upper=True)
+    cell = first_orbit_hit(n, lambda rows, cols: case_table(n, rows, cols) != 0, upper=True)
     return None if cell is None else tuple(map(TripleCodec(n).decode, cell))

@@ -12,7 +12,8 @@ oracle; it is the audit reference for any candidate set.
 reads both conditions off the square truth table of the witness automaton
 (:func:`~sqrtnfa.kernels.witness_square_table`), one cell per symmetry
 orbit (see :mod:`sqrtnfa.kernels`), computed once: condition 1 on its
-diagonal cells, also asked of the scalar oracle, and 2 against its mirror.
+diagonal cells, also asked of the scalar oracle, and 2 against its mirror
+where it holds.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     orbit representatives, and kept.  Condition 1 reads its diagonal cells,
     each also asked of the oracle: a disagreement raises :class:`VerificationError`.
     Condition 2 for i < j is T[i, j] & T[j, i], read by
-    :func:`~sqrtnfa.kernels.first_orbit_hit` from the kept T and its mirror.
-    """
+    :func:`~sqrtnfa.kernels.first_orbit_hit` from the kept T and, where T
+    holds, its mirror."""
     check_witness_n(n)
     m = n**3
     charge("fooling set pairs", m, budget)
@@ -185,10 +186,7 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
             certified=False, bound=0, violation=Violation("cond1", i), cond1_checked=i
         )
 
-    def clash(rows, cols):
-        return witness_square_table(auto, rows, cols) & witness_square_table(auto, cols, rows)
-
-    hit = first_orbit_hit(n, clash, upper=True)
+    hit = first_orbit_hit(n, lambda rows, cols: witness_square_table(auto, rows, cols), upper=True)
     if hit is None:
         return FoolingReport(
             certified=True, bound=m, cond1_checked=m, cond2_checked=m * (m - 1) // 2

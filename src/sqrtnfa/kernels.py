@@ -2,8 +2,8 @@
 
 The square truth table (:func:`witness_square_table`) runs the automaton
 it is given, and the case table is cell algebra on the payload
-coordinates, split by :meth:`~sqrtnfa.sqrt.TripleCodec.split`.  Each
-reads only the cells its two index arrays select.
+coordinates, split by :meth:`~sqrtnfa.sqrt.TripleCodec.split` off the
+orbit pair.  Each reads only the cells its two index arrays select.
 
 The checks built on them (:func:`first_orbit_hit`) read the n^3 x n^3
 grid on one cell per symmetry orbit.  States 6..n-1 of the witness are
@@ -85,6 +85,15 @@ def orbit_count(n: int) -> int:
     return int(np.count_nonzero(_canonical_tuples()[1] <= n - MIN_STATES))
 
 
+def _orbit_tuples(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical tuples :func:`orbit_cells` joins, and their generics."""
+    columns, generic = _canonical_tuples()
+    keep = generic <= n - MIN_STATES
+    if keep.all():
+        return columns, generic
+    return columns.compress(keep, axis=1), generic[keep]
+
+
 @lru_cache(maxsize=1)
 def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices (x1, x2) of one cell per orbit of the n^3 x n^3 grid
@@ -98,10 +107,7 @@ def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     cells, else :class:`VerificationError`.
     """
     check_witness_n(n)
-    columns, generic = _canonical_tuples()
-    keep = generic <= n - MIN_STATES
-    if not keep.all():
-        columns, generic = columns.compress(keep, axis=1), generic[keep]
+    columns, generic = _orbit_tuples(n)
     counts = np.bincount(generic, minlength=7).tolist()
     cells = sum(c * math.perm(n - MIN_STATES, k) for k, c in enumerate(counts))
     if cells != n**6:
@@ -119,25 +125,29 @@ def first_orbit_hit(
     n: int, hit: Callable[[np.ndarray, np.ndarray], np.ndarray], upper: bool = False
 ) -> tuple[int, int] | None:
     """Row-major first cell (x1, x2) of the witness grid of n^3 flat
-    triples where ``hit`` holds, or None; ``upper`` keeps only x1 != x2.
+    triples where ``hit`` holds, or None; ``upper`` asks for x1 != x2
+    and a hit at (x2, x1) too.
 
     ``hit(x1, x2)`` maps two arrays of flat indices to a boolean array and
     must be constant on every orbit (see the module docstring).  It is
-    evaluated once, on :func:`orbit_cells`, and the first representative
-    that hits is the answer, for two reasons:
+    evaluated once, on :func:`orbit_cells` (with ``upper``, then on the
+    mirrors of the cells that hit), and the first representative that
+    hits is the answer, for two reasons:
 
     1. the representatives come in lexicographic order, and each canonical
        tuple is the lexicographically least cell of its orbit (the first
        appearance of a new generic value takes the least one unused), so
        the first hitting representative is the first hitting cell;
-    2. with ``upper``, ``hit`` must also be symmetric in its two
-       arguments: a hit (x2, x1) below the diagonal mirrors the smaller
-       hit (x1, x2) above it, so the first off-diagonal hit has x1 < x2.
+    2. with ``upper`` the test is symmetric: a hit (x2, x1) below the
+       diagonal mirrors the smaller hit (x1, x2) above it, so the first
+       off-diagonal hit has x1 < x2.
     """
     x1, x2 = orbit_cells(n)
     found = hit(x1, x2)
     if upper:
         found = found & (x1 != x2)
+        both = np.flatnonzero(found)
+        found[both] = hit(x2[both], x1[both])
     if not found.any():
         return None
     k = int(np.argmax(found))
@@ -145,8 +155,13 @@ def first_orbit_hit(
 
 
 def _triple_cells(n: int, x1, x2, table: str):
-    """Coordinates (p, q, r) of two checked arrays of flat triple indices."""
-    return [TripleCodec(n).split(x) for x in _flat_cells(n, x1, x2, table)]
+    """Coordinates (p, q, r) of two checked arrays of flat triple indices,
+    read off the canonical tuples on the orbit pair."""
+    x1, x2 = _flat_cells(n, x1, x2, table)
+    if _is_orbit_pair(n, x1, x2):
+        columns = _orbit_tuples(n)[0]
+        return [columns[:3], columns[3:]]
+    return [TripleCodec(n).split(x) for x in (x1, x2)]
 
 
 def _flat_cells(n: int, x1, x2, table: str) -> list[np.ndarray]:
@@ -188,9 +203,8 @@ def witness_square_table(auto: Nfa, x1, x2) -> np.ndarray:
     the pair :func:`orbit_cells` holds, when ``x1`` and ``x2`` are those two
     arrays themselves: the next call with the same automaton object and the
     same two arrays returns that table, read-only, so the checks of one
-    report compute it once.  The automaton and the two arrays are immutable,
-    so a kept answer is the one a fresh call would give; every other call,
-    (x2, x1) and the diagonal among them, computes its table."""
+    report compute it once (both are immutable, see the module docstring);
+    every other call, a mirror or the diagonal among them, computes its table."""
     global _last_square
     n, sigma = auto.n_states, 2 * auto.n_states**3
     x1, x2 = _flat_cells(n, x1, x2, "witness_square_table")

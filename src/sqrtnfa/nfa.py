@@ -273,18 +273,23 @@ def pack(source, letter, target, n: int, sigma: int):
     return (source * sigma + letter) * n + target
 
 
+_NOT_TRIPLES = "transitions must be (source, letter, target) triples"
+
+
 def _checked_relation(transitions, n: int, sigma: int) -> Relation:
     """The transitions as a validated :class:`Relation` over n states and
     sigma letters.  Its keys are the 1-D int64 keys of a ``Relation``
     packed for this n and sigma, and else packed here from the ``(k, 3)``
     rows, after each column's range is checked; they are sorted only if
-    they do not already strictly increase.  Any fault is reported by
-    :func:`_first_bad`."""
+    they do not already strictly increase.  Keys that are not 1-D are not
+    triples; any other fault is reported by :func:`_first_bad`."""
     keys = transitions.keys if isinstance(transitions, Relation) else None
-    packed = keys is not None and keys.dtype == np.int64 and keys.ndim == 1
+    if keys is not None and keys.ndim != 1:
+        raise ValueError(_NOT_TRIPLES)
+    packed = keys is not None and keys.dtype == np.int64
     if not (packed and transitions._radix == (n, sigma)):
         if keys is not None:
-            # keys of another dtype or shape are checked as decoded triples
+            # keys of another dtype are checked as decoded triples
             transitions = transitions.array if packed else tuple(transitions)
         rows = _relation_array(transitions)
         # as unsigned, a negative entry reads as one above every bound
@@ -311,7 +316,7 @@ def _relation_array(transitions) -> np.ndarray:
         return np.empty((0, 3), dtype=np.int64)
     array = np.asarray(transitions)
     if array.ndim != 2 or array.shape[1] != 3:
-        raise ValueError("transitions must be (source, letter, target) triples")
+        raise ValueError(_NOT_TRIPLES)
     kind = array.dtype.kind
     if kind not in "bi" and not (kind == "u" and int(array.max()) < 2**63):
         rows = transitions.tolist() if isinstance(transitions, np.ndarray) else transitions

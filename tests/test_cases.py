@@ -215,11 +215,18 @@ class TestOrbitPass:
 
             return call
 
-        monkeypatch.setattr(cases, "case_table", MUTANTS["identity_l=True"])
+        table = MUTANTS["identity_l=True"]
+        monkeypatch.setattr(cases, "case_table", table)
         for name in ("witness_square_table", "case_table"):
             monkeypatch.setattr(cases, name, recording(getattr(cases, name)))
         assert check(13) is not None
-        assert sizes == [163_967, 163_967]
+        if check is verify_cases:
+            assert sizes == [163_967, 163_967]
+            return
+        # the crossing reads a_X2 b_X1 only where a_X1 b_X2 holds off the diagonal
+        x1, x2 = kernels.orbit_cells(13)
+        hits = np.count_nonzero((table(13, x1, x2) != 0) & (x1 != x2))
+        assert sizes == [163_967, hits] and hits == 1_196
 
 
 # the parent's screen-plus-scan counterexamples; they are the same for every

@@ -212,6 +212,20 @@ class TestCertifyMatchesReference:
         assert report.cond2_checked == reference.cond2_checked
         assert report == reference
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_damage_in_one_direction_stays_certified(self, monkeypatch, seed):
+        # T[i, j] made True with T[j, i] False: condition 2 reads the mirror
+        # at (j, i), so an unswapped read would name (i, j)
+        table = witness_square_table(witness(6), *grid(6))
+        rng = random.Random(seed)
+        for _ in range(3):
+            i, j = rng.choice(np.argwhere(~table & ~table.T).tolist())
+            table[i, j] = True
+        monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
+        report = certify_lower_bound(6)
+        assert report.certified
+        assert report == verify_fooling(witness_fooling_set(6), table_oracle(table))
+
     def test_cond1_failure_when_table_and_automaton_agree(self, monkeypatch):
         table = witness_square_table(witness(6), *grid(6))
         table[40, 40] = table[90, 90] = False
@@ -238,12 +252,20 @@ class TestCertifyMatchesReference:
         sizes = []
         damage = []
 
-        def recording(auto, x1, x2):
-            sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
+        def damaged(auto, x1, x2):
             table = kernels.witness_square_table(auto, x1, x2)
             for cell in damage:
                 table = table | orbit_mask(auto.n_states, cell, x1, x2)
             return table
+
+        def recording(auto, x1, x2):
+            sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
+            return damaged(auto, x1, x2)
+
+        def hits():
+            # the off-diagonal representatives where T holds
+            x1, x2 = kernels.orbit_cells(13)
+            return np.count_nonzero(damaged(witness(13), x1, x2) & (x1 != x2))
 
         monkeypatch.setattr(fooling, "witness_square_table", recording)
         report = certify_lower_bound(13)  # 13^6 cells would be 4.8M
@@ -251,8 +273,8 @@ class TestCertifyMatchesReference:
         assert report.certified and report.cond2_checked == m * (m - 1) // 2
         # the table on the representatives, whose diagonal is condition 1,
         # then one call each way for condition 2: the first is served from
-        # the kept table, the second computes its mirror
-        assert sizes == [163_967, 163_967, 163_967]
+        # the kept table, the second computes its mirror on the hits alone
+        assert sizes == [163_967, 163_967, hits()] and hits() == 1_239
 
         # damage closed under the symmetry (two mirrored orbits) is named
         # by the same calls, with no second pass
@@ -261,7 +283,7 @@ class TestCertifyMatchesReference:
         report = certify_lower_bound(13)
         i, j = (5 * 13 + 6) * 13 + 7, (5 * 13 + 7) * 13 + 6
         assert report.violation == Violation("cond2", i + 1, j + 1)
-        assert sizes == [163_967, 163_967, 163_967]
+        assert sizes == [163_967, 163_967, hits()] and hits() > 1_239
 
 
 class TestDoctoredAutomaton:

@@ -290,6 +290,13 @@ class TestArrayRelation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Nfa(2, ("a",), {0}, {1}, keys)
 
+    def test_zero_dimensional_keys_are_refused(self):
+        # the parent raised IndexError, and len() of the keys TypeError
+        keys = Relation(np.array(1), 2, 1)
+        message = "transitions must be (source, letter, target) triples"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Nfa(2, ("a",), {0}, {1}, keys)
+
     def test_keys_of_another_int_dtype_are_packed_again(self):
         keys = Relation(np.array([1, 3], dtype=np.int32), 2, 1)
         a = Nfa(2, ("a",), {0}, {1}, keys)

@@ -35,6 +35,7 @@ from sqrtnfa import (
 from sqrtnfa import cases, fooling, kernels
 from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa.kernels import orbit_cells, orbit_count
+from sqrtnfa.sqrt import TripleCodec
 from conftest import MUTANTS, doctored_witness, first_pair, grid, mutant, orbit_mask
 
 ORBITS = 163_967
@@ -268,6 +269,32 @@ class TestScreenMatchesStrips:
         assert report == reference
 
 
+class TestOrbitPairReads:
+    """What the checks read on the orbit pair and nowhere else: the case
+    table's coordinates, and the crossing's second case table."""
+
+    @pytest.mark.parametrize("n", range(6, 14))
+    def test_case_table_on_the_orbit_pair_equals_a_copy(self, n):
+        x1, x2 = orbit_cells(n)
+        kept = case_table(n, x1, x2)
+        assert np.array_equal(kept, case_table(n, x1.copy(), x2.copy()))
+        assert kept.dtype == np.uint8
+
+    @pytest.mark.parametrize("mutated", [False, True])
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_crossing_matches_the_dense_crossing(self, monkeypatch, n, mutated):
+        # the dense crossing reads the second case table on every cell
+        table = MUTANTS["identity_l=True"] if mutated else case_table
+        x1, x2 = orbit_cells(n)
+        dense = (table(n, x1, x2) != 0) & (table(n, x2, x1) != 0) & (x1 != x2)
+        monkeypatch.setattr(cases, "case_table", table)
+        found = pairwise_contradiction(n, budget=n**6)
+        assert (found is None) == (not mutated) == (not dense.any())
+        if mutated:
+            k = np.argmax(dense)
+            assert found == tuple(TripleCodec(n).decode(int(x[k])) for x in (x1, x2))
+
+
 @pytest.fixture
 def computed(monkeypatch):
     """The (x1, x2) of every square table the kernel computes rather than
@@ -356,10 +383,13 @@ class TestOneTablePerReport:
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_one_report_computes_each_table_once(self, computed, n):
-        # T(x1, x2), whose diagonal cells are condition 1, and T(x2, x1): a
-        # second pass over the orbit pair fails here before it shows in the
-        # benchmark
+        # T(x1, x2), whose diagonal cells are condition 1, and T(x2, x1)
+        # where T holds off the diagonal: a second pass over the orbit pair
+        # fails here before it shows in the benchmark
         witness.cache_clear()
         run_report(n, 4_000_000)
         cells = sum(np.broadcast(a, b).size for a, b in computed)
-        assert cells == 2 * orbit_count(n)
+        x1, x2 = orbit_cells(n)
+        hits = np.count_nonzero(witness_square_table(witness(n), x1, x2) & (x1 != x2))
+        assert hits == {8: 1_237, 12: 1_239}[n]
+        assert cells == orbit_count(n) + hits
