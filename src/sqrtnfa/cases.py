@@ -69,8 +69,8 @@ def verify_cases(n: int, budget: int | None = None) -> tuple[Triple, Triple] | N
     auto = check_symmetric(witness(n))
 
     def mismatch(rows, cols):
-        truth = witness_square_table(auto, rows, cols)
-        return truth != (case_table(n, rows, cols) != 0)
+        truth = witness_square_table(auto, rows, cols, budget)
+        return truth != (case_table(n, rows, cols, budget) != 0)
 
     cell = first_orbit_hit(n, mismatch)
     return None if cell is None else tuple(map(TripleCodec(n).decode, cell))
@@ -89,5 +89,7 @@ def pairwise_contradiction(n: int, budget: int | None = None) -> tuple[Triple, T
     """
     charge("pairwise contradiction pairs", orbit_count(n), budget)
 
-    cell = first_orbit_hit(n, lambda rows, cols: case_table(n, rows, cols) != 0, upper=True)
+    cell = first_orbit_hit(
+        n, lambda rows, cols: case_table(n, rows, cols, budget) != 0, upper=True
+    )
     return None if cell is None else tuple(map(TripleCodec(n).decode, cell))

@@ -145,14 +145,15 @@ def _parse_pairs(nfa: Nfa, text: str) -> FoolingSet:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    _write_pieces(args.out, _pieces(witness(args.n)))
+    # no budget option, and none read: the tables of n <= 32 fit the default
+    _write_pieces(args.out, _pieces(witness(args.n), budget=DEFAULT_BUDGET))
     return 0
 
 
 def _cmd_sqrt(args: argparse.Namespace) -> int:
     auto = _load_nfa(args.infile, args.budget)
     cube = sqrt_nfa(auto, args.budget)
-    _write_pieces(args.out, _pieces(cube, triple_labels(auto.n_states)))
+    _write_pieces(args.out, _pieces(cube, triple_labels(auto.n_states), args.budget))
     return 0
 
 

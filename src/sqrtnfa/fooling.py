@@ -169,9 +169,11 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     charge("fooling set pairs", m, budget)
     auto = check_symmetric(witness(n))
     rows, cols = orbit_cells(n)
+    # the budget counts pairs; the table calls read at most one cell per orbit
+    cells = rows.size
     # the table is kept, so clash below reads it again
     on_diagonal = rows == cols
-    diagonal, inside = rows[on_diagonal], witness_square_table(auto, rows, cols)[on_diagonal]
+    diagonal, inside = rows[on_diagonal], witness_square_table(auto, rows, cols, cells)[on_diagonal]
     # only the pairs read here are built: the whole set is n^3 of them
     pairs = [_witness_pair(m, i) for i in diagonal.tolist()]
     scalar = [member(auto, 2 * (x + y)) for x, y in pairs]
@@ -186,7 +188,9 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
             certified=False, bound=0, violation=Violation("cond1", i), cond1_checked=i
         )
 
-    hit = first_orbit_hit(n, lambda rows, cols: witness_square_table(auto, rows, cols), upper=True)
+    hit = first_orbit_hit(
+        n, lambda rows, cols: witness_square_table(auto, rows, cols, cells), upper=True
+    )
     if hit is None:
         return FoolingReport(
             certified=True, bound=m, cond1_checked=m, cond2_checked=m * (m - 1) // 2

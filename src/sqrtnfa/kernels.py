@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import charge
 from .errors import VerificationError
 from .nfa import Nfa, pack
 from .sqrt import TripleCodec
@@ -154,19 +155,20 @@ def first_orbit_hit(
     return int(x1[k]), int(x2[k])
 
 
-def _triple_cells(n: int, x1, x2, table: str):
+def _triple_cells(n: int, x1, x2, table: str, budget: int | None):
     """Coordinates (p, q, r) of two checked arrays of flat triple indices,
     read off the canonical tuples on the orbit pair."""
-    x1, x2 = _flat_cells(n, x1, x2, table)
+    x1, x2 = _flat_cells(n, x1, x2, table, budget)
     if _is_orbit_pair(n, x1, x2):
         columns = _orbit_tuples(n)[0]
         return [columns[:3], columns[3:]]
     return [TripleCodec(n).split(x) for x in (x1, x2)]
 
 
-def _flat_cells(n: int, x1, x2, table: str) -> list[np.ndarray]:
+def _flat_cells(n: int, x1, x2, table: str, budget: int | None) -> list[np.ndarray]:
     """Two broadcastable arrays of flat triple indices (p*n + q)*n + r in
-    0..n^3-1, checked, as uint16."""
+    0..n^3-1, checked, as uint16; the cells they select are charged as
+    ``<table> cells``."""
     check_witness_n(n)
     cells = []
     for x in map(np.asarray, (x1, x2)):
@@ -178,6 +180,7 @@ def _flat_cells(n: int, x1, x2, table: str) -> list[np.ndarray]:
                 f"{table}: flat triple index {bad} out of range 0..{n**3 - 1} for n={n}"
             )
         cells.append(x.astype(_CELL, copy=False))
+    charge(f"{table} cells", np.broadcast(*cells).size, budget)
     return cells
 
 
@@ -187,11 +190,12 @@ def _flat_cells(n: int, x1, x2, table: str) -> list[np.ndarray]:
 _last_square: tuple = (None, None, None)
 
 
-def witness_square_table(auto: Nfa, x1, x2) -> np.ndarray:
+def witness_square_table(auto: Nfa, x1, x2, budget: int | None = None) -> np.ndarray:
     """Boolean table T[x1, x2] = the word a_X1 b_X2 squares into the
     language of ``auto``, an n-state automaton over the alphabet of
     ``witness(n)``, 6 <= n <= 32.  ``x1`` and ``x2`` are broadcastable
-    arrays of flat triple indices (p*n + q)*n + r that select the cells.
+    arrays of flat triple indices (p*n + q)*n + r that select the cells;
+    their count is charged to ``budget`` before any is computed.
 
     Each letter's transitions go into k slots, k the most any letter has,
     and the table tracks which slots fire across (a_X1 b_X2)^2: a slot
@@ -207,9 +211,10 @@ def witness_square_table(auto: Nfa, x1, x2) -> np.ndarray:
     every other call, a mirror or the diagonal among them, computes its table."""
     global _last_square
     n, sigma = auto.n_states, 2 * auto.n_states**3
-    x1, x2 = _flat_cells(n, x1, x2, "witness_square_table")
+    check_witness_n(n)
     if len(auto.alphabet) != sigma:
         raise ValueError(f"witness_square_table: {len(auto.alphabet)} letters, not {sigma}")
+    x1, x2 = _flat_cells(n, x1, x2, "witness_square_table", budget)
     last, slots, kept = _last_square
     if last is not auto:
         slots, kept = _letter_slots(auto), None
@@ -309,12 +314,12 @@ def _case_conditions(p1, q1, r1, p2, q2, r2, l1, m2) -> list[np.ndarray]:
     ]
 
 
-def case_table(n: int, x1, x2) -> np.ndarray:
+def case_table(n: int, x1, x2, budget: int | None = None) -> np.ndarray:
     """Lowest satisfied case id (1..7) per letter pair, 0 when none holds.
 
-    ``x1`` and ``x2`` select cells as in :func:`witness_square_table`.
+    ``x1`` and ``x2`` select and charge cells as in :func:`witness_square_table`.
     """
-    (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table")
+    (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table", budget)
     conds = _case_conditions(p1, q1, r1, p2, q2, r2, _PIVOT_L[p1], _PIVOT_M[p2])
     ids = [np.uint8(k) for k in range(1, len(conds) + 1)]
     return np.select(conds, ids, default=np.uint8(0))

@@ -11,8 +11,9 @@ Format (UTF-8, ``#`` starts a comment anywhere on a line):
 ``states`` and ``alphabet`` are required and must precede every ``trans``
 line; ``initial``/``final`` may be empty or omitted.  ``emit_nfa`` writes
 the canonical form (directives in the order above, transitions in sorted
-order), so emit(parse(emit(x))) is byte-identical to emit(x).  It is made
-in blocks of rows, which the CLI writes out one at a time.
+order), so emit(parse(emit(x))) is byte-identical to emit(x).  The
+``trans`` lines are cut from padded byte tables (:func:`_line_tables`) in
+blocks of under 128 KiB, which the CLI writes out one at a time.
 
 ``parse_nfa`` reads canonical text on a key path: the header line by
 line, the ``trans`` block as flat token lists packed into one array of
@@ -30,11 +31,14 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import FormatError
+from .config import charge
+from .errors import BudgetExceededError, FormatError
 from .nfa import Nfa, Relation, pack
 
 _CHUNK = 1 << 16  # characters of trans lines tokenized at a time
-_ROWS = 1 << 14  # trans lines emitted per piece
+# bytes of table rows per emitted piece: below glibc's 128 KiB mmap
+# threshold, so a block's buffers reuse heap memory, not fresh mappings
+_BLOCK = 127 << 10
 
 
 def _int_token(token: str, line_no: int, column: int, what: str) -> int:
@@ -49,7 +53,8 @@ def parse_nfa(text: str) -> Nfa:
     ``FormatError`` with its line and column."""
     try:
         nfa = _parse_canonical(text)
-    except (ValueError, KeyError, OverflowError):  # the per-line parser reports it
+    # the per-line parser reports it; a refused line table falls back too
+    except (ValueError, KeyError, OverflowError, BudgetExceededError):
         nfa = None
     return nfa if nfa is not None else Nfa(**_parse_lines(text))
 
@@ -58,7 +63,8 @@ def _parse_canonical(text: str) -> Nfa | None:
     """The automaton of a text whose ``trans`` block is exactly what
     ``emit_nfa`` writes for it, else None.  A bad token, a ragged chunk,
     an entry beyond int64 or an automaton ``Nfa`` refuses raises
-    ``ValueError``, ``KeyError`` or ``OverflowError`` instead.
+    ``ValueError``, ``KeyError`` or ``OverflowError`` instead, and line
+    tables the budget refuses raise ``BudgetExceededError``.
 
     The block is split into tokens a chunk of whole lines at a time, which
     keeps the token strings of only one chunk alive, and each chunk is
@@ -188,20 +194,19 @@ def emit_nfa(nfa: Nfa, state_labels: dict[int, str] | None = None) -> str:
     ``state_labels`` adds informational comment lines (one per labeled
     state) after the header; parsers ignore them, so labeled output parses
     back to the same automaton.  A label that would break its line raises
-    ``ValueError``.
+    ``ValueError``; line tables too wide for the budget of the environment,
+    ``BudgetExceededError``.
     """
     return "".join(_pieces(nfa, state_labels))
 
 
-def _pieces(nfa: Nfa, state_labels: dict[int, str] | None = None) -> Iterator[str]:
-    """The canonical text in pieces: the header, then the ``trans`` lines
-    ``_ROWS`` at a time.  The header is built at the call, so a bad label
-    raises before any piece is taken.
-
-    Each block decodes its own keys and indexes one ``"trans {s} "`` and
-    one ``" {d}\\n"`` string per state with the decoded columns; the
-    tables cover every state unless the state numbers are sparse, where
-    they cover only the states in use."""
+def _pieces(
+    nfa: Nfa, state_labels: dict[int, str] | None = None, budget: int | None = None
+) -> Iterator[str]:
+    """The canonical text in pieces: the header, then the ``trans`` lines,
+    ``_BLOCK`` bytes of :func:`_line_tables` rows at a time, each line the
+    OR of three rows less its 0xFF bytes.  The header and tables are built
+    at the call, so a bad label or a refused table raises before any piece."""
     lines = [f"states {nfa.n_states}"]
     if state_labels:
         order = sorted(state_labels)
@@ -214,26 +219,60 @@ def _pieces(nfa: Nfa, state_labels: dict[int, str] | None = None) -> Iterator[st
     lines.append("alphabet " + " ".join(nfa.alphabet))
     lines.append(("initial " + " ".join(str(s) for s in sorted(nfa.initial))).rstrip())
     lines.append(("final " + " ".join(str(s) for s in sorted(nfa.final))).rstrip())
+    header = ["\n".join(lines) + "\n"]
 
     relation, n = nfa.transitions, nfa.n_states
-    used = None
+    if not len(relation):
+        return iter(header)
+    used = None  # sparse state numbers: tables for the states in use only
     if n <= 2 * len(relation):
         states = range(n)
     else:
         source, _, target = relation.unpack()
         used = np.unique(np.concatenate([source, target]))
         states = used.tolist()
-    heads = np.array([f"trans {s} " for s in states], dtype=object)
-    tails = np.array([f" {d}\n" for d in states], dtype=object)
-    names = np.array(nfa.alphabet, dtype=object)
+    heads, names, tails = _line_tables(list(map(str, states)), nfa.alphabet, budget)
 
     def block(rows: slice) -> str:
         source, letter, target = relation.unpack(rows)
         if used is not None:
             source, target = np.searchsorted(used, source), np.searchsorted(used, target)
-        body = (heads[source], names[letter], tails[target])
-        return "".join(np.column_stack(body).ravel().tolist())
+        line = heads.take(source).view(np.uint8)
+        line |= names.take(letter).view(np.uint8)
+        line |= tails.take(target).view(np.uint8)
+        return line.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass")
 
-    step = _ROWS
+    step = max(1, _BLOCK // heads.itemsize)
     blocks = (block(slice(i, i + step)) for i in range(0, len(relation), step))
-    return chain(["\n".join(lines) + "\n"], blocks)
+    return chain(header, blocks)
+
+
+def _line_tables(digits: list[str], alphabet: tuple[str, ...], budget: int | None):
+    """The ``"trans {s} "`` of each state number in ``digits``, each letter
+    name and each ``" {d}\\n"``, in UTF-8 (``surrogatepass``) rows of one
+    ``V{w}`` type: a head, a letter and a tail field, each as wide as its
+    widest text, w rounded up to 8 (numpy takes such rows faster).  An entry
+    holds its text in its own field, then 0xFF, never in UTF-8, to the
+    field's end, and zeros elsewhere.  The letter field's bytes that hold no
+    name, (σ + 2m)·w_letter - Σ|name|, are charged first."""
+    sections = (  # the entries, cut at a "#", which none of them holds
+        "trans " + " #trans ".join(digits) + " ",
+        "#".join(alphabet),
+        " " + "\n# ".join(digits) + "\n",
+    )
+    raws = [np.frombuffer(x.encode("utf-8", "surrogatepass"), np.uint8) for x in sections]
+    cuts = [raw == ord("#") for raw in raws]
+    sizes = [np.diff(np.flatnonzero(cut), prepend=-1, append=cut.size) - 1 for cut in cuts]
+    widths = [int(size.max()) for size in sizes]
+    padding = (len(alphabet) + 2 * len(digits)) * widths[1] - int(sizes[1].sum())
+    charge("emitted letter field padding", padding, budget)
+    width = -(-sum(widths) // 8) * 8
+    widths[2] += width - sum(widths)
+    table = np.zeros((sum(map(len, sizes)), width), np.uint8)
+    row = column = 0
+    for raw, cut, size, w in zip(raws, cuts, sizes, widths):
+        field = table[row : row + len(size), column : column + w]
+        field[...] = 0xFF
+        field[np.arange(w) < size[:, None]] = raw[~cut]
+        row, column = row + len(size), column + w
+    return np.split(table.view(f"V{width}").ravel(), np.cumsum([len(digits), len(alphabet)]))

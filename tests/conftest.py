@@ -199,8 +199,8 @@ def _mutant(drop=None, identity_l=False):
     conditions as the real table, so each mutant differs from it only by
     its one damage."""
 
-    def case_table(n, x1, x2):
-        (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table")
+    def case_table(n, x1, x2, budget=None):
+        (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table", budget)
         l1 = p1 if identity_l else _PIVOT_L[p1]
         conds = _case_conditions(p1, q1, r1, p2, q2, r2, l1, _PIVOT_M[p2])
         kept = [(c, np.uint8(k)) for k, c in enumerate(conds, start=1) if k != drop]

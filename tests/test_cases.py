@@ -209,9 +209,9 @@ class TestOrbitPass:
         sizes = []
 
         def recording(table):
-            def call(n, *args):
-                sizes.append(np.broadcast(*map(np.asarray, args[-2:])).size)
-                return table(n, *args)
+            def call(n, x1, x2, budget=None):
+                sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
+                return table(n, x1, x2, budget)
 
             return call
 

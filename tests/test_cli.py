@@ -129,6 +129,23 @@ class TestSqrtCommand:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert target.read_text() == "kept\n"
 
+    def test_a_wide_letter_field_exits_3_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        # 1,000 letters, one of them 10,000 bytes long: the input still parses
+        # (per line), and the cube's line tables are refused before any write
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+        names = [f"l{i}" for i in range(999)] + ["x" * 10_000]
+        source = tmp_path / "wide.nfa"
+        source.write_text(
+            f"states 2\nalphabet {' '.join(names)}\ninitial 0\nfinal 1\n"
+            f"trans 0 {names[-1]} 1\ntrans 1 l0 0\n"
+        )
+        target = tmp_path / "cube.nfa"
+        code, out, err = run(capsys, "sqrt", "--in", str(source), "--out", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exceeded: emitted letter field padding: needs ")
+        assert err.endswith(", exceeds budget 1000000\n")
+        assert not target.exists()
+
     @pytest.mark.parametrize("command", [["sqrt", "--in", "W6"], ["witness", "--n", "6"]])
     def test_a_directory_as_out_is_a_usage_error(self, capsys, w6_file, tmp_path, command):
         argv = [w6_file if arg == "W6" else arg for arg in command]

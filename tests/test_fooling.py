@@ -168,7 +168,7 @@ class TestCertify:
 def table_cells(table):
     """Stand-in for the cell form of ``witness_square_table`` that reads a
     given table."""
-    return lambda auto, x1, x2: table[np.asarray(x1), np.asarray(x2)]
+    return lambda auto, x1, x2, budget=None: table[np.asarray(x1), np.asarray(x2)]
 
 
 def table_oracle(table):
@@ -252,15 +252,15 @@ class TestCertifyMatchesReference:
         sizes = []
         damage = []
 
-        def damaged(auto, x1, x2):
-            table = kernels.witness_square_table(auto, x1, x2)
+        def damaged(auto, x1, x2, budget=None):
+            table = kernels.witness_square_table(auto, x1, x2, budget)
             for cell in damage:
                 table = table | orbit_mask(auto.n_states, cell, x1, x2)
             return table
 
-        def recording(auto, x1, x2):
+        def recording(auto, x1, x2, budget=None):
             sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
-            return damaged(auto, x1, x2)
+            return damaged(auto, x1, x2, budget)
 
         def hits():
             # the off-diagonal representatives where T holds

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from sqrtnfa import (
     witness,
     witness_square_table,
 )
+from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa.words import walk_word_tree
 from conftest import any_case, first_disagreement, grid, iter_words, nfas, with_transitions
 
@@ -131,6 +134,32 @@ class TestTableForms:
             witness_square_table(witness(6), [0.5], [0])
         with pytest.raises(ValueError, match="must be integers"):
             case_table(6, x1=np.array([True]), x2=[0])
+
+    @pytest.mark.parametrize("table", ["case_table", "witness_square_table"])
+    def test_the_whole_grid_at_n32_is_refused_before_it_is_built(self, monkeypatch, table):
+        # 32**6 cells would take 1 GiB per boolean grid: the default budget
+        # refuses them, and nothing of that size is allocated first
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+        auto, x = witness(32), np.arange(32**3)
+        call = {"case_table": lambda: case_table(32, x[:, None], x[None, :]),
+                "witness_square_table": lambda: witness_square_table(auto, x[:, None], x[None, :])}
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=f"^{table} cells: needs {32**6}, "):
+                call[table]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_the_cells_are_charged_to_an_explicit_budget(self):
+        cells = np.arange(216)
+        assert case_table(6, cells[:, None], cells[None, :], 216**2).shape == (216, 216)
+        with pytest.raises(BudgetExceededError, match="^case_table cells: needs 46656, "):
+            case_table(6, cells[:, None], cells[None, :], 216**2 - 1)
+        assert witness_square_table(witness(6), cells, cells, 216).shape == (216,)
+        with pytest.raises(BudgetExceededError, match="^witness_square_table cells: needs 216, "):
+            witness_square_table(witness(6), cells, cells, 215)
 
 
 class TestCaseTable:

@@ -254,8 +254,8 @@ class TestScreenMatchesStrips:
         assert not witness_square_table(witness(n), [x1], [x2])[0]
         assert witness_square_table(witness(n), [x2], [x1])[0]
 
-        def damaged(auto, x1, x2):
-            return kernels.witness_square_table(auto, x1, x2) ^ orbit_mask(n, cell, x1, x2)
+        def damaged(auto, x1, x2, budget=None):
+            return kernels.witness_square_table(auto, x1, x2, budget) ^ orbit_mask(n, cell, x1, x2)
 
         monkeypatch.setattr(fooling, "witness_square_table", damaged)
         table = damaged(witness(n), *grid(n))

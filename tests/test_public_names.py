@@ -89,7 +89,7 @@ PUBLIC_OPTIONS = {
     "Violation": ("kind", "i", "j=None"),
     "accept_table": ("nfa", "max_len", "budget=None"),
     "case_holds": ("case", "x1", "x2", "n"),
-    "case_table": ("n", "x1", "x2"),
+    "case_table": ("n", "x1", "x2", "budget=None"),
     "certify_lower_bound": ("n", "budget=None"),
     "count_words": ("sigma", "max_len"),
     "determinize": ("nfa", "cap=None"),
@@ -121,7 +121,7 @@ PUBLIC_OPTIONS = {
     "verify_fooling": ("candidate", "oracle"),
     "witness": ("n",),
     "witness_alphabet": ("n",),
-    "witness_square_table": ("auto", "x1", "x2"),
+    "witness_square_table": ("auto", "x1", "x2", "budget=None"),
 }
 
 

@@ -1,8 +1,14 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqrtnfa import FormatError, Nfa, emit_nfa, member, parse_nfa, sqrt_nfa, textio, trim, witness
+from sqrtnfa import (
+    BudgetExceededError, FormatError, Nfa, emit_nfa, member, parse_nfa, sqrt_nfa, textio, trim,
+    witness,
+)
 from sqrtnfa.sqrt import triple_labels
 from conftest import make_nfa, nfas
 
@@ -275,17 +281,95 @@ def sparse_nfas(draw):
 EMPTY = (make_nfa(1, 1, [], {0}, set()), make_nfa(5, 2, [], {0, 4}, {3}))
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, textio._ROWS])
+def row_width(top, alphabet):
+    """Bytes per emitted ``trans`` row when the widest state number is
+    ``top``: the widest head, letter name and tail, rounded up to 8."""
+    name = max(len(x.encode("utf-8", "surrogatepass")) for x in alphabet)
+    return -(-(len(f"trans {top} ") + name + len(f" {top}\n")) // 8) * 8
+
+
+def row_bytes(a):
+    """Bytes per emitted ``trans`` row of ``a``: its tables cover every
+    state or, when the state numbers are sparse, the states in use."""
+    if not len(a.transitions):
+        return 1
+    sparse = a.n_states > 2 * len(a.transitions)
+    top = max(s for t in a.transitions for s in t[::2]) if sparse else a.n_states - 1
+    return row_width(top, a.alphabet)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, pytest.param(None, id="default")])
 @settings(max_examples=100)
 @given(st.one_of(nfas(), sparse_nfas(), st.sampled_from(EMPTY)))
 def test_the_block_size_does_not_change_the_text(rows, a):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(textio, "_ROWS", rows)
+        if rows is not None:
+            patch.setattr(textio, "_BLOCK", rows * row_bytes(a))
+        step = textio._BLOCK // row_bytes(a)
         text, pieces = emit_nfa(a), list(textio._pieces(a))
         assert text == emit_reference(a)
-        assert len(pieces) == 1 + -(-len(a.transitions) // rows)
+        assert len(pieces) == 1 + -(-len(a.transitions) // step)
         assert all(piece.endswith("\n") for piece in pieces[1:])
         assert parse_nfa(text) == a
+
+
+# letter names as the format allows them: no whitespace and no "#", but any
+# other code point, NUL, non-ASCII and lone surrogates among them
+NAMES = st.text(
+    st.characters(exclude_categories=(), exclude_characters="#"), min_size=1, max_size=40
+).filter(lambda name: name.split() == [name])
+
+
+@st.composite
+def block_sized_nfas(draw, offset):
+    """Automata over drawn letter names whose relation is one row shorter
+    than an emitted block, as long, or one row longer."""
+    # at least 91 states: n * n keys cover a block of the narrowest rows
+    n = draw(st.integers(91, 150))
+    names = tuple(draw(st.lists(NAMES, min_size=1, max_size=4, unique=True)))
+    rows = textio._BLOCK // row_width(n - 1, names) + offset
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    pairs, target = np.divmod(np.sort(rng.choice(n * n * len(names), rows, False)), n)
+    source, letter = np.divmod(pairs, len(names))
+    state = st.integers(0, n - 1)
+    initial, final = draw(st.sets(state, min_size=1, max_size=3)), draw(st.sets(state, max_size=3))
+    return Nfa(n, names, initial, final, np.column_stack([source, letter, target]))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_emit_matches_the_reference_on_drawn_names_at_block_edges(offset, data):
+    a = data.draw(block_sized_nfas(offset))
+    text = emit_nfa(a)
+    assert text == emit_reference(a)
+    assert len(list(textio._pieces(a))) == (3 if offset > 0 else 2)
+    assert parse_nfa(text) == a
+
+
+def test_a_wide_letter_field_is_charged_before_the_tables_are_built():
+    # 1,000 letters, one of them 10,000 bytes long: every table entry would
+    # carry a 10,000-byte letter field
+    names = tuple(f"l{i}" for i in range(999)) + ("x" * 10_000,)
+    a = Nfa(2, names, {0}, {1}, ((0, 999, 1), (1, 0, 0)))
+    with pytest.raises(BudgetExceededError, match="^emitted letter field padding: needs "):
+        emit_nfa(a)
+    # the canonical parser verifies by emitting, and falls back when refused
+    assert parse_nfa(emit_reference(a)) == a
+
+
+def test_making_every_block_stays_small():
+    # the blocks of the unlabelled witness(12) cube, 165,888 lines, one at a time
+    cube = sqrt_nfa(witness(12))
+    assert len(cube.transitions) == 165_888
+    tracemalloc.start()
+    try:
+        for _piece in textio._pieces(cube):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def near_canonical_texts():
@@ -298,11 +382,12 @@ def near_canonical_texts():
     return cuts + [text + last, text + "trans\n"]
 
 
-@pytest.mark.parametrize("rows", [1, 3, textio._ROWS])
+@pytest.mark.parametrize("rows", [1, 3, pytest.param(None, id="default")])
 def test_near_canonical_text_falls_back_to_the_per_line_parser(monkeypatch, rows):
     # the comparison walks the emitted blocks; with 1 or 3 rows a block
     # boundary falls inside the cut line, or right before it
-    monkeypatch.setattr(textio, "_ROWS", rows)
+    if rows is not None:
+        monkeypatch.setattr(textio, "_BLOCK", rows * row_bytes(sqrt_nfa(witness(6))))
     for text in near_canonical_texts():
         try:
             canonical = textio._parse_canonical(text)
