@@ -33,10 +33,9 @@ from .nfa import (
     member,
     reach,
     square_accept_table,
-    trim,
 )
 from .oracle import RandomSpec, random_nfa, relation_dfa, sqrt_dfa, sqrt_member_direct
-from .sqrt import TripleCodec, reachable_triples, sqrt_nfa, triple_labels
+from .sqrt import TripleCodec, sqrt_nfa, triple_labels
 from .textio import emit_nfa, parse_nfa
 from .witness import (
     FINAL_BLOCK,
@@ -89,14 +88,12 @@ __all__ = [
     "pivot_m",
     "random_nfa",
     "reach",
-    "reachable_triples",
     "relation_dfa",
     "run_report",
     "sqrt_dfa",
     "sqrt_member_direct",
     "sqrt_nfa",
     "square_accept_table",
-    "trim",
     "triple_labels",
     "verify_cases",
     "verify_fooling",

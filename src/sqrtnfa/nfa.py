@@ -15,18 +15,18 @@ so ascending keys are the triples in (source, letter, target) order and
 a state's transitions are one run of keys.  The keys are validated with
 a few array operations, and an automaton whose keys would pass int64
 (n * n * sigma >= 2**63) is refused.  ``Nfa.transitions`` is a
-:class:`Relation` view of them that reads like the tuple of triples and
-decodes rows only on demand.  A set of states is simulated as an int
-bitmask, stepped through one successor index, ``_succ``, in one of two forms, one per
-access pattern.  A step on one letter (``reach``, ``member``, ``targets``)
-reads each set state's row, a dict from letter to successor mask.  A step
-on every letter at once (``_stepper``: ``determinize``, the product walk
-of ``equivalent`` and ``difference_witness``, and ``accept_table`` and
-``square_accept_table``, which flag every word up to a length in rank
-order, see :mod:`sqrtnfa.words`) ORs one table entry per non-zero byte of
-the mask, as in the Method of Four Russians, and cuts the result into one
-mask per letter with a shift and an AND.  There is no state cap: masks
-are Python ints.
+:class:`Relation`: the keys, decoded into rows only on demand.  A set
+of states is simulated as an int bitmask, stepped through one successor
+index, ``_succ``, in one of two forms, one per access pattern.  A step
+on one letter (``reach``, ``member``) reads each set state's row, a dict
+from letter to successor mask.  A step on every letter at once
+(``_stepper``: ``determinize``, the product walk of ``equivalent`` and
+``difference_witness``, and ``accept_table`` and ``square_accept_table``,
+which flag every word up to a length in rank order, see
+:mod:`sqrtnfa.words`) ORs one table entry per non-zero byte of the mask,
+as in the Method of Four Russians, and cuts the result into one mask per
+letter with a shift and an AND.  There is no state cap: masks are
+Python ints.
 
 The word walks (``determinize``, ``accept_table`` and
 ``dfa_accept_table``) take their start node, successor function and
@@ -46,8 +46,8 @@ the one integer test, and keeps it as a tuple of tuples of ``int``.
 
 from __future__ import annotations
 
+import zlib
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -61,31 +61,28 @@ try:
 except ImportError:  # before Python 3.11
     call = lambda function, *args: function(*args)  # noqa: E731
 
-Transition = tuple[int, int, int]  # (source, letter, target)
 
+class Relation:
+    """A transition relation over n states and sigma letters,
+    duplicate-free and sorted by (source, letter, target).
 
-class Relation(Sequence):
-    """Read-only view of a transition relation over n states and sigma
-    letters, duplicate-free and sorted by (source, letter, target).
-
-    It holds one sorted, read-only int64 array, ``keys``, of one key
+    It is one sorted, read-only int64 array, ``keys``, of one key
     ``(source * sigma + letter) * n + target`` per transition: ascending
     keys are the triples in that order.  :meth:`unpack` and ``.array``, a
     read-only ``(k, 3)`` array of (source, letter, target) rows, decode
-    them on each call; ``len`` reads the keys.  Iteration, indexing,
-    ``hash`` and ``repr`` behave as for the tuple of triples, which is
-    decoded once, on first need, and a view equals that tuple.  An
-    ``Nfa`` over the same n and sigma given a ``Relation`` of 1-D int64
-    keys checks only that they lie in range and strictly increase, sorting
-    them first if not; else it decodes, checks and packs them again.
+    them on each call; ``len`` reads the keys.  Two relations are equal
+    when their n, sigma, key dtype and keys are; ``hash`` reads the keys in place,
+    and ``repr`` shows the counts.  An ``Nfa`` over the same n and sigma
+    given a ``Relation`` of 1-D int64 keys checks only that they lie in
+    range and strictly increase, sorting them first if not; else it
+    decodes, checks and packs them again.
     """
 
-    __slots__ = ("keys", "_radix", "_tuples")
+    __slots__ = ("keys", "_radix")
 
     def __init__(self, keys: np.ndarray, n: int, sigma: int):
         keys.flags.writeable = False
         self.keys, self._radix = keys, (n, sigma)
-        self._tuples: tuple[Transition, ...] | None = None
 
     def __reduce__(self):
         return Relation, (self.keys, *self._radix)
@@ -104,34 +101,25 @@ class Relation(Sequence):
         array.flags.writeable = False
         return array
 
-    def _triples(self) -> tuple[Transition, ...]:
-        if self._tuples is None:
-            self._tuples = tuple(zip(*(column.tolist() for column in self.unpack())))
-        return self._tuples
-
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, index):
-        return self._triples()[index]
-
-    def __iter__(self):
-        return iter(self._triples())
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, Relation):
-            if self._radix == other._radix:
-                return np.array_equal(self.keys, other.keys)
-            return np.array_equal(self.array, other.array)
-        if isinstance(other, tuple):
-            return self._triples() == other
-        return NotImplemented
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return (
+            self._radix == other._radix
+            and self.keys.dtype == other.keys.dtype
+            and np.array_equal(self.keys, other.keys)
+        )
 
     def __hash__(self) -> int:
-        return hash(self._triples())
+        # a copy only for keys that are not one contiguous block
+        return hash((self._radix, zlib.crc32(np.ascontiguousarray(self.keys))))
 
     def __repr__(self) -> str:
-        return repr(self._triples())
+        n, sigma = self._radix
+        return f"Relation({self.keys.size} transitions, {n} states, {sigma} letters)"
 
 
 class _SuccessorIndex:
@@ -245,14 +233,6 @@ class Nfa:
         except ValueError:
             raise ValueError(f"unknown letter {name!r}") from None
 
-    def targets(self, state: int, letter: int) -> tuple[int, ...]:
-        """Ascending successors of one state on one letter (may be empty, and
-        is for an integer letter outside the alphabet); a state out of
-        range or a non-integer argument raises ``ValueError``."""
-        state = check_int(state, "state index", 0, self.n_states)
-        letter = check_int(letter, "letter index")
-        return _states(self._succ.row(state).get(letter, 0))
-
 
 def check_key_limit(n: int, sigma: int) -> None:
     """Refuse ``n`` states and ``sigma`` letters when their transition keys
@@ -286,11 +266,10 @@ def _checked_relation(transitions, n: int, sigma: int) -> Relation:
     keys = transitions.keys if isinstance(transitions, Relation) else None
     if keys is not None and keys.ndim != 1:
         raise ValueError(_NOT_TRIPLES)
-    packed = keys is not None and keys.dtype == np.int64
-    if not (packed and transitions._radix == (n, sigma)):
+    if not (keys is not None and keys.dtype == np.int64 and transitions._radix == (n, sigma)):
         if keys is not None:
-            # keys of another dtype are checked as decoded triples
-            transitions = transitions.array if packed else tuple(transitions)
+            # keys of another dtype or radix are checked as decoded triples
+            transitions = transitions.array
         rows = _relation_array(transitions)
         # as unsigned, a negative entry reads as one above every bound
         src, letter, dst = rows.view(np.uint64).max(axis=0, initial=0).tolist()
@@ -624,49 +603,6 @@ def equivalent(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> bool:
     cap, the BudgetExceededError propagates rather than a guess.
     """
     return difference_witness(a, b, cap) is None
-
-
-def trim(nfa: Nfa) -> Nfa:
-    """Drop states that are unreachable from the initial set or cannot
-    reach a final state; surviving states keep their relative order.
-
-    An automaton with empty language trims to the canonical single state
-    with no finals.
-    """
-    forward: dict[int, set[int]] = {}
-    backward: dict[int, set[int]] = {}
-    for src, _letter, dst in nfa.transitions:
-        forward.setdefault(src, set()).add(dst)
-        backward.setdefault(dst, set()).add(src)
-
-    def closure(seeds: frozenset[int], edges: dict[int, set[int]]) -> set[int]:
-        def succ(s: int | None) -> list[int]:
-            return sorted(seeds if s is None else edges.get(s, ()))
-        # None leads to the seeds; at most n_states + 1 nodes, so no refusal
-        return set(explore(None, succ, nfa.n_states + 1, "trimmed states")[0][1:])
-
-    useful = closure(nfa.initial, forward) & closure(nfa.final, backward)
-    if not useful:
-        return Nfa(
-            n_states=1,
-            alphabet=nfa.alphabet,
-            initial=frozenset({0}),
-            final=frozenset(),
-            transitions=(),
-        )
-    keep = sorted(useful)
-    renumber = {old: new for new, old in enumerate(keep)}
-    return Nfa(
-        n_states=len(keep),
-        alphabet=nfa.alphabet,
-        initial=frozenset(renumber[s] for s in nfa.initial if s in useful),
-        final=frozenset(renumber[s] for s in nfa.final if s in useful),
-        transitions=tuple(
-            (renumber[src], letter, renumber[dst])
-            for src, letter, dst in nfa.transitions
-            if src in useful and dst in useful
-        ),
-    )
 
 
 def accept_table(nfa: Nfa | Dfa, max_len: int, budget: int | None = None) -> np.ndarray:

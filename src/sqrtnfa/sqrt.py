@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import charge, check_int
-from .nfa import Nfa, Relation, Word, check_key_limit, pack, reach
+from .nfa import Nfa, Relation, check_key_limit, pack
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ class TripleCodec:
 def sqrt_nfa(nfa: Nfa, budget: int | None = None) -> Nfa:
     """Build the n^3-state automaton recognizing sqrt(L(nfa)).
 
-    All n^3 states are materialized (no reachability pruning here; `trim`
-    is a separate explicit call), the first coordinate is conserved by
-    every transition, and transitions come out sorted, so the construction
+    All n^3 states are materialized, with no reachability pruning, the
+    first coordinate is conserved by every transition, and transitions come out sorted, so the construction
     is deterministic.  Both the n^3 states and the n * sum over letters of
     (pairs per letter)^2 transitions must fit the budget, and the cube's
     transition keys must fit in int64 (see :class:`Relation`), which is
@@ -114,15 +113,3 @@ def triple_labels(n: int) -> dict[int, str]:
     p, q, r = codec.split(index)
     labels = map("({}, {}, {})".format, p.tolist(), q.tolist(), r.tolist())
     return dict(zip(index.tolist(), labels))
-
-
-def reachable_triples(nfa: Nfa, word: Word, budget: int | None = None) -> set[tuple[int, int, int]]:
-    """Which (p, q, r) states of the cube automaton are live after ``word``.
-
-    Computed by actually running the constructed automaton, so it can be
-    cross-checked against the per-coordinate characterization
-    q in reach(initial, w) and r in reach({p}, w).
-    """
-    cube = sqrt_nfa(nfa, budget)
-    codec = TripleCodec(nfa.n_states)
-    return {codec.decode(i) for i in reach(cube, cube.initial, word)}

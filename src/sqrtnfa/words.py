@@ -6,7 +6,7 @@ acceptance tables of :mod:`sqrtnfa.nfa` are flags indexed by this rank,
 and :func:`walk_word_tree` is the one walk that builds them.
 :func:`explore`, the one breadth-first numbering of reachable nodes, in
 one pass that reads each node's successors once and numbers each first
-sight at once, serves it, ``trim``, the product walk, whose least split
+sight at once, serves it, the product walk, whose least split
 word ``nfa._first_split`` rebuilds from the numbering, and
 ``nfa._explored_dfa``: the subset and function automata.
 """

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from sqrtnfa import (
-    BudgetExceededError, Dfa, Nfa, RandomSpec, member, random_nfa, sqrt_nfa, witness,
+    BudgetExceededError, Dfa, Nfa, RandomSpec, TripleCodec, member, random_nfa, reach,
+    sqrt_nfa, witness,
 )
 from sqrtnfa import cases
 from sqrtnfa.cases import CASE_COUNT, case_holds
@@ -48,6 +49,22 @@ def make_nfa(n, sigma, triples, initial, final):
 
 
 NFA_AA = make_nfa(3, 1, [(0, 0, 1), (1, 0, 2)], {0}, {2})
+
+
+def triples(nfa):
+    """The automaton's (source, letter, target) triples, sorted, as a
+    tuple of int tuples."""
+    return tuple(map(tuple, nfa.transitions.array.tolist()))
+
+
+def reachable_triples(nfa, word):
+    """Which (p, q, r) states of the cube automaton are live after
+    ``word``, found by running the built cube: the reference for the
+    per-coordinate characterization q in reach(initial, w) and r in
+    reach({p}, w)."""
+    cube = sqrt_nfa(nfa)
+    codec = TripleCodec(nfa.n_states)
+    return {codec.decode(i) for i in reach(cube, cube.initial, word)}
 
 
 def with_transitions(auto, extra):
@@ -144,9 +161,10 @@ def reference_explore(start, successors, budget, what, depth=None, stop=None):
 
 
 @st.composite
-def nfas(draw, sigma=None):
+def nfas(draw, sigma=None, n=None):
     """Random automata: at most 5 states, 3 letters and 12 triples."""
-    n = draw(st.integers(1, 5))
+    if n is None:
+        n = draw(st.integers(1, 5))
     if sigma is None:
         sigma = draw(st.integers(1, 3))
     triples = draw(

@@ -43,7 +43,7 @@ from sqrtnfa import (
     witness_square_table,
 )
 from sqrtnfa import fooling
-from conftest import MUTANTS, doctored_witness, grid, mutant
+from conftest import MUTANTS, doctored_witness, grid, mutant, triples
 
 
 @pytest.fixture()
@@ -231,7 +231,7 @@ def test_invariant_suite(pool500, announce):
     conserved = True
     for auto, cube in cubes:
         codec = TripleCodec(auto.n_states)
-        for src, _, dst in cube.transitions:
+        for src, _, dst in triples(cube):
             if codec.decode(src)[0] != codec.decode(dst)[0]:
                 conserved = False
     checks["first_coordinate_conserved"] = conserved

@@ -340,8 +340,6 @@ def test_codecs_refuse_non_integers(call):
         lambda: reach(NFA_AA, {2.5}, ()),
         lambda: reach(NFA_AA, {0}, (2.5,)),
         lambda: member(NFA_AA, (0, 2.5)),
-        lambda: NFA_AA.targets(2.5, 0),
-        lambda: NFA_AA.targets(0, 2.5),
         lambda: TripleCodec(2.5),
         lambda: TripleCodec(6).encode(0, 2.5, 0),
         lambda: TripleCodec(6).decode(2.5),
@@ -364,8 +362,7 @@ def test_codecs_refuse_non_integers(call):
     ids=[
         "nfa-count", "nfa-initial", "nfa-final", "dfa-count", "dfa-initial",
         "dfa-final", "dfa-target", "dfa-run", "reach-state", "reach-letter", "member",
-        "targets-state", "targets-letter", "codec-n", "encode", "decode", "triple_labels",
-        "case-id", "case-triple", "witness-n", "witness_alphabet-n", "count_words-sigma",
+        "codec-n", "encode", "decode", "triple_labels", "case-id", "case-triple", "witness-n", "witness_alphabet-n", "count_words-sigma",
         "count_words", "walk-max_len",
         "spec-seed", "spec-max_states", "spec-alphabet_size", "pivot_l", "pivot_m",
         "violation-i", "violation-j",

@@ -6,6 +6,7 @@ import pickle
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,23 +28,24 @@ from sqrtnfa import (
     member,
     random_nfa,
     reach,
-    reachable_triples,
     sqrt_member_direct,
     sqrt_nfa,
     square_accept_table,
-    trim,
     witness,
 )
 from sqrtnfa import nfa
 from sqrtnfa.config import check_int
 from sqrtnfa.nfa import Relation, _mask, _run, _stepper
-from conftest import NFA_AA, first_disagreement, iter_words, make_nfa, nfas, random_word
+from conftest import (
+    NFA_AA, first_disagreement, iter_words, make_nfa, nfas, random_word, reachable_triples,
+    triples,
+)
 
 
 class TestConstruction:
     def test_transitions_are_sorted_canonically(self):
         a = make_nfa(2, 2, [(1, 0, 0), (0, 1, 1), (0, 0, 1)], {0}, {1})
-        assert a.transitions == ((0, 0, 1), (0, 1, 1), (1, 0, 0))
+        assert triples(a) == ((0, 0, 1), (0, 1, 1), (1, 0, 0))
 
     def test_duplicate_transition_rejected(self):
         with pytest.raises(ValueError, match="duplicate transition"):
@@ -177,42 +179,53 @@ class TestConstruction:
                 Dfa(1, alphabet, 0, frozenset(), ((0,) * len(alphabet),))
 
     def test_targets_returns_empty_for_missing_entries(self):
-        assert NFA_AA.targets(2, 0) == ()
-        assert NFA_AA.targets(0, 0) == (1,)
+        assert reach(NFA_AA, {2}, (0,)) == set()
+        assert reach(NFA_AA, {0}, (0,)) == {1}
 
     def test_targets_validates_its_arguments(self):
-        # an integer letter outside the alphabet has no successors, as documented
-        assert NFA_AA.targets(0, 1) == NFA_AA.targets(0, -1) == ()
-        assert NFA_AA.targets(np.int64(0), np.int32(0)) == (1,)
-        for args, message in (
-            ((0, 0.5), "letter index 0.5 is not an integer"),
-            ((0.5, 0), "state index 0.5 is not an integer"),
-            ((7, 0), "state index 7 out of range"),
-            ((-1, 0), "state index -1 out of range"),
+        assert reach(NFA_AA, {np.int64(0)}, (np.int32(0),)) == {1}
+        for state, letter, message in (
+            (0, 0.5, "letter index 0.5 is not an integer"),
+            (0.5, 0, "state index 0.5 is not an integer"),
+            (7, 0, "state index 7 out of range"),
+            (-1, 0, "state index -1 out of range"),
+            (0, 1, "letter index 1 out of range"),
+            (0, -1, "letter index -1 out of range"),
         ):
             with pytest.raises(ValueError, match=message):
-                NFA_AA.targets(*args)
+                reach(NFA_AA, {state}, (letter,))
 
 
 class TestArrayRelation:
-    """The relation is one sorted int64 array behind a tuple-like view."""
+    """The relation is one sorted int64 array of keys."""
 
     @settings(max_examples=200)
-    @given(nfas(), st.randoms(use_true_random=False))
-    def test_tuples_and_array_build_the_same_automaton(self, a, rng):
-        triples = list(a.transitions)
-        rng.shuffle(triples)
-        from_tuples = Nfa(a.n_states, a.alphabet, a.initial, a.final, tuple(triples))
-        shuffled = np.array(triples, dtype=np.int64).reshape(-1, 3)
-        from_array = Nfa(a.n_states, a.alphabet, a.initial, a.final, shuffled)
+    @given(st.data(), st.randoms(use_true_random=False))
+    def test_tuples_and_array_build_the_same_automaton(self, data, rng):
+        a = data.draw(nfas())
+        b = data.draw(nfas(sigma=len(a.alphabet), n=a.n_states))
+        shuffled = list(triples(a))
+        rng.shuffle(shuffled)
+        from_tuples = Nfa(a.n_states, a.alphabet, a.initial, a.final, tuple(shuffled))
+        rows = np.array(shuffled, dtype=np.int64).reshape(-1, 3)
+        from_array = Nfa(a.n_states, a.alphabet, a.initial, a.final, rows)
         assert from_tuples == from_array == a
-        assert from_tuples.transitions == from_array.transitions == tuple(sorted(triples))
+        assert from_tuples.transitions == from_array.transitions == a.transitions
+        assert triples(from_tuples) == triples(from_array) == tuple(sorted(shuffled))
         assert hash(from_tuples) == hash(from_array) == hash(a)
+        assert hash(from_tuples.transitions) == hash(a.transitions)
+        # keys that are not one contiguous block hash alike
+        strided = Relation(np.repeat(a.transitions.keys, 2)[::2], a.n_states, len(a.alphabet))
+        assert strided == a.transitions and hash(strided) == hash(a.transitions)
         assert repr(from_tuples) == repr(from_array) == repr(a)
-        assert list(from_array.transitions) == sorted(triples)
-        if triples:
-            assert from_array.transitions[-1] == max(triples)
+        if shuffled:
+            assert triples(from_array)[-1] == max(shuffled)
         assert not from_array.transitions.keys.flags.writeable
+        # over one n and sigma, relations are equal exactly when their triples are
+        assert (a.transitions == b.transitions) == (triples(a) == triples(b))
+        assert (a.transitions != b.transitions) == (triples(a) != triples(b))
+        if a.transitions == b.transitions:
+            assert hash(a.transitions) == hash(b.transitions)
 
     @pytest.mark.parametrize(
         "n, triples, message",
@@ -240,22 +253,22 @@ class TestArrayRelation:
     def test_state_numbers_up_to_the_key_limit(self):
         # keys (source * 3 + letter) * n + target pass 2**62 here
         n = 2**30
-        triples = [(n - 1, 2, 0), (5, 0, n - 1), (n - 1, 0, 7), (5, 0, 3), (0, 2, n - 2)]
-        a = Nfa(n, ("x", "y", "z"), {0}, {n - 1}, tuple(triples))
-        assert a.transitions == tuple(sorted(triples))
-        reversed_array = np.array(sorted(triples)[::-1])
+        rows = [(n - 1, 2, 0), (5, 0, n - 1), (n - 1, 0, 7), (5, 0, 3), (0, 2, n - 2)]
+        a = Nfa(n, ("x", "y", "z"), {0}, {n - 1}, tuple(rows))
+        assert triples(a) == tuple(sorted(rows))
+        reversed_array = np.array(sorted(rows)[::-1])
         assert Nfa(n, ("x", "y", "z"), {0}, {n - 1}, reversed_array) == a
         with pytest.raises(ValueError, match=r"transition \(5, 0, 1073741824\) has a state"):
-            Nfa(n, ("x", "y", "z"), {0}, set(), tuple(triples) + ((5, 0, n),))
+            Nfa(n, ("x", "y", "z"), {0}, set(), tuple(rows) + ((5, 0, n),))
         with pytest.raises(ValueError, match=r"transition \(5, 3, 1\) has a letter"):
-            Nfa(n, ("x", "y", "z"), {0}, set(), tuple(triples) + ((5, 3, 1),))
+            Nfa(n, ("x", "y", "z"), {0}, set(), tuple(rows) + ((5, 3, 1),))
         with pytest.raises(ValueError, match=r"duplicate transition \(5, 0, 3\)"):
-            Nfa(n, ("x", "y", "z"), {0}, set(), tuple(triples) + ((5, 0, 3),))
+            Nfa(n, ("x", "y", "z"), {0}, set(), tuple(rows) + ((5, 0, 3),))
         # the largest n whose keys fit: its last key is 3 * n * n - 1 < 2**63
         n = math.isqrt((2**63 - 1) // 3)
         last = (n - 1, 2, n - 1)
         b = Nfa(n, ("x", "y", "z"), {0}, {n - 1}, ((0, 0, 0), last))
-        assert b.transitions[-1] == last and member(b, (2,)) is False
+        assert triples(b)[-1] == last and member(b, (2,)) is False
         assert b.transitions.keys[-1] == 3 * n * n - 1
         with pytest.raises(ValueError, match=r"^transition keys need n\*n\*sigma below 2\*\*63"):
             Nfa(n + 1, ("x", "y", "z"), {0}, set(), ())
@@ -268,7 +281,7 @@ class TestArrayRelation:
         # decoded, checked and packed again
         a = Nfa(3, ("a", "b"), {0}, {2}, ((0, 1, 2), (2, 0, 1), (1, 1, 1)))
         b = Nfa(5, ("a", "b", "c"), {0}, {2}, a.transitions)
-        assert b.transitions == a.transitions == ((0, 1, 2), (1, 1, 1), (2, 0, 1))
+        assert triples(b) == triples(a) == ((0, 1, 2), (1, 1, 1), (2, 0, 1))
         assert b.transitions.keys.tolist() == [7, 21, 31]
         assert member(b, (1,)) and not member(b, (1, 0)) and not member(b, (2,))
         with pytest.raises(ValueError, match=r"^transition \(0, 1, 2\) has a state out of range"):
@@ -301,7 +314,7 @@ class TestArrayRelation:
         keys = Relation(np.array([1, 3], dtype=np.int32), 2, 1)
         a = Nfa(2, ("a",), {0}, {1}, keys)
         assert a.transitions.keys.dtype == np.int64
-        assert a.transitions == ((0, 0, 1), (1, 0, 1)) and member(a, (0, 0))
+        assert triples(a) == ((0, 0, 1), (1, 0, 1)) and member(a, (0, 0))
 
     def test_unsigned_arrays_are_checked_by_their_maximum(self, monkeypatch):
         # one comparison with 2**63, not one check_int call per entry
@@ -321,7 +334,7 @@ class TestArrayRelation:
     def test_state_numbers_beyond_32_bits(self):
         # keys would pass int64: refused before the relation is read
         n = 2**32
-        triples = [(n - 1, 2, 0), (5, 0, n - 1), (n - 1, 0, 7), (5, 0, 3), (0, 2, n - 2)]
+        rows = [(n - 1, 2, 0), (5, 0, n - 1), (n - 1, 0, 7), (5, 0, 3), (0, 2, n - 2)]
         message = (
             r"^transition keys need n\*n\*sigma below 2\*\*63, "
             r"but n = 4294967296 and sigma = 3 give 55340232221128654848$"
@@ -332,16 +345,37 @@ class TestArrayRelation:
             yield
 
         packed = Nfa(2**30, ("x", "y", "z"), {0}, set(), ((5, 0, 3),)).transitions
-        for given_as in (tuple(triples), np.array(triples), packed, unread()):
+        for given_as in (tuple(rows), np.array(rows), packed, unread()):
             with pytest.raises(ValueError, match=message):
                 Nfa(n, ("x", "y", "z"), {0}, {n - 1}, given_as)
 
-    def test_length_builds_no_tuples(self):
-        cube = sqrt_nfa(witness(8))
-        assert len(cube.transitions) == 8 * 8**4
-        assert cube.transitions._tuples is None
-        assert cube.transitions[0] == tuple(cube.transitions.array[0].tolist())
-        assert cube.transitions._tuples is not None
+    def test_hash_eq_and_repr_read_the_keys_in_place(self):
+        # witness(16)'s cube has 524,288 rows, 4 MB of keys: no call
+        # decodes or copies them
+        cube, twin = sqrt_nfa(witness(16)), sqrt_nfa(witness(16))
+        relation = cube.transitions
+        assert len(relation) == 8 * 16**4
+        calls = {
+            "hash": lambda: hash(relation) == hash(twin.transitions) and hash(cube) == hash(twin),
+            "eq": lambda: relation == twin.transitions and cube == twin,
+            "repr": lambda: repr(relation) == (
+                "Relation(524288 transitions, 4096 states, 8192 letters)"
+            ),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                assert call(), name
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, name
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            hash(relation)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.01
 
     @pytest.mark.parametrize("indexed", [False, True])
     def test_copies_keep_a_read_only_relation(self, witness6, indexed):
@@ -491,7 +525,7 @@ class TestSuccessorIndex:
         ]
         assert "_succ" not in sqrt_nfa(witness6).__dict__
         assert "_succ" not in fresh.__dict__
-        assert fresh.targets(0, 0) == (1, 2)
+        assert reach(fresh, {0}, (0,)) == {1, 2}
         index = fresh._succ
         assert index.rows == {0: {0: 0b110}}
         assert index.tables == {}
@@ -534,7 +568,7 @@ class TestSuccessorIndex:
         index = a._succ
         for s in range(n):
             expected = [0] * sigma
-            for src, x, d in a.transitions:
+            for src, x, d in triples(a):
                 if src == s:
                     expected[x] |= 1 << d
             row = index.row(s)
@@ -566,7 +600,7 @@ class TestSuccessorIndex:
         cube = sqrt_nfa(witness6)
         a, b = witness6.letter_index("a[2,3,5]"), witness6.letter_index("b[2,3,5]")
         assert member(cube, (a, b))
-        after_a = {d for s, x, d in cube.transitions if x == a and s in cube.initial}
+        after_a = {d for s, x, d in triples(cube) if x == a and s in cube.initial}
         index = cube._succ
         assert set(index.rows) == cube.initial | after_a
         assert index.tables == {}
@@ -599,14 +633,14 @@ class TestSuccessorIndex:
         sigma = len(a.alphabet)
         for s in range(a.n_states):
             for letter in range(sigma):
-                expected = sorted(d for src, x, d in a.transitions if (src, x) == (s, letter))
-                assert a.targets(s, letter) == tuple(expected)
+                expected = {d for src, x, d in triples(a) if (src, x) == (s, letter)}
+                assert reach(a, {s}, (letter,)) == expected
 
         states = data.draw(st.sets(st.integers(0, a.n_states - 1)))
         word = tuple(data.draw(st.lists(st.integers(0, sigma - 1), max_size=5)))
         current = set(states)
         for letter in word:
-            current = {d for src, x, d in a.transitions if x == letter and src in current}
+            current = {d for src, x, d in triples(a) if x == letter and src in current}
         assert reach(a, states, word) == current
 
         dfa = determinize(a)
@@ -745,35 +779,6 @@ class TestDfaSide:
         assert np.array_equal(accept_table(d, max_len), accept_table(view, max_len))
 
 
-class TestTrim:
-    def test_removes_dead_and_unreachable_states(self):
-        a = make_nfa(4, 1, [(0, 0, 1), (2, 0, 1), (1, 0, 3)], {0}, {3})
-        t = trim(a)
-        assert t.n_states == 3  # state 2 unreachable
-        assert member(t, (0, 0)) and not member(t, (0,))
-
-    def test_empty_language_trims_to_canonical_one_state(self):
-        a = make_nfa(3, 1, [(0, 0, 1)], {0}, set())
-        t = trim(a)
-        assert t.n_states == 1 and not t.final and not t.transitions
-
-    def test_trim_preserves_member_on_1000_samples(self, small_random):
-        rng = np.random.Generator(np.random.PCG64(77))
-        checked = 0
-        for auto in small_random:
-            t = trim(auto)
-            for _ in range(5):
-                w = random_word(rng, len(auto.alphabet), 5)
-                assert member(t, w) == member(auto, w)
-                checked += 1
-        assert checked == 1000
-
-    def test_trim_keeps_relative_state_order(self):
-        a = make_nfa(4, 1, [(0, 0, 2), (2, 0, 3)], {0}, {3})
-        t = trim(a)  # drops state 1, keeps 0 < 2 < 3 as 0 < 1 < 2
-        assert t.transitions == ((0, 0, 1), (1, 0, 2))
-
-
 def accepted(auto, max_len):
     """The words ``accept_table`` flags, read off its rank order by
     :func:`iter_words`."""
@@ -807,7 +812,7 @@ class TestEnumerate:
         bX = witness6.letter_index("b[2,3,5]")
         keep = [
             (src, {aX: 0, bX: 1}[letter], dst)
-            for src, letter, dst in witness6.transitions
+            for src, letter, dst in triples(witness6)
             if letter in (aX, bX)
         ]
         sub = Nfa(

@@ -44,14 +44,12 @@ PUBLIC_NAMES = [
     "pivot_m",
     "random_nfa",
     "reach",
-    "reachable_triples",
     "relation_dfa",
     "run_report",
     "sqrt_dfa",
     "sqrt_member_direct",
     "sqrt_nfa",
     "square_accept_table",
-    "trim",
     "triple_labels",
     "verify_cases",
     "verify_fooling",
@@ -108,14 +106,12 @@ PUBLIC_OPTIONS = {
     "pivot_m": ("p",),
     "random_nfa": ("spec",),
     "reach": ("nfa", "states", "word"),
-    "reachable_triples": ("nfa", "word", "budget=None"),
     "relation_dfa": ("nfa", "budget=None"),
     "run_report": ("n", "budget=None"),
     "sqrt_dfa": ("dfa", "budget=None"),
     "sqrt_member_direct": ("nfa", "word"),
     "sqrt_nfa": ("nfa", "budget=None"),
     "square_accept_table": ("nfa", "max_len", "budget=None"),
-    "trim": ("nfa",),
     "triple_labels": ("n",),
     "verify_cases": ("n", "budget=None"),
     "verify_fooling": ("candidate", "oracle"),

@@ -72,7 +72,7 @@ def paragraph(start):
 def test_every_entry_point_named_resolves():
     text = "".join(map(paragraph, ("Key entry points:", "- The successor index")))
     names = re.findall(r"`([^`]+)`", text)
-    assert len(names) > 30 and "Nfa.targets" in names
+    assert len(names) > 30 and "relation_dfa" in names
     missing = []
     for name in names:
         try:

@@ -14,7 +14,6 @@ from sqrtnfa import (
     equivalent,
     member,
     reach,
-    reachable_triples,
     sqrt_dfa,
     sqrt_member_direct,
     sqrt_nfa,
@@ -22,7 +21,7 @@ from sqrtnfa import (
     triple_labels,
     witness,
 )
-from conftest import NFA_AA, iter_words, make_nfa, nfas, random_word
+from conftest import NFA_AA, iter_words, make_nfa, nfas, random_word, reachable_triples, triples
 
 
 def sqrt_nfa_reference(nfa: Nfa) -> Nfa:
@@ -31,20 +30,20 @@ def sqrt_nfa_reference(nfa: Nfa) -> Nfa:
     n = nfa.n_states
     codec = TripleCodec(n)
     by_letter: dict[int, list[tuple[int, int]]] = {}
-    for src, letter, dst in nfa.transitions:
+    for src, letter, dst in triples(nfa):
         by_letter.setdefault(letter, []).append((src, dst))
-    triples = []
+    rows = []
     for letter, pairs in by_letter.items():
         for q, q2 in pairs:
             for r, r2 in pairs:
                 for p in range(n):
-                    triples.append((codec.encode(p, q, r), letter, codec.encode(p, q2, r2)))
+                    rows.append((codec.encode(p, q, r), letter, codec.encode(p, q2, r2)))
     return Nfa(
         n_states=n**3,
         alphabet=nfa.alphabet,
         initial=frozenset(codec.encode(p, q0, p) for p in range(n) for q0 in nfa.initial),
         final=frozenset(codec.encode(p, p, f) for p in range(n) for f in nfa.final),
-        transitions=tuple(triples),
+        transitions=tuple(rows),
     )
 
 
@@ -105,7 +104,7 @@ class TestConstruction:
         for auto in small_random[:50]:
             n = auto.n_states
             cube = sqrt_nfa(auto)
-            for src, _letter, dst in cube.transitions:
+            for src, _letter, dst in triples(cube):
                 assert src // (n * n) == dst // (n * n)
 
     def test_transition_rule_on_coordinates(self):
@@ -118,7 +117,7 @@ class TestConstruction:
                     expected.add(
                         (codec.encode(p, q, r), 0, codec.encode(p, q2, r2))
                     )
-        assert set(cube.transitions) == expected
+        assert set(triples(cube)) == expected
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):

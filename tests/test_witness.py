@@ -19,6 +19,7 @@ from sqrtnfa import (
     witness_square_table,
 )
 from sqrtnfa.kernels import orbit_count
+from conftest import triples
 
 
 class TestPivots:
@@ -107,12 +108,12 @@ class TestWitnessAutomaton:
             b_idx = witness6.letter_index(f"b[{p},{q},{r}]")
             a_moves = {
                 (src, dst)
-                for src, letter, dst in witness6.transitions
+                for src, letter, dst in triples(witness6)
                 if letter == a_idx
             }
             b_moves = {
                 (src, dst)
-                for src, letter, dst in witness6.transitions
+                for src, letter, dst in triples(witness6)
                 if letter == b_idx
             }
             assert a_moves == {(pivot_l(p), q), (p, r)}
