@@ -4,20 +4,22 @@ A word a_X1 b_X2 belongs to the square root of the witness language
 exactly when one of seven structural conditions on the payload triples
 holds.  This module states those conditions directly (scalar predicates)
 and checks their table form against the square truth table of the witness
-automaton for all n^6 payload pairs.  Both checks are one call of
-:func:`~sqrtnfa.kernels.first_orbit_hit`, which reads one cell per
-symmetry orbit (see :mod:`sqrtnfa.kernels`), and the budget is charged
-for the cells read.
+automaton for all n^6 payload pairs.  Both checks read one cell per
+symmetry orbit (see :mod:`sqrtnfa.kernels`): the case ids on the canonical
+tuples, and the budget is charged for the cells read.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import charge, check_int
-from .kernels import (
-    case_table, check_symmetric, first_orbit_hit, orbit_count, witness_square_table
-)
-from .sqrt import TripleCodec
-from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m, witness
+from .fooling import _witness_grid
+from .kernels import _Grid, _case_ids, _first_hit, _orbit_tuples, orbit_count
+from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m
+
+# unused here, but perfbench/tracing.py::PATCHES looks them up in this module
+from .kernels import case_table, witness_square_table
 
 Triple = tuple[int, int, int]
 
@@ -55,25 +57,25 @@ def case_holds(case: int, x1: Triple, x2: Triple, n: int) -> bool:
 
 
 def verify_cases(n: int, budget: int | None = None) -> tuple[Triple, Triple] | None:
-    """Compare the case table with the square truth table on all n^6 pairs.
-
-    The closed form :func:`~sqrtnfa.kernels.case_table` meets
-    :func:`~sqrtnfa.kernels.witness_square_table` on ``witness(n)``, which
-    must pass :func:`~sqrtnfa.kernels.check_symmetric`.
+    """Compare the case table with the square truth table of ``witness(n)``
+    on all n^6 pairs: :func:`_verify_cases` on its grid, built after the
+    budget is charged.
 
     Returns None when every pair agrees, otherwise the lexicographically
     first (X1, X2) where the two tables disagree.  The budget caps the
     cells read, one per orbit: n^6 at n = 6 and 7, at most 163,967 above.
     """
     charge("case verification pairs", orbit_count(n), budget)
-    auto = check_symmetric(witness(n))
+    return _verify_cases(_witness_grid(n), budget)
 
-    def mismatch(rows, cols):
-        truth = witness_square_table(auto, rows, cols, budget)
-        return truth != (case_table(n, rows, cols, budget) != 0)
 
-    cell = first_orbit_hit(n, mismatch)
-    return None if cell is None else tuple(map(TripleCodec(n).decode, cell))
+def _verify_cases(grid: _Grid, budget: int | None = None) -> tuple[Triple, Triple] | None:
+    """:func:`verify_cases` for the automaton of ``grid``: its square table
+    on the orbit pair against the case ids of the canonical tuples the pair
+    was joined from, charging the cells read to ``budget``."""
+    charge("case verification pairs", grid.x1.size, budget)
+    columns = _orbit_tuples(grid.auto.n_states)[0]
+    return _payloads(columns, _first_hit(grid.table != (_case_ids(*columns) != 0)))
 
 
 def pairwise_contradiction(n: int, budget: int | None = None) -> tuple[Triple, Triple] | None:
@@ -88,8 +90,14 @@ def pairwise_contradiction(n: int, budget: int | None = None) -> tuple[Triple, T
     The budget caps the cells read, as in :func:`verify_cases`.
     """
     charge("pairwise contradiction pairs", orbit_count(n), budget)
+    columns = _orbit_tuples(n)[0]
+    x3, x4 = columns[:3], columns[3:]
+    crossing = (_case_ids(*columns) != 0) & (x3 != x4).any(axis=0)
+    both = np.flatnonzero(crossing)
+    crossing[both] = _case_ids(*x4[:, both], *x3[:, both]) != 0
+    return _payloads(columns, _first_hit(crossing))
 
-    cell = first_orbit_hit(
-        n, lambda rows, cols: case_table(n, rows, cols, budget) != 0, upper=True
-    )
-    return None if cell is None else tuple(map(TripleCodec(n).decode, cell))
+
+def _payloads(columns, k: int | None) -> tuple[Triple, Triple] | None:
+    """The payload pair (X1, X2) of canonical tuple ``k``, or None."""
+    return None if k is None else (tuple(columns[:3, k].tolist()), tuple(columns[3:, k].tolist()))

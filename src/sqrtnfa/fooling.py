@@ -10,22 +10,23 @@ set has pairs, because distinct pairs cannot share a mid-word state.
 oracle; it is the audit reference for any candidate set.
 :func:`certify_lower_bound` checks the canonical witness set faster: it
 reads both conditions off the square truth table of the witness automaton
-(:func:`~sqrtnfa.kernels.witness_square_table`), one cell per symmetry
-orbit (see :mod:`sqrtnfa.kernels`), computed once: condition 1 on its
-diagonal cells, also asked of the scalar oracle, and 2 against its mirror
-where it holds.
+on one cell per symmetry orbit, which the automaton's
+:class:`~sqrtnfa.kernels._Grid` holds (see :mod:`sqrtnfa.kernels`):
+condition 1 on its diagonal cells, also asked of the scalar oracle, and 2
+against its mirror where it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .config import charge, check_int
 from .errors import VerificationError
-from .kernels import check_symmetric, first_orbit_hit, orbit_cells, witness_square_table
+from .kernels import _Grid, _first_hit, _square_cells
 from .nfa import Word, member
 from .witness import check_witness_n, witness
 
@@ -152,28 +153,43 @@ def witness_fooling_set(n: int) -> FoolingSet:
     return FoolingSet(tuple(_witness_pair(cube, flat) for flat in range(cube)))
 
 
+@lru_cache(maxsize=1)
+def _witness_grid(n: int) -> _Grid:
+    """The :class:`~sqrtnfa.kernels._Grid` of ``witness(n)``; the last one
+    built is cached, so the certificate and the case check of one report
+    read one grid."""
+    _witness_grid.cache_clear()  # the last grid is freed before this one is built
+    return _Grid(witness(n))
+
+
 def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
     """Certify that the square root of the witness language needs n^3 NFA
     states, with the same report :func:`verify_fooling` gives for the
     canonical set under the square-membership oracle of ``witness(n)``.
 
-    The automaton must pass :func:`~sqrtnfa.kernels.check_symmetric`.  Its
-    square truth table T[i, j] = (a_Xi b_Xj)^2 in L is computed once, on the
-    orbit representatives, and kept.  Condition 1 reads its diagonal cells,
-    each also asked of the oracle: a disagreement raises :class:`VerificationError`.
-    Condition 2 for i < j is T[i, j] & T[j, i], read by
-    :func:`~sqrtnfa.kernels.first_orbit_hit` from the kept T and, where T
-    holds, its mirror."""
+    The budget is charged before the automaton's grid is built; the
+    certificate is :func:`_certify` on that grid."""
     check_witness_n(n)
+    charge("fooling set pairs", n**3, budget)
+    return _certify(_witness_grid(n), budget)
+
+
+def _certify(grid: _Grid, budget: int | None = None) -> FoolingReport:
+    """:func:`certify_lower_bound` for the automaton of ``grid``, which
+    passed :func:`~sqrtnfa.kernels.check_symmetric`, charging its n^3 pairs
+    to ``budget``.
+
+    Its square truth table T[i, j] = (a_Xi b_Xj)^2 in L is the grid's, on
+    the orbit representatives.  Condition 1 reads its diagonal cells, each
+    also asked of the oracle: a disagreement raises :class:`VerificationError`.
+    Condition 2 for i < j is T[i, j] & T[j, i]: the mirror T[j, i] is
+    computed only where T holds off the diagonal."""
+    auto, slots, rows, cols, table = grid
+    n = auto.n_states
     m = n**3
     charge("fooling set pairs", m, budget)
-    auto = check_symmetric(witness(n))
-    rows, cols = orbit_cells(n)
-    # the budget counts pairs; the table calls read at most one cell per orbit
-    cells = rows.size
-    # the table is kept, so clash below reads it again
     on_diagonal = rows == cols
-    diagonal, inside = rows[on_diagonal], witness_square_table(auto, rows, cols, cells)[on_diagonal]
+    diagonal, inside = rows[on_diagonal], table[on_diagonal]
     # only the pairs read here are built: the whole set is n^3 of them
     pairs = [_witness_pair(m, i) for i in diagonal.tolist()]
     scalar = [member(auto, 2 * (x + y)) for x, y in pairs]
@@ -188,14 +204,15 @@ def certify_lower_bound(n: int, budget: int | None = None) -> FoolingReport:
             certified=False, bound=0, violation=Violation("cond1", i), cond1_checked=i
         )
 
-    hit = first_orbit_hit(
-        n, lambda rows, cols: witness_square_table(auto, rows, cols, cells), upper=True
-    )
-    if hit is None:
+    clash = table & ~on_diagonal
+    both = np.flatnonzero(clash)
+    clash[both] = _square_cells(n, slots, cols[both], rows[both])
+    k = _first_hit(clash)
+    if k is None:
         return FoolingReport(
             certified=True, bound=m, cond1_checked=m, cond2_checked=m * (m - 1) // 2
         )
-    i, j = hit
+    i, j = int(rows[k]), int(cols[k])
     return FoolingReport(
         certified=False, bound=0, violation=Violation("cond2", i + 1, j + 1),
         cond1_checked=m, cond2_checked=i * m - i * (i + 1) // 2 + (j - i),

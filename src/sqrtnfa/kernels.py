@@ -3,38 +3,33 @@
 The square truth table (:func:`witness_square_table`) runs the automaton
 it is given, and the case table is cell algebra on the payload
 coordinates, split by :meth:`~sqrtnfa.sqrt.TripleCodec.split` off the
-orbit pair.  Each reads only the cells its two index arrays select.
+flat indices.  Each reads only the cells its two index arrays select.
 
-The checks built on them (:func:`first_orbit_hit`) read the n^3 x n^3
-grid on one cell per symmetry orbit.  States 6..n-1 of the witness are
-interchangeable: a permutation of them, with the letters relabelled to
-match, maps ``witness(n)`` onto itself, which :func:`check_symmetric`
-checks at run time, so the square table is constant on every orbit.  The
-case table reads a coordinate of (p1,q1,r1,p2,q2,r2) only through
-equalities between coordinates, tests against constants <= 5, and the
-pivot maps, which are constant on the states >= 6; so it is too.  The
-orbits are listed by their canonical tuples (:func:`orbit_cells`):
-163,967 for every n >= 12, instead of n^6 cells (2,985,984 at n = 12).
-The canonical tuple is the least cell of its orbit and the list is in
-lexicographic order, so the first representative that hits is the
-row-major first cell that hits, and no check reads more than the
-representatives.
+The checks built on them read the n^3 x n^3 grid on one cell per symmetry
+orbit.  States 6..n-1 of the witness are interchangeable: a permutation of
+them, with the letters relabelled to match, maps ``witness(n)`` onto
+itself, which :func:`check_symmetric` checks at run time, so the square
+table is constant on every orbit.  The case table reads a coordinate of
+(p1,q1,r1,p2,q2,r2) only through equalities between coordinates, tests
+against constants <= 5, and the pivot maps, which are constant on the
+states >= 6; so it is too.  The orbits are listed by their canonical
+tuples (:func:`orbit_cells`): 163,967 for every n >= 12, instead of n^6
+cells (2,985,984 at n = 12).  The canonical tuple is the least cell of its
+orbit (the first appearance of a new generic value takes the least one
+unused) and the list is in lexicographic order, so the first
+representative that hits is the row-major first cell that hits
+(:func:`_first_hit`), and no check reads more than the representatives.
 
-A report builds each of these once.  :func:`orbit_cells` caches
-the last list it built, two read-only arrays built from row-contiguous
-coordinates; :func:`witness_square_table` keeps the last automaton's table
-on exactly those two arrays, so ``verify_cases`` reads the table
-``certify_lower_bound`` computed; and :func:`check_symmetric` keeps the last
-automaton it passed.  Each is keyed on the identity of immutable or
-read-only inputs and holds one of them, so every call returns what a fresh
-one would.
+A :class:`_Grid` is what the checks of one automaton share: the automaton,
+checked symmetric, its letter slots, the orbit pair and the square table
+on that pair, each computed once when the grid is built.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache, reduce
-from typing import Callable
+from collections import namedtuple
+from functools import cache, reduce
 
 import numpy as np
 
@@ -95,13 +90,12 @@ def _orbit_tuples(n: int) -> tuple[np.ndarray, np.ndarray]:
     return columns.compress(keep, axis=1), generic[keep]
 
 
-@lru_cache(maxsize=1)
 def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices (x1, x2) of one cell per orbit of the n^3 x n^3 grid
     under the permutations of the states >= 6: the canonical tuples that
-    use at most n - 6 generic values.  The two arrays are read-only, and
-    the last pair built is cached, so the checks of one report share it,
-    and :func:`witness_square_table` keeps its table on this very pair.
+    use at most n - 6 generic values, in the order of :func:`_orbit_tuples`,
+    as two read-only arrays.  Every call builds them; a :class:`_Grid`
+    holds the pair its checks read.
 
     The list audits itself on every build: an orbit with k generic values
     has (n-6)(n-7)...(n-5-k) cells, and the orbits must cover exactly n^6
@@ -122,47 +116,18 @@ def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-def first_orbit_hit(
-    n: int, hit: Callable[[np.ndarray, np.ndarray], np.ndarray], upper: bool = False
-) -> tuple[int, int] | None:
-    """Row-major first cell (x1, x2) of the witness grid of n^3 flat
-    triples where ``hit`` holds, or None; ``upper`` asks for x1 != x2
-    and a hit at (x2, x1) too.
+def _first_hit(found: np.ndarray) -> int | None:
+    """Position of the first orbit representative where ``found`` holds, or
+    None: the row-major first cell of the grid where a check constant on
+    orbits holds (see the module docstring).
 
-    ``hit(x1, x2)`` maps two arrays of flat indices to a boolean array and
-    must be constant on every orbit (see the module docstring).  It is
-    evaluated once, on :func:`orbit_cells` (with ``upper``, then on the
-    mirrors of the cells that hit), and the first representative that
-    hits is the answer, for two reasons:
-
-    1. the representatives come in lexicographic order, and each canonical
-       tuple is the lexicographically least cell of its orbit (the first
-       appearance of a new generic value takes the least one unused), so
-       the first hitting representative is the first hitting cell;
-    2. with ``upper`` the test is symmetric: a hit (x2, x1) below the
-       diagonal mirrors the smaller hit (x1, x2) above it, so the first
-       off-diagonal hit has x1 < x2.
-    """
-    x1, x2 = orbit_cells(n)
-    found = hit(x1, x2)
-    if upper:
-        found = found & (x1 != x2)
-        both = np.flatnonzero(found)
-        found[both] = hit(x2[both], x1[both])
-    if not found.any():
-        return None
+    A two-way check, (X1, X2) and (X2, X1) both hit with X1 != X2, passes
+    ``found`` narrowed to the off-diagonal cells where both hit, reading the
+    mirror only where the first holds.  The check is symmetric, so a hit
+    (x2, x1) below the diagonal mirrors the smaller hit (x1, x2) above it,
+    and the first hit has x1 < x2."""
     k = int(np.argmax(found))
-    return int(x1[k]), int(x2[k])
-
-
-def _triple_cells(n: int, x1, x2, table: str, budget: int | None):
-    """Coordinates (p, q, r) of two checked arrays of flat triple indices,
-    read off the canonical tuples on the orbit pair."""
-    x1, x2 = _flat_cells(n, x1, x2, table, budget)
-    if _is_orbit_pair(n, x1, x2):
-        columns = _orbit_tuples(n)[0]
-        return [columns[:3], columns[3:]]
-    return [TripleCodec(n).split(x) for x in (x1, x2)]
+    return k if found[k] else None
 
 
 def _flat_cells(n: int, x1, x2, table: str, budget: int | None) -> list[np.ndarray]:
@@ -184,10 +149,14 @@ def _flat_cells(n: int, x1, x2, table: str, budget: int | None) -> list[np.ndarr
     return cells
 
 
-# The last automaton witness_square_table read, with its letter slots and,
-# once asked for, its table on the orbit pair: (auto, slots, (x1, x2, table)
-# or None).  A call on another automaton replaces it.
-_last_square: tuple = (None, None, None)
+def _witness_n(auto: Nfa, what: str) -> int:
+    """The state count n of ``auto``, checked to be a witness family size
+    with ``auto`` over an alphabet of 2n^3 letters; else ``ValueError``."""
+    n, sigma = auto.n_states, 2 * auto.n_states**3
+    check_witness_n(n)
+    if len(auto.alphabet) != sigma:
+        raise ValueError(f"{what}: {len(auto.alphabet)} letters, not {sigma}")
+    return n
 
 
 def witness_square_table(auto: Nfa, x1, x2, budget: int | None = None) -> np.ndarray:
@@ -201,31 +170,12 @@ def witness_square_table(auto: Nfa, x1, x2, budget: int | None = None) -> np.nda
     and the table tracks which slots fire across (a_X1 b_X2)^2: a slot
     fires when its source is initial (on the first letter) or the target
     of a slot that fired on the letter before, and the word is accepted
-    when a slot that fires on its last letter has a final target.
-
-    The slots of the last automaton read are kept, and so is its table on
-    the pair :func:`orbit_cells` holds, when ``x1`` and ``x2`` are those two
-    arrays themselves: the next call with the same automaton object and the
-    same two arrays returns that table, read-only, so the checks of one
-    report compute it once (both are immutable, see the module docstring);
-    every other call, a mirror or the diagonal among them, computes its table."""
-    global _last_square
-    n, sigma = auto.n_states, 2 * auto.n_states**3
-    check_witness_n(n)
-    if len(auto.alphabet) != sigma:
-        raise ValueError(f"witness_square_table: {len(auto.alphabet)} letters, not {sigma}")
+    when a slot that fires on its last letter has a final target.  Every
+    call builds the slots and computes its cells; :class:`_Grid` keeps
+    both for the orbit pair."""
+    n = _witness_n(auto, "witness_square_table")
     x1, x2 = _flat_cells(n, x1, x2, "witness_square_table", budget)
-    last, slots, kept = _last_square
-    if last is not auto:
-        slots, kept = _letter_slots(auto), None
-        _last_square = (auto, slots, None)
-    if kept is not None and kept[0] is x1 and kept[1] is x2:
-        return kept[2]
-    table = _square_cells(n, slots, x1, x2)
-    if _is_orbit_pair(n, x1, x2):
-        table.flags.writeable = False
-        _last_square = (auto, slots, (x1, x2, table))
-    return table
+    return _square_cells(n, _letter_slots(auto), x1, x2)
 
 
 def _letter_slots(auto: Nfa) -> np.ndarray:
@@ -254,35 +204,15 @@ def _square_cells(n: int, slots: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> 
     return reduce(np.logical_or, [f & (d == 1) for f, d in zip(fired, fb)])
 
 
-def _is_orbit_pair(n: int, x1: np.ndarray, x2: np.ndarray) -> bool:
-    """Whether ``x1`` and ``x2`` are the two arrays ``orbit_cells(n)`` holds;
-    only read-only arrays of its length are looked up, so no other call
-    builds a list."""
-    if x1.flags.writeable or x2.flags.writeable or x1.shape != (orbit_count(n),):
-        return False
-    rows, cols = orbit_cells(n)
-    return x1 is rows and x2 is cols
-
-
-# the last automaton check_symmetric passed
-_last_symmetric: Nfa | None = None
-
-
 def check_symmetric(auto: Nfa) -> Nfa:
     """``auto``, an automaton over the witness alphabet, if every permutation
     of its states >= 6, with the letters relabelled to match, maps its
     relation, initial and final states onto themselves, as the orbit checks
     assume; checked on the generators (6 7) and (6 7 ... n-1), none at n = 6
-    and 7.  Otherwise :class:`VerificationError` names the permutation.
-
-    The last automaton object that passed is kept, and the same object
-    passes again without the check: it is immutable, so the check would
-    pass again."""
-    global _last_symmetric
-    if auto is _last_symmetric:
-        return auto
-    n, sigma = auto.n_states, len(auto.alphabet)
-    check_witness_n(n)
+    and 7.  Otherwise :class:`VerificationError` names the permutation.  An
+    alphabet of other than 2n^3 letters is refused first, with ``ValueError``.
+    Every call checks; building a :class:`_Grid` makes one."""
+    n, sigma = _witness_n(auto, "check_symmetric"), len(auto.alphabet)
     codec = TripleCodec(n)
     keys = auto.transitions.keys
     source, letter, target = auto.transitions.unpack()
@@ -295,8 +225,25 @@ def check_symmetric(auto: Nfa) -> Nfa:
         fixed = [frozenset(perm[list(s)].tolist()) for s in (auto.initial, auto.final)]
         if not np.array_equal(mapped, keys) or fixed != [auto.initial, auto.final]:
             raise VerificationError(f"the automaton is not fixed by the permutation {name}")
-    _last_symmetric = auto
     return auto
+
+
+class _Grid(namedtuple("_Grid", "auto slots x1 x2 table")):
+    """What the orbit checks of one automaton read, each built once, all
+    read-only: ``auto``, an automaton over the witness alphabet that passed
+    :func:`check_symmetric`, its :func:`_letter_slots`, the orbit pair
+    ``x1, x2`` of :func:`orbit_cells`, and the square ``table`` of ``auto``
+    on that pair, the cells :func:`witness_square_table` gives."""
+
+    __slots__ = ()
+
+    def __new__(cls, auto: Nfa):
+        n = check_symmetric(auto).n_states
+        slots = _letter_slots(auto)
+        x1, x2 = orbit_cells(n)
+        table = _square_cells(n, slots, x1, x2)
+        slots.flags.writeable = table.flags.writeable = False
+        return super().__new__(cls, auto, slots, x1, x2, table)
 
 
 def _case_conditions(p1, q1, r1, p2, q2, r2, l1, m2) -> list[np.ndarray]:
@@ -314,12 +261,21 @@ def _case_conditions(p1, q1, r1, p2, q2, r2, l1, m2) -> list[np.ndarray]:
     ]
 
 
+def _case_ids(p1, q1, r1, p2, q2, r2) -> np.ndarray:
+    """Lowest satisfied case id (1..7) per cell of the coordinate arrays, 0
+    when none holds: what :func:`case_table` computes after splitting its
+    cells, and the orbit checks of :mod:`sqrtnfa.cases` on the canonical
+    tuples."""
+    conds = _case_conditions(p1, q1, r1, p2, q2, r2, _PIVOT_L[p1], _PIVOT_M[p2])
+    ids = [np.uint8(k) for k in range(1, len(conds) + 1)]
+    return np.select(conds, ids, default=np.uint8(0))
+
+
 def case_table(n: int, x1, x2, budget: int | None = None) -> np.ndarray:
     """Lowest satisfied case id (1..7) per letter pair, 0 when none holds.
 
     ``x1`` and ``x2`` select and charge cells as in :func:`witness_square_table`.
     """
-    (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table", budget)
-    conds = _case_conditions(p1, q1, r1, p2, q2, r2, _PIVOT_L[p1], _PIVOT_M[p2])
-    ids = [np.uint8(k) for k in range(1, len(conds) + 1)]
-    return np.select(conds, ids, default=np.uint8(0))
+    x1, x2 = _flat_cells(n, x1, x2, "case_table", budget)
+    split = TripleCodec(n).split
+    return _case_ids(*split(x1), *split(x2))

@@ -8,9 +8,9 @@ from sqrtnfa import (
     BudgetExceededError, Dfa, Nfa, RandomSpec, TripleCodec, member, random_nfa, reach,
     sqrt_nfa, witness,
 )
-from sqrtnfa import cases
+from sqrtnfa import cases, fooling, kernels
 from sqrtnfa.cases import CASE_COUNT, case_holds
-from sqrtnfa.kernels import _case_conditions, _triple_cells
+from sqrtnfa.kernels import _case_conditions
 from sqrtnfa.witness import _PIVOT_L, _PIVOT_M
 
 
@@ -212,19 +212,18 @@ def first_pair(hit, n):
 
 
 def _mutant(drop=None, identity_l=False):
-    """A damaged ``case_table``: case ``drop`` never holds, or the left
-    pivot is the identity map (l1 = p1).  Built from the same seven
-    conditions as the real table, so each mutant differs from it only by
-    its one damage."""
+    """A damaged ``kernels._case_ids``: case ``drop`` never holds, or the
+    left pivot is the identity map (l1 = p1).  Built from the same seven
+    conditions as the real case ids, so each mutant differs from them only
+    by its one damage."""
 
-    def case_table(n, x1, x2, budget=None):
-        (p1, q1, r1), (p2, q2, r2) = _triple_cells(n, x1, x2, "case_table", budget)
+    def case_ids(p1, q1, r1, p2, q2, r2):
         l1 = p1 if identity_l else _PIVOT_L[p1]
         conds = _case_conditions(p1, q1, r1, p2, q2, r2, l1, _PIVOT_M[p2])
         kept = [(c, np.uint8(k)) for k, c in enumerate(conds, start=1) if k != drop]
         return np.select([c for c, _ in kept], [k for _, k in kept], default=np.uint8(0))
 
-    return case_table
+    return case_ids
 
 
 # the mutation tests of the case checks: each one must be caught
@@ -234,8 +233,19 @@ MUTANTS["identity_l=True"] = _mutant(identity_l=True)
 
 @contextmanager
 def mutant(name):
-    """``sqrtnfa.cases.case_table``, the table ``verify_cases`` and
-    ``pairwise_contradiction`` read, replaced by ``MUTANTS[name]``."""
+    """The case ids ``case_table``, ``verify_cases`` and
+    ``pairwise_contradiction`` read replaced by ``MUTANTS[name]``, in each
+    module that looks them up; yields ``case_table``, which then reads them."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cases, "case_table", MUTANTS[name])
-        yield MUTANTS[name]
+        for module in (kernels, cases):
+            patch.setattr(module, "_case_ids", MUTANTS[name])
+        yield kernels.case_table
+
+
+def damage_square_cells(monkeypatch, square_cells):
+    """``kernels._square_cells``, the one function that computes square
+    table cells, replaced by ``square_cells`` in each module that looks it
+    up: a grid built after this holds the damaged table, the certificate's
+    mirror reads it, and so does ``witness_square_table``."""
+    for module in (kernels, fooling):
+        monkeypatch.setattr(module, "_square_cells", square_cells)

@@ -42,7 +42,8 @@ from sqrtnfa import (
     witness_fooling_set,
     witness_square_table,
 )
-from sqrtnfa import fooling
+from sqrtnfa.fooling import _certify
+from sqrtnfa.kernels import _Grid
 from conftest import MUTANTS, doctored_witness, grid, mutant, triples
 
 
@@ -265,17 +266,15 @@ def test_invariant_suite(pool500, announce):
     assert ok, line
 
 
-def doctored_certificates(monkeypatch) -> tuple[bool, str]:
+def doctored_certificates() -> tuple[bool, str]:
     """The certificate on doctored witness automata: at n = 6 it must give
     the plain verifier's report, and at n = 8, where the damage skips state
     6 and so breaks the symmetry the orbit checks rest on, it must refuse."""
     auto6 = doctored_witness(6)
     reference = verify_fooling(witness_fooling_set(6), lambda w: member(auto6, w + w))
-    monkeypatch.setattr(fooling, "witness", lambda n: auto6)
-    report = certify_lower_bound(6)
-    monkeypatch.setattr(fooling, "witness", lambda n: doctored_witness(8, skip=(6,)))
+    report = _certify(_Grid(auto6))
     try:
-        refusal = f"certified={certify_lower_bound(8).certified}"
+        refusal = f"certified={_certify(_Grid(doctored_witness(8, skip=(6,)))).certified}"
     except VerificationError as error:
         refusal = f"refused ({error})"
     ok = (
@@ -286,7 +285,7 @@ def doctored_certificates(monkeypatch) -> tuple[bool, str]:
     return ok, f"doctored automaton n=6: {report.violation}; n=8: {refusal}"
 
 
-def test_doctored_set_is_rejected(tmp_path, announce, monkeypatch):
+def test_doctored_set_is_rejected(tmp_path, announce):
     auto = witness(6)
     letters = {name: i for i, name in enumerate(auto.alphabet)}
     doctored = FoolingSet(
@@ -314,7 +313,7 @@ def test_doctored_set_is_rejected(tmp_path, announce, monkeypatch):
             "--mode", "sqrt",
         ]
     )
-    automaton_ok, automaton_detail = doctored_certificates(monkeypatch)
+    automaton_ok, automaton_detail = doctored_certificates()
     ok = library_ok and exit_code == 1 and automaton_ok
     line = announce(
         7,

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -135,11 +136,11 @@ class TestPairwiseContradiction:
     def test_identity_pivot_breaks_condition_two(self):
         with mutant("identity_l=True") as table:
             cx = pairwise_contradiction(6)
-        assert cx is not None
-        x3, x4 = cx
-        assert x3 != x4
-        f3, f4 = (TripleCodec(6).encode(*x) for x in (x3, x4))
-        assert table(6, [f3, f4], [f4, f3]).all()
+            assert cx is not None
+            x3, x4 = cx
+            assert x3 != x4
+            f3, f4 = (TripleCodec(6).encode(*x) for x in (x3, x4))
+            assert table(6, [f3, f4], [f4, f3]).all()
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -173,14 +174,13 @@ class TestStripScan:
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9])
     @pytest.mark.parametrize("identity_l", [False, True])
-    def test_pairwise_contradiction_in_7_row_strips(self, monkeypatch, n, identity_l):
-        if identity_l:
-            monkeypatch.setattr(cases, "case_table", MUTANTS["identity_l=True"])
-        table = cases.case_table(n, *grid(n))
-        hit = (table != 0) & (table.T != 0)
-        np.fill_diagonal(hit, False)
-        expected = first_pair(hit, n)
-        assert pairwise_contradiction(n) == expected
+    def test_pairwise_contradiction_in_7_row_strips(self, n, identity_l):
+        with mutant("identity_l=True") if identity_l else nullcontext(case_table) as table:
+            claimed = table(n, *grid(n))
+            hit = (claimed != 0) & (claimed.T != 0)
+            np.fill_diagonal(hit, False)
+            expected = first_pair(hit, n)
+            assert pairwise_contradiction(n) == expected
 
     @pytest.mark.parametrize("check", [verify_cases, pairwise_contradiction])
     def test_peak_memory_is_bounded_by_the_strip(self, check):
@@ -206,27 +206,30 @@ class TestOrbitPass:
 
     @pytest.mark.parametrize("check", [verify_cases, pairwise_contradiction])
     def test_table_calls_read_only_the_representatives(self, monkeypatch, check):
+        # the square cells, of the grid's table, and the case ids, each on
+        # the cells they are read at
         sizes = []
 
-        def recording(table):
-            def call(n, x1, x2, budget=None):
-                sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
-                return table(n, x1, x2, budget)
+        def recording(name, function):
+            def call(*args):
+                sizes.append((name, np.broadcast(*args[-2:]).size))
+                return function(*args)
 
             return call
 
-        table = MUTANTS["identity_l=True"]
-        monkeypatch.setattr(cases, "case_table", table)
-        for name in ("witness_square_table", "case_table"):
-            monkeypatch.setattr(cases, name, recording(getattr(cases, name)))
-        assert check(13) is not None
+        damaged = MUTANTS["identity_l=True"]
+        monkeypatch.setattr(kernels, "_case_ids", damaged)
+        monkeypatch.setattr(cases, "_case_ids", recording("case ids", damaged))
+        monkeypatch.setattr(kernels, "_square_cells", recording("square cells", kernels._square_cells))
         if check is verify_cases:
-            assert sizes == [163_967, 163_967]
+            assert cases._verify_cases(kernels._Grid(witness(13))) is not None
+            assert sizes == [("square cells", 163_967), ("case ids", 163_967)]
             return
+        assert check(13) is not None
         # the crossing reads a_X2 b_X1 only where a_X1 b_X2 holds off the diagonal
         x1, x2 = kernels.orbit_cells(13)
-        hits = np.count_nonzero((table(13, x1, x2) != 0) & (x1 != x2))
-        assert sizes == [163_967, hits] and hits == 1_196
+        hits = np.count_nonzero((case_table(13, x1, x2) != 0) & (x1 != x2))
+        assert sizes == [("case ids", 163_967), ("case ids", hits)] and hits == 1_196
 
 
 # the parent's screen-plus-scan counterexamples; they are the same for every
@@ -281,7 +284,8 @@ PINNED_MUTANT_TABLES = {
 
 @pytest.mark.parametrize("n, mutation", sorted(PINNED_MUTANT_TABLES))
 def test_mutants_reproduce_the_former_damage_parameters(n, mutation):
-    table = MUTANTS[mutation](n, *grid(n))
+    with mutant(mutation) as damaged:
+        table = damaged(n, *grid(n))
     assert table.dtype == np.uint8 and table.shape == (n**3, n**3)
     digest = hashlib.sha256(table.tobytes()).hexdigest()
     assert digest == PINNED_MUTANT_TABLES[n, mutation]

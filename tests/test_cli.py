@@ -37,7 +37,9 @@ from sqrtnfa.nfa import _product, _square_walk, _walk
 from sqrtnfa.oracle import _function_walk
 from sqrtnfa.sqrt import triple_labels
 from sqrtnfa.config import BUDGET_ENV
-from sqrtnfa.kernels import orbit_cells
+from sqrtnfa import fooling, kernels
+from sqrtnfa.fooling import _witness_grid
+from sqrtnfa.kernels import _Grid, orbit_cells
 from sqrtnfa.words import explore
 from conftest import make_nfa, mutant, nfas
 
@@ -829,14 +831,17 @@ class TestRunReport:
         assert set(first.timings) == {"witness", "sqrt", "certify", "verify_cases", "total"}
 
     @pytest.mark.parametrize("n", [6, 12])
-    def test_builds_the_witness_and_the_orbit_grid_once(self, n):
+    def test_builds_the_witness_and_the_orbit_grid_once(self, monkeypatch, n):
         # the cube and the certificate read one witness(n); the certificate
-        # and the case check read one orbit grid
+        # and the case check read one grid, which builds the orbit list once
+        grids, lists = [], []
+        monkeypatch.setattr(fooling, "_Grid", lambda auto: grids.append(auto) or _Grid(auto))
+        monkeypatch.setattr(kernels, "orbit_cells", lambda n: lists.append(n) or orbit_cells(n))
         witness.cache_clear()
-        orbit_cells.cache_clear()
+        _witness_grid.cache_clear()
         run_report(n, budget=4_000_000)
         assert witness.cache_info().misses == 1
-        assert orbit_cells.cache_info().misses == 1
+        assert grids == [witness(n)] and lists == [n]
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):

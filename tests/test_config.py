@@ -225,6 +225,18 @@ def flat_divisions(tree: ast.AST) -> int:
     )
 
 
+def test_no_module_keeps_state_behind_a_global_statement():
+    # what one check shares with another is passed as a value (the witness
+    # grid) or cached by value (lru_cache), never kept in a rebound module
+    # variable
+    sites = {
+        name: [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        for name, tree in parse_sources().items()
+    }
+    assert len(sites) > 10
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+
+
 def test_only_the_codec_splits_flat_triples():
     # the cube, the witness payloads and the kernels' cells share one
     # flat (p, q, r) layout, divided only in TripleCodec.split

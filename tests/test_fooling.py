@@ -17,8 +17,11 @@ from sqrtnfa import (
     witness_square_table,
     verify_fooling,
 )
-from sqrtnfa import cases, fooling, kernels
-from conftest import doctored_witness, grid, orbit_mask, with_transitions
+from sqrtnfa import fooling, kernels
+from sqrtnfa.cases import _verify_cases
+from sqrtnfa.fooling import _certify
+from sqrtnfa.kernels import _Grid
+from conftest import damage_square_cells, doctored_witness, grid, orbit_mask, with_transitions
 
 
 def oracle_for(language):
@@ -166,9 +169,8 @@ class TestCertify:
 
 
 def table_cells(table):
-    """Stand-in for the cell form of ``witness_square_table`` that reads a
-    given table."""
-    return lambda auto, x1, x2, budget=None: table[np.asarray(x1), np.asarray(x2)]
+    """Stand-in for ``kernels._square_cells`` that reads a given table."""
+    return lambda n, slots, x1, x2: table[x1, x2]
 
 
 def table_oracle(table):
@@ -204,8 +206,8 @@ class TestCertifyMatchesReference:
             for x1, x2 in ((i, j), (j, i)):
                 cell = [c for x in (x1, x2) for c in (x // (n * n), (x // n) % n, x % n)]
                 table |= orbit_mask(n, cell, *grid(n))
-        monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
-        report = certify_lower_bound(n)
+        damage_square_cells(monkeypatch, table_cells(table))
+        report = _certify(_Grid(witness(n)))
         reference = verify_fooling(witness_fooling_set(n), table_oracle(table))
         assert not report.certified
         assert report.violation == reference.violation
@@ -221,8 +223,8 @@ class TestCertifyMatchesReference:
         for _ in range(3):
             i, j = rng.choice(np.argwhere(~table & ~table.T).tolist())
             table[i, j] = True
-        monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
-        report = certify_lower_bound(6)
+        damage_square_cells(monkeypatch, table_cells(table))
+        report = _certify(_Grid(witness(6)))
         assert report.certified
         assert report == verify_fooling(witness_fooling_set(6), table_oracle(table))
 
@@ -230,18 +232,18 @@ class TestCertifyMatchesReference:
         table = witness_square_table(witness(6), *grid(6))
         table[40, 40] = table[90, 90] = False
         oracle = table_oracle(table)
-        monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
+        damage_square_cells(monkeypatch, table_cells(table))
         monkeypatch.setattr(fooling, "member", lambda auto, word: oracle(word))
-        report = certify_lower_bound(6)
+        report = _certify(_Grid(witness(6)))
         assert report.violation == Violation("cond1", 41)
         assert report == verify_fooling(witness_fooling_set(6), oracle)
 
     def test_damaged_diagonal_raises(self, monkeypatch):
         table = witness_square_table(witness(6), *grid(6))
         table[40, 40] = False
-        monkeypatch.setattr(fooling, "witness_square_table", table_cells(table))
+        damage_square_cells(monkeypatch, table_cells(table))
         with pytest.raises(VerificationError, match="pair 41"):
-            certify_lower_bound(6)
+            _certify(_Grid(witness(6)))
 
     def test_budget_threshold_is_pair_count(self):
         assert certify_lower_bound(8, budget=512).certified
@@ -251,39 +253,37 @@ class TestCertifyMatchesReference:
     def test_strips_stay_within_block_bound(self, monkeypatch):
         sizes = []
         damage = []
+        square_cells = kernels._square_cells
 
-        def damaged(auto, x1, x2, budget=None):
-            table = kernels.witness_square_table(auto, x1, x2, budget)
+        def recording(n, slots, x1, x2):
+            sizes.append(np.broadcast(x1, x2).size)
+            table = square_cells(n, slots, x1, x2)
             for cell in damage:
-                table = table | orbit_mask(auto.n_states, cell, x1, x2)
+                table = table | orbit_mask(n, cell, x1, x2)
             return table
 
-        def recording(auto, x1, x2, budget=None):
-            sizes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).size)
-            return damaged(auto, x1, x2, budget)
-
-        def hits():
+        def hits(grid):
             # the off-diagonal representatives where T holds
-            x1, x2 = kernels.orbit_cells(13)
-            return np.count_nonzero(damaged(witness(13), x1, x2) & (x1 != x2))
+            return np.count_nonzero(grid.table & (grid.x1 != grid.x2))
 
-        monkeypatch.setattr(fooling, "witness_square_table", recording)
-        report = certify_lower_bound(13)  # 13^6 cells would be 4.8M
+        damage_square_cells(monkeypatch, recording)
+        grid = _Grid(witness(13))
+        report = _certify(grid)  # 13^6 cells would be 4.8M
         m = 13**3
         assert report.certified and report.cond2_checked == m * (m - 1) // 2
-        # the table on the representatives, whose diagonal is condition 1,
-        # then one call each way for condition 2: the first is served from
-        # the kept table, the second computes its mirror on the hits alone
-        assert sizes == [163_967, 163_967, hits()] and hits() == 1_239
+        # the grid's table on the representatives, whose diagonal is
+        # condition 1, then the mirror for condition 2 on the hits alone
+        assert sizes == [163_967, hits(grid)] and hits(grid) == 1_239
 
         # damage closed under the symmetry (two mirrored orbits) is named
         # by the same calls, with no second pass
         damage[:] = [(5, 6, 7, 5, 7, 6), (5, 7, 6, 5, 6, 7)]
         sizes.clear()
-        report = certify_lower_bound(13)
+        grid = _Grid(witness(13))
+        report = _certify(grid)
         i, j = (5 * 13 + 6) * 13 + 7, (5 * 13 + 7) * 13 + 6
         assert report.violation == Violation("cond2", i + 1, j + 1)
-        assert sizes == [163_967, 163_967, hits()] and hits() > 1_239
+        assert sizes == [163_967, hits(grid)] and hits(grid) > 1_239
 
 
 class TestDoctoredAutomaton:
@@ -291,35 +291,32 @@ class TestDoctoredAutomaton:
     damaged automaton gets the reference verdict, or is refused when it
     breaks the symmetry the orbit checks rest on."""
 
-    def test_reference_verdict_at_n6(self, monkeypatch):
+    def test_reference_verdict_at_n6(self):
         # the table used to re-derive the letters by hand, and certified
         # this automaton with bound 216
         auto = doctored_witness(6)
-        monkeypatch.setattr(fooling, "witness", lambda n: auto)
-        report = certify_lower_bound(6)
+        report = _certify(_Grid(auto))
         reference = verify_fooling(witness_fooling_set(6), lambda w: member(auto, w + w))
         assert report == reference
         assert report.violation == Violation("cond2", 1, 37)
         assert (report.cond1_checked, report.cond2_checked) == (216, 36)
 
-    def test_asymmetric_damage_is_refused(self, monkeypatch):
+    def test_asymmetric_damage_is_refused(self):
         # the same damage without state 6: the reference verdict is
-        # condition 2 at (1, 65), which no orbit check may claim to read
+        # condition 2 at (1, 65), which no orbit check may claim to read;
+        # both checks read the grid, whose build refuses it
         auto = doctored_witness(8, skip=(6,))
         reference = verify_fooling(witness_fooling_set(8), lambda w: member(auto, w + w))
         assert reference.violation == Violation("cond2", 1, 65)
-        monkeypatch.setattr(fooling, "witness", lambda n: auto)
-        monkeypatch.setattr(cases, "witness", lambda n: auto)
-        for check in (certify_lower_bound, cases.verify_cases):
+        for check in (_certify, _verify_cases):
             with pytest.raises(VerificationError, match=r"permutation \(6 7\)"):
-                check(8)
+                check(_Grid(auto))
 
-    def test_an_asymmetric_final_set_is_refused(self, monkeypatch):
+    def test_an_asymmetric_final_set_is_refused(self):
         w8 = witness(8)
         auto = Nfa(8, w8.alphabet, w8.initial, {3, 4, 5, 7}, w8.transitions)
-        monkeypatch.setattr(fooling, "witness", lambda n: auto)
         with pytest.raises(VerificationError, match=r"permutation \(6 7\)"):
-            certify_lower_bound(8)
+            _certify(_Grid(auto))
 
     def test_damage_the_swap_fixes_is_refused_by_the_cycle(self):
         # a transition out of state 8 is fixed by (6 7) but moved by (6 7 8)
@@ -327,6 +324,37 @@ class TestDoctoredAutomaton:
         kernels.check_symmetric(with_transitions(witness(9), [(8, 0, 0), (6, 0, 0), (7, 0, 0)]))
         with pytest.raises(VerificationError, match=r"permutation \(6 7 8\)"):
             kernels.check_symmetric(auto)
+
+    def test_a_wrong_sized_alphabet_is_refused_before_the_symmetry_check(self):
+        # five names too many, with a transition on one of them; and 1,000
+        # letters, the witness rows on them kept: each once split letters
+        # as if the alphabet had 2n^3 of them
+        w8 = witness(8)
+        extra = Nfa(8, w8.alphabet + tuple(f"x{i}" for i in range(5)), w8.initial, w8.final,
+                    [(0, 1025, 0)])
+        rows = w8.transitions.array
+        short = Nfa(8, w8.alphabet[:1000], w8.initial, w8.final, rows[rows[:, 1] < 1000])
+        for auto, letters in ((extra, 1029), (short, 1000)):
+            for build in (kernels.check_symmetric, _Grid):
+                with pytest.raises(ValueError, match=f": {letters} letters, not 1024$"):
+                    build(auto)
+
+    def test_a_b_letter_row_from_an_initial_state_leaves_the_table(self):
+        # s -b[0,0,0]-> 0 from the initial state 1: a b-letter's flag is its
+        # target's finality, and state 0 is not final, so the square table
+        # is witness(6)'s; a flag read off the source instead (an initial
+        # state) would mark the row as accepting
+        w6 = witness(6)
+        auto = with_transitions(w6, [(1, w6.letter_index("b[0,0,0]"), 0)])
+        grid = _Grid(auto)
+        assert grid.x1.size == 6**6
+        m = 6**3
+        words = [2 * ((x1,) + (m + x2,)) for x1, x2 in zip(grid.x1.tolist(), grid.x2.tolist())]
+        assert grid.table.tolist() == [member(auto, word) for word in words]
+        reference = verify_fooling(witness_fooling_set(6), lambda w: member(auto, w + w))
+        report = _certify(grid, budget=m)
+        for field in ("certified", "bound", "violation", "cond1_checked", "cond2_checked"):
+            assert getattr(report, field) == getattr(reference, field), field
 
     @pytest.mark.parametrize("n", [6, 7, 8, 12])
     def test_the_witness_is_symmetric(self, n):

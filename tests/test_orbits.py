@@ -11,6 +11,7 @@ against an argmax over the whole tables.
 import hashlib
 import math
 import random
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -32,11 +33,15 @@ from sqrtnfa import (
     witness_fooling_set,
     witness_square_table,
 )
-from sqrtnfa import cases, fooling, kernels
+from sqrtnfa import kernels
+from sqrtnfa.cases import _verify_cases
 from sqrtnfa.config import BUDGET_ENV
-from sqrtnfa.kernels import orbit_cells, orbit_count
+from sqrtnfa.fooling import _certify, _witness_grid
+from sqrtnfa.kernels import _Grid, orbit_cells, orbit_count
 from sqrtnfa.sqrt import TripleCodec
-from conftest import MUTANTS, doctored_witness, first_pair, grid, mutant, orbit_mask
+from conftest import (
+    MUTANTS, damage_square_cells, doctored_witness, first_pair, grid, mutant, orbit_mask,
+)
 
 ORBITS = 163_967
 
@@ -106,9 +111,11 @@ class TestSymmetryLemma:
         x1, x2 = [flat(cell[:3], n)], [flat(cell[3:], n)]
         y1, y2 = [flat(image[:3], n)], [flat(image[3:], n)]
         assert witness_square_table(witness(n), x1, x2) == witness_square_table(witness(n), y1, y2)
+        assert case_table(n, x1, x2) == case_table(n, y1, y2)
         # the damaged tables go through the orbit screen too
-        for name, table in [("case_table", case_table), *MUTANTS.items()]:
-            assert table(n, x1, x2) == table(n, y1, y2), name
+        for name in MUTANTS:
+            with mutant(name) as table:
+                assert table(n, x1, x2) == table(n, y1, y2), name
 
 
 class TestOrbitEnumerator:
@@ -171,11 +178,15 @@ class TestOrbitEnumerator:
         assert canonical(cell) <= image
 
     def test_the_last_grid_built_is_reused_read_only(self):
-        orbit_cells.cache_clear()
+        # orbit_cells builds on every call; the witness grid of the last n
+        # is cached by value and holds the list it built
+        grid = _witness_grid(9)
+        assert _witness_grid(9) is grid
+        assert _witness_grid(10) is not grid and _witness_grid(9) is not grid
         x1, x2 = orbit_cells(9)
-        assert orbit_cells(9)[0] is x1
-        assert orbit_cells.cache_info().misses == 1
-        assert not x1.flags.writeable and not x2.flags.writeable
+        assert x1 is not grid.x1 and np.array_equal(x1, grid.x1) and np.array_equal(x2, grid.x2)
+        for built in (x1, x2, grid.x1, grid.x2):
+            assert not built.flags.writeable
 
     @pytest.mark.parametrize("n", sorted(ORBIT_DIGESTS))
     def test_the_list_is_pinned_byte_for_byte(self, n):
@@ -192,9 +203,6 @@ class TestOrbitEnumerator:
 
     @pytest.mark.parametrize("damage", ["drop", "repeat"])
     def test_an_incomplete_list_is_refused(self, monkeypatch, damage):
-        # the last grid built is cached: clear it, so that this call builds
-        # and audits
-        orbit_cells.cache_clear()
         columns, generic = kernels._canonical_tuples()
         keep = np.arange(ORBITS) != 1000
         if damage == "drop":
@@ -224,10 +232,14 @@ def whole_grid_checks(n):
     truth = witness_square_table(witness(n), *grid(n))
     clash = first_pair(np.triu(truth & truth.T, 1), n)
     checks = [None if clash is None else Violation("cond2", *(flat(x, n) + 1 for x in clash))]
-    for table in (case_table, *MUTANTS.values()):
-        checks.append(first_pair(truth != (table(n, *grid(n)) != 0), n))
-    for table in (case_table, MUTANTS["identity_l=True"]):
-        claimed = table(n, *grid(n)) != 0
+    tables = [case_table(n, *grid(n))]
+    for name in MUTANTS:
+        with mutant(name) as table:
+            tables.append(table(n, *grid(n)))
+    for table in tables:
+        checks.append(first_pair(truth != (table != 0), n))
+    for table in (tables[0], tables[list(MUTANTS).index("identity_l=True") + 1]):
+        claimed = table != 0
         checks.append(first_pair(np.triu(claimed & claimed.T, 1), n))
     return checks
 
@@ -254,13 +266,16 @@ class TestScreenMatchesStrips:
         assert not witness_square_table(witness(n), [x1], [x2])[0]
         assert witness_square_table(witness(n), [x2], [x1])[0]
 
-        def damaged(auto, x1, x2, budget=None):
-            return kernels.witness_square_table(auto, x1, x2, budget) ^ orbit_mask(n, cell, x1, x2)
+        clean = witness_square_table(witness(n), *grid(n))
+        square_cells = kernels._square_cells
 
-        monkeypatch.setattr(fooling, "witness_square_table", damaged)
-        table = damaged(witness(n), *grid(n))
-        assert (table != witness_square_table(witness(n), *grid(n))).sum() == 2
-        report = certify_lower_bound(n)
+        def damaged(n, slots, x1, x2):
+            return square_cells(n, slots, x1, x2) ^ orbit_mask(n, cell, x1, x2)
+
+        damage_square_cells(monkeypatch, damaged)
+        table = witness_square_table(witness(n), *grid(n))
+        assert (table != clean).sum() == 2
+        report = _certify(_Grid(witness(n)))
         reference = verify_fooling(
             witness_fooling_set(n), lambda w: bool(table[w[0], w[1] - n**3])
         )
@@ -282,13 +297,12 @@ class TestOrbitPairReads:
 
     @pytest.mark.parametrize("mutated", [False, True])
     @pytest.mark.parametrize("n", range(6, 13))
-    def test_crossing_matches_the_dense_crossing(self, monkeypatch, n, mutated):
+    def test_crossing_matches_the_dense_crossing(self, n, mutated):
         # the dense crossing reads the second case table on every cell
-        table = MUTANTS["identity_l=True"] if mutated else case_table
-        x1, x2 = orbit_cells(n)
-        dense = (table(n, x1, x2) != 0) & (table(n, x2, x1) != 0) & (x1 != x2)
-        monkeypatch.setattr(cases, "case_table", table)
-        found = pairwise_contradiction(n, budget=n**6)
+        with mutant("identity_l=True") if mutated else nullcontext(case_table) as table:
+            x1, x2 = orbit_cells(n)
+            dense = (table(n, x1, x2) != 0) & (table(n, x2, x1) != 0) & (x1 != x2)
+            found = pairwise_contradiction(n, budget=n**6)
         assert (found is None) == (not mutated) == (not dense.any())
         if mutated:
             k = np.argmax(dense)
@@ -297,8 +311,9 @@ class TestOrbitPairReads:
 
 @pytest.fixture
 def computed(monkeypatch):
-    """The (x1, x2) of every square table the kernel computes rather than
-    serves from what it keeps."""
+    """The (x1, x2) of every call of ``kernels._square_cells``, the one
+    function that computes square table cells, through either module that
+    looks it up."""
     pairs = []
     square_cells = kernels._square_cells
 
@@ -306,90 +321,92 @@ def computed(monkeypatch):
         pairs.append((x1, x2))
         return square_cells(n, slots, x1, x2)
 
-    monkeypatch.setattr(kernels, "_square_cells", spy)
+    damage_square_cells(monkeypatch, spy)
     return pairs
 
 
-def on_orbit_pair(pairs, n):
-    """How many of the computed ``pairs`` are the orbit pair itself."""
-    x1, x2 = orbit_cells(n)
-    return sum(a is x1 and b is x2 for a, b in pairs)
+def counted(monkeypatch, name):
+    """How many times ``kernels.<name>`` is called from here on, as a list
+    that grows by its argument on each call."""
+    calls = []
+    function = getattr(kernels, name)
+    monkeypatch.setattr(kernels, name, lambda arg: calls.append(arg) or function(arg))
+    return calls
 
 
 def fresh(table, auto, x1, x2):
     """Whether ``table`` is the square table of ``auto`` on copies of the
-    cells, which the kernel never keeps."""
+    cells."""
     return np.array_equal(table, witness_square_table(auto, x1.copy(), x2.copy()))
 
 
 class TestOneTablePerReport:
-    """The square table on the orbit pair is kept for the automaton object
-    it was computed for, and served to nothing else."""
+    """A grid computes the square table on the orbit pair once, for the
+    automaton it is built from, and a report builds one grid per n."""
 
-    def test_certify_then_verify_cases_compute_the_table_once(self, computed, monkeypatch):
-        witness.cache_clear()  # a new automaton object, so nothing is kept for it
-        assert certify_lower_bound(8).certified
-        assert verify_cases(8) is None
-        assert on_orbit_pair(computed, 8) == 1
-        # an equal automaton that is another object is computed afresh
+    def test_certify_then_verify_cases_compute_the_table_once(self, computed):
         auto = witness(8)
+        grid = _Grid(auto)
+        assert _certify(grid).certified
+        assert _verify_cases(grid) is None
+        assert sum(a is grid.x1 and b is grid.x2 for a, b in computed) == 1
+        # an equal automaton that is another object gets its own grid
         twin = Nfa(8, auto.alphabet, auto.initial, auto.final, auto.transitions)
-        monkeypatch.setattr(cases, "witness", lambda n: twin)
-        assert verify_cases(8) is None
-        assert on_orbit_pair(computed, 8) == 2
+        twin_grid = _Grid(twin)
+        assert _verify_cases(twin_grid) is None
+        assert sum(a is twin_grid.x1 and b is twin_grid.x2 for a, b in computed) == 1
+        assert len(computed) == 3  # the two tables and the certificate's mirror
 
-    def test_a_doctored_automaton_after_a_clean_run_is_judged_afresh(self, monkeypatch):
+    def test_a_doctored_automaton_after_a_clean_run_is_judged_afresh(self):
         assert certify_lower_bound(8).certified and verify_cases(8) is None
-        monkeypatch.setattr(fooling, "witness", lambda n: doctored_witness(8, skip=(6,)))
         with pytest.raises(VerificationError, match=r"permutation \(6 7\)"):
-            certify_lower_bound(8)
-        monkeypatch.undo()
+            _certify(_Grid(doctored_witness(8, skip=(6,))))
         assert verify_cases(8) is None
         # symmetric damage passes the check and gets the reference verdict
         auto = doctored_witness(8)
-        monkeypatch.setattr(fooling, "witness", lambda n: auto)
         reference = verify_fooling(witness_fooling_set(8), lambda w: member(auto, w + w))
         assert reference.violation == Violation("cond2", 1, 65)
-        assert certify_lower_bound(8) == reference
-        monkeypatch.undo()
+        assert _certify(_Grid(auto)) == reference
         assert verify_cases(8) is None
 
     def test_a_kept_table_cannot_be_written(self):
         auto = witness(8)
-        x1, x2 = orbit_cells(8)
-        first = witness_square_table(auto, x1, x2)
-        kept = witness_square_table(auto, x1, x2)
-        for table in (first, kept):
+        grid = _Grid(auto)
+        for kept in (grid.table, grid.slots, grid.x1, grid.x2):
             with pytest.raises(ValueError, match="read-only"):
-                table[:] = ~table
-        assert fresh(witness_square_table(auto, x1, x2), auto, x1, x2)
+                kept[:] = 0
+        assert fresh(grid.table, auto, grid.x1, grid.x2)
         # another automaton on the same two arrays gets its own table
-        other = doctored_witness(8)
-        assert fresh(witness_square_table(other, x1, x2), other, x1, x2)
-        assert not np.array_equal(witness_square_table(other, x1, x2), kept)
+        other = _Grid(doctored_witness(8))
+        assert fresh(other.table, other.auto, grid.x1, grid.x2)
+        assert not np.array_equal(other.table, grid.table)
 
     def test_the_mirror_and_the_diagonal_are_never_served(self, computed):
+        # nothing is served: the public table computes on every call
         auto = witness(8)
-        x1, x2 = orbit_cells(8)
-        witness_square_table(auto, x1, x2)
+        grid = _Grid(auto)
+        x1, x2 = grid.x1, grid.x2
         diagonal = x1[x1 == x2]
         computed.clear()
-        for rows, cols in ((x2, x1), (diagonal, diagonal), (x2, x1), (diagonal, diagonal)):
-            assert fresh(witness_square_table(auto, rows, cols), auto, rows, cols)
+        for rows, cols in ((x1, x2), (x2, x1), (diagonal, diagonal), (x1, x2)):
+            table = witness_square_table(auto, rows, cols)
+            assert table.flags.writeable and table is not grid.table
+            assert fresh(table, auto, rows, cols)
         # each call and each fresh copy computed
-        assert len(computed) == 8
-        witness_square_table(auto, x1, x2)
         assert len(computed) == 8
 
     @pytest.mark.parametrize("n", [8, 12])
-    def test_one_report_computes_each_table_once(self, computed, n):
+    def test_one_report_computes_each_table_once(self, computed, monkeypatch, n):
         # T(x1, x2), whose diagonal cells are condition 1, and T(x2, x1)
         # where T holds off the diagonal: a second pass over the orbit pair
         # fails here before it shows in the benchmark
-        witness.cache_clear()
+        symmetric = counted(monkeypatch, "check_symmetric")
+        slotted = counted(monkeypatch, "_letter_slots")
+        _witness_grid.cache_clear()
         run_report(n, 4_000_000)
         cells = sum(np.broadcast(a, b).size for a, b in computed)
-        x1, x2 = orbit_cells(n)
-        hits = np.count_nonzero(witness_square_table(witness(n), x1, x2) & (x1 != x2))
+        grid = _witness_grid(n)
+        hits = np.count_nonzero(grid.table & (grid.x1 != grid.x2))
         assert hits == {8: 1_237, 12: 1_239}[n]
         assert cells == orbit_count(n) + hits
+        assert len(symmetric) == len(slotted) == 1
