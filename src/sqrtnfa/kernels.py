@@ -98,16 +98,20 @@ def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     holds the pair its checks read.
 
     The list audits itself on every build: an orbit with k generic values
-    has (n-6)(n-7)...(n-5-k) cells, and the orbits must cover exactly n^6
-    cells, else :class:`VerificationError`.
+    has (n-6)(n-7)...(n-5-k) cells, every tuple must have 0 <= k <= 6, and
+    the orbits must cover exactly n^6 cells, else :class:`VerificationError`.
     """
     check_witness_n(n)
     columns, generic = _orbit_tuples(n)
-    counts = np.bincount(generic, minlength=7).tolist()
+    # counted on the uint8 generics through one scratch array: bincount
+    # would first widen them to int64
+    same = np.empty(generic.shape, dtype=np.bool_)
+    counts = [np.count_nonzero(np.equal(generic, k, out=same)) for k in range(7)]
     cells = sum(c * math.perm(n - MIN_STATES, k) for k, c in enumerate(counts))
-    if cells != n**6:
+    if cells != n**6 or sum(counts) != generic.size:
         raise VerificationError(
-            f"the orbits of the {n}-state witness cover {cells} cells, not {n**6}"
+            f"the orbits of the {n}-state witness cover {cells} cells, not {n**6}, "
+            f"from {sum(counts)} of their {generic.size} tuples"
         )
     join = TripleCodec(n).join
     p1, q1, r1, p2, q2, r2 = columns.astype(_CELL)

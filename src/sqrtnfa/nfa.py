@@ -17,9 +17,11 @@ a few array operations, and an automaton whose keys would pass int64
 (n * n * sigma >= 2**63) is refused.  ``Nfa.transitions`` is a
 :class:`Relation`: the keys, decoded into rows only on demand.  A set
 of states is simulated as an int bitmask, stepped through one successor
-index, ``_succ``, in one of two forms, one per access pattern.  A step
-on one letter (``reach``, ``member``) reads each set state's row, a dict
-from letter to successor mask.  A step on every letter at once
+index, ``_succ``, in one of two forms, one per access pattern; the
+index also holds the masks of the initial and final states, built once
+with it.  A step on one letter (``reach``, ``member``) reads each set
+state's row, a dict from letter to successor mask, decoded from the
+state's run of keys in one numpy pass.  A step on every letter at once
 (``_stepper``: ``determinize``, the product walk of ``equivalent`` and
 ``difference_witness``, and ``accept_table`` and ``square_accept_table``,
 which flag every word up to a length in rank order, see
@@ -124,7 +126,8 @@ class Relation:
 
 class _SuccessorIndex:
     """Successors in two forms, built on first use from the states' runs
-    of sorted keys, in dicts that grow with use, not with n.  A
+    of sorted keys, in dicts that grow with use, not with n, and the
+    masks of the initial and final states, built with the index.  A
     row, for one-letter steps, is a state's dict from letter to successor
     mask.  ``tables[i]``, for all-letter steps, has 256 slots; slot b packs
     the successors of the states 8i + j, j a set bit of b, on every letter
@@ -133,19 +136,27 @@ class _SuccessorIndex:
     ``a * 8 * width + t`` for each of its transitions (a, t).  At most 255
     entries per 8 states are built, each the size of one column, and only
     for byte values a walk meets.
+
+    A row's run of keys is found with ``searchsorted`` and decoded by
+    :meth:`Relation.unpack` in one numpy pass: a witness state has
+    hundreds to thousands of keys.  A column's run is decoded key by key
+    in Python: the all-letter walks run on small automata, whose runs of
+    a few keys cost less so.
     """
 
-    def __init__(self, keys: np.ndarray, n: int, sigma: int):
-        self._keys, self._n, self._span = keys, n, sigma * n
+    def __init__(self, nfa: Nfa):
+        n, sigma = nfa.n_states, len(nfa.alphabet)
+        self._relation, self._n, self._span = nfa.transitions, n, sigma * n
         self.width = -(-n // 8)
         self.size = sigma * self.width
+        self.initial, self.final = _mask(nfa.initial), _mask(nfa.final)
         self.rows: dict[int, dict[int, int]] = {}
         self.tables: dict[int, list[int | None]] = {}
 
     def _entries(self, state: int) -> list[tuple[int, int]]:
         """The state's (letter, target) pairs, in relation order: its keys
         are those in [state * sigma * n, (state + 1) * sigma * n)."""
-        keys, base, n = self._keys.data, state * self._span, self._n  # read in place
+        keys, base, n = self._relation.keys.data, state * self._span, self._n  # read in place
         start = bisect_left(keys, base)
         end = bisect_left(keys, base + self._span, start)
         return [divmod(key - base, n) for key in keys[start:end].tolist()]
@@ -154,8 +165,11 @@ class _SuccessorIndex:
         try:
             return self.rows[state]
         except KeyError:
+            base = state * self._span
+            run = np.searchsorted(self._relation.keys, (base, base + self._span)).tolist()
+            _, letters, targets = self._relation.unpack(slice(*run))
             row = {}
-            for a, t in self._entries(state):
+            for a, t in zip(letters.tolist(), targets.tolist()):
                 row[a] = row.get(a, 0) | 1 << t
             self.rows[state] = row
             return row
@@ -202,6 +216,8 @@ class Nfa:
     sparse because witness-style alphabets are large (thousands of
     letters) but each state uses few of them.  A step on every letter
     reads tables: per 8 states, the packed successors of their subsets.
+    :meth:`letter_index` reads a dict from letter name to index, built on
+    first use; like ``_succ``, it is not a field.
     """
 
     n_states: int
@@ -222,16 +238,22 @@ class Nfa:
         relation = _checked_relation(self.transitions, self.n_states, len(self.alphabet))
         object.__setattr__(self, "transitions", relation)
 
+    # both written to the instance __dict__, not fields: not in ==, hash, repr
     @cached_property
     def _succ(self) -> _SuccessorIndex:
-        # written to the instance __dict__, not a field: not in ==, hash, repr
-        return _SuccessorIndex(self.transitions.keys, self.n_states, len(self.alphabet))
+        return _SuccessorIndex(self)
+
+    @cached_property
+    def _letter_ids(self) -> dict[str, int]:
+        return dict(zip(self.alphabet, range(len(self.alphabet))))
 
     def letter_index(self, name: str) -> int:
-        try:
-            return self.alphabet.index(name)
-        except ValueError:
-            raise ValueError(f"unknown letter {name!r}") from None
+        """The index of the letter named ``name``; ``ValueError`` for any
+        other value, a name or not."""
+        index = self._letter_ids.get(name) if isinstance(name, str) else None
+        if index is None:
+            raise ValueError(f"unknown letter {name!r}")
+        return index
 
 
 def check_key_limit(n: int, sigma: int) -> None:
@@ -458,8 +480,8 @@ def _walk(auto: Nfa | Dfa):
     ``1 << d`` are numbered alike by :func:`explore`."""
     if isinstance(auto, Dfa):
         return auto.initial, auto.transitions.__getitem__, auto.final.__contains__
-    fin = _mask(auto.final)
-    return _mask(auto.initial), _stepper(auto), lambda mask: mask & fin != 0
+    init, fin = auto._succ.initial, auto._succ.final
+    return init, _stepper(auto), lambda mask: mask & fin != 0
 
 
 def _square_walk(nfa: Nfa):
@@ -468,7 +490,7 @@ def _square_walk(nfa: Nfa):
     per state, and ww is accepted when applying it twice to the initial
     set meets a final state.  Each state set is stepped once per walk."""
     step = cache(_stepper(nfa))
-    init, fin = _mask(nfa.initial), _mask(nfa.final)
+    init, fin = nfa._succ.initial, nfa._succ.final
     return (
         tuple(1 << s for s in range(nfa.n_states)),
         # each state's image stepped on every letter, regrouped by letter
@@ -486,7 +508,8 @@ def reach(nfa: Nfa, states: set[int] | frozenset[int], word: Word) -> set[int]:
 
 def member(nfa: Nfa, word: Word) -> bool:
     """Whether the automaton accepts ``word`` from any initial state."""
-    return bool(_run(nfa, _mask(nfa.initial), word) & _mask(nfa.final))
+    index = nfa._succ
+    return bool(_run(nfa, index.initial, word) & index.final)
 
 
 def _run(nfa: Nfa, mask: int, word: Word) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product, starmap
+from operator import add
 
 import numpy as np
 
@@ -63,20 +64,22 @@ _PIVOT_L = np.array([pivot_l(p) for p in range(MAX_STATES)], dtype=np.uint16)
 _PIVOT_M = np.array([pivot_m(p) for p in range(MAX_STATES)], dtype=np.uint16)
 
 
-# a letter's name from its kind and payload (p, q, r)
-_LETTER_NAME = "{}[{},{},{}]"
-
-
 def witness_alphabet(n: int) -> tuple[str, ...]:
     """Canonical alphabet order: all a-letters by lexicographic payload,
     then all b-letters.  The flat payload index of (p,q,r) is p*n^2+q*n+r,
     so letter indices are reproducible across runs and languages.
 
+    The name of letter (kind, p, q, r) is ``f"{kind}[{p},{q},{r}]"``,
+    built as a head ``f"{kind}[{p},{q},"`` and a tail ``f"{r}]"`` joined
+    by one concatenation: 2n^2 heads and n tails are formatted, not 2n^3
+    names.
+
     Raises ValueError outside 6 <= n <= 32 (see :func:`check_witness_n`).
     """
     check_witness_n(n)
-    # kind and payloads come from "ab" and range(n), so no name is checked
-    return tuple(starmap(_LETTER_NAME.format, product("ab", range(n), range(n), range(n))))
+    heads = [f"{kind}[{p},{q}," for kind, p, q in product("ab", range(n), range(n))]
+    tails = [f"{r}]" for r in range(n)]
+    return tuple(starmap(add, product(heads, tails)))
 
 
 @lru_cache(maxsize=1)

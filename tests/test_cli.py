@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sqrtnfa import (
     Dfa,
+    FormatError,
     RandomSpec,
     Report,
     TripleCodec,
@@ -32,6 +33,7 @@ from sqrtnfa import (
     sqrt_nfa,
     textio,
     witness,
+    witness_fooling_set,
 )
 from sqrtnfa.nfa import _product, _square_walk, _walk
 from sqrtnfa.oracle import _function_walk
@@ -310,6 +312,15 @@ class TestCheckFooling:
             "--pairs", str(pairs), "--mode", "sqrt",
         )
         assert code == 2 and "unknown letter" in err
+
+    def test_the_canonical_pairs_of_witness_20_parse_into_the_canonical_set(self):
+        # 16,000 lines, 32,000 names looked up among 16,000 letters
+        n = 20
+        lines = (f"a[{p},{q},{r}] ; b[{p},{q},{r}]\n" for p, q, r in product(range(n), repeat=3))
+        assert cli._parse_pairs(witness(n), "".join(lines)) == witness_fooling_set(n)
+        for line in ("a[0,0,0] ; a[20,0,0]\n", "c[0,0,0] ; b[0,0,0]\n"):
+            with pytest.raises(FormatError, match=r"unknown letter '[ac]\[[0-9,]+\]'"):
+                cli._parse_pairs(witness(n), line)
 
     def test_budget_caps_the_cross_pairs(self, capsys, w6_file, tmp_path):
         pairs = tmp_path / "canonical.pairs"

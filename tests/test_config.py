@@ -237,6 +237,28 @@ def test_no_module_keeps_state_behind_a_global_statement():
     assert {name: lines for name, lines in sites.items() if lines} == {}
 
 
+def alphabet_scans(tree: ast.AST) -> list[int]:
+    """The lines of ``.index(...)`` calls on a name or attribute that
+    holds ``alphabet``: each scans the alphabet for one letter."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "index"
+        and "alphabet" in (
+            getattr(node.func.value, "id", None) or getattr(node.func.value, "attr", None) or ""
+        )
+    ]
+
+
+def test_no_letter_is_looked_up_by_scanning_an_alphabet():
+    # a scan per letter makes parsing a word list quadratic in the
+    # alphabet; letters are looked up in a dict built once per automaton
+    sites = {name: alphabet_scans(tree) for name, tree in parse_sources().items()}
+    assert len(sites) > 10
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+
+
 def test_only_the_codec_splits_flat_triples():
     # the cube, the witness payloads and the kernels' cells share one
     # flat (p, q, r) layout, divided only in TripleCodec.split

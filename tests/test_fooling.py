@@ -138,6 +138,15 @@ class TestCertify:
         assert report.bound == cube6.n_states
         assert report.bound > 5 * 4 * 3  # strictly above the older bound
 
+    def test_certifies_32768_at_n32(self):
+        # the largest witness: 65,536 letter names, rows of about 4,096 keys
+        # per state and one member call per diagonal orbit (365)
+        report = certify_lower_bound(32, budget=2**30)
+        m = 32**3
+        assert report.certified and report.violation is None
+        assert report.bound == report.cond1_checked == m == 32768
+        assert report.cond2_checked == m * (m - 1) // 2
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             certify_lower_bound(6, budget=215)

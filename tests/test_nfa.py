@@ -178,6 +178,13 @@ class TestConstruction:
             with pytest.raises(ValueError, match="bad letter name"):
                 Dfa(1, alphabet, 0, frozenset(), ((0,) * len(alphabet),))
 
+    def test_letter_index_finds_each_name_and_refuses_any_other_value(self, witness6):
+        names = witness6.alphabet
+        assert list(map(witness6.letter_index, names)) == list(range(len(names)))
+        for value in ("zz", "", "a[6,0,0]", 0, None, b"a[0,0,0]", ["a[0,0,0]"], ("a[0,0,0]",)):
+            with pytest.raises(ValueError, match=re.escape(f"unknown letter {value!r}")):
+                witness6.letter_index(value)
+
     def test_targets_returns_empty_for_missing_entries(self):
         assert reach(NFA_AA, {2}, (0,)) == set()
         assert reach(NFA_AA, {0}, (0,)) == {1}
@@ -477,6 +484,20 @@ def byte_boundary_nfas(draw):
     return make_nfa(n, sigma, sorted(triples), {0}, {n - 1})
 
 
+@st.composite
+def sparse_wide_nfas(draw):
+    """Automata of 65 to 130 states, 1 to 3 letters and at most 20
+    transitions, so most states have none; state n - 1 is final, so the
+    final mask runs past 64 bits."""
+    n = draw(st.integers(65, 130))
+    sigma = draw(st.integers(1, 3))
+    state = st.integers(0, n - 1)
+    triples = draw(st.sets(st.tuples(state, st.integers(0, sigma - 1), state), max_size=20))
+    initial = draw(st.sets(state, min_size=1, max_size=5))
+    final = draw(st.sets(state, max_size=5)) | {n - 1}
+    return make_nfa(n, sigma, sorted(triples), initial, final)
+
+
 def small_nfa(seed: int) -> Nfa:
     """A random automaton of 1 to 4 states over 3 letters."""
     return random_nfa(RandomSpec(seed=seed, max_states=4, alphabet_size=3))
@@ -595,6 +616,16 @@ class TestSuccessorIndex:
             tables = copy._succ.tables
             assert set(tables) == met
             assert all(len(table) == 256 for table in tables.values())
+
+    @settings(max_examples=200)
+    @given(st.one_of(nfas(), sparse_wide_nfas()))
+    def test_rows_and_end_masks_equal_plain_python(self, a):
+        expected = [{} for _ in range(a.n_states)]
+        for s, x, t in a.transitions.array.tolist():
+            expected[s][x] = expected[s].get(x, 0) | 1 << t
+        index = a._succ
+        assert [index.row(s) for s in range(a.n_states)] == expected
+        assert (index.initial, index.final) == (_mask(a.initial), _mask(a.final))
 
     def test_rows_built_only_for_states_visited(self, witness6):
         cube = sqrt_nfa(witness6)

@@ -213,6 +213,16 @@ class TestOrbitEnumerator:
         with pytest.raises(VerificationError, match="cover .* cells, not"):
             orbit_cells(12)
 
+    def test_a_tuple_outside_the_counts_is_refused(self, monkeypatch):
+        # a repeated tuple whose generic count reads 7 covers no counted
+        # cells, so only the tuple total sees it; at n = 13 it is kept
+        columns, generic = kernels._canonical_tuples()
+        columns = columns[:, np.r_[0, :ORBITS]]
+        generic = np.r_[np.uint8(7), generic]
+        monkeypatch.setattr(kernels, "_canonical_tuples", lambda: (columns, generic))
+        with pytest.raises(VerificationError, match="from 163967 of their 163968 tuples"):
+            orbit_cells(13)
+
 
 def all_checks(n):
     budget = n**6

@@ -1,3 +1,5 @@
+from itertools import product, starmap
+
 import pytest
 
 from sqrtnfa import (
@@ -67,6 +69,12 @@ class TestAlphabet:
             flat = (p * 6 + q) * 6 + r
             assert names[flat] == f"a[{p},{q},{r}]"
             assert names[216 + flat] == f"b[{p},{q},{r}]"
+
+    @pytest.mark.parametrize("n", range(6, 33))
+    def test_names_and_order_equal_one_format_per_name(self, n):
+        # emitted files and CUBE_SHA256 read both the names and their order
+        names = starmap("{}[{},{},{}]".format, product("ab", range(n), range(n), range(n)))
+        assert witness_alphabet(n) == tuple(names)
 
 
 def loop_witness(n):
