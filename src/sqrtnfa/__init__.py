@@ -46,7 +46,6 @@ from .witness import (
     witness,
     witness_alphabet,
 )
-from .words import count_words
 
 __version__ = "0.1.0"
 
@@ -71,7 +70,6 @@ __all__ = [
     "case_holds",
     "case_table",
     "certify_lower_bound",
-    "count_words",
     "determinize",
     "dfa_accept_table",
     "dfa_to_nfa",

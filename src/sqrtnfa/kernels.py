@@ -141,7 +141,7 @@ def _flat_cells(n: int, x1, x2, table: str, budget: int | None) -> list[np.ndarr
     check_witness_n(n)
     cells = []
     for x in map(np.asarray, (x1, x2)):
-        if x.dtype.kind not in "iu":
+        if x.size and x.dtype.kind not in "iu":  # np.asarray([]) is float64
             raise ValueError(f"{table}: flat triple indices must be integers, got {x.dtype}")
         if x.size and (x.min() < 0 or x.max() >= n**3):
             bad = x.min() if x.min() < 0 else x.max()

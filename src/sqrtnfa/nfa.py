@@ -24,13 +24,16 @@ state's row, a dict from letter to successor mask, decoded from the
 state's run of keys in one numpy pass.  A step on every letter at once
 (``_stepper``: ``determinize``, the product walk of ``equivalent`` and
 ``difference_witness``, and ``accept_table`` and ``square_accept_table``,
-which flag every word up to a length in rank order, see
-:mod:`sqrtnfa.words`) ORs one table entry per non-zero byte of the mask,
-as in the Method of Four Russians, and cuts the result into one mask per
-letter with a shift and an AND.  There is no state cap: masks are
+which flag every word up to a length in rank order) ORs one table entry
+per non-zero byte of the mask, as in the Method of Four Russians, and
+cuts the result into one mask per letter with a shift and an AND.  There is no state cap: masks are
 Python ints.
 
-The word walks (``determinize``, ``accept_table`` and
+A word is a tuple of letter indices.  Rank order is length-lex: rank 0
+is the empty word, then every length-1 word in letter order, then
+length-2, and so on.  :func:`explore` is the one breadth-first numbering
+of reachable nodes; :func:`_word_flags` reads a walk level by level into
+flags in rank order.  The word walks (``determinize``, ``accept_table`` and
 ``dfa_accept_table``) take their start node, successor function and
 acceptance test from :func:`_walk`, and so does each side of the product
 walk, so both take a ``Dfa``, which steps its states on its transition
@@ -50,18 +53,21 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 
 import numpy as np
 
-from .config import check_int
-from .words import Word, explore, walk_word_tree
+from .config import charge, check_int, effective_budget
 
 try:
     from operator import call
 except ImportError:  # before Python 3.11
     call = lambda function, *args: function(*args)  # noqa: E731
+
+Word = tuple[int, ...]
 
 
 class Relation:
@@ -436,9 +442,12 @@ def _mask(states: set[int] | frozenset[int]) -> int:
 
 
 def _states(mask: int) -> tuple[int, ...]:
-    """The states of an int bitmask, ascending."""
-    bits = bin(mask)[:1:-1]  # binary digits, least significant first
-    return tuple(i for i, bit in enumerate(bits) if bit == "1")
+    """The states of an int bitmask, ascending: only its non-zero bytes
+    are unpacked, so a sparse mask over many states costs its set bytes."""
+    data = np.frombuffer(mask.to_bytes(-(-mask.bit_length() // 8), "little"), np.uint8)
+    at = np.flatnonzero(data)
+    byte, bit = np.nonzero(np.unpackbits(data[at, None], axis=1, bitorder="little"))
+    return tuple((8 * at[byte] + bit).tolist())
 
 
 def _mask_step(mask: int, succ: tuple[int, ...]) -> int:
@@ -530,6 +539,43 @@ def _run(nfa: Nfa, mask: int, word: Word) -> int:
     return mask
 
 
+def explore(
+    start: Hashable,
+    successors: Callable[[Hashable], Iterable[Hashable]],
+    budget: int | None,
+    what: str,
+    stop: Callable[[Hashable], object] | None = None,
+) -> tuple[list[Hashable], list[list[int]]]:
+    """Number every node reachable from ``start`` breadth first: ``(nodes, rows)``.
+
+    ``rows[i]`` holds the ids of ``successors(nodes[i])``, read once in
+    letter order, and ids go by first sight, so ``nodes`` grows while it is
+    read.  The walk ends early at the first numbered node that satisfies
+    ``stop``: it is then ``nodes[-1]`` and the last row ends at its id.
+    Only such a stop leaves fewer rows than nodes.  More than ``budget``
+    nodes (default from :mod:`sqrtnfa.config`) raises
+    ``BudgetExceededError(what, budget + 1, budget)``.
+    """
+    budget = effective_budget(budget)
+    ids = {start: 0}
+    nodes = [start]
+    rows: list[list[int]] = []
+    if stop is not None and stop(start):
+        return nodes, rows
+    for node in nodes:
+        rows.append(row := [])
+        for kid in successors(node):
+            i = ids.setdefault(kid, len(nodes))
+            row.append(i)
+            if i == len(nodes):  # first sight
+                if i == budget:
+                    charge(what, budget + 1, budget)
+                nodes.append(kid)
+                if stop is not None and stop(kid):
+                    return nodes, rows
+    return nodes, rows
+
+
 def _explored_dfa(start, step, accepting, alphabet, budget, what: str) -> Dfa:
     """The nodes :func:`explore` reaches from ``start`` as a DFA: node i is
     state i, so ``start`` is state 0, a row lists a node's ``step``
@@ -591,7 +637,7 @@ def _first_split(walks, cap: int | None, what: str) -> Word | None:
     """
     start, successors, splits = _product(*walks)
     nodes, rows = explore(start, successors, cap, what, stop=splits)
-    if len(rows) == len(nodes):  # every node expanded: no split
+    if len(rows) == len(nodes):  # not stopped: no split
         return None
     # a node's word is its first parent's word plus the letter: ids are
     # handed out in (parent, letter) order, and the split node is the last
@@ -628,14 +674,36 @@ def equivalent(a: Nfa | Dfa, b: Nfa | Dfa, cap: int | None = None) -> bool:
     return difference_witness(a, b, cap) is None
 
 
+def _word_flags(walk, sigma: int, max_len: int, budget: int | None) -> np.ndarray:
+    """Flag of every word of length <= max_len over ``sigma`` letters, in
+    rank order, on ``walk`` (see :func:`_walk`).
+
+    Level 0 is the start node, and level k + 1 is each level-k node's
+    successors in letter order; each distinct node is stepped and judged
+    once.  The 1 + sigma + ... + sigma**max_len words are charged as
+    ``word tree words`` before anything is built.
+    """
+    length = check_int(max_len, "max_len", 0) + 1
+    words = length if sigma == 1 else (sigma**length - 1) // (sigma - 1)
+    charge("word tree words", words, budget)
+    start, successors, accepting = walk
+    # a tuple: a step may hand out a one-shot iterator
+    step, judge = cache(lambda node: tuple(successors(node))), cache(accepting)
+    level, flags = [start], [judge(start)]
+    for _ in range(max_len):
+        level = list(chain.from_iterable(map(step, level)))
+        flags += map(judge, level)
+    return np.array(flags, dtype=np.bool_)
+
+
 def accept_table(nfa: Nfa | Dfa, max_len: int, budget: int | None = None) -> np.ndarray:
     """Acceptance flag for every word of length <= max_len, rank order.
 
     Index k of the result corresponds to the k-th word in length-lex
-    order (see :mod:`sqrtnfa.words`); a word's node is what it reaches in
-    :func:`_walk`: a state set as an int mask, or a DFA state.
+    order; a word's node is what it reaches in :func:`_walk`: a state set
+    as an int mask, or a DFA state.
     """
-    return walk_word_tree(*_walk(nfa), len(nfa.alphabet), max_len, budget)
+    return _word_flags(_walk(nfa), len(nfa.alphabet), max_len, budget)
 
 
 def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np.ndarray:
@@ -644,9 +712,9 @@ def square_accept_table(nfa: Nfa, max_len: int, budget: int | None = None) -> np
     This is the direct square-membership route: it never builds the cube
     automaton.  A word's node is its relation, as in :func:`_square_walk`.
     """
-    return walk_word_tree(*_square_walk(nfa), len(nfa.alphabet), max_len, budget)
+    return _word_flags(_square_walk(nfa), len(nfa.alphabet), max_len, budget)
 
 
 def dfa_accept_table(dfa: Dfa, max_len: int, budget: int | None = None) -> np.ndarray:
     """Acceptance flag for every word of length <= max_len on a DFA."""
-    return walk_word_tree(*_walk(dfa), len(dfa.alphabet), max_len, budget)
+    return _word_flags(_walk(dfa), len(dfa.alphabet), max_len, budget)

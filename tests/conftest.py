@@ -130,18 +130,18 @@ def tuple_sqrt_dfa(dfa: Dfa) -> Dfa:
     return Dfa(len(maps), dfa.alphabet, 0, final, tuple(rows))
 
 
-def reference_explore(start, successors, budget, what, depth=None, stop=None):
+def reference_explore(start, successors, budget, what, stop=None):
     """Breadth-first numbering level by level, in two passes per node: the
     node's successors are numbered first, then the first sights among them
     are appended (and judged by ``stop``) in id order.  The reference for
-    ``words.explore``, with the same ``(nodes, rows)``, the same refusal
+    ``nfa.explore``, with the same ``(nodes, rows)``, the same refusal
     ``BudgetExceededError(what, budget + 1, budget)``, and, when ``stop``
     ends the walk, a last row cut after the stop node's id."""
     ids, nodes, rows = {start: 0}, [start], []
     if stop is not None and stop(start):
         return nodes, rows
-    level, frontier = 0, [start]
-    while frontier and level != depth:
+    frontier = [start]
+    while frontier:
         next_frontier = []
         for node in frontier:
             kids = list(successors(node))
@@ -156,7 +156,7 @@ def reference_explore(start, successors, budget, what, depth=None, stop=None):
                         rows.append(row[: k + 1])
                         return nodes, rows
             rows.append(row)
-        level, frontier = level + 1, next_frontier
+        frontier = next_frontier
     return nodes, rows
 
 

@@ -4,7 +4,7 @@ up front refuses before it allocates anything of its size.
 
 ``determinize``, ``sqrt_dfa``, ``difference_witness`` and the walk of a
 ``random-equiv`` trial charge as their exploration grows (through
-``words.explore``), so only their thresholds are checked here, not their
+``nfa.explore``), so only their thresholds are checked here, not their
 allocations.
 """
 
@@ -18,7 +18,6 @@ from conftest import nfas
 from sqrtnfa import (
     accept_table,
     certify_lower_bound,
-    count_words,
     determinize,
     dfa_accept_table,
     dfa_to_nfa,
@@ -95,7 +94,7 @@ def test_automaton_phases_refuse_one_below_their_count(a, max_len):
         lambda c: difference_witness(det, a, c), det.n_states, "equivalence product pairs"
     )
 
-    words = count_words(len(a.alphabet), max_len)
+    words = sum(len(a.alphabet) ** k for k in range(max_len + 1))
     for table in (
         lambda c: accept_table(a, max_len, c),
         lambda c: square_accept_table(a, max_len, c),
@@ -144,11 +143,11 @@ def test_a_refused_cube_allocates_nothing_of_its_size():
 def test_refused_up_front_phases_allocate_nothing_of_their_size():
     auto = witness(6)
     det = determinize(auto)
-    words = count_words(len(auto.alphabet), 3)
+    words = sum(len(auto.alphabet) ** k for k in range(4))
     # 512 states over 1024 letters: its packed successor columns are 64 KB
     # each, 32 MB if they were built before the walk is charged
     wide = sqrt_nfa(witness(8))
-    wide_words = count_words(len(wide.alphabet), 2)
+    wide_words = sum(len(wide.alphabet) ** k for k in range(3))
     cells = orbit_count(32)
     calls = {
         "fooling set pairs": lambda: certify_lower_bound(32, 32**3 - 1),

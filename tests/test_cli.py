@@ -35,14 +35,13 @@ from sqrtnfa import (
     witness,
     witness_fooling_set,
 )
-from sqrtnfa.nfa import _product, _square_walk, _walk
+from sqrtnfa.nfa import _product, _square_walk, _walk, explore
 from sqrtnfa.oracle import _function_walk
 from sqrtnfa.sqrt import triple_labels
 from sqrtnfa.config import BUDGET_ENV
 from sqrtnfa import fooling, kernels
 from sqrtnfa.fooling import _witness_grid
 from sqrtnfa.kernels import _Grid, orbit_cells
-from sqrtnfa.words import explore
 from conftest import make_nfa, mutant, nfas
 
 

@@ -16,7 +16,6 @@ from sqrtnfa import (
     accept_table,
     case_holds,
     certify_lower_bound,
-    count_words,
     determinize,
     member,
     pivot_l,
@@ -66,11 +65,11 @@ def test_only_the_gate_constructs_budget_errors():
 
 def test_one_builder_assembles_every_explored_dfa():
     # the subset and function automata share one layout: nfa._explored_dfa
-    # makes the one Dfa(...) call, and only nfa.py and words.py explore
+    # makes the one Dfa(...) call, and only nfa.py explores
     trees = parse_sources()
     assert call_sites(trees, "Dfa") == {"nfa.py": 1}
     assert calls(function(trees["nfa.py"], "_explored_dfa"), "Dfa") == 1
-    assert set(call_sites(trees, "explore")) == {"nfa.py", "words.py"}
+    assert set(call_sites(trees, "explore")) == {"nfa.py"}
 
 
 def attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[tuple[str, str | None]]:
@@ -123,7 +122,7 @@ def callers(trees: dict[str, ast.Module], name: str) -> set[tuple[str, str | Non
 def test_one_walk_squares_relations_and_the_trial_tabulates_nothing():
     # the relation DFA and square_accept_table step relations only through
     # nfa._square_walk, and a random-equiv trial is one product walk:
-    # cli.py calls no word-tree walk and no acceptance table
+    # cli.py reads no word flags and calls no acceptance table
     trees = parse_sources()
     assert callers(trees, "_mask_step") == {("nfa.py", "_square_walk")}
     called = {
@@ -132,7 +131,7 @@ def test_one_walk_squares_relations_and_the_trial_tabulates_nothing():
         if isinstance(node, ast.Call)
     }
     assert {name for name in called if name.endswith("accept_table")} == set()
-    assert "walk_word_tree" not in called
+    assert "_word_flags" not in called
 
 
 def test_each_route_automaton_is_one_explored_dfa_over_its_walk():
@@ -382,8 +381,6 @@ def test_codecs_refuse_non_integers(call):
         lambda: case_holds(1, (0, 0, 0), (0, 2.5, 0), 6),
         lambda: witness(2.5),
         lambda: witness_alphabet(2.5),
-        lambda: count_words(2.5, 1),
-        lambda: count_words(2, 2.5),
         lambda: accept_table(NFA_AA, 2.5),
         lambda: RandomSpec(seed=2.5),
         lambda: RandomSpec(seed=1, max_states=2.5),
@@ -396,8 +393,7 @@ def test_codecs_refuse_non_integers(call):
     ids=[
         "nfa-count", "nfa-initial", "nfa-final", "dfa-count", "dfa-initial",
         "dfa-final", "dfa-target", "dfa-run", "reach-state", "reach-letter", "member",
-        "codec-n", "encode", "decode", "triple_labels", "case-id", "case-triple", "witness-n", "witness_alphabet-n", "count_words-sigma",
-        "count_words", "walk-max_len",
+        "codec-n", "encode", "decode", "triple_labels", "case-id", "case-triple", "witness-n", "witness_alphabet-n", "walk-max_len",
         "spec-seed", "spec-max_states", "spec-alphabet_size", "pivot_l", "pivot_m",
         "violation-i", "violation-j",
     ],

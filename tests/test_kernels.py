@@ -11,7 +11,6 @@ from sqrtnfa import (
     RandomSpec,
     accept_table,
     case_table,
-    count_words,
     determinize,
     dfa_accept_table,
     difference_witness,
@@ -24,7 +23,7 @@ from sqrtnfa import (
     witness_square_table,
 )
 from sqrtnfa.config import BUDGET_ENV
-from sqrtnfa.words import walk_word_tree
+from sqrtnfa.nfa import _word_flags
 from conftest import any_case, first_disagreement, grid, iter_words, nfas, with_transitions
 
 class TestAcceptTableOnCube:
@@ -135,6 +134,15 @@ class TestTableForms:
         with pytest.raises(ValueError, match="must be integers"):
             case_table(6, x1=np.array([True]), x2=[0])
 
+    def test_an_empty_selection_gives_an_empty_table(self):
+        # np.asarray([]) is float64: the parent refused it as non-integer
+        assert case_table(6, [], []).shape == (0,)
+        assert witness_square_table(witness(6), [], []).shape == (0,)
+        assert case_table(6, np.empty((0, 1)), [[0, 1]]).shape == (0, 2)
+        refusal = "^case_table: flat triple indices must be integers, got float64$"
+        with pytest.raises(ValueError, match=refusal):
+            case_table(6, [0.0], [0])
+
     @pytest.mark.parametrize("table", ["case_table", "witness_square_table"])
     def test_the_whole_grid_at_n32_is_refused_before_it_is_built(self, monkeypatch, table):
         # 32**6 cells would take 1 GiB per boolean grid: the default budget
@@ -181,7 +189,7 @@ class TestAcceptTables:
         for auto in small_random[:25]:
             table = accept_table(auto, 4)
             sigma = len(auto.alphabet)
-            assert table.shape == (count_words(sigma, 4),)
+            assert table.shape == (sum(sigma**k for k in range(5)),)
             for rank, word in enumerate(iter_words(sigma, 4)):
                 assert table[rank] == member(auto, word), (auto, word)
 
@@ -263,22 +271,27 @@ class TestWordTreeWalk:
     def test_word_tree_checks_the_budget(self, monkeypatch):
         monkeypatch.setenv("SQRTNFA_BUDGET", "1000")
         auto = random_nfa(RandomSpec(seed=3))
-        assert count_words(len(auto.alphabet), 9) == 29_524
+        assert sum(len(auto.alphabet) ** k for k in range(10)) == 29_524
         with pytest.raises(BudgetExceededError, match="word tree words: needs 29524"):
             accept_table(auto, 9)
         # an explicit budget overrides the environment
         assert accept_table(auto, 9, 29_524).size == 29_524
 
     def test_each_node_expanded_once(self):
-        # one state with a self-loop on the one letter
-        calls = []
+        # one state with a self-loop on the one letter: stepped and judged once
+        calls, judged = [], []
 
         def successors(node):
             calls.append(node)
-            return [node]
+            return iter([node])  # one-shot, as the square walk's zip
 
-        table = walk_word_tree(0, successors, lambda node: True, 1, 6)
-        assert table.tolist() == [True] * 7 and calls == [0]
+        def accepting(node):
+            judged.append(node)
+            return True
+
+        table = _word_flags((0, successors, accepting), 1, 6, None)
+        assert table.tolist() == [True] * 7 and calls == [0] and judged == [0]
         calls.clear()
-        assert walk_word_tree(0, successors, lambda node: True, 1, 0).tolist() == [True]
-        assert calls == []
+        judged.clear()
+        assert _word_flags((0, successors, accepting), 1, 0, None).tolist() == [True]
+        assert calls == [] and judged == [0]

@@ -407,6 +407,21 @@ class TestReachability:
         for states in ({0}, {1, 2}, {0, 1, 2}):
             assert reach(NFA_AA, states, ()) == states
 
+    def test_a_sparse_set_of_many_states_is_read_by_its_set_bytes(self):
+        # the parent decoded the 2 MB mask through bin(): 18 s and a 34 MB peak
+        n = 2**24
+        big = Nfa(n, ("x",), {0}, set(), ())
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert reach(big, {n - 1}, ()) == {n - 1}
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 1 and peak < 8_000_000
+        assert reach(big, {0, 9, 4096, n - 8}, ()) == {0, 9, 4096, n - 8}
+
     def test_step_set_unions_successors(self):
         a = make_nfa(3, 1, [(0, 0, 1), (0, 0, 2), (1, 0, 2)], {0}, {2})
         assert reach(a, {0, 1}, (0,)) == {1, 2}

@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "case_holds",
     "case_table",
     "certify_lower_bound",
-    "count_words",
     "determinize",
     "dfa_accept_table",
     "dfa_to_nfa",
@@ -89,7 +88,6 @@ PUBLIC_OPTIONS = {
     "case_holds": ("case", "x1", "x2", "n"),
     "case_table": ("n", "x1", "x2", "budget=None"),
     "certify_lower_bound": ("n", "budget=None"),
-    "count_words": ("sigma", "max_len"),
     "determinize": ("nfa", "cap=None"),
     "dfa_accept_table": ("dfa", "max_len", "budget=None"),
     "dfa_to_nfa": ("dfa",),

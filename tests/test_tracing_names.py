@@ -46,3 +46,44 @@ def test_every_benchmark_import_of_the_package_resolves():
                     assert hasattr(owner, alias.name), f"{path.name}: {node.module}.{alias.name}"
                     checked += 1
     assert checked > 0
+
+
+SOURCES = TRACING.parent.parent / "src" / "sqrtnfa"
+TRACER_ONLY = "# unused here, but perfbench/tracing.py::PATCHES looks them up in this module\n"
+
+
+def tracer_only_imports(source: str) -> set[str]:
+    """The names imported in the block under the tracer-only comment, up
+    to the next blank line."""
+    block = source.split(TRACER_ONLY, 1)[1].split("\n\n", 1)[0]
+    return {alias.asname or alias.name for node in ast.parse(block).body for alias in node.names}
+
+
+def test_tracer_only_imports_are_patched_rows_and_nothing_else():
+    # each name there is a PATCHES row for its module, and no other code
+    # of the module reads it: dropping the row drops the import with it
+    rows = [(module, attr) for module, attr, _span, _hook in load_tracing().PATCHES]
+    for name in ("cli", "cases"):
+        source = (SOURCES / f"{name}.py").read_text(encoding="utf-8")
+        imported = tracer_only_imports(source)
+        assert imported, name
+        assert imported <= {attr for module, attr in rows if module == f"sqrtnfa.{name}"}, name
+        read = {
+            node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id in imported
+        }
+        assert read == set(), name
+
+
+def test_no_package_code_calls_the_word_table_lane():
+    # the four names stay only for the tracer to find; nothing in the
+    # package may come to depend on them
+    lane = {"accept_table", "square_accept_table", "dfa_accept_table", "dfa_to_nfa"}
+    called = {
+        (path.name, name)
+        for path in sorted(SOURCES.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in lane
+    }
+    assert called == set()

@@ -3,39 +3,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqrtnfa import BudgetExceededError, count_words, determinize, sqrt_dfa
-from sqrtnfa.words import explore
+from sqrtnfa import BudgetExceededError, Nfa, accept_table, determinize, sqrt_dfa
+from sqrtnfa.nfa import explore
 from conftest import iter_words, nfas, reference_explore
 
 
-# level k + 1 of the rank order starts at count_words(sigma, k)
+def table_size(sigma, max_len):
+    """The length of an acceptance table over ``sigma`` letters: the number
+    of words of length <= max_len, and the rank of the first longer word."""
+    one = Nfa(1, tuple("abcdefghij"[:sigma]), {0}, set(), ())
+    return accept_table(one, max_len).size
+
+
+# level k + 1 of the rank order starts at the size of the table to length k
 def test_level_offsets_binary():
-    assert [count_words(2, k) for k in range(4)] == [1, 3, 7, 15]
+    assert [table_size(2, k) for k in range(4)] == [1, 3, 7, 15]
 
 
 def test_level_offsets_unary():
-    assert [count_words(1, k) for k in range(3)] == [1, 2, 3]
+    assert [table_size(1, k) for k in range(3)] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("sigma", [1, 2])
 def test_level_offset_refuses_a_negative_length(sigma):
     with pytest.raises(ValueError, match="^max_len -3 out of range$"):
-        count_words(sigma, -3)
+        table_size(sigma, -3)
 
 
 def test_count_words():
-    assert count_words(3, 0) == 1
-    assert count_words(3, 2) == 13
-    assert count_words(2, 3) == 15
-    # a numpy alphabet size is read as an int: no 64-bit wrap to a negative count
-    assert count_words(np.int64(10), 30) == (10**31 - 1) // 9
+    assert table_size(3, 0) == 1
+    assert table_size(3, 2) == 13
+    assert table_size(2, 3) == 15
+    # a numpy length is read as an int: the refused count has no 64-bit wrap
+    with pytest.raises(BudgetExceededError) as info:
+        table_size(10, np.int64(30))
+    assert info.value.what == "word tree words"
+    assert info.value.needed == (10**31 - 1) // 9 == int("1" * 31)
 
 
 def test_rank_order_matches_iteration():
     words = list(iter_words(2, 3))
     assert words[0] == ()
     assert words[1:3] == [(0,), (1,)]
-    assert len(words) == count_words(2, 3)
+    assert len(words) == table_size(2, 3)
 
 
 def test_iter_words_is_length_lex():
@@ -68,15 +78,14 @@ def test_explore_stops_at_the_first_match():
 @st.composite
 def successor_graphs(draw):
     """A random graph on nodes 0..n-1, each with up to 3 successors in
-    order, a set of stop nodes or None, a depth or None, and a budget."""
+    order, a set of stop nodes or None, and a budget."""
     n = draw(st.integers(1, 12))
     graph = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n))
     stops = draw(st.none() | st.sets(st.integers(0, n - 1), max_size=3))
-    depth = draw(st.none() | st.integers(0, 4))
-    return graph, stops, depth, draw(st.integers(1, n + 1))
+    return graph, stops, draw(st.integers(1, n + 1))
 
 
-def explored(explore_fn, graph, stops, depth, budget):
+def explored(explore_fn, graph, stops, budget):
     """``explore_fn`` from node 0 of ``graph``, each node's successors
     handed out as an iterator: ``(nodes, rows)`` or the refusal's fields,
     then the nodes expanded and the nodes judged by ``stop``, in call
@@ -93,7 +102,7 @@ def explored(explore_fn, graph, stops, depth, budget):
 
     stopper = None if stops is None else stop
     try:
-        result = explore_fn(0, successors, budget, "graph nodes", depth, stopper)
+        result = explore_fn(0, successors, budget, "graph nodes", stopper)
     except BudgetExceededError as error:
         result = (error.what, error.needed, error.budget)
     return result, expanded, judged
@@ -102,7 +111,7 @@ def explored(explore_fn, graph, stops, depth, budget):
 @settings(max_examples=500, deadline=None)
 @given(successor_graphs())
 def test_explore_numbers_like_a_two_pass_bfs(case):
-    graph, stops, depth, budget = case
+    graph, stops, budget = case
     got = explored(explore, *case)
     assert got == explored(reference_explore, *case)
     result, expanded, judged = got
@@ -117,7 +126,7 @@ def test_explore_numbers_like_a_two_pass_bfs(case):
         # the walk stopped there: the last row ends at the stop node
         assert len(rows) < len(nodes)
         assert rows == [] or rows[-1][-1] == len(nodes) - 1
-    elif depth is None:
+    else:
         assert len(rows) == len(nodes)
 
 
