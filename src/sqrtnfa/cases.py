@@ -6,16 +6,19 @@ holds.  This module states those conditions directly (scalar predicates)
 and checks their table form against the square truth table of the witness
 automaton for all n^6 payload pairs.  Both checks read one cell per
 symmetry orbit (see :mod:`sqrtnfa.kernels`): the case ids on the canonical
-tuples, and the budget is charged for the cells read.
+tuples, each computed once per process by the first check that reads it,
+and the budget is charged for the cells read.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .config import charge, check_int
 from .fooling import _witness_grid
-from .kernels import _Grid, _case_ids, _first_hit, _orbit_tuples, orbit_count
+from .kernels import _Grid, _canonical_tuples, _case_ids, _first_hit, _orbit_kept, orbit_count
 from .witness import FINAL_BLOCK, INITIAL_BLOCK, check_witness_n, pivot_l, pivot_m
 
 # unused here, but perfbench/tracing.py::PATCHES looks them up in this module
@@ -71,11 +74,40 @@ def verify_cases(n: int, budget: int | None = None) -> tuple[Triple, Triple] | N
 
 def _verify_cases(grid: _Grid, budget: int | None = None) -> tuple[Triple, Triple] | None:
     """:func:`verify_cases` for the automaton of ``grid``: its square table
-    on the orbit pair against the case ids of the canonical tuples the pair
-    was joined from, charging the cells read to ``budget``."""
+    on the orbit pair against the case verdicts of the canonical tuples the
+    pair was joined from, charging the cells read to ``budget``."""
     charge("case verification pairs", grid.x1.size, budget)
-    columns = _orbit_tuples(grid.auto.n_states)[0]
-    return _payloads(columns, _first_hit(grid.table != (_case_ids(*columns) != 0)))
+    kept = _orbit_kept(grid.auto.n_states)
+    k = _first_hit(grid.table != _case_verdicts(kept)[kept])
+    return _payloads(None if k is None else np.flatnonzero(kept)[k])
+
+
+@lru_cache(maxsize=1)
+def _verdicts_known(case_ids) -> tuple[np.ndarray, np.ndarray]:
+    """The case verdicts computed so far with ``case_ids``, one per
+    canonical tuple, and which of them are known: none at first."""
+    size = _canonical_tuples()[1].size
+    return np.zeros(size, dtype=np.bool_), np.zeros(size, dtype=np.bool_)
+
+
+def _case_verdicts(kept: np.ndarray) -> np.ndarray:
+    """Whether some case holds, ``_case_ids(...) != 0``, on every canonical
+    tuple, known at least where ``kept`` holds.
+
+    The case ids are computed cell by cell and the pivots are constant on
+    the states >= 6, so a tuple's verdict is the same at every n that keeps
+    it.  It is computed once per ``_case_ids`` (the one this module looks
+    up when a check runs), by the first check that keeps the tuple: a check
+    computes at most the tuples it charges for, and a process that checks
+    several n computes each tuple once.
+    """
+    verdicts, known = _verdicts_known(_case_ids)
+    new = kept & ~known
+    if new.any():
+        columns = _canonical_tuples()[0]
+        verdicts[new] = _case_ids(*(columns if new.all() else columns.compress(new, axis=1))) != 0
+        known |= new
+    return verdicts
 
 
 def pairwise_contradiction(n: int, budget: int | None = None) -> tuple[Triple, Triple] | None:
@@ -90,14 +122,18 @@ def pairwise_contradiction(n: int, budget: int | None = None) -> tuple[Triple, T
     The budget caps the cells read, as in :func:`verify_cases`.
     """
     charge("pairwise contradiction pairs", orbit_count(n), budget)
-    columns = _orbit_tuples(n)[0]
-    x3, x4 = columns[:3], columns[3:]
-    crossing = (_case_ids(*columns) != 0) & (x3 != x4).any(axis=0)
-    both = np.flatnonzero(crossing)
-    crossing[both] = _case_ids(*x4[:, both], *x3[:, both]) != 0
-    return _payloads(columns, _first_hit(crossing))
+    kept = _orbit_kept(n)
+    columns = _canonical_tuples()[0]
+    # a_X3 b_X4 holds and X3 != X4, in the order of the canonical tuples
+    both = np.flatnonzero(_case_verdicts(kept) & kept)
+    both = both[(columns[:3, both] != columns[3:, both]).any(axis=0)]
+    k = _first_hit(_case_ids(*columns[3:, both], *columns[:3, both]) != 0)
+    return _payloads(None if k is None else both[k])
 
 
-def _payloads(columns, k: int | None) -> tuple[Triple, Triple] | None:
+def _payloads(k: int | None) -> tuple[Triple, Triple] | None:
     """The payload pair (X1, X2) of canonical tuple ``k``, or None."""
-    return None if k is None else (tuple(columns[:3, k].tolist()), tuple(columns[3:, k].tolist()))
+    if k is None:
+        return None
+    columns = _canonical_tuples()[0]
+    return tuple(columns[:3, k].tolist()), tuple(columns[3:, k].tolist())

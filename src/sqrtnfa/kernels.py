@@ -20,6 +20,15 @@ unused) and the list is in lexicographic order, so the first
 representative that hits is the row-major first cell that hits
 (:func:`_first_hit`), and no check reads more than the representatives.
 
+What does not depend on n is built once per process.  A canonical tuple
+is one of 365 canonical first triples followed by a continuation, and the
+continuations depend only on how many generic values the first triple
+uses, at most 3; so the list is those blocks (:func:`_orbit_blocks`), and
+each n joins its pair block by block, keeping the tuples with at most
+n - 6 generic values.  A case verdict is the same at every n that keeps
+its tuple, so each is computed once, by the first check that reads it
+(:func:`sqrtnfa.cases._case_verdicts`).
+
 A :class:`_Grid` is what the checks of one automaton share: the automaton,
 checked symmetric, its letter slots, the orbit pair and the square table
 on that pair, each computed once when the grid is built.
@@ -49,60 +58,104 @@ NUMBA_AVAILABLE = False
 _CELL = np.uint16
 
 
-@cache
-def _canonical_tuples() -> tuple[np.ndarray, np.ndarray]:
-    """Every canonical 6-tuple (p1,q1,r1,p2,q2,r2), as six uint8 rows in
-    lexicographic order, and the number of generic values in each.
+def _continuations(start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every canonical way to go on for three coordinates after a prefix
+    that uses ``start`` generic values, as three uint8 rows in
+    lexicographic order, and the generic values used after each.
 
     Values 0..5 stand for themselves; the generic values (states >= 6)
-    appear as 6, 7, ... in order of first appearance.  A tuple's next
-    value is one of the 6 constants, a generic value it already uses, or
-    the next new one, so the list grows one coordinate at a time.
+    appear as 6, 7, ... in order of first appearance.  The next value is
+    one of the 6 constants, a generic value already used, or the next new
+    one, so the list grows one coordinate at a time.
     """
     rows: list[np.ndarray] = []
-    generic = np.zeros(1, dtype=np.uint8)
-    for _ in range(6):
+    generic = np.full(1, start, dtype=np.uint8)
+    for _ in range(3):
         choices = MIN_STATES + 1 + generic.astype(np.int64)
         parent = np.repeat(np.arange(generic.size), choices)
         starts = np.repeat(np.cumsum(choices) - choices, choices)
         value = (np.arange(parent.size) - starts).astype(np.uint8)
         generic = generic[parent]
         generic += value == MIN_STATES + generic
-        # one contiguous row per coordinate, stacked once at the end: a
-        # column-major array would make every later row read strided
         rows = [row[parent] for row in rows] + [value]
     return np.stack(rows), generic
+
+
+@cache
+def _orbit_blocks() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The canonical 6-tuples in blocks, one per canonical first triple:
+    the four lists of :func:`_continuations` after a prefix with 0, 1, 2
+    and 3 generic values, each a pair (rows, generic).  The first list is
+    also the 365 canonical first triples (heads) and their counts of
+    generic values (tail): block i is head i followed by each continuation
+    of list ``tail[i]``.  Every array is read-only: each call gets the
+    same ones."""
+    tails = tuple(_continuations(start) for start in range(4))
+    for pair in tails:
+        for array in pair:
+            array.flags.writeable = False
+    return tails
+
+
+@cache
+def _canonical_tuples() -> tuple[np.ndarray, np.ndarray]:
+    """Every canonical 6-tuple (p1,q1,r1,p2,q2,r2), as six uint8 rows in
+    lexicographic order, and the number of generic values in each: the
+    blocks of :func:`_orbit_blocks` one after another, read-only."""
+    tails = _orbit_blocks()
+    heads, tail = tails[0]
+    rows, generics = zip(*(tails[t] for t in tail.tolist()))
+    sizes = [generic.size for generic in generics]
+    # one contiguous row per coordinate: a column-major array would make
+    # every later row read strided
+    columns = np.empty((6, sum(sizes)), dtype=np.uint8)
+    columns[:3] = np.repeat(heads, sizes, axis=1)
+    np.concatenate(rows, axis=1, out=columns[3:])
+    generic = np.concatenate(generics)
+    columns.flags.writeable = generic.flags.writeable = False
+    return columns, generic
 
 
 def orbit_count(n: int) -> int:
     """How many cells :func:`orbit_cells` lists, so how many a check on
     them reads: n^6 at n = 6 and 7, at most 163,967 above."""
     check_witness_n(n)
-    return int(np.count_nonzero(_canonical_tuples()[1] <= n - MIN_STATES))
+    return int(np.count_nonzero(_orbit_kept(n)))
 
 
-def _orbit_tuples(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical tuples :func:`orbit_cells` joins, and their generics."""
-    columns, generic = _canonical_tuples()
-    keep = generic <= n - MIN_STATES
-    if keep.all():
-        return columns, generic
-    return columns.compress(keep, axis=1), generic[keep]
+def _orbit_kept(n: int) -> np.ndarray:
+    """Which of the :func:`_canonical_tuples` the orbit list of n keeps:
+    those with at most n - 6 generic values."""
+    return _canonical_tuples()[1] <= n - MIN_STATES
 
 
 def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices (x1, x2) of one cell per orbit of the n^3 x n^3 grid
     under the permutations of the states >= 6: the canonical tuples that
-    use at most n - 6 generic values, in the order of :func:`_orbit_tuples`,
-    as two read-only arrays.  Every call builds them; a :class:`_Grid`
-    holds the pair its checks read.
+    use at most n - 6 generic values, in the order of
+    :func:`_canonical_tuples`, as two read-only arrays.  Every call joins
+    them block by block from :func:`_orbit_blocks`: ``x1`` repeats each
+    joined head once per continuation kept, and ``x2`` chains the four
+    joined lists of continuations, each restricted to the n - 6 generic
+    values, in head order.  A head whose continuations are all dropped is
+    repeated zero times.  A :class:`_Grid` holds the pair its checks read.
 
-    The list audits itself on every build: an orbit with k generic values
-    has (n-6)(n-7)...(n-5-k) cells, every tuple must have 0 <= k <= 6, and
-    the orbits must cover exactly n^6 cells, else :class:`VerificationError`.
+    The list audits itself on every build, counting the blocks the pair is
+    joined from: an orbit with k generic values has (n-6)(n-7)...(n-5-k)
+    cells, every tuple must have 0 <= k <= 6, and the orbits must cover
+    exactly n^6 cells, else :class:`VerificationError`.
     """
     check_witness_n(n)
-    columns, generic = _orbit_tuples(n)
+    tails = _orbit_blocks()
+    heads, tail = tails[0]
+    join = TripleCodec(n).join
+    joined, generics = [], []
+    for rows, generic in tails:
+        keep = generic <= n - MIN_STATES
+        joined.append(join(*rows.compress(keep, axis=1).astype(_CELL)))
+        generics.append(generic[keep])
+    blocks = tail.tolist()
+    generic = np.concatenate([generics[t] for t in blocks])
     # counted on the uint8 generics through one scratch array: bincount
     # would first widen them to int64
     same = np.empty(generic.shape, dtype=np.bool_)
@@ -113,9 +166,8 @@ def orbit_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
             f"the orbits of the {n}-state witness cover {cells} cells, not {n**6}, "
             f"from {sum(counts)} of their {generic.size} tuples"
         )
-    join = TripleCodec(n).join
-    p1, q1, r1, p2, q2, r2 = columns.astype(_CELL)
-    x1, x2 = join(p1, q1, r1), join(p2, q2, r2)
+    x1 = np.repeat(join(*heads.astype(_CELL)), [generics[t].size for t in blocks])
+    x2 = np.concatenate([joined[t] for t in blocks])
     x1.flags.writeable = x2.flags.writeable = False
     return x1, x2
 
@@ -130,8 +182,7 @@ def _first_hit(found: np.ndarray) -> int | None:
     mirror only where the first holds.  The check is symmetric, so a hit
     (x2, x1) below the diagonal mirrors the smaller hit (x1, x2) above it,
     and the first hit has x1 < x2."""
-    k = int(np.argmax(found))
-    return k if found[k] else None
+    return int(np.argmax(found)) if found.any() else None
 
 
 def _flat_cells(n: int, x1, x2, table: str, budget: int | None) -> list[np.ndarray]:

@@ -180,6 +180,25 @@ def nfas(draw, sigma=None, n=None):
     return make_nfa(n, sigma, sorted(triples), initial, final)
 
 
+def reference_canonical_tuples():
+    """Every canonical 6-tuple, grown one coordinate at a time over the
+    whole list: the reference for ``kernels._canonical_tuples``, which
+    builds the same six uint8 rows and generic counts in blocks.  A next
+    value is one of the 6 constants, a generic value the tuple already
+    uses, or the next new one."""
+    rows = []
+    generic = np.zeros(1, dtype=np.uint8)
+    for _ in range(6):
+        choices = 7 + generic.astype(np.int64)
+        parent = np.repeat(np.arange(generic.size), choices)
+        starts = np.repeat(np.cumsum(choices) - choices, choices)
+        value = (np.arange(parent.size) - starts).astype(np.uint8)
+        generic = generic[parent]
+        generic += value == 6 + generic
+        rows = [row[parent] for row in rows] + [value]
+    return np.stack(rows), generic
+
+
 def orbit_mask(n, cell, x1, x2):
     """Which cells (x1, x2) of the witness grid lie in the orbit of ``cell``
     = (p1,q1,r1,p2,q2,r2) under the permutations of the states >= 6: the

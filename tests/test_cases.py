@@ -204,10 +204,14 @@ class TestOrbitPass:
         with pytest.raises(BudgetExceededError, match="needs 163967, exceeds budget 163966"):
             check(13, budget=163_966)
 
-    @pytest.mark.parametrize("check", [verify_cases, pairwise_contradiction])
-    def test_table_calls_read_only_the_representatives(self, monkeypatch, check):
+    @pytest.mark.parametrize(
+        "check, n",
+        [(verify_cases, 13), (pairwise_contradiction, 13), (verify_cases, 6), (pairwise_contradiction, 6)],
+        ids=["verify_cases", "pairwise_contradiction", "verify_cases-6", "pairwise_contradiction-6"],
+    )
+    def test_table_calls_read_only_the_representatives(self, monkeypatch, check, n):
         # the square cells, of the grid's table, and the case ids, each on
-        # the cells they are read at
+        # the cells they are read at: 46,656 at n = 6, 163,967 at n = 13
         sizes = []
 
         def recording(name, function):
@@ -221,15 +225,52 @@ class TestOrbitPass:
         monkeypatch.setattr(kernels, "_case_ids", damaged)
         monkeypatch.setattr(cases, "_case_ids", recording("case ids", damaged))
         monkeypatch.setattr(kernels, "_square_cells", recording("square cells", kernels._square_cells))
+        cells = kernels.orbit_count(n)
         if check is verify_cases:
-            assert cases._verify_cases(kernels._Grid(witness(13))) is not None
-            assert sizes == [("square cells", 163_967), ("case ids", 163_967)]
+            assert cases._verify_cases(kernels._Grid(witness(n))) is not None
+            assert sizes == [("square cells", cells), ("case ids", cells)]
             return
-        assert check(13) is not None
+        assert check(n) is not None
         # the crossing reads a_X2 b_X1 only where a_X1 b_X2 holds off the diagonal
-        x1, x2 = kernels.orbit_cells(13)
-        hits = np.count_nonzero((case_table(13, x1, x2) != 0) & (x1 != x2))
-        assert sizes == [("case ids", 163_967), ("case ids", hits)] and hits == 1_196
+        x1, x2 = kernels.orbit_cells(n)
+        hits = np.count_nonzero((case_table(n, x1, x2) != 0) & (x1 != x2))
+        assert sizes == [("case ids", cells), ("case ids", hits)]
+        assert (cells, hits) in [(46_656, 756), (163_967, 1_196)]
+
+    def test_each_case_verdict_is_computed_once(self, monkeypatch):
+        # a check computes the case ids of the tuples it keeps that no
+        # check before it kept, and no others
+        sizes = []
+
+        def recording(*args):
+            sizes.append(np.broadcast(*args[-2:]).size)
+            return kernels._case_ids(*args)
+
+        monkeypatch.setattr(cases, "_case_ids", recording)
+        for n in [8, 6, 12, 13, 10]:
+            assert verify_cases(n) is None
+        counts = [kernels.orbit_count(n) for n in [8, 12]]
+        assert sizes == [counts[0], counts[1] - counts[0]]
+
+    def test_verdicts_known_from_a_larger_n_are_not_read(self, monkeypatch):
+        # after n = 13 every verdict is known, and the crossing at n = 6
+        # reads its mirror only on n = 6's 756 hits of the damaged ids
+        sizes = []
+        damaged = MUTANTS["identity_l=True"]
+
+        def recording(*args):
+            sizes.append(np.broadcast(*args[-2:]).size)
+            return damaged(*args)
+
+        monkeypatch.setattr(kernels, "_case_ids", damaged)
+        monkeypatch.setattr(cases, "_case_ids", recording)
+        assert pairwise_contradiction(13) == pairwise_contradiction(6) is not None
+        assert sizes == [163_967, 1_196, 756]
+
+    def test_no_case_holding_is_no_contradiction(self, monkeypatch):
+        # no a_X3 b_X4 holds, so there is no mirror to read
+        monkeypatch.setattr(cases, "_case_ids", lambda *cells: np.zeros(np.broadcast(*cells).shape, np.uint8))
+        assert pairwise_contradiction(6) is None
 
 
 # the parent's screen-plus-scan counterexamples; they are the same for every
@@ -258,6 +299,17 @@ class TestPinnedCounterexamples:
     def test_pairwise_contradiction(self, n):
         with mutant("identity_l=True"):
             assert pairwise_contradiction(n, budget=n**6) == PINNED_CROSSING
+
+
+def test_no_case_verdict_goes_stale():
+    # the case check's verdicts are computed once per case ids: a mutant
+    # swapped in after a clean run is caught, and a clean run after it
+    # passes again
+    assert verify_cases(6) is None
+    for name in MUTANTS:
+        with mutant(name):
+            assert verify_cases(6) == PINNED_VERIFY_CASES[name]
+    assert verify_cases(6) is None
 
 
 # sha256 of each whole damaged table that case_table's former damage

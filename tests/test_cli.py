@@ -662,6 +662,13 @@ class TestSmallScope:
         assert any(cli._route_mismatch(auto, None) is not None for auto in small_scope)
 
 
+@pytest.mark.parametrize("n", [6])
+def test_the_three_routes_agree_on_the_witness(n):
+    # the cube, the function route and the direct route on the paper's
+    # own hard instance: no word tells them apart
+    assert cli._route_mismatch(witness(n), 10**7) is None
+
+
 def two_equivalences(cube, fn, rel):
     """The check of a random-equiv trial as two exact equivalences, the
     reference for the one walk: the least word splitting the cube from the

@@ -41,6 +41,7 @@ from sqrtnfa.kernels import _Grid, orbit_cells, orbit_count
 from sqrtnfa.sqrt import TripleCodec
 from conftest import (
     MUTANTS, damage_square_cells, doctored_witness, first_pair, grid, mutant, orbit_mask,
+    reference_canonical_tuples,
 )
 
 ORBITS = 163_967
@@ -135,6 +136,13 @@ class TestOrbitEnumerator:
             assert canonical(row) == row
             assert len({v for v in row if v >= 6}) == k
 
+    def test_the_blocks_give_the_level_by_level_list(self):
+        built, reference = kernels._canonical_tuples(), reference_canonical_tuples()
+        for array, expected in zip(built, reference):
+            assert array.dtype == expected.dtype and array.shape == expected.shape
+            assert array.tobytes() == expected.tobytes()
+            assert not array.flags.writeable
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_whole_grid_when_orbits_are_single_cells(self, n):
         # no two generic states at n = 6 or 7, so every cell is its own orbit
@@ -204,12 +212,18 @@ class TestOrbitEnumerator:
     @pytest.mark.parametrize("damage", ["drop", "repeat"])
     def test_an_incomplete_list_is_refused(self, monkeypatch, damage):
         columns, generic = kernels._canonical_tuples()
-        keep = np.arange(ORBITS) != 1000
         if damage == "drop":
-            columns, generic = columns[:, keep], generic[keep]
+            keep = np.arange(ORBITS) != 1000
+            damaged = damage_tuple(monkeypatch, 1000, lambda rows, generic, at: (
+                np.delete(rows, at, axis=1), np.delete(generic, at)
+            ))
+            expected = columns[:, keep], generic[keep]
         else:
-            columns, generic = columns[:, np.r_[0, :ORBITS]], generic[np.r_[0, :ORBITS]]
-        monkeypatch.setattr(kernels, "_canonical_tuples", lambda: (columns, generic))
+            damaged = damage_tuple(monkeypatch, 0, lambda rows, generic, at: (
+                np.insert(rows, at, rows[:, at], axis=1), np.insert(generic, at, generic[at])
+            ))
+            expected = columns[:, np.r_[0, :ORBITS]], generic[np.r_[0, :ORBITS]]
+        assert all(map(np.array_equal, damaged, expected))
         with pytest.raises(VerificationError, match="cover .* cells, not"):
             orbit_cells(12)
 
@@ -217,11 +231,50 @@ class TestOrbitEnumerator:
         # a repeated tuple whose generic count reads 7 covers no counted
         # cells, so only the tuple total sees it; at n = 13 it is kept
         columns, generic = kernels._canonical_tuples()
-        columns = columns[:, np.r_[0, :ORBITS]]
-        generic = np.r_[np.uint8(7), generic]
-        monkeypatch.setattr(kernels, "_canonical_tuples", lambda: (columns, generic))
+        damaged = damage_tuple(monkeypatch, 0, lambda rows, generic, at: (
+            np.insert(rows, at, rows[:, at], axis=1), np.insert(generic, at, 7)
+        ))
+        expected = columns[:, np.r_[0, :ORBITS]], np.r_[np.uint8(7), generic]
+        assert all(map(np.array_equal, damaged, expected))
         with pytest.raises(VerificationError, match="from 163967 of their 163968 tuples"):
             orbit_cells(13)
+
+
+@pytest.fixture(scope="module")
+def table12():
+    return _Grid(witness(12)).table
+
+
+@pytest.mark.parametrize("n", [*range(6, 12), *range(13, 17)])
+def test_every_table_is_n_12s_table(table12, n):
+    # the square table on the orbit tuples is the same for every n >= 12,
+    # and below 12 it is restricted to the tuples with at most n - 6
+    # generic values, as the case verdicts the case check reads are
+    generic = kernels._canonical_tuples()[1]
+    expected = table12 if n > 12 else table12[generic <= n - 6]
+    table = _Grid(witness(n)).table
+    assert table.dtype == expected.dtype and table.tobytes() == expected.tobytes()
+
+
+def damage_tuple(monkeypatch, k, damage):
+    """Canonical tuple ``k`` damaged in the blocks the orbit pair is joined
+    from: the block that holds it gets its own list of continuations,
+    ``damage(rows, generic, at)`` of the shared one, with ``at`` the
+    tuple's place in the block.  Returns the canonical list the damaged
+    blocks give, which the caller compares with the same damage made to
+    the whole list."""
+    tails = kernels._orbit_blocks()
+    heads, tail = tails[0]
+    sizes = np.cumsum([tails[t][1].size for t in tail.tolist()])
+    block = int(np.searchsorted(sizes, k, side="right"))
+    at = k - (int(sizes[block - 1]) if block else 0)
+    # list 0 stays the heads, whose tail now points the blocks that read
+    # list 0 at its copy, list 4, and the damaged block at list 5
+    damaged = np.where(tail == 0, 4, tail)
+    damaged[block] = 5
+    blocks = (heads, damaged), *tails[1:], tails[0], damage(*tails[tail[block]], at)
+    monkeypatch.setattr(kernels, "_orbit_blocks", lambda: blocks)
+    return kernels._canonical_tuples.__wrapped__()
 
 
 def all_checks(n):
